@@ -27,9 +27,10 @@ The lower-level pieces remain public for custom wiring::
 The core-switch controller behind uFAB is pluggable
 (:mod:`repro.core.controller`): ``Scenario....backend("pipeline")``,
 ``--backend pipeline`` on any grid command, or ``REPRO_BACKEND=pipeline``
-swaps the behavioral agent for the register-accurate P4 pipeline
-emulation (:mod:`repro.core.p4pipe`); both backends are bit-identical
-on probe payloads and traces (see ``docs/API.md``).
+swaps the behavioral agent (:mod:`repro.core.corenode`, the default
+and the fast one) for the register-accurate P4 pipeline emulation
+(:mod:`repro.core.p4pipe`); the two backends are bit-identical on probe
+payloads and traces (see ``docs/API.md``).
 
 Packages:
 

@@ -440,51 +440,11 @@ def _bench_compare(args) -> None:
         raise SystemExit(1)
 
 
-def _ab_compare(args) -> None:
-    """``repro bench --ab-compare REPORT``: backend-partition gate."""
-    import json
-
-    from repro.runner.bench import compare_backends
-
-    with open(args.ab_compare, encoding="utf-8") as fh:
-        report = json.load(fh)
-    diff = compare_backends(report, threshold=args.threshold, gate=args.gate)
-    if args.compare_out:
-        with open(args.compare_out, "w", encoding="utf-8") as fh:
-            json.dump(diff, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    rows = [
-        [c["experiment"], c["scheme"], c["seed"],
-         f"{c['baseline_wall_s']:.2f}" if c["baseline_wall_s"] else "-",
-         f"{c['candidate_wall_s']:.2f}" if c["candidate_wall_s"] else "-",
-         "yes" if c["events_match"] else "MISMATCH",
-         f"x{c['speedup']:.2f}" if c["speedup"] is not None else "-"]
-        for c in diff["cells"]
-    ]
-    print(format_table(
-        f"backend A/B: {diff['baseline']} -> {diff['candidate']} "
-        f"({args.ab_compare})",
-        ["experiment", "scheme", "seed", f"{diff['baseline']} (s)",
-         f"{diff['candidate']} (s)", "events ==", "speedup"], rows))
-    print(f"\nmatched: {diff['n_matched']}   events identical: "
-          f"{'yes' if diff['events_identical'] else 'NO (conformance bug)'}")
-    print(f"speedup (wall): worst x{diff['worst_speedup']}, "
-          f"geomean x{diff['geomean_speedup']}, best x{diff['best_speedup']}")
-    if args.threshold is not None:
-        verdict = "PASS" if diff["passed"] else "FAIL"
-        print(f"threshold: {diff['gate']} >= x{args.threshold}  ->  {verdict}")
-    if not diff["passed"]:
-        raise SystemExit(1)
-
-
 def _bench(args) -> None:
     from repro.runner.bench import run_bench
 
     if args.compare:
         _bench_compare(args)
-        return
-    if args.ab_compare:
-        _ab_compare(args)
         return
 
     report = run_bench(
@@ -717,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--transit", choices=("fast", "slow"), default=None,
                    help="pin REPRO_PROBE_TRANSIT for every cell (pair "
                         "with --no-cache when A/B-ing transit modes)")
-    b.add_argument("--ab-compare", metavar="REPORT", default=None,
-                   help="gate a 'backends'-grid report: split its rows "
-                        "by backend, require identical event counts, "
-                        "apply --threshold/--gate to the wall speedup")
     b.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
                    help="diff two BENCH_*.json reports (events/sec and "
                         "per-job wall time) instead of running a grid")

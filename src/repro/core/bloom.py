@@ -46,28 +46,21 @@ class CountingBloomFilter:
             indices.append(int.from_bytes(chunk, "little") % self.n_counters)
         return indices
 
-    def indices(self, key: str) -> List[int]:
-        """The counter rows ``key`` hashes to — deterministic per (seed,
-        key), so callers processing the same pair repeatedly may cache
-        the result and use the ``*_at`` methods below."""
-        return self._indices(key)
-
     # ------------------------------------------------------------------
-    # Index-addressed operations: the string methods delegate here, so a
-    # caller holding precomputed indices gets byte-identical behaviour.
-    # ------------------------------------------------------------------
-    def contains_at(self, indices: List[int]) -> bool:
+    def contains(self, key: str) -> bool:
         counters = self._counters
-        return all(counters.get(i, 0) > 0 for i in indices)
+        return all(counters.get(i, 0) > 0 for i in self._indices(key))
 
-    def add_at(self, indices: List[int]) -> None:
+    def add(self, key: str) -> None:
         counters = self._counters
-        for i in indices:
+        for i in self._indices(key):
             counters[i] = counters.get(i, 0) + 1
         self.items += 1
 
-    def remove_at(self, indices: List[int]) -> None:
+    def remove(self, key: str) -> None:
+        """Remove one insertion of ``key``; no-op if counters are empty."""
         counters = self._counters
+        indices = self._indices(key)
         if all(counters.get(i, 0) > 0 for i in indices):
             for i in indices:
                 left = counters.get(i, 0) - 1
@@ -76,17 +69,6 @@ class CountingBloomFilter:
                 else:
                     del counters[i]
             self.items = max(0, self.items - 1)
-
-    # ------------------------------------------------------------------
-    def contains(self, key: str) -> bool:
-        return self.contains_at(self._indices(key))
-
-    def add(self, key: str) -> None:
-        self.add_at(self._indices(key))
-
-    def remove(self, key: str) -> None:
-        """Remove one insertion of ``key``; no-op if counters are empty."""
-        self.remove_at(self._indices(key))
 
     def clear(self) -> None:
         self._counters.clear()

@@ -24,20 +24,11 @@ accounting program against, with interchangeable implementations
     the behavioral algorithm actually fits the hardware the paper
     claims.
 
-``vector``
-    :class:`repro.core.veccore.VectorCoreAgent` — the batched fast
-    backend: all per-link register state lives in dense
-    structure-of-arrays buffers shared across the fabric's agents via a
-    per-network :class:`repro.core.veccore.VectorCoreState` arena, and
-    the probe hot path (ledger fire -> queue integration -> register
-    update -> INT stamp) runs as one fused, allocation-light pass.
-
-All backends are cross-validated bit-identically on probe payloads,
-traces, and HopRecords (``tests/test_backend_conformance.py``), so any
-grid can run under any via ``--backend`` / ``REPRO_BACKEND`` and
-produce the same rows.  Future backends (an external BMv2 target)
-register here the same way — see the "adding a backend" walkthrough in
-``docs/API.md``.
+The two are cross-validated bit-identically on probe payloads, traces,
+and HopRecords (``tests/test_backend_conformance.py``), so any grid can
+run under either via ``--backend`` / ``REPRO_BACKEND`` and produce the
+same rows.  Future backends (an external BMv2 target) register here the
+same way — see the "adding a backend" walkthrough in ``docs/API.md``.
 """
 
 from __future__ import annotations
@@ -49,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.params import UFabParams
     from repro.core.probe import ProbeHeader
-    from repro.sim.link import Link
 
 DEFAULT_BACKEND = "behavioral"
 
@@ -59,7 +49,6 @@ DEFAULT_BACKEND = "behavioral"
 _BACKEND_CLASSES: Dict[str, Tuple[str, str]] = {
     "behavioral": ("repro.core.corenode", "CoreAgent"),
     "pipeline": ("repro.core.p4pipe", "PipelineCoreAgent"),
-    "vector": ("repro.core.veccore", "VectorCoreAgent"),
 }
 
 
@@ -127,20 +116,6 @@ class SwitchController(abc.ABC):
     def reset(self, now: float = 0.0) -> None:
         """Line-card reboot (CoreReset fault): wipe Bloom + Phi_l/W_l."""
 
-    # -- shared-state seam ---------------------------------------------
-    @classmethod
-    def begin_attach(cls, topology, params: Optional["UFabParams"]):
-        """Optional per-attach shared state (called once per fabric).
-
-        :func:`attach_core_agents` calls this before constructing the
-        per-link controllers; a non-``None`` return is passed to every
-        constructor as the ``arena`` keyword.  Backends whose agents
-        share dense state across one network (the ``vector`` backend's
-        :class:`repro.core.veccore.VectorCoreState`) override this; the
-        default keeps the historical one-instance-per-link contract.
-        """
-        return None
-
 
 # ----------------------------------------------------------------------
 # Backend registry / selection
@@ -204,13 +179,9 @@ def attach_core_agents(
     under-estimates they cause — reproduce exactly.
     """
     cls = backend_class(backend)
-    shared = cls.begin_attach(topology, params)
     agents: Dict[str, SwitchController] = {}
     for seed, (name, link) in enumerate(sorted(topology.links.items())):
-        if shared is None:
-            agent = cls(link, params, bloom_seed=seed)
-        else:
-            agent = cls(link, params, bloom_seed=seed, arena=shared)
+        agent = cls(link, params, bloom_seed=seed)
         link.core_agent = agent
         agents[name] = agent
     return agents

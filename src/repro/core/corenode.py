@@ -25,6 +25,10 @@ from repro.sim.link import Link
 
 __all__ = ["CoreAgent", "attach_core_agents"]
 
+_PROBE = ProbeKind.PROBE
+_FINISH = ProbeKind.FINISH
+_NEW_HOP = HopRecord.__new__
+
 # ---------------------------------------------------------------------
 # Observability declarations (recorded only when OBS.enabled)
 # ---------------------------------------------------------------------
@@ -137,20 +141,26 @@ class CoreAgent(SwitchController):
     # ------------------------------------------------------------------
     def on_probe(self, header: ProbeHeader, now: float) -> None:
         """Handle a forward probe: register demand, stamp INT."""
-        if header.kind == ProbeKind.PROBE:
-            self._register(header.pair_id, header.phi, header.window, now)
-        elif header.kind == ProbeKind.FINISH:
+        kind = header.kind
+        if kind == _PROBE:
+            pair_id = header.pair_id
+            entry = self._table.get(pair_id)
+            if entry is None:
+                self._register(pair_id, header.phi, header.window, now)
+            else:
+                # Known pair (all but a pair's first probe per link):
+                # fold the token/window deltas into the registers.
+                phi = header.phi
+                window = header.window
+                self.phi_total += phi - entry[0]
+                self.window_total += window - entry[1]
+                self._table[pair_id] = (phi, window, now)
+        elif kind == _FINISH:
             self.on_finish(header.pair_id)
         self.stamp(header, now)
 
     def _register(self, pair_id: str, phi: float, window: float, now: float) -> None:
-        entry = self._table.get(pair_id)
-        if entry is not None:
-            old_phi, old_window, _ = entry
-            self.phi_total += phi - old_phi
-            self.window_total += window - old_window
-            self._table[pair_id] = (phi, window, now)
-            return
+        """Admit a pair absent from the table (Bloom-filter gated)."""
         if self.bloom.contains(pair_id):
             # False positive: the pair looks already-seen, so its
             # contribution is omitted (Phi_l, W_l under-estimate).
@@ -228,20 +238,36 @@ class CoreAgent(SwitchController):
                     "phi_total": phi_total, "window_total": window_total,
                 })
             return
-        tx = self.measured_tx(now)
-        # measured_tx just synced the link to ``now``, so the raw queue
-        # register is current — same value queue_bits(now) would return.
+        # measured_tx(now) inlined — one stamp per hop per probe makes
+        # this the hottest code in the core; same guard, same float ops.
+        pending = link._pending
+        if (pending and pending[0].t < now) or now > link._last_sync:
+            link.sync(now)
+        dt = now - self._tx_last_time
+        if dt >= 5e-6:
+            delivered = link.delivered_bits
+            sample = (delivered - self._tx_last_delivered) / dt
+            tx = self._tx_value
+            tx += dt / (dt + self.TX_METER_TAU) * (sample - tx)
+            self._tx_value = tx
+            self._tx_last_time = now
+            self._tx_last_delivered = delivered
+        elif self._tx_last_time == 0.0 and self._tx_last_delivered == 0.0:
+            tx = self._tx_value = link.tx_rate(now)
+        else:
+            tx = self._tx_value
+        # The link is synced to ``now``, so the raw queue register is
+        # current — same value queue_bits(now) would return.
         queue = link.queue
-        header.hops.append(
-            HopRecord(
-                window_total=self.window_total,
-                phi_total=self.phi_total,
-                tx_rate=tx,
-                queue=queue,
-                capacity=link.capacity,
-                link_name=link.name,
-            )
-        )
+        # Slot stores on a bare instance skip the __init__ frame.
+        rec = _NEW_HOP(HopRecord)
+        rec.window_total = self.window_total
+        rec.phi_total = self.phi_total
+        rec.tx_rate = tx
+        rec.queue = queue
+        rec.capacity = link.capacity
+        rec.link_name = link.name
+        header.hops.append(rec)
         self.records_stamped += 1
         if OBS.enabled:
             name = link.name
@@ -432,7 +458,3 @@ class CoreAgent(SwitchController):
 
     def target_capacity(self) -> float:
         return self.params.target_capacity(self.link.capacity)
-
-
-# attach_core_agents moved to repro.core.controller (the backend seam);
-# re-exported above so existing callers keep working unchanged.

@@ -300,6 +300,8 @@ class PairController:
             self._send_scout(idx, scouted)
 
     def _finish_join(self) -> None:
+        if self.state != PairState.JOINING:
+            return  # stop() removed the pair while its scouts were out
         choice = self.book.select_initial(self.phi(), self.params, self.agent.rng)
         if choice is None:
             choice = self.book.best_fallback(self.agent.rng)
@@ -1058,17 +1060,6 @@ class UFabFabric:
         self.rng = random.Random(seed)
         self.core_agents = attach_core_agents(network.topology, self.params,
                                               backend=backend)
-        # Vector backend: publish the shared arena on the network and
-        # teach it this fabric's hop callables so the transit ledger can
-        # route fires/drains through the fused arena pass.  Duck-typed
-        # on the arena attribute — other backends leave vec_arena None.
-        if self.core_agents:
-            first = next(iter(self.core_agents.values()))
-            arena = getattr(first, "arena", None)
-            if arena is not None and hasattr(arena, "fused_hop"):
-                network.vec_arena = arena
-                arena.hooks[_probe_on_hop] = True   # register + stamp
-                arena.hooks[_stamp_on_hop] = False  # scout: stamp only
         self.edges: Dict[str, EdgeAgent] = {}
         for name, host in network.hosts.items():
             agent = EdgeAgent(name, network, self.params, random.Random(self.rng.random()))

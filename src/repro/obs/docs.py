@@ -28,7 +28,6 @@ _INSTRUMENTED_MODULES = (
     "repro.sim.engine",
     "repro.sim.link",
     "repro.core.corenode",
-    "repro.core.veccore",
     "repro.core.telemetry",
     "repro.core.pathsel",
     "repro.core.edge",

@@ -3,10 +3,9 @@
 :class:`SimProfiler` instances are attached by ``Simulator.__init__``
 when a capture with ``profile: true`` is active (see
 :meth:`repro.obs.Observer.new_sim_profiler`); ``Simulator.run`` then
-switches to an instrumented copy of its event loop that calls
-:meth:`tick` every ``sample_every`` events.  A plain run carries
-``profiler is None`` and executes the original tight loop, so disabled
-mode adds no per-event work.
+drives its event loop in ``sample_every``-event slices and calls
+:meth:`tick` between them.  A plain run carries ``profiler is None``
+and runs the same loop unsliced; neither mode adds per-event work.
 
 The :meth:`summary` feeds ``BENCH_*.json`` via ``repro bench --profile``.
 """

@@ -16,8 +16,7 @@ disk keyed by configuration hash + source fingerprint:
   ``BENCH_*.json`` perf reports.
 """
 
-from repro.runner.bench import (GRIDS, build_grid, compare_backends,
-                                compare_reports, run_bench)
+from repro.runner.bench import GRIDS, build_grid, compare_reports, run_bench
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.job import Job, JobResult, code_version, execute_job
 from repro.runner.parallel import ParallelRunner, default_jobs
@@ -29,7 +28,6 @@ __all__ = [
     "ResultCache",
     "GRIDS",
     "build_grid",
-    "compare_backends",
     "compare_reports",
     "run_bench",
     "code_version",

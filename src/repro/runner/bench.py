@@ -99,28 +99,6 @@ def _probe_fastpath_grid(schemes, seeds, duration, degrees) -> List[Job]:
     return out
 
 
-AB_BACKENDS = ("behavioral", "vector")
-
-
-def _backends_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    """Core-backend A/B: every probe_fastpath cell under behavioral and
-    vector.
-
-    One grid, both backends, so a single ``--no-cache`` run times the
-    pair back-to-back on the same host under the same load — the only
-    comparison the timings support.  Gate with
-    :func:`compare_backends` (``repro bench --ab-compare``): it matches
-    each cell to its twin, *requires* identical event counts (the
-    backends are bit-identical, so any drift is a conformance bug, not
-    noise), and gates the wall-time speedup.
-    """
-    cells = _probe_fastpath_grid(schemes, seeds, duration, degrees)
-    # Pair-adjacent order (B, V, B, V, ...): each cell's twin runs right
-    # next to it, so slow drift in host load cancels out of the ratio.
-    return [dataclasses.replace(j, backend=backend)
-            for j in cells for backend in AB_BACKENDS]
-
-
 def _telemetry_grid(schemes, seeds, duration, degrees) -> List[Job]:
     """Telemetry-plan frontier cells: plan x seed on the Fig-11 workload.
 
@@ -199,10 +177,6 @@ GRIDS: Dict[str, Dict[str, Any]] = {
     "probe_fastpath": {"build": _probe_fastpath_grid, "duration": 0.04,
                        "help": "probe-heavy ufab cells (fig11 + "
                                "resilience) for transit-mode A/B"},
-    "backends": {"build": _backends_grid, "duration": 0.04,
-                 "help": "probe_fastpath cells under behavioral AND "
-                         "vector (core-backend A/B; gate with "
-                         "--ab-compare)"},
 }
 
 
@@ -259,10 +233,6 @@ def run_bench(
         grid_jobs = [dataclasses.replace(j, obs={"profile": True})
                      for j in grid_jobs]
     if backend is not None:
-        if grid == "backends":
-            raise ValueError(
-                "--backend conflicts with the 'backends' grid: its cells "
-                "already pin their backend (the A/B pair)")
         from repro.core.controller import resolve_backend
 
         resolve_backend(backend)  # validate before spawning anything
@@ -464,82 +434,3 @@ def compare_reports(
         "cells": matched,
     }
 
-
-def compare_backends(
-    report: Dict[str, Any],
-    baseline: str = "behavioral",
-    candidate: str = "vector",
-    threshold: Optional[float] = None,
-    gate: str = "geomean",
-) -> Dict[str, Any]:
-    """Backend-partition diff of ONE ``backends``-grid report.
-
-    Splits the report's rows by their ``backend`` field and matches each
-    candidate cell to its baseline twin on (experiment, scheme, seed,
-    params).  Because the backends are bit-identical, every matched pair
-    must have processed *exactly* the same number of events — a mismatch
-    fails the comparison outright (``events_identical: false``), it is a
-    conformance bug, not noise.  With identical event streams the
-    events/sec ratio equals the inverse wall ratio, so the speedup here
-    is ``baseline_wall / candidate_wall``.
-
-    ``threshold``/``gate`` work as in :func:`compare_reports`.  Timings
-    within one report come from the same host and run, which is the only
-    comparison wall clocks support; the committed
-    ``benchmarks/trajectory/BENCH_core_vector.json`` records the
-    reference numbers, CI re-measures fresh and gates the fresh ratio.
-    """
-    if gate not in ("worst", "geomean"):
-        raise ValueError(f"gate must be 'worst' or 'geomean', got {gate!r}")
-    rows = [r for r in report.get("results", []) if r.get("ok")]
-    base_rows = {_job_key(r): r for r in rows if r.get("backend") == baseline}
-    cand_rows = {_job_key(r): r for r in rows if r.get("backend") == candidate}
-    matched = []
-    events_identical = True
-    for key, crow in cand_rows.items():
-        brow = base_rows.get(key)
-        if brow is None:
-            continue
-        b_w, c_w = brow.get("wall_s"), crow.get("wall_s")
-        b_ev, c_ev = brow.get("events_processed"), crow.get("events_processed")
-        ev_match = b_ev == c_ev
-        events_identical &= ev_match
-        matched.append({
-            "experiment": crow.get("experiment"),
-            "scheme": crow.get("scheme"),
-            "seed": crow.get("seed"),
-            "params": crow.get("params", {}),
-            "baseline_wall_s": b_w,
-            "candidate_wall_s": c_w,
-            "events_processed": c_ev,
-            "events_match": ev_match,
-            "speedup": round(b_w / c_w, 4) if b_w and c_w else None,
-        })
-    matched.sort(key=lambda e: (e["experiment"] or "", e["scheme"] or "",
-                                str(e["seed"]), _job_key(e)))
-    speedups = [e["speedup"] for e in matched if e["speedup"] is not None]
-    worst = min(speedups) if speedups else None
-    best = max(speedups) if speedups else None
-    geomean = None
-    if speedups:
-        geomean = round(math.exp(sum(math.log(s) for s in speedups)
-                                 / len(speedups)), 4)
-    passed = events_identical and bool(matched)
-    if threshold is not None:
-        gated = worst if gate == "worst" else geomean
-        passed = passed and gated is not None and gated >= threshold
-    return {
-        "baseline": baseline,
-        "candidate": candidate,
-        "gate": gate,
-        "n_matched": len(matched),
-        "n_baseline_only": len(set(base_rows) - set(cand_rows)),
-        "n_candidate_only": len(set(cand_rows) - set(base_rows)),
-        "events_identical": events_identical,
-        "worst_speedup": worst,
-        "best_speedup": best,
-        "geomean_speedup": geomean,
-        "threshold": threshold,
-        "passed": passed,
-        "cells": matched,
-    }

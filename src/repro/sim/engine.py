@@ -22,10 +22,10 @@ obs metric.
 Profiling: when an observation capture with ``profile: true`` is active
 (see :mod:`repro.obs`), each Simulator attaches a
 :class:`~repro.obs.profile.SimProfiler` and :meth:`Simulator.run`
-executes an instrumented copy of its loop sampling events/sec, heap
-depth, and wall time per simulated second.  Without a capture the
-profiler is ``None`` and the original tight loop runs — zero per-event
-overhead in disabled mode.
+drives its loop in slices, sampling events/sec, heap depth, and wall
+time per simulated second between them.  Without a capture the profiler
+is ``None`` and the loop runs unsliced — zero per-event overhead either
+way.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ class Simulator:
         self._live = 0
         self._cancelled = 0
         self._running = False
+        self._stopped = False  # stop() was called (outlives _running)
         self.events_processed = 0
         self.compactions = 0
         self.compacted_events = 0
@@ -247,21 +248,33 @@ class Simulator:
         even if the last event fires earlier, so lazily-integrated state
         (link queues) can be synced at the horizon.
 
-        The loop exists twice: :meth:`_run_plain` is the disabled-mode
-        hot path and must stay free of profiling work; :meth:`_run_profiled`
-        additionally samples the :class:`~repro.obs.profile.SimProfiler`
-        every ``sample_every`` events.  Their semantics must stay
-        identical: every profiling statement carries a ``# profiled-only``
-        marker and ``tests/test_engine.py::test_run_loops_have_identical_semantics``
-        asserts the loops match line for line once those are stripped.
+        There is one loop, :meth:`_run_plain`, free of profiling work.
+        With a :class:`~repro.obs.profile.SimProfiler` attached it runs
+        in ``sample_every``-event slices and the profiler samples
+        between them.
         """
         profiler = self.profiler
         start = time.perf_counter()
-        if profiler is not None:
-            profiler.begin(self)
-            self._run_profiled(until, max_events, profiler)
-        else:
+        if profiler is None:
             self._run_plain(until, max_events)
+        else:
+            profiler.begin(self)
+            self._stopped = False
+            every = profiler.sample_every
+            left = max_events
+            while True:
+                before = self.events_processed
+                self._run_plain(until, every if left is None else min(every, left))
+                ran = self.events_processed - before
+                if ran == every:
+                    profiler.tick(self, len(self._heap))
+                if left is not None:
+                    left -= ran
+                # A short slice hit the horizon or an empty heap; a
+                # stop() on a slice's last event leaves a full slice,
+                # hence the flag.
+                if ran < every or self._stopped or (left is not None and left <= 0):
+                    break
         if until is not None and self.now < until:
             self.now = until
         self.wall_s += time.perf_counter() - start
@@ -301,46 +314,10 @@ class Simulator:
                 break
         self._running = False
 
-    def _run_profiled(self, until: Optional[float], max_events: Optional[int],
-                      profiler) -> None:
-        """The run() loop plus periodic profiler sampling."""
-        sample_every = profiler.sample_every  # profiled-only
-        self._running = True
-        processed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        free = self._event_free
-        while heap and self._running:
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                break
-            pop(heap)
-            ev = entry[2]
-            if ev.cancelled:
-                self._cancelled -= 1
-                if ev.recyclable and len(free) < FREELIST_MAX:
-                    ev.fn = None
-                    ev.args = ()
-                    free.append(ev)
-                continue
-            self._live -= 1
-            self.now = entry[0]
-            ev.fn(*ev.args)
-            self.events_processed += 1
-            processed += 1
-            if ev.recyclable and len(free) < FREELIST_MAX:
-                ev.fn = None
-                ev.args = ()
-                free.append(ev)
-            if processed % sample_every == 0:  # profiled-only
-                profiler.tick(self, len(heap))  # profiled-only
-            if max_events is not None and processed >= max_events:
-                break
-        self._running = False
-
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
         self._running = False
+        self._stopped = True
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.

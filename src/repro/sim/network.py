@@ -122,16 +122,19 @@ class _TransitEntry:
             return
         flight = self.flight
         flight.ensure_prior(self.hop)
-        registers = flight.vec_reg
-        if registers is not None:
-            # Vector backend: the fused arena pass performs this fire's
-            # integrate + the hop callback in one call.  ``vec_reg`` is
-            # the arena's hook classification, cached at launch.
-            flight.network.vec_arena.fused_hop(
-                link, flight.probe.payload, self.t, registers)
-            return
-        link._integrate(self.t)
-        flight.on_hop(flight.probe.payload, link, self.t)
+        t = self.t
+        last = link._last_sync
+        if t > last:
+            inflow = link.inflow
+            if link.queue == 0.0 and inflow <= link.capacity:
+                # Calm link — the fast path's own launch condition, so
+                # nearly every fire: Link._integrate's unsaturated,
+                # empty-queue branch without the call.
+                link.delivered_bits += inflow * (t - last)
+                link._last_sync = t
+            else:
+                link._integrate(t)
+        flight.on_hop(flight.probe.payload, link, t)
 
 
 class _Flight:
@@ -144,7 +147,7 @@ class _Flight:
 
     __slots__ = ("network", "probe", "hops", "on_hop", "hop_filter",
                  "on_arrive", "on_drop", "seq", "pure", "entries", "times",
-                 "t_arr", "ev_pre", "ev_arr", "fast", "done", "vec_reg")
+                 "t_arr", "ev_pre", "ev_arr", "fast", "done")
 
     def __init__(self) -> None:
         self.network = None
@@ -163,10 +166,6 @@ class _Flight:
         self.ev_arr: Optional[Event] = None
         self.fast = False
         self.done = False
-        # Vector-backend dispatch, cached at launch: the arena's hook
-        # classification for this leg's on_hop (True = register+stamp,
-        # False = stamp only), or None when the generic path applies.
-        self.vec_reg: Optional[bool] = None
 
     def ensure_prior(self, hop: int) -> None:
         """Apply this flight's earlier-hop entries before a later one.
@@ -188,11 +187,6 @@ class _Flight:
         Called at arrival/drop (all emission times are then strictly in
         the past) so ``header.hops`` is complete before the callback.
         """
-        registers = self.vec_reg
-        if registers is not None:
-            # Vector backend: drain the whole leg in one arena pass.
-            self.network.vec_arena.drain_flight(self, registers)
-            return
         for entry in self.entries:
             if not entry.applied:
                 entry.link._flush_upto(entry.t, entry.seq)
@@ -308,10 +302,6 @@ class Network:
         self._probe_free: List[Probe] = []
         self._flight_free: List[_Flight] = []
         self._entry_free: List[_TransitEntry] = []
-        # Vector-backend arena (repro.core.veccore.VectorCoreState), set
-        # by the uFAB fabric when backend="vector"; None keeps the
-        # generic fire/flush paths with zero extra work per hop.
-        self.vec_arena = None
         # Per-pair delivered-rate listeners (message queues, meters).
         self._rate_listeners: Dict[str, List[Callable[[float], None]]] = {}
         # Time series: pair_id -> [(t, delivered_rate)] if sampling enabled.
@@ -522,8 +512,6 @@ class Network:
         flight = self._new_flight(probe, hops, on_hop, on_arrive, on_drop)
         flight.pure = on_hop is None or pure_hop
         flight.hop_filter = hop_filter if on_hop is not None else None
-        arena = self.vec_arena
-        flight.vec_reg = arena.hooks.get(on_hop) if arena is not None else None
         if (self._transit_fast and hops
                 and self._probe_interceptor is None
                 and (on_hop is None
@@ -702,7 +690,6 @@ class Network:
         flight.on_drop = None
         flight.ev_pre = None
         flight.ev_arr = None
-        flight.vec_reg = None
         free = self._flight_free
         if len(free) < _POOL_MAX:
             free.append(flight)
@@ -725,11 +712,6 @@ class Network:
         """Instantaneous round-trip delay (forward queue + reverse queue)."""
         now = self.sim.now
         reverse = self.topology.reverse_path(path)
-        arena = self.vec_arena
-        if arena is not None:
-            # Vector backend: same per-link flush/integrate/accumulate
-            # sequence, fused into one arena pass (bit-identical sums).
-            return arena.path_rtt(path, reverse, now)
         return _path_delay(path, now) + _path_delay(reverse, now)
 
     # ------------------------------------------------------------------

@@ -1,16 +1,13 @@
-"""Backend conformance: alternative backends must be bit-identical.
+"""Backend conformance: the alternative backend must be bit-identical.
 
 The ``pipeline`` backend (:mod:`repro.core.p4pipe`) re-implements the
 core agent as an explicit Tofino-like match-action pipeline — stages,
 one register-ALU RMW per register per packet, a stage budget, the
-Figure-22 layout stamped field-by-field.  The ``vector`` backend
-(:mod:`repro.core.veccore`) keeps all per-link register state in dense
-per-network SoA columns and fuses link integration with uFAB stamping
-on the probe fast path.  Either is only admissible as a backend if it
-is *bit-identical* to the behavioral reference on everything an
-experiment can observe: probe payloads, hop records, figure rows, and
-trace streams — across schemes, seeds, fault schedules, telemetry
-plans, and both probe-transit modes.
+Figure-22 layout stamped field-by-field.  It is only admissible as a
+backend if it is *bit-identical* to the behavioral reference on
+everything an experiment can observe: probe payloads, hop records,
+figure rows, and trace streams — across schemes, seeds, fault
+schedules, telemetry plans, and both probe-transit modes.
 
 Payload comparison is exact ``==`` after stripping ``events_processed``
 and ``_obs`` (the trace streams are compared separately, in full).
@@ -59,7 +56,7 @@ def _strip(payload):
             if k not in ("events_processed", "_obs")}
 
 
-ALT_BACKENDS = ("pipeline", "vector")
+ALT_BACKENDS = ("pipeline",)
 
 
 def _assert_conformant(job, backend, transit="fast"):
@@ -146,12 +143,24 @@ def test_unknown_backend_error_lists_every_registered_name():
     # in a sweep config is self-diagnosing (default listed first).
     from repro.core.controller import backend_names, resolve_backend
     names = backend_names()
-    assert names[0] == "behavioral"
-    assert "pipeline" in names and "vector" in names
+    assert names == ("behavioral", "pipeline")
     with pytest.raises(ValueError) as err:
         resolve_backend("no-such-backend")
     for name in names:
         assert name in str(err.value)
+
+
+def test_retired_vector_backend_fails_eagerly():
+    # The ``vector`` fork is gone (its fast path lives in CoreAgent); a
+    # config or env var still naming it must fail before any cell runs.
+    from repro.core.controller import resolve_backend
+    with pytest.raises(ValueError, match="behavioral, pipeline"):
+        resolve_backend("vector")
+    job = Job("fig11", FIG11, scheme="ufab", seed=1,
+              params={"scheme": "ufab", "duration": 0.004, "seed": 1},
+              backend="vector")
+    with pytest.raises(ValueError, match="behavioral, pipeline"):
+        execute_job(job)
 
 
 def test_unknown_solver_mode_error_lists_valid_modes():

@@ -1,14 +1,16 @@
-"""Property suite: randomized twin driving of behavioral vs vector.
+"""Property suite: randomized twin driving of behavioral vs pipeline.
 
-The ``vector`` backend (:mod:`repro.core.veccore`) claims *exact* state
-equivalence with :class:`repro.core.corenode.CoreAgent` — not just on
-figure rows but on every register, table entry, Bloom counter, TX-meter
-word, and fault-plane latch, after every single operation.  This suite
-drives a behavioral/vector twin pair through randomized 100+-step
-operation sequences (probe storms, finish probes, stamp-only scouts,
-sweeps, line-card resets, telemetry freezes, inflow changes, shared and
-same-instant timestamps) and asserts a full state snapshot is equal —
-with exact float ``==`` — after each step.
+:class:`repro.core.p4pipe.PipelineCoreAgent` is the independent oracle
+for :class:`repro.core.corenode.CoreAgent`: the same algorithm executed
+register by register on an emulated pipeline.  Figure-level conformance
+(``tests/test_backend_conformance.py``) only visits the states whole
+experiments happen to reach; this suite drives a behavioral/pipeline
+twin pair through randomized 100+-step operation sequences (probe
+storms, finish probes, stamp-only scouts, sweeps, line-card resets,
+telemetry freezes, inflow changes, shared and same-instant timestamps)
+and asserts the whole :class:`~repro.core.controller.SwitchController`
+surface plus the link state is equal — with exact float ``==`` — after
+each step.
 
 Pairs draw from a small universe over a deliberately tiny Bloom filter
 (64 counters) so re-registrations, false positives, finish-of-unknown,
@@ -20,9 +22,9 @@ import random
 import pytest
 
 from repro.core.corenode import CoreAgent
+from repro.core.p4pipe import PipelineCoreAgent
 from repro.core.params import UFabParams
 from repro.core.probe import ProbeHeader, ProbeKind
-from repro.core.veccore import VectorCoreAgent
 from repro.sim.link import Link
 
 PLANS = ("full", "delta:rel=0.1", "sketch")
@@ -42,7 +44,7 @@ def _twins(plan, seed):
     b_link = Link("L", "A", "B", capacity=1e9, prop_delay=1e-6)
     v_link = Link("L", "A", "B", capacity=1e9, prop_delay=1e-6)
     b = CoreAgent(b_link, params, bloom_seed=seed)
-    v = VectorCoreAgent(v_link, params, bloom_seed=seed)
+    v = PipelineCoreAgent(v_link, params, bloom_seed=seed)
     return b, v
 
 
@@ -51,32 +53,24 @@ def _hops(header):
              r.capacity, r.link_name) for r in header.hops]
 
 
-def _snap(agent, link):
-    """Full observable + internal state, in exact-compare form."""
-    if isinstance(agent, VectorCoreAgent):
-        table = agent.pairs_snapshot()
-        li = agent._li
-        tx = (agent.arena.tx_time[li], agent.arena.tx_delivered[li],
-              agent.arena.tx_value[li])
-    else:
-        table = dict(agent._table)
-        tx = (agent._tx_last_time, agent._tx_last_delivered,
-              agent._tx_value)
+def _snap(agent, link, now):
+    """The SwitchController surface + link state, in exact-compare form.
+
+    The two backends store pairs, Bloom counters and the TX meter
+    differently, so internals are compared through what they produce:
+    ``measured_tx(now)`` exposes the meter words (and refreshes both
+    meters alike), stamped hop tuples expose frozen/delta state.
+    """
     return {
         "phi_total": agent.phi_total,
         "window_total": agent.window_total,
-        "table": table,
-        "bloom": dict(agent.bloom._counters),
-        "bloom_items": agent.bloom.items,
-        "tx_meter": tx,
+        "active_pairs": agent.active_pairs(),
         "false_positives": agent.false_positives,
         "records_stamped": agent.records_stamped,
         "deltas_suppressed": agent.deltas_suppressed,
         "sketch_folds": agent.sketch_folds,
-        "frozen": agent._frozen,
-        "frozen_at": agent._frozen_at,
-        "stale_age": agent._stale_age,
-        "delta_last": agent._delta_last,
+        "telemetry_frozen": agent.telemetry_frozen,
+        "measured_tx": agent.measured_tx(now),
         "link_queue": link.queue,
         "link_delivered": link.delivered_bits,
         "link_sync": link._last_sync,
@@ -133,8 +127,8 @@ def test_randomized_sequences_keep_twins_identical(plan, seed):
             assert _hops(bh) == _hops(vh)
         elif op < 0.75:  # traffic change
             inflow = rng.uniform(0.0, 2e9)
-            b.link.set_inflow(inflow, t)
-            v.link.set_inflow(inflow, t)
+            b.link.set_inflow(t, inflow)
+            v.link.set_inflow(t, inflow)
         elif op < 0.82:  # inactivity sweep
             assert b.sweep(t) == v.sweep(t)
         elif op < 0.86:  # line-card reboot
@@ -147,9 +141,7 @@ def test_randomized_sequences_keep_twins_identical(plan, seed):
         else:  # thaw
             b.unfreeze_telemetry(t)
             v.unfreeze_telemetry(t)
-        assert _snap(b, b.link) == _snap(v, v.link), f"step {step} (t={t})"
-        assert b.active_pairs() == v.active_pairs()
-        assert b.telemetry_frozen == v.telemetry_frozen
+        assert _snap(b, b.link, t) == _snap(v, v.link, t), f"step {step} (t={t})"
 
 
 @pytest.mark.parametrize("seed", (3, 11))
@@ -162,8 +154,8 @@ def test_probe_storm_matches_under_full_plan(seed):
     for burst in range(25):
         t += rng.uniform(1e-6, 1e-5)
         inflow = rng.uniform(0.0, 1.8e9)
-        b.link.set_inflow(inflow, t)
-        v.link.set_inflow(inflow, t)
+        b.link.set_inflow(t, inflow)
+        v.link.set_inflow(t, inflow)
         for _ in range(rng.randint(2, 8)):
             pid = rng.choice(PAIRS)
             phi = rng.uniform(0.1, 2.0)
@@ -172,7 +164,7 @@ def test_probe_storm_matches_under_full_plan(seed):
             b.on_probe(bh, t)
             v.on_probe(vh, t)
             assert _hops(bh) == _hops(vh)
-        assert _snap(b, b.link) == _snap(v, v.link)
+        assert _snap(b, b.link, t) == _snap(v, v.link, t)
 
 
 def test_measured_tx_is_exactly_equal_along_a_trajectory():
@@ -183,6 +175,6 @@ def test_measured_tx_is_exactly_equal_along_a_trajectory():
         t += rng.uniform(1e-7, 3e-5)
         if rng.random() < 0.4:
             inflow = rng.uniform(0.0, 2e9)
-            b.link.set_inflow(inflow, t)
-            v.link.set_inflow(inflow, t)
+            b.link.set_inflow(t, inflow)
+            v.link.set_inflow(t, inflow)
         assert b.measured_tx(t) == v.measured_tx(t)

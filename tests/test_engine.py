@@ -217,30 +217,77 @@ def test_no_compaction_below_threshold():
 
 
 # ----------------------------------------------------------------------
-# Plain/profiled run-loop parity
+# Plain/profiled run parity
 # ----------------------------------------------------------------------
 
-def test_run_loops_have_identical_semantics():
-    """The profiled loop is the plain loop plus `# profiled-only` lines.
+SAMPLE_EVERY = 7
 
-    Compares the two method bodies at the AST level after stripping the
-    tagged instrumentation lines, so any semantic edit to one loop that
-    is not mirrored in the other fails here.
-    """
-    import ast
-    import inspect
-    import textwrap
 
-    def body_dump(fn):
-        src = textwrap.dedent(inspect.getsource(fn))
-        src = "\n".join(
-            line for line in src.splitlines() if "# profiled-only" not in line
-        )
-        node = ast.parse(src).body[0]
-        body = node.body
-        if (isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)):
-            body = body[1:]  # drop the docstring
-        return [ast.dump(stmt) for stmt in body]
+def _scripted_run(profiled, stop_at=None, **run_kwargs):
+    """40 chained events plus cancelled and same-instant ones; returns
+    the fired (tag, now) log, the simulator and its profiler (or None)."""
+    from repro.obs.profile import SimProfiler
 
-    assert body_dump(Simulator._run_plain) == body_dump(Simulator._run_profiled)
+    sim = Simulator()
+    sim.profiler = SimProfiler(sample_every=SAMPLE_EVERY) if profiled else None
+    log = []
+
+    def note(tag):
+        log.append((tag, sim.now))
+        if sim.events_processed + 1 == stop_at:  # this is event #stop_at
+            sim.stop()
+
+    def fire(k):
+        note(k)
+        if k < 40:
+            sim.schedule(1e-3, fire, k + 1)
+            sim.schedule(1e-3, note, ("echo", k))
+            sim.schedule(0.5e-3, note, ("never", k)).cancel()
+
+    sim.schedule(1e-3, fire, 1)
+    sim.run(**run_kwargs)
+    return log, sim, sim.profiler
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"until": 10.5e-3},
+    {"until": 4e-3},  # horizon exactly on an event time
+    {"max_events": 0},
+    {"max_events": 5},
+    {"max_events": SAMPLE_EVERY},
+    {"max_events": 2 * SAMPLE_EVERY},
+    {"max_events": 2 * SAMPLE_EVERY + 1},
+    {"max_events": 30, "until": 8e-3},
+    {"stop_at": SAMPLE_EVERY},  # stop() on a slice's last event
+    {"stop_at": SAMPLE_EVERY + 3},
+    {"stop_at": 4 * SAMPLE_EVERY, "until": 30e-3},
+], ids=["drain", "until", "until-on-event", "max0", "max5", "max-slice",
+        "max-2slices", "max-2slices+1", "max+until", "stop-slice-end",
+        "stop-mid-slice", "stop+until"])
+def test_profiled_run_matches_plain_run(kwargs):
+    """A profiler slices the one run loop; it must not change what fires,
+    in what order, or where the run ends."""
+    plain_log, plain, _ = _scripted_run(False, **kwargs)
+    prof_log, prof, profiler = _scripted_run(True, **kwargs)
+    assert prof_log == plain_log
+    assert prof.events_processed == plain.events_processed
+    assert prof.now == plain.now
+    assert prof.pending() == plain.pending()
+    if "stop_at" in kwargs:
+        assert plain.events_processed == kwargs["stop_at"]
+    # One sample per sample_every processed events, as the old
+    # instrumented loop took them.
+    assert len(profiler.samples) == prof.events_processed // SAMPLE_EVERY
+    assert [n for _, n, _ in profiler.samples] == [
+        SAMPLE_EVERY * (i + 1) for i in range(len(profiler.samples))]
+
+
+def test_profiled_run_resumes_across_calls():
+    """Ticks count per run() call, like the per-call ``processed`` of
+    the loop: two runs of 10 events tick once each at sample_every=7."""
+    _, sim, profiler = _scripted_run(True, max_events=10)
+    sim.run(max_events=10)
+    assert sim.events_processed == 20
+    assert [n for _, n, _ in profiler.samples] == [7, 17]
+    assert profiler.runs == 2

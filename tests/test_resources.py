@@ -130,14 +130,13 @@ def test_tofino_fits_check():
 def test_table4_numbers_are_backend_invariant(monkeypatch):
     """The derived Table-4 / plan-cost columns come off the emulated
     pipeline program, not the simulation backend: selecting the
-    ``vector`` (or ``pipeline``) core backend for experiments must not
-    move a single number."""
+    ``pipeline`` core backend for experiments must not move a single
+    number."""
     from repro.resources.model import telemetry_plan_table
 
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     reference = telemetry_plan_table()
     ref_usage = TofinoResourceModel(20_000).usage()
-    for backend in ("pipeline", "vector"):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        assert telemetry_plan_table() == reference
-        assert TofinoResourceModel(20_000).usage() == ref_usage
+    monkeypatch.setenv("REPRO_BACKEND", "pipeline")
+    assert telemetry_plan_table() == reference
+    assert TofinoResourceModel(20_000).usage() == ref_usage

@@ -16,7 +16,6 @@ from repro.runner import (
     ResultCache,
     build_grid,
     code_version,
-    compare_backends,
     compare_reports,
     execute_job,
     run_bench,
@@ -419,84 +418,6 @@ def test_compare_reports_empty_match_fails_any_threshold():
     assert diff["passed"] is False
 
 
-# ----------------------------------------------------------------------
-# backend A/B (``backends`` grid + ``repro bench --ab-compare``)
-# ----------------------------------------------------------------------
-
-def _ab_report(cells):
-    """Minimal backends-grid report for compare_backends."""
-    return {"results": [{"ok": True, "experiment": "fig11", "scheme": "ufab",
-                         "params": {}, **c} for c in cells]}
-
-
-def test_backends_grid_pairs_every_cell_adjacently():
-    from repro.runner.bench import AB_BACKENDS
-
-    jobs = build_grid("backends", seeds=(1,))
-    base = build_grid("probe_fastpath", seeds=(1,))
-    assert len(jobs) == len(AB_BACKENDS) * len(base)
-    # Pair-adjacent: each cell's twin runs immediately after it.
-    for i in range(0, len(jobs), 2):
-        a, b = jobs[i], jobs[i + 1]
-        assert (a.backend, b.backend) == AB_BACKENDS
-        assert (a.experiment, a.scheme, a.seed, a.params) == \
-            (b.experiment, b.scheme, b.seed, b.params)
-
-
-def test_run_bench_backend_flag_conflicts_with_backends_grid():
-    with pytest.raises(ValueError, match="backends"):
-        run_bench(grid="backends", backend="vector", use_cache=False, out="")
-
-
-def test_compare_backends_partitions_one_report():
-    report = _ab_report([
-        {"seed": 1, "backend": "behavioral", "wall_s": 2.0,
-         "events_processed": 100},
-        {"seed": 1, "backend": "vector", "wall_s": 1.6,
-         "events_processed": 100},
-        {"seed": 2, "backend": "behavioral", "wall_s": 1.0,
-         "events_processed": 200},
-        {"seed": 2, "backend": "vector", "wall_s": 1.0,
-         "events_processed": 200},
-    ])
-    diff = compare_backends(report)
-    assert diff["n_matched"] == 2
-    assert diff["events_identical"] is True
-    by_seed = {c["seed"]: c for c in diff["cells"]}
-    assert by_seed[1]["speedup"] == pytest.approx(1.25)
-    assert by_seed[2]["speedup"] == pytest.approx(1.0)
-    assert diff["geomean_speedup"] == pytest.approx(1.25 ** 0.5, rel=1e-3)
-    assert diff["passed"] is True
-    # The gate applies to the chosen statistic.
-    assert compare_backends(report, threshold=1.1,
-                            gate="geomean")["passed"] is True
-    assert compare_backends(report, threshold=1.1,
-                            gate="worst")["passed"] is False
-
-
-def test_compare_backends_event_mismatch_is_a_hard_failure():
-    # Bit-identical backends must process identical event streams; a
-    # count drift fails the comparison even with a generous speedup.
-    report = _ab_report([
-        {"seed": 1, "backend": "behavioral", "wall_s": 2.0,
-         "events_processed": 100},
-        {"seed": 1, "backend": "vector", "wall_s": 0.5,
-         "events_processed": 99},
-    ])
-    diff = compare_backends(report)
-    assert diff["events_identical"] is False
-    assert diff["passed"] is False
-    assert diff["cells"][0]["events_match"] is False
-
-
-def test_compare_backends_empty_match_never_passes():
-    diff = compare_backends(_ab_report(
-        [{"seed": 1, "backend": "behavioral", "wall_s": 1.0,
-          "events_processed": 10}]))
-    assert diff["n_matched"] == 0
-    assert diff["passed"] is False
-
-
 def test_bench_report_rows_carry_backend(tmp_path):
     report = run_bench(grid="smoke", jobs=1, use_cache=False,
                        out=str(tmp_path / "b.json"), backend="behavioral")
@@ -523,35 +444,6 @@ def test_compare_cli_exit_codes(tmp_path):
     bad = subprocess.run(
         [sys.executable, "-m", "repro", "bench", "--compare", str(b), str(a),
          "--threshold", "1.5"],
-        capture_output=True, text=True, env=env)
-    assert bad.returncode == 1
-    assert "FAIL" in bad.stdout
-
-
-def test_ab_compare_cli_exit_codes(tmp_path):
-    report = _ab_report([
-        {"seed": 1, "backend": "behavioral", "wall_s": 1.0,
-         "events_processed": 50, "events_per_sec": 50.0},
-        {"seed": 1, "backend": "vector", "wall_s": 0.8,
-         "events_processed": 50, "events_per_sec": 62.5},
-    ])
-    path = tmp_path / "BENCH_backends.json"
-    path.write_text(json.dumps(report))
-    env = dict(os.environ)
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    diff_out = tmp_path / "diff.json"
-    ok = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "--ab-compare", str(path),
-         "--gate", "geomean", "--threshold", "1.1",
-         "--compare-out", str(diff_out)],
-        capture_output=True, text=True, env=env)
-    assert ok.returncode == 0, ok.stdout + ok.stderr
-    assert "PASS" in ok.stdout
-    assert json.loads(diff_out.read_text())["geomean_speedup"] == 1.25
-    bad = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "--ab-compare", str(path),
-         "--gate", "geomean", "--threshold", "1.5"],
         capture_output=True, text=True, env=env)
     assert bad.returncode == 1
     assert "FAIL" in bad.stdout

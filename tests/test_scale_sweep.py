@@ -79,3 +79,16 @@ def test_row_reports_scale_counters():
     assert row["schedule_events"] > 0
     assert row["events_processed"] > 0
     assert "vector_solves" in row["solver_stats"]
+
+
+@pytest.mark.parametrize("duration,seed", [
+    (0.004, 8),  # a scout echo lands after the departure
+    (0.008, 2),  # a scout timeout fires after the departure
+], ids=["echo", "timeout"])
+def test_pair_removed_mid_join_does_not_finish_its_join(duration, seed):
+    """A tenant departing while its pairs still scout used to crash the
+    cell: the last scout callback ran ``_finish_join`` on a pair the
+    network had already unregistered (KeyError)."""
+    row = scale_sweep.run_one("ufab", k=8, churn="high", duration=duration,
+                              seed=seed)
+    assert row["churn_report"]["departures"] > 0
