@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.params import UFabParams
 from repro.sim.engine import Event
 from repro.sim.host import VMPair
+from repro.sim.link import path_max_utilization
 from repro.sim.network import Network
 from repro.sim.topology import Path
 
@@ -165,9 +166,12 @@ class BaselinePair:
         out: Dict[int, float] = {}
         now = self.sim.now
         for idx, path in enumerate(self.candidates):
+            if idx != self.current_idx:
+                out[idx] = path_max_utilization(path, now)
+                continue
             worst = 0.0
             for link in path:
-                value = fresh.get(link.name) if idx == self.current_idx else None
+                value = fresh.get(link.name)
                 if value is None:
                     value = link.utilization(now)
                 worst = max(worst, value)

@@ -13,6 +13,7 @@ import random
 from typing import Dict, Optional
 
 from repro.baselines.base import BaselinePair, PathSelector
+from repro.sim.link import path_max_utilization
 
 
 class CloveSelector(PathSelector):
@@ -38,7 +39,7 @@ class CloveSelector(PathSelector):
         now = pair.sim.now
         utils = []
         for idx, path in enumerate(pair.candidates):
-            utils.append((max(l.utilization(now) for l in path), idx))
+            utils.append((path_max_utilization(path, now), idx))
         return min(utils)[1]
 
     def on_feedback(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import Cdf, RttSampler, percentile
+from repro.analysis.metrics import Cdf, RttSampler, percentiles
 from repro.experiments.common import SCHEMES_WITH_PRIME, build_scheme, testbed_network
 from repro.workloads.synthetic import incast_pairs
 
@@ -58,12 +58,13 @@ def run_one(
             tail_rates.append(sum(samples) / len(samples))
     mean_rate = sum(tail_rates) / len(tail_rates) if tail_rates else 0.0
     rtts = sampler.rtts
+    p50, p99 = percentiles(rtts.samples, (50, 99))
     return Fig12Result(
         scheme=scheme,
         rate_series=net.rate_samples,
         rtts=rtts,
-        p50=percentile(rtts.samples, 50),
-        p99=percentile(rtts.samples, 99),
+        p50=p50,
+        p99=p99,
         max_rtt=max(rtts.samples),
         converged_fair_share=mean_rate,
         events_processed=net.sim.events_processed,

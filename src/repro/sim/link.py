@@ -100,8 +100,18 @@ class Link:
             # always positive, so the strict pre-``now`` flush has work
             # to do only when the head's emission time is in the past.
             self._flush_upto(now, 0)
-        if now > self._last_sync:
-            self._integrate(now)
+        last = self._last_sync
+        if now > last:
+            inflow = self.inflow
+            if self.queue == 0.0 and inflow <= self.capacity:
+                # Calm link (nine syncs in ten): _integrate's
+                # unsaturated, empty-queue branch without the call.
+                # The only other copy is _TransitEntry.fire in
+                # repro.sim.network; keep the two in step.
+                self.delivered_bits += inflow * (now - last)
+                self._last_sync = now
+            else:
+                self._integrate(now)
 
     def _integrate(self, now: float) -> None:
         """Integrate queue evolution from the last sync point to ``now``.
@@ -235,3 +245,23 @@ def path_delay(path, now: float) -> float:
             link.sync(now)
         total += link.prop_delay + link.queue / link.capacity
     return total
+
+
+def path_max_utilization(path, now: float) -> float:
+    """Highest hop utilization along ``path`` (tx / capacity in [0, 1]).
+
+    Same guard and arithmetic as ``max(link.utilization(now) for link in
+    path)`` with the ``utilization -> tx_rate -> sync`` chain flattened
+    out; utilization-oriented balancers read every candidate path on
+    every feedback.
+    """
+    worst = 0.0
+    for link in path:
+        if now > link._last_sync:
+            link.sync(now)
+        capacity = link.capacity
+        tx = capacity if link.queue > 0 else min(link.inflow, capacity)
+        value = tx / capacity
+        if value > worst:
+            worst = value
+    return worst

@@ -129,7 +129,8 @@ class _TransitEntry:
             if link.queue == 0.0 and inflow <= link.capacity:
                 # Calm link — the fast path's own launch condition, so
                 # nearly every fire: Link._integrate's unsaturated,
-                # empty-queue branch without the call.
+                # empty-queue branch without the call.  The only other
+                # copy is Link.sync; keep the two in step.
                 link.delivered_bits += inflow * (t - last)
                 link._last_sync = t
             else:

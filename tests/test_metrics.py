@@ -1,5 +1,8 @@
 """Unit tests for the analysis / metrics machinery."""
 
+import math
+import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from repro.analysis.metrics import (
     RttSampler,
     fct_slowdown,
     percentile,
+    percentiles,
 )
 from repro.analysis.report import format_series, format_table
 from repro.core.edge import install_ufab
@@ -31,6 +35,66 @@ def test_percentile_basics():
 def test_percentile_empty_rejected():
     with pytest.raises(ValueError):
         percentile([], 50)
+
+
+@pytest.mark.parametrize("p", [-1, -1e-9, 100.0001, 1e9, math.nan, math.inf])
+def test_percentile_rejects_p_outside_0_100(p):
+    # -1 used to index from the END of the data; 100.0001 was a bare
+    # IndexError.  Both are malformed input and must say so.
+    for values in ([1.0, 2.0, 3.0], array("d", [1.0, 2.0, 3.0]), [7.0]):
+        with pytest.raises(ValueError, match=r"p=.*\[0, 100\]"):
+            percentile(values, p)
+    with pytest.raises(ValueError, match="p="):
+        percentiles([1.0, 2.0], (50, p))
+
+
+def test_percentile_exact_endpoints():
+    for values in ([3.0, 1.0, 2.0], array("d", [3.0, 1.0, 2.0])):
+        assert percentile(values, 0) == 1.0
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 100) == 3.0
+        assert percentile(values, 100.0) == 3.0
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=300),
+       st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=5))
+def test_array_percentiles_are_the_list_percentiles_bit_for_bit(values, ps):
+    want = [percentile(values, p) for p in ps]
+    got = percentiles(array("d", values), ps)
+    assert got == want
+    assert all(type(v) is float for v in got)
+    assert percentiles(values, ps) == want  # one sort, same answers
+
+
+def test_cdf_keeps_unboxed_doubles_and_pickles():
+    cdf = Cdf()
+    cdf.add(3)
+    cdf.extend(x / 7 for x in range(5))
+    assert isinstance(cdf.samples, array) and cdf.samples.typecode == "d"
+    assert list(cdf.samples) == [3.0] + [x / 7 for x in range(5)]
+    assert cdf.p(50) == percentile(list(cdf.samples), 50)
+    clone = pickle.loads(pickle.dumps(cdf))
+    assert clone.samples == cdf.samples and clone.p(99) == cdf.p(99)
+    cdf.add(1.0)  # sorting must not leave the buffer exported (BufferError)
+    assert len(cdf) == 7 and max(cdf.samples) == 3.0 and min(cdf.samples) == 0.0
+
+
+def test_fig12_cell_sorts_its_samples_once_and_pickles(monkeypatch):
+    from repro.analysis import metrics
+    from repro.experiments import fig12_incast
+
+    sorts = []
+    real_sort = metrics.numpy.sort
+    monkeypatch.setattr(metrics.numpy, "sort",
+                        lambda a, *args, **kw: sorts.append(len(a)) or real_sort(a, *args, **kw))
+    r = fig12_incast.run_one("ufab", degree=4, duration=0.001, seed=1)
+    assert sorts == [len(r.rtts)]  # p50 and p99 off one sort
+    assert r.p50 == percentile(list(r.rtts.samples), 50)
+    assert r.p99 == percentile(list(r.rtts.samples), 99)
+    assert r.max_rtt == max(r.rtts.samples)
+    back = pickle.loads(pickle.dumps(r))  # what the parallel runner does
+    assert back.rtts.samples == r.rtts.samples and back.p99 == r.p99
 
 
 def test_cdf_points_and_fraction():
