@@ -9,11 +9,14 @@ Examples::
     python -m repro tables
     python -m repro bench --grid fig11 --jobs 4
 
-Each subcommand maps onto one experiment runner and prints the same
-paper-style rows the benchmark suite produces.  Every figure command
-accepts ``--jobs N`` (default: ``REPRO_JOBS`` env var, else 1) to fan
-the sweep grid out over processes via :mod:`repro.runner`; results are
-memoized under ``.repro_cache/`` unless ``--no-cache`` is given.
+Every figure subcommand is generated from an experiment's declarative
+spec (:class:`repro.experiments.common.ExperimentSpec`: axes -> flags,
+columns -> table), as are ``bench --grid`` / ``trace`` choices and
+``repro list`` — this module names no experiment except for
+``telemetry``'s two non-grid modes.  Every figure command accepts
+``--jobs N`` (default: ``REPRO_JOBS`` env var, else 1) to fan the sweep
+grid out over processes via :mod:`repro.runner`; results are memoized
+under ``.repro_cache/`` unless ``--no-cache`` is given.
 
 Every figure command also accepts ``--trace out.jsonl`` /
 ``--chrome-trace out.json`` / ``--metrics out.json`` to capture the
@@ -28,218 +31,67 @@ surface: every grid subcommand accepts ``--faults SPEC`` (e.g.
 cell under that schedule (distinct cache keys again), ``repro faults``
 prints the spec grammar and validates schedules, and ``repro
 resilience`` sweeps the built-in probe-loss / link-MTBF fault axes.
-
-The shared options are declared once as argparse parent parsers
-(``--jobs/--no-cache/--cache-dir`` + ``--trace/--chrome-trace/
---metrics`` + ``--faults``), so every grid subcommand exposes exactly
-the same surface.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.runner.parallel import default_jobs
 
 
-def _obs_config(args) -> Optional[dict]:
-    """Translate --trace/--chrome-trace/--metrics into an ObsConfig mapping."""
-    want_trace = bool(getattr(args, "trace", None) or
-                      getattr(args, "chrome_trace", None))
-    want_metrics = bool(getattr(args, "metrics", None))
-    if not (want_trace or want_metrics):
-        return None
-    return {"trace": want_trace, "metrics": want_metrics}
-
-
 def _faults_config(args) -> Optional[dict]:
     """Parse --faults into a FaultSchedule config (raises FaultSpecError)."""
-    spec = getattr(args, "faults", None)
-    if not spec:
+    if not args.faults:
         return None
     from repro.faults import parse_faults
 
-    horizon = getattr(args, "duration", None)
-    schedule = parse_faults(spec, horizon=horizon if horizon else float("inf"))
+    schedule = parse_faults(args.faults, horizon=args.duration or float("inf"))
     return schedule.to_config()
 
 
-def _grid_kwargs(args) -> dict:
-    return {
-        "jobs": args.jobs,
-        "use_cache": not args.no_cache,
-        "cache_dir": args.cache_dir,
-        "obs": _obs_config(args),
-        "faults": _faults_config(args),
-        "backend": getattr(args, "backend", None),
-    }
+def _table(spec, rows) -> str:
+    """A spec's result table (or free-text rendering) for payload rows."""
+    if spec.render is not None:
+        return spec.render(rows)
+    if spec.summarise is not None:
+        rows = spec.summarise(rows)
+    return format_table(
+        spec.title,
+        [header for header, _ in spec.columns],
+        [[value(row) for _, value in spec.columns] for row in rows])
 
 
-def _write_obs(args, rows_raw) -> None:
-    """Merge per-cell captures and write the requested trace/metrics files."""
-    if _obs_config(args) is None:
+def _figure(args) -> None:
+    """Any figure subcommand: build the spec's grid, run it, print it."""
+    from repro.experiments.common import build_grid, get_spec, run_grid
+
+    spec = get_spec(args.command)
+    want_trace = bool(args.trace or args.chrome_trace)
+    want_metrics = bool(args.metrics)
+    obs = ({"trace": want_trace, "metrics": want_metrics}
+           if want_trace or want_metrics else None)
+    rows_raw = run_grid(
+        build_grid(spec.name, duration=args.duration,
+                   seeds=getattr(args, "seeds", None),
+                   **{axis.name: getattr(args, axis.name) for axis in spec.axes}),
+        jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
+        obs=obs, faults=_faults_config(args), backend=args.backend)
+    print(_table(spec, rows_raw))
+    if obs is None:
         return
     from repro.obs.export import write_grid_outputs
 
     summary = write_grid_outputs(
-        rows_raw,
-        trace_path=getattr(args, "trace", None),
-        chrome_path=getattr(args, "chrome_trace", None),
-        metrics_path=getattr(args, "metrics", None),
-    )
+        rows_raw, trace_path=args.trace, chrome_path=args.chrome_trace,
+        metrics_path=args.metrics)
     print(f"\nobs: {summary['events']} events from {summary['cells']} cells"
           + (f" ({summary['dropped']} dropped)" if summary["dropped"] else ""))
     for path in summary["files"]:
         print(f"  wrote {path}")
-
-
-def _fig4(args) -> None:
-    from repro.experiments import case1_incast
-
-    rows_raw = case1_incast.run_grid(
-        degrees=tuple(args.degrees),
-        schemes=tuple(args.schemes or ("pwc", "ufab")),
-        duration=args.duration,
-        **_grid_kwargs(args),
-    )
-    rows = [
-        [r["scheme"], r["degree"], f"{r['median'] * 1e6:.0f}",
-         f"{r['p99'] * 1e6:.0f}", f"{r['p999'] * 1e6:.0f}"]
-        for r in rows_raw
-    ]
-    print(format_table("Figure 4: incast RTT (us)",
-                       ["scheme", "N", "p50", "p99", "p99.9"], rows))
-    _write_obs(args, rows_raw)
-
-
-def _case2(args) -> None:
-    from repro.experiments import case2_migration
-
-    rows_raw = case2_migration.run_grid(duration=args.duration,
-                                        **_grid_kwargs(args))
-    for r in rows_raw:
-        gap = r["flowlet_gap_s"]
-        label = r["scheme"] if gap is None else f"{r['scheme']}@{gap * 1e6:.0f}us"
-        print(f"{label:14s} F1 satisfied: {r['f1_satisfied_after_join']}  "
-              f"F4 satisfied: {r['f4_satisfied_after_join']}  "
-              f"F4 migrations: {r['migrations_f4']}")
-    _write_obs(args, rows_raw)
-
-
-def _fig11(args) -> None:
-    from repro.experiments import fig11_guarantee
-
-    rows_raw = fig11_guarantee.run_grid(
-        schemes=tuple(args.schemes or ("ufab", "pwc", "es+clove")),
-        duration=args.duration,
-        **_grid_kwargs(args),
-    )
-    rows = [
-        [r["scheme"], f"{100 * r['dissatisfaction_ratio']:.1f}%",
-         f"{r['queue_p99_bits'] / 8e3:.0f} KB"]
-        for r in rows_raw
-    ]
-    print(format_table("Figure 11: dissatisfaction / queue p99",
-                       ["scheme", "dissatisfaction", "queue p99"], rows))
-    _write_obs(args, rows_raw)
-
-
-def _fig12(args) -> None:
-    from repro.experiments import fig12_incast
-
-    schemes = tuple(args.schemes) if args.schemes else None
-    rows_raw = fig12_incast.run_grid(
-        **({"schemes": schemes} if schemes else {}),
-        duration=args.duration,
-        **_grid_kwargs(args),
-    )
-    rows = [
-        [r["scheme"], f"{r['p50'] * 1e6:.0f}", f"{r['p99'] * 1e6:.0f}",
-         f"{r['max_rtt'] * 1e6:.0f}"]
-        for r in rows_raw
-    ]
-    print(format_table("Figure 12: 14-to-1 incast RTT (us)",
-                       ["scheme", "p50", "p99", "max"], rows))
-    _write_obs(args, rows_raw)
-
-
-def _fig16(args) -> None:
-    from repro.experiments import fig16_dynamic
-
-    schemes = tuple(args.schemes) if args.schemes else None
-    rows_raw = fig16_dynamic.run_grid(
-        **({"schemes": schemes} if schemes else {}),
-        duration=args.duration,
-        **_grid_kwargs(args),
-    )
-    rows = [
-        [r["scheme"], f"{r['mean_utilization_overload']:.2f}",
-         f"{r['p99'] * 1e6:.0f}", f"{r['max_rtt'] * 1e6:.0f}"]
-        for r in rows_raw
-    ]
-    print(format_table("Figure 16: 90-to-1 dynamic workload",
-                       ["scheme", "util", "RTT p99 (us)", "RTT max (us)"], rows))
-    _write_obs(args, rows_raw)
-
-
-def _resilience(args) -> None:
-    from repro.experiments import fig_resilience
-
-    rows_raw = fig_resilience.run_grid(
-        schemes=tuple(args.schemes or fig_resilience.SCHEMES),
-        loss_rates=tuple(args.loss_rates),
-        mtbfs=tuple(args.mtbfs),
-        duration=args.duration,
-        **_grid_kwargs(args),
-    )
-    rows = []
-    for r in rows_raw:
-        label = (f"loss={r['level']:g}" if r["axis"] == "loss"
-                 else f"mtbf={r['level'] * 1e3:g}ms")
-        report = r.get("fault_report") or {}
-        injected = (report.get("probe_drops", 0)
-                    + report.get("link_failures", 0))
-        rows.append([
-            r["scheme"], label,
-            f"{100 * r['dissatisfaction_ratio']:.1f}%",
-            f"{r['p999'] * 1e6:.0f}", f"{r['max_rtt'] * 1e6:.0f}",
-            injected or "-",
-        ])
-    print(format_table(
-        "Resilience: dissatisfaction / tail RTT under faults",
-        ["scheme", "fault", "dissat", "p99.9 (us)", "max (us)", "injected"],
-        rows))
-    _write_obs(args, rows_raw)
-
-
-def _rivals(args) -> None:
-    """``repro rivals``: the related-work head-to-head grid."""
-    from repro.experiments import fig_rivals
-
-    rows_raw = fig_rivals.run_grid(
-        schemes=tuple(args.schemes or fig_rivals.RIVAL_SCHEMES),
-        duration=args.duration,
-        **_grid_kwargs(args),
-    )
-    rows = [
-        [r["scheme"],
-         f"{100 * r['compliance']:.1f}%",
-         f"{100 * r['work_conservation']:.1f}%",
-         f"{r['rtt_p99_s'] * 1e6:.0f}", f"{r['rtt_max_s'] * 1e6:.0f}",
-         (f"{r['probe_overhead_bps'] / 1e6:.1f} Mbps"
-          if r["uses_probes"] else "none"),
-         "yes" if r["bounded_latency_by_design"] else "no"]
-        for r in rows_raw
-    ]
-    print(format_table(
-        "Rivals head-to-head: compliance x work conservation x tail x overhead",
-        ["scheme", "compliance", "work-cons", "p99 (us)", "max (us)",
-         "probe cost", "bounded"],
-        rows))
-    _write_obs(args, rows_raw)
 
 
 def _faults_cmd(args) -> None:
@@ -282,60 +134,9 @@ def _overhead(args) -> None:
     print(format_table("Figure 15b: probing overhead", ["pairs", "overhead"], rows))
 
 
-def _scale(args) -> None:
-    """``repro scale``: the cluster-scale tenant-churn sweep."""
-    from repro.experiments import scale_sweep
-
-    if args.verify_solver:
-        verdict = scale_sweep.verify_solver_equivalence(
-            scheme=(args.schemes[0] if args.schemes else "ufab"),
-            k=min(args.k),
-            churn=args.churn[0],
-            duration=min(args.duration, 0.005),
-            seed=args.seed,
-        )
-        status = "MATCH" if verdict["matches"] else "MISMATCH"
-        print(f"solver equivalence (scalar vs vector): {status} "
-              f"({verdict['vector_solves']} vectorized solves exercised)")
-        if not verdict["matches"]:
-            raise SystemExit(1)
-        return
-
-    rows_raw = scale_sweep.run_grid(
-        schemes=tuple(args.schemes or scale_sweep.SCHEMES),
-        ks=tuple(args.k),
-        churn_levels=tuple(args.churn),
-        duration=args.duration,
-        seeds=(args.seed,),
-        **_grid_kwargs(args),
-    )
-    rows = []
-    for r in rows_raw:
-        rep = r.get("churn_report") or {}
-        peak_members = rep.get("peak_members")
-        peak_groups = rep.get("peak_groups")
-        folding = (f"x{peak_members / peak_groups:.2f}"
-                   if peak_members and peak_groups else "-")
-        rows.append([
-            r["scheme"], r["k"], r["hosts"], r["churn"],
-            rep.get("arrivals", 0), rep.get("departures", 0),
-            f"{peak_members or '-'}/{peak_groups or '-'}", folding,
-            (f"{r['weighted_alloc_error']:.3f}"
-             if r.get("weighted_alloc_error") is not None else "-"),
-            f"{r['events_processed']:,}",
-            r["solver_stats"].get("vector_solves", 0),
-        ])
-    print(format_table(
-        "Cluster-scale churn sweep (peak pairs/groups = flow-group folding)",
-        ["scheme", "k", "hosts", "churn", "arrive", "depart",
-         "pairs/groups", "fold", "w-err", "events", "vec solves"], rows))
-    _write_obs(args, rows_raw)
-
-
 def _telemetry(args) -> None:
-    """``repro telemetry``: the telemetry-plan frontier / CI gate."""
-    from repro.experiments import fig_telemetry
-
+    """``repro telemetry``: the frontier grid, or one of its two
+    non-grid modes (``--resources`` cost table, ``--gate`` CI check)."""
     if args.resources:
         from repro.resources import telemetry_plan_table
 
@@ -358,6 +159,8 @@ def _telemetry(args) -> None:
     if args.gate:
         import json
 
+        from repro.experiments import fig_telemetry
+
         with open(args.gate, encoding="utf-8") as fh:
             report = json.load(fh)
         rows_raw = report["rows"] if isinstance(report, dict) else report
@@ -377,28 +180,7 @@ def _telemetry(args) -> None:
         print("  PASS")
         return
 
-    rows_raw = fig_telemetry.run_grid(
-        plans=tuple(args.plans),
-        duration=args.duration,
-        seeds=tuple(args.seeds),
-        **_grid_kwargs(args),
-    )
-    rows = [
-        [e["plan"], e["n_seeds"],
-         f"{100 * e['compliance']:.2f}%",
-         f"{e['convergence_s'] * 1e3:.0f} ms",
-         f"{e['telemetry_bytes_per_sec'] / 1e3:.1f} KB/s",
-         f"x{e['byte_reduction']:.2f}" if e["byte_reduction"] else "-",
-         f"x{e['stamp_reduction']:.2f}" if e["stamp_reduction"] else "-",
-         f"{e['compliance_drift']:+.4f}"
-         if e["compliance_drift"] is not None else "-"]
-        for e in fig_telemetry.frontier(rows_raw)
-    ]
-    print(format_table(
-        "Telemetry-plan frontier: overhead vs guarantee fidelity",
-        ["plan", "seeds", "compliance", "converge", "telem B/s",
-         "byte red", "stamp red", "drift"], rows))
-    _write_obs(args, rows_raw)
+    _figure(args)
 
 
 def _bench_compare(args) -> None:
@@ -447,20 +229,23 @@ def _bench(args) -> None:
         _bench_compare(args)
         return
 
+    axes = {}
+    if args.schemes:
+        axes["schemes"] = args.schemes
+    if args.degrees:
+        axes["degrees"] = args.degrees
     report = run_bench(
-        grid="scale" if args.scale else args.grid,
+        grid=args.grid,
         jobs=args.jobs,
-        schemes=tuple(args.schemes) if args.schemes else None,
         seeds=tuple(args.seeds),
         duration=args.duration,
-        degrees=tuple(args.degrees) if args.degrees else None,
         timeout_s=args.timeout,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         out=args.out,
         profile=args.profile,
-        transit=args.transit,
         backend=args.backend,
+        **axes,
     )
     rows = [
         [r["experiment"],
@@ -490,18 +275,28 @@ def _trace(args) -> None:
     """``repro trace <experiment>``: one fully-instrumented cell, in-process."""
     import dataclasses
 
+    from repro.experiments.common import SpecError, build_grid, get_spec
     from repro.obs.export import write_grid_outputs
-    from repro.runner.bench import build_grid
     from repro.runner.job import execute_job
 
+    spec = get_spec(args.experiment)
+    pick = {}
+    if args.scheme and any(axis.name == "schemes" for axis in spec.axes):
+        pick["schemes"] = (args.scheme,)
     grid_jobs = build_grid(
-        args.experiment,
-        schemes=(args.scheme,) if args.scheme else None,
+        spec.name,
+        duration=(args.duration if args.duration is not None
+                  else spec.bench_duration),
         seeds=(args.seed,),
-        duration=args.duration,
+        **pick,
     )
     if args.scheme:
-        grid_jobs = [j for j in grid_jobs if j.scheme == args.scheme] or grid_jobs
+        labels = dict.fromkeys(j.scheme for j in grid_jobs)
+        grid_jobs = [j for j in grid_jobs if j.scheme == args.scheme]
+        if not grid_jobs:
+            raise SpecError(
+                f"grid {spec.name!r} has no cell labelled {args.scheme!r} "
+                f"(cells: {', '.join(labels)})")
     job = grid_jobs[0]
     faults = _faults_config(args)
     if faults:
@@ -527,30 +322,6 @@ def _trace(args) -> None:
               f"max heap {profile['max_heap']}")
     for path in summary["files"]:
         print(f"  wrote {path}")
-
-
-COMMANDS: Dict[str, Dict] = {
-    "fig4": {"fn": _fig4, "help": "Case-1 incast RTT sweep", "duration": 0.02,
-             "grid": True},
-    "case2": {"fn": _case2, "help": "Case-2 migration scenario", "duration": 0.16,
-              "grid": True},
-    "fig11": {"fn": _fig11, "help": "guarantee + work conservation",
-              "duration": 0.25, "grid": True},
-    "fig12": {"fn": _fig12, "help": "14-to-1 incast, 4 schemes", "duration": 0.04,
-              "grid": True},
-    "fig16": {"fn": _fig16, "help": "90-to-1 dynamic workload", "duration": 0.02,
-              "grid": True},
-    "resilience": {"fn": _resilience,
-                   "help": "fault sweep: probe loss + link flaps",
-                   "duration": 0.04, "grid": True},
-    "rivals": {"fn": _rivals,
-               "help": "related-work head-to-head (all six schemes)",
-               "duration": 0.08, "grid": True},
-    "tables": {"fn": _tables, "help": "Tables 3-4 resource models",
-               "duration": 0.0, "grid": False},
-    "overhead": {"fn": _overhead, "help": "Figure 15b probing overhead",
-                 "duration": 0.0, "grid": False},
-}
 
 
 def _runner_parent() -> argparse.ArgumentParser:
@@ -602,6 +373,10 @@ def _backend_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
+    from repro.experiments.common import experiment_names, get_spec
+    from repro.obs.trace import DEFAULT_CAPACITY
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate uFAB (SIGCOMM'22) evaluation figures.",
@@ -610,145 +385,53 @@ def build_parser() -> argparse.ArgumentParser:
     grid_opts = [runner_opts, _obs_parent(), _faults_parent(),
                  _backend_parent()]
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("list", help="list available figures")
-    for name, spec in COMMANDS.items():
-        p = sub.add_parser(
-            name, help=spec["help"],
-            parents=grid_opts if spec["grid"] else [runner_opts],
-        )
-        p.add_argument("--duration", type=float, default=spec["duration"],
-                       help="simulated seconds per run")
-        p.add_argument("--schemes", nargs="*", default=None,
-                       help="subset of schemes (where applicable)")
-        p.add_argument("--degrees", nargs="*", type=int,
-                       default=[2, 6, 10, 14], help="incast degrees (fig4)")
-        if name == "resilience":
-            from repro.experiments.fig_resilience import (
-                DEFAULT_LOSS_RATES,
-                DEFAULT_MTBFS,
-            )
+    grids = experiment_names()
+    catalog: List[Tuple[str, str]] = []
 
-            p.add_argument("--loss-rates", nargs="*", type=float,
-                           default=list(DEFAULT_LOSS_RATES),
-                           help="probe-loss sweep points (0 = clean baseline)")
-            p.add_argument("--mtbfs", nargs="*", type=float,
-                           default=list(DEFAULT_MTBFS),
-                           help="link-flap MTBF sweep points (seconds)")
+    def command(name: str, fn, help: str, **kwargs) -> argparse.ArgumentParser:
+        catalog.append((name, help))
+        p = sub.add_parser(name, help=help, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
 
-    from repro.obs.trace import DEFAULT_CAPACITY
-    from repro.runner.bench import GRIDS
+    def _list(args) -> None:
+        print("available figures:")
+        for name, help in catalog:
+            print(f"  {name:10s} {help}")
+        print(f"\ngrids (bench --grid / trace): {' '.join(grids)}")
+        print("(benchmarks/ regenerates everything: "
+              "pytest benchmarks/ --benchmark-only -s)")
 
-    f = sub.add_parser(
-        "faults",
-        help="print the fault-spec grammar / validate a schedule",
-        description="Without --spec, print the --faults mini-language "
-                    "grammar.  With --spec, parse + validate it and list "
-                    "the compiled events.",
-    )
-    f.add_argument("--spec", default=None, help="fault spec to validate")
-    f.add_argument("--duration", type=float, default=0.1,
-                   help="horizon for open-ended windows (default: 0.1 s)")
-    f.add_argument("--seed", type=int, default=0,
-                   help="schedule seed (default: 0, or the spec's seed: "
-                        "clause)")
+    for name in grids:
+        spec = get_spec(name)
+        if not (spec.columns or spec.render):
+            continue  # bench/trace-only grid
+        p = command(name, _figure, spec.help, parents=grid_opts)
+        p.add_argument("--duration", type=float, default=spec.duration,
+                       help=f"simulated seconds per cell "
+                            f"(default: {spec.duration})")
+        for axis in spec.axes:
+            p.add_argument("--" + axis.name.replace("_", "-"), nargs="*",
+                           type=axis.type, choices=axis.choices,
+                           default=list(axis.default),
+                           help=f"{axis.help} (default: "
+                                f"{' '.join(map(str, axis.default))})")
+        if spec.seed_flag:
+            # ``--seed N`` or ``--seeds N...``; both land in args.seeds.
+            p.add_argument(spec.seed_flag, dest="seeds", type=int,
+                           nargs=1 if spec.seed_flag == "--seed" else "*",
+                           default=list(spec.seeds),
+                           help=f"cell seed(s) (default: "
+                                f"{' '.join(map(str, spec.seeds))})")
 
-    b = sub.add_parser("bench", parents=[runner_opts, _backend_parent()],
-                       help="run a sweep grid, emit BENCH_*.json")
-    b.add_argument("--grid", choices=sorted(GRIDS), default="fig11",
-                   help="which grid to run (default: fig11)")
-    b.add_argument("--scale", action="store_true",
-                   help="shorthand for --grid scale (the k=8/16 "
-                        "tenant-churn sweep)")
-    b.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per cell (default: per-grid)")
-    b.add_argument("--schemes", nargs="*", default=None,
-                   help="subset of schemes (where applicable)")
-    b.add_argument("--degrees", nargs="*", type=int, default=None,
-                   help="incast degrees (fig4 grid)")
-    b.add_argument("--seeds", nargs="*", type=int, default=[1, 2],
-                   help="seeds per cell (default: 1 2)")
-    b.add_argument("--timeout", type=float, default=None,
-                   help="per-job timeout in wall seconds")
-    b.add_argument("--out", default=None,
-                   help="report path (default: BENCH_<grid>.json)")
-    b.add_argument("--profile", action="store_true",
-                   help="attach the obs event-loop profiler to every cell "
-                        "(distinct cache keys from unprofiled runs)")
-    b.add_argument("--transit", choices=("fast", "slow"), default=None,
-                   help="pin REPRO_PROBE_TRANSIT for every cell (pair "
-                        "with --no-cache when A/B-ing transit modes)")
-    b.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                   help="diff two BENCH_*.json reports (events/sec and "
-                        "per-job wall time) instead of running a grid")
-    b.add_argument("--threshold", type=float, default=None,
-                   help="with --compare: fail (exit 1) if the gated "
-                        "speedup is below this")
-    b.add_argument("--metric", choices=("events", "wall", "heap", "rss"),
-                   default="events",
-                   help="with --compare: speedup basis — events/sec "
-                        "(default), wall time, heap (total events "
-                        "deleted; use wall/heap for transit-mode A/Bs, "
-                        "where event counts differ), or rss (peak-RSS "
-                        "ratio, the scale sweep's memory gate)")
-    b.add_argument("--gate", choices=("worst", "geomean"), default="worst",
-                   help="with --compare: apply --threshold to the worst "
-                        "cell (default) or to the geometric mean")
-    b.add_argument("--compare-out", metavar="PATH", default=None,
-                   help="with --compare: also write the diff JSON here")
-
-    from repro.experiments.scale_sweep import (
-        CHURN_LEVELS,
-        DEFAULT_DURATION,
-        DEFAULT_KS,
-        DEFAULT_SEED,
-    )
-
-    s = sub.add_parser(
-        "scale", parents=[runner_opts, _obs_parent(), _faults_parent(),
-                          _backend_parent()],
-        help="cluster-scale tenant-churn sweep (k=16 fat-tree)",
-        description="Drive k-ary fat-trees under a seed-reproducible "
-                    "tenant-churn schedule and report throughput, "
-                    "flow-group folding, and solver vectorization.  "
-                    "--verify-solver instead runs one cell under both "
-                    "the scalar and the vectorized fluid solver and "
-                    "fails (exit 1) unless they are bit-identical.",
-    )
-    s.add_argument("--k", nargs="*", type=int, default=list(DEFAULT_KS),
-                   help="fat-tree arities to sweep (default: 8 16)")
-    s.add_argument("--churn", nargs="*", choices=sorted(CHURN_LEVELS),
-                   default=["low", "high"],
-                   help="churn intensity levels (default: low high)")
-    s.add_argument("--schemes", nargs="*", default=None,
-                   help="subset of schemes (default: ufab pwc)")
-    s.add_argument("--duration", type=float, default=DEFAULT_DURATION,
-                   help=f"simulated seconds per cell (default: "
-                        f"{DEFAULT_DURATION})")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"churn-schedule seed (default: {DEFAULT_SEED})")
-    s.add_argument("--verify-solver", action="store_true",
-                   help="assert scalar/vector solver equivalence on a "
-                        "small cell instead of running the sweep")
-
-    from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
-    from repro.experiments.fig_telemetry import PLANS as TELEMETRY_PLANS
-
-    tp = sub.add_parser(
-        "telemetry", parents=[runner_opts, _obs_parent(), _faults_parent()],
-        help="telemetry-plan frontier: probe overhead vs guarantees",
-        description="Sweep the Fig-11 guarantee workload under each "
-                    "telemetry plan (full / sampled / delta / sketch) and "
-                    "print the overhead-vs-fidelity frontier.  --gate "
-                    "checks a BENCH_telemetry.json report against the CI "
-                    "thresholds (exit 1 on failure); --resources prints "
-                    "the analytic per-plan hardware cost table instead.",
-    )
-    tp.add_argument("--plans", nargs="*", default=list(TELEMETRY_PLANS),
-                    help="plan specs to sweep (default: the frontier set)")
-    tp.add_argument("--duration", type=float, default=0.3,
-                    help="simulated seconds per cell (default: 0.3)")
-    tp.add_argument("--seeds", nargs="*", type=int, default=[3],
-                    help="seeds per plan (default: 3)")
+    tp = sub.choices["telemetry"]
+    tp.set_defaults(fn=_telemetry)
+    tp.description = (
+        "Sweep the Fig-11 guarantee workload under each telemetry plan "
+        "(full / sampled / delta / sketch) and print the overhead-vs-"
+        "fidelity frontier.  --gate checks a BENCH_telemetry.json report "
+        "against the CI thresholds (exit 1 on failure); --resources "
+        "prints the analytic per-plan hardware cost table instead.")
     tp.add_argument("--gate", metavar="PATH", default=None,
                     help="gate this BENCH_telemetry.json report instead "
                          "of running the sweep (exit 1 on failure)")
@@ -760,19 +443,62 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--hops", type=int, default=5,
                     help="path length for --resources (default: 5)")
 
-    t = sub.add_parser(
-        "trace",
+    command("tables", _tables, "Tables 3-4 resource models",
+            parents=[runner_opts])
+    command("overhead", _overhead, "Figure 15b probing overhead",
+            parents=[runner_opts])
+
+    b = command("bench", _bench, "run a sweep grid, emit BENCH_*.json",
+                parents=[runner_opts, _backend_parent()])
+    b.add_argument("--grid", choices=sorted(grids), default="fig11",
+                   help="which grid to run (default: fig11)")
+    b.add_argument("--duration", type=float, default=None,
+                   help="simulated seconds per cell (default: per-grid)")
+    b.add_argument("--schemes", nargs="*", default=None,
+                   help="subset of schemes (grids with a schemes axis)")
+    b.add_argument("--degrees", nargs="*", type=int, default=None,
+                   help="incast degrees (fig4 grid)")
+    b.add_argument("--seeds", nargs="*", type=int, default=[1, 2],
+                   help="seeds per cell (default: 1 2)")
+    b.add_argument("--timeout", type=float, default=None,
+                   help="per-job timeout in wall seconds")
+    b.add_argument("--out", default=None,
+                   help="report path (default: BENCH_<grid>.json)")
+    b.add_argument("--profile", action="store_true",
+                   help="attach the obs event-loop profiler to every cell "
+                        "(distinct cache keys from unprofiled runs)")
+    b.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
+                   help="diff two BENCH_*.json reports (events/sec and "
+                        "per-job wall time) instead of running a grid")
+    b.add_argument("--threshold", type=float, default=None,
+                   help="with --compare: fail (exit 1) if the gated "
+                        "speedup is below this")
+    b.add_argument("--metric", choices=("events", "wall", "heap", "rss"),
+                   default="events",
+                   help="with --compare: speedup basis — events/sec "
+                        "(default), wall time, heap (total events "
+                        "deleted; the machine-independent work gate), "
+                        "or rss (peak-RSS ratio, the scale sweep's "
+                        "memory gate)")
+    b.add_argument("--gate", choices=("worst", "geomean"), default="worst",
+                   help="with --compare: apply --threshold to the worst "
+                        "cell (default) or to the geometric mean")
+    b.add_argument("--compare-out", metavar="PATH", default=None,
+                   help="with --compare: also write the diff JSON here")
+
+    t = command(
+        "trace", _trace, "run one fully-instrumented cell, write its trace",
         parents=[_faults_parent()],
-        help="run one fully-instrumented cell, write its trace",
         description="Run a single grid cell in-process with tracing, "
                     "metrics, and profiling all enabled, then write the "
                     "captured event stream for interactive inspection.  "
                     "--faults overrides the cell's fault schedule.",
     )
-    t.add_argument("experiment", choices=sorted(GRIDS),
+    t.add_argument("experiment", choices=sorted(grids),
                    help="which experiment grid to pick the cell from")
     t.add_argument("--scheme", default=None,
-                   help="pick the cell with this scheme (default: first cell)")
+                   help="pick the cell with this scheme label "
+                        "(default: first cell)")
     t.add_argument("--seed", type=int, default=1, help="cell seed (default: 1)")
     t.add_argument("--duration", type=float, default=None,
                    help="simulated seconds (default: per-grid bench duration)")
@@ -784,42 +510,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the cell's metrics registry dump")
     t.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
                    help=f"trace ring-buffer capacity (default: {DEFAULT_CAPACITY})")
+
+    f = command(
+        "faults", _faults_cmd,
+        "print the fault-spec grammar / validate a schedule",
+        description="Without --spec, print the --faults mini-language "
+                    "grammar.  With --spec, parse + validate it and list "
+                    "the compiled events.",
+    )
+    f.add_argument("--spec", default=None, help="fault spec to validate")
+    f.add_argument("--duration", type=float, default=0.1,
+                   help="horizon for open-ended windows (default: 0.1 s)")
+    f.add_argument("--seed", type=int, default=0,
+                   help="schedule seed (default: 0, or the spec's seed: "
+                        "clause)")
+
+    command("list", _list, "list available figures")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in (None, "list"):
-        print("available figures:")
-        for name, spec in COMMANDS.items():
-            print(f"  {name:10s} {spec['help']}")
-        print("  bench      run a sweep grid, emit BENCH_*.json")
-        print("  scale      cluster-scale tenant-churn sweep (k=16 fat-tree)")
-        print("  telemetry  telemetry-plan frontier: overhead vs guarantees")
-        print("  trace      run one fully-instrumented cell, write its trace")
-        print("  faults     print the fault-spec grammar / validate a schedule")
-        print("\n(benchmarks/ regenerates everything: "
-              "pytest benchmarks/ --benchmark-only -s)")
-        return 0
-    from repro.experiments.common import GridError
+    from repro.experiments.common import GridError, SpecError
     from repro.faults import FaultSpecError
 
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        args = parser.parse_args(["list"])
     try:
-        if args.command == "bench":
-            _bench(args)
-        elif args.command == "scale":
-            _scale(args)
-        elif args.command == "telemetry":
-            _telemetry(args)
-        elif args.command == "trace":
-            _trace(args)
-        elif args.command == "faults":
-            _faults_cmd(args)
-        else:
-            COMMANDS[args.command]["fn"](args)
+        args.fn(args)
     except FaultSpecError as exc:
         print(f"error: invalid fault spec: {exc}", file=sys.stderr)
+        return 2
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,18 +19,21 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor, QueueSampler
 from repro.core.edge import install_ufab
 from repro.core.multipath import PathDemand, multipath_assignment
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network
-from repro.experiments.fig11_guarantee import (
+from repro.experiments.common import (
     DESTINATIONS,
     GUARANTEE_CLASSES_GBPS,
     SOURCES,
+    Axis,
+    ExperimentSpec,
+    testbed_network,
 )
+from repro.runner import Job
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import Topology
@@ -291,19 +294,18 @@ def headroom_cell(eta: float, duration: float = 0.04) -> Dict[str, object]:
     }
 
 
-def grid(
-    fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.0),
-    etas: Sequence[float] = (0.90, 0.95, 0.99),
-    duration: float = 0.05,
-    seed: int = 41,
-) -> "List[Job]":
+def _grid(
+    duration: float,
+    seeds: Sequence[int],
+    fractions: Sequence[float],
+    etas: Sequence[float],
+) -> List[Job]:
     """Partial-deployment + headroom cells as one runner grid."""
-    from repro.runner import Job
-
+    seed = seeds[0] if seeds else 41
     jobs = [
         Job(
             experiment="ablations",
-            entry="repro.experiments.ablations:partial_deployment_cell",
+            entry=f"{__name__}:partial_deployment_cell",
             scheme=f"coverage={fraction:g}",
             seed=seed,
             params={"fraction": fraction, "duration": duration, "seed": seed},
@@ -313,7 +315,7 @@ def grid(
     jobs += [
         Job(
             experiment="ablations",
-            entry="repro.experiments.ablations:headroom_cell",
+            entry=f"{__name__}:headroom_cell",
             scheme=f"eta={eta:g}",
             params={"eta": eta, "duration": duration},
         )
@@ -322,22 +324,18 @@ def grid(
     return jobs
 
 
-def run_grid(
-    fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.0),
-    etas: Sequence[float] = (0.90, 0.95, 0.99),
-    duration: float = 0.05,
-    seed: int = 41,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The ablation grids through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(fractions, etas, duration, seed), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs, backend=backend)
+SPEC = ExperimentSpec(
+    name="ablations",
+    help="partial deployment + headroom cells",
+    build=_grid,
+    axes=(
+        Axis("fractions", "fraction", (1.0, 0.5, 0.0), type=float),
+        Axis("etas", "eta", (0.90, 0.95, 0.99), type=float),
+    ),
+    seeds=(41,),
+    duration=0.03,
+    bench_duration=0.03,
+)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,12 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RttSampler, percentile
-from repro.experiments.common import build_scheme, testbed_network
+from repro.experiments.common import (
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+    testbed_network,
+)
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -86,47 +91,27 @@ def cell(
     }
 
 
-def grid(
-    degrees: Sequence[int] = (2, 4, 6, 8, 10, 12, 14),
-    schemes: Sequence[str] = ("pwc", "ufab"),
-    duration: float = 0.03,
-    seeds: Sequence[int] = (1,),
-) -> List["Job"]:
-    from repro.runner import Job
-
-    return [
-        Job(
-            experiment="fig4",
-            entry="repro.experiments.case1_incast:cell",
-            scheme=scheme,
-            seed=seed,
-            params={"scheme": scheme, "degree": degree,
-                    "duration": duration, "seed": seed},
-        )
-        for scheme in schemes
-        for degree in degrees
-        for seed in seeds
-    ]
-
-
-def run_grid(
-    degrees: Sequence[int] = (2, 4, 6, 8, 10, 12, 14),
-    schemes: Sequence[str] = ("pwc", "ufab"),
-    duration: float = 0.03,
-    seeds: Sequence[int] = (1,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The Figure 4 sweep through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(degrees, schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+SPEC = ExperimentSpec(
+    name="fig4",
+    help="Case-1 incast RTT sweep",
+    entry=f"{__name__}:cell",
+    axes=(
+        Axis("schemes", "scheme", ("pwc", "ufab"), help="subset of schemes"),
+        Axis("degrees", "degree", (2, 6, 10, 14), type=int,
+             help="incast degrees"),
+    ),
+    seeds=(1,),
+    duration=0.02,
+    bench_duration=0.01,
+    title="Figure 4: incast RTT (us)",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("N", lambda r: r["degree"]),
+        ("p50", lambda r: f"{r['median'] * 1e6:.0f}"),
+        ("p99", lambda r: f"{r['p99'] * 1e6:.0f}"),
+        ("p99.9", lambda r: f"{r['p999'] * 1e6:.0f}"),
+    ),
+)
 
 
 def run(

@@ -20,6 +20,8 @@ from repro.baselines.picnic import ReceiverGrants
 from repro.baselines.wcc import SwiftWCC
 from repro.core.edge import install_ufab
 from repro.core.params import UFabParams
+from repro.experiments.common import ExperimentSpec
+from repro.runner import Job
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import Topology
@@ -186,34 +188,39 @@ def cell(
     }
 
 
-def grid(duration: float = 0.2) -> "List[Job]":
-    from repro.runner import Job
+def _label(scheme: str, gap: Optional[float]) -> str:
+    return scheme if gap is None else f"{scheme}@{gap * 1e6:.0f}us"
 
+
+def _grid(duration: float, seeds: Tuple[int, ...]) -> List[Job]:
     return [
         Job(
             experiment="case2",
-            entry="repro.experiments.case2_migration:cell",
-            scheme=scheme if gap is None else f"{scheme}@{gap * 1e6:.0f}us",
+            entry=f"{__name__}:cell",
+            scheme=_label(scheme, gap),
             params={"scheme": scheme, "flowlet_gap_s": gap, "duration": duration},
         )
         for scheme, gap in PANELS
     ]
 
 
-def run_grid(
-    duration: float = 0.2,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> "List[Dict[str, object]]":
-    """The three Figure 5 panels through the parallel runner."""
-    from repro.experiments.common import run_grid as submit
+def _render(rows) -> str:
+    return "\n".join(
+        f"{_label(r['scheme'], r['flowlet_gap_s']):14s} "
+        f"F1 satisfied: {r['f1_satisfied_after_join']}  "
+        f"F4 satisfied: {r['f4_satisfied_after_join']}  "
+        f"F4 migrations: {r['migrations_f4']}"
+        for r in rows)
 
-    return submit(grid(duration), jobs=jobs, use_cache=use_cache,
-                  cache_dir=cache_dir, obs=obs, faults=faults, backend=backend)
+
+SPEC = ExperimentSpec(
+    name="case2",
+    help="Case-2 migration scenario",
+    build=_grid,
+    duration=0.16,
+    bench_duration=0.12,
+    render=_render,
+)
 
 
 def run(duration: float = 0.2) -> List[MigrationResult]:

@@ -1,18 +1,25 @@
-"""Shared experiment scaffolding.
+"""Shared experiment scaffolding and the experiment registry.
 
 Besides the testbed/scheme helpers, this module is the experiments'
-doorway into :mod:`repro.runner`: figure modules express their
-(scheme x parameter x seed) sweeps as lists of :class:`Job` cells and
-submit them through :func:`run_grid`, which fans out over processes
-when ``jobs > 1`` and otherwise runs in-process (debugger- and
+doorway into :mod:`repro.runner`.  Each grid experiment declares one
+:class:`ExperimentSpec` (``SPEC``) next to its ``cell``: its
+(scheme x parameter x seed) axes, default durations and result table.
+:func:`build_grid` expands a registered spec into :class:`Job` cells and
+:func:`run_grid` submits them, fanning out over processes when
+``jobs > 1`` and otherwise running in-process (debugger- and
 coverage-friendly), with results served from the on-disk cache when
-the configuration and code are unchanged.
+the configuration and code are unchanged.  ``repro bench``, ``repro
+trace`` and every figure subcommand are generated from the same specs,
+so adding an experiment is one module plus one :data:`_EXPERIMENT_MODULES`
+line (walkthrough: ``docs/API.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import importlib
+import itertools
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines.fabrics import make_fabric
 from repro.core.params import UFabParams
@@ -20,31 +27,14 @@ from repro.runner import Job, ParallelRunner, ResultCache
 from repro.sim.network import Network
 from repro.sim.topology import three_tier_testbed
 
-SCHEMES = ("pwc", "es+clove", "ufab")
 SCHEMES_WITH_PRIME = ("pwc", "es+clove", "ufab-prime", "ufab")
 
-SCHEME_LABELS = {
-    "pwc": "PicNIC'+WCC+Clove",
-    "es+clove": "ES+Clove",
-    "ufab": "uFAB",
-    "ufab-prime": "uFAB'",
-    "ideal": "Ideal",
-    "wcc+ecmp": "WCC+ECMP",
-    "wcc+ecmp-polarized": "WCC+ECMP (polarized)",
-    "soze": "Söze",
-    "qshare": "QShare",
-    "utas": "μTAS",
-}
-
-
-@dataclasses.dataclass
-class SchemeRun:
-    """One scheme's measurements within an experiment."""
-
-    scheme: str
-    rate_series: Dict[str, List[Tuple[float, float]]] = dataclasses.field(default_factory=dict)
-    rtt_samples: List[float] = dataclasses.field(default_factory=list)
-    extras: Dict[str, object] = dataclasses.field(default_factory=dict)
+# The Figure-11 guarantee workload (classes x permutation endpoints),
+# shared by every grid that replays it (fig11, resilience, rivals,
+# telemetry, ablations).
+GUARANTEE_CLASSES_GBPS = (1.0, 2.0, 5.0)
+SOURCES = ("S1", "S2", "S3", "S4")
+DESTINATIONS = ("S5", "S6", "S7", "S8")
 
 
 def testbed_network(
@@ -69,9 +59,147 @@ def build_scheme(
                        backend=backend)
 
 
-def sample_period_for(base_rtt: float) -> float:
-    """RTT/queue sampling cadence: a fraction of the control interval."""
-    return base_rtt / 2.0
+# ----------------------------------------------------------------------
+# Experiment specs and the registry
+# ----------------------------------------------------------------------
+
+class SpecError(ValueError):
+    """An unknown experiment name, axis override or cell label."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Axis:
+    """One swept dimension of a grid.
+
+    ``name`` is the keyword :func:`build_grid` callers override and,
+    dashed, the CLI flag (``loss_rates`` -> ``--loss-rates``); each
+    value is passed to the cell as the keyword ``param``.
+    """
+
+    name: str
+    param: str
+    default: Tuple[Any, ...]
+    type: Callable[[str], Any] = str
+    help: str = ""
+    choices: Optional[Tuple[Any, ...]] = None
+
+
+Row = Mapping[str, Any]
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentSpec:
+    """One grid experiment, declared as ``SPEC`` next to its ``cell``.
+
+    The grid is the product of ``axes`` (first axis outermost) with
+    ``seeds`` innermost; each cell is a :class:`Job` calling ``entry``
+    with the axis params, ``fixed``, ``duration`` and ``seed``.
+    Irregular grids give ``build(duration, seeds, **axes)`` instead and
+    assemble their own jobs.  ``duration`` / ``bench_duration`` are the
+    figure-subcommand and the ``repro bench`` / ``repro trace``
+    defaults.  An empty ``seeds`` means the cells take no seed;
+    ``seed_flag`` (``"--seed"`` or ``"--seeds"``) exposes it on the
+    figure subcommand; ``first_seed_only`` keeps one seed of those
+    requested.  ``experiment`` / ``scheme`` override the :class:`Job`
+    labels (default: ``name`` / the cell's ``scheme`` param).
+
+    The result table is ``title`` + ``columns`` (header, callable on
+    the row), over ``summarise(rows)`` when given; ``render(rows)``
+    replaces the table with free text.  A spec with neither is a
+    bench/trace-only grid, not a figure subcommand.
+    """
+
+    name: str
+    help: str
+    duration: float
+    bench_duration: float
+    entry: str = ""
+    axes: Tuple[Axis, ...] = ()
+    seeds: Tuple[int, ...] = ()
+    seed_flag: str = ""
+    first_seed_only: bool = False
+    experiment: str = ""
+    scheme: str = ""
+    fixed: Mapping[str, Any] = dataclasses.field(default_factory=dict)
+    build: Optional[Callable[..., List[Job]]] = None
+    title: str = ""
+    columns: Tuple[Tuple[str, Callable[[Row], Any]], ...] = ()
+    summarise: Optional[Callable[[Sequence[Row]], Sequence[Row]]] = None
+    render: Optional[Callable[[Sequence[Row]], str]] = None
+
+
+#: experiment name -> module holding its ``SPEC``, in ``repro list``
+#: order.  Lazy import paths, not specs: every module imports this one.
+_EXPERIMENT_MODULES: Dict[str, str] = {
+    "fig4": "repro.experiments.case1_incast",
+    "case2": "repro.experiments.case2_migration",
+    "fig11": "repro.experiments.fig11_guarantee",
+    "fig12": "repro.experiments.fig12_incast",
+    "fig16": "repro.experiments.fig16_dynamic",
+    "resilience": "repro.experiments.fig_resilience",
+    "rivals": "repro.experiments.fig_rivals",
+    "scale": "repro.experiments.scale_sweep",
+    "telemetry": "repro.experiments.fig_telemetry",
+    "ablations": "repro.experiments.ablations",
+    "smoke": "repro.experiments.smoke",
+}
+
+
+def experiment_names() -> Tuple[str, ...]:
+    """Registered experiment names, in registry order."""
+    return tuple(_EXPERIMENT_MODULES)
+
+
+def get_spec(name: str) -> ExperimentSpec:
+    """The named experiment's spec (its module is imported on demand)."""
+    module = _EXPERIMENT_MODULES.get(name)
+    if module is None:
+        raise SpecError(
+            f"unknown grid {name!r}; choose from {sorted(_EXPERIMENT_MODULES)}")
+    return importlib.import_module(module).SPEC
+
+
+def build_grid(
+    name: str,
+    duration: Optional[float] = None,
+    seeds: Optional[Sequence[int]] = None,
+    **overrides: Sequence[Any],
+) -> List[Job]:
+    """The named experiment's cells, in table order.
+
+    ``duration`` / ``seeds`` default to the spec's; ``overrides``
+    replace axis values by axis name (an unknown name is a
+    :class:`SpecError` listing the spec's axes).  Specs whose cells take
+    no seed ignore ``seeds``.
+    """
+    spec = get_spec(name)
+    axes = {axis.name: axis.default for axis in spec.axes}
+    unknown = sorted(set(overrides) - set(axes))
+    if unknown:
+        raise SpecError(
+            f"grid {name!r} has no axis {unknown[0]!r} "
+            f"(axes: {', '.join(axes) or 'none'})")
+    axes.update((key, tuple(values)) for key, values in overrides.items())
+    if duration is None:
+        duration = spec.duration
+    seeds = tuple(spec.seeds if seeds is None else seeds)
+    if spec.first_seed_only:
+        seeds = seeds[:1]
+    if spec.build is not None:
+        return spec.build(duration, seeds, **axes)
+    keys = [axis.param for axis in spec.axes]
+    grid_jobs = []
+    for values in itertools.product(*axes.values()):
+        cell = dict(zip(keys, values), **spec.fixed, duration=duration)
+        for seed in seeds if spec.seeds else (None,):
+            grid_jobs.append(Job(
+                experiment=spec.experiment or name,
+                entry=spec.entry,
+                scheme=cell.get("scheme", spec.scheme),
+                seed=seed or 0,
+                params=cell if seed is None else dict(cell, seed=seed),
+            ))
+    return grid_jobs
 
 
 # ----------------------------------------------------------------------
@@ -94,32 +222,32 @@ def run_grid(
 ) -> List[Dict[str, Any]]:
     """Submit a grid, return ordered payload rows; raise on failures.
 
-    ``jobs=1`` executes in-process through the same code path, so a
-    serial run and an N-way run of the same grid return byte-identical
-    rows.  Failed cells are collected (siblings still complete) and
-    surfaced together in a :class:`GridError` whose message attributes
-    each failure to its exact cell ``(experiment, scheme, seed,
-    params)``.
+    ``grid_jobs`` is usually ``build_grid(name, ...)``.  ``jobs=1``
+    executes in-process through the same code path, so a serial run and
+    an N-way run of the same grid return byte-identical rows.  Failed
+    cells are collected (siblings still complete) and surfaced together
+    in a :class:`GridError` whose message attributes each failure to its
+    exact cell ``(experiment, scheme, seed, params)``.
 
     ``obs`` (an observability config mapping, see :mod:`repro.obs`)
     applies to every cell: each runs inside a capture and returns its
     trace/metrics under the payload key ``"_obs"``.  ``faults`` (a
     fault-schedule config, see :meth:`repro.faults.FaultSchedule.
-    to_config`) likewise applies to every cell that does not already
-    carry its own schedule.  ``backend`` (a core-controller backend
-    name, see :func:`repro.core.controller.backend_names`) applies to
-    every cell that does not already pin one.  All three are part of
-    each job's cache key, so traced/faulted/pipeline-backed results
-    never alias clean ones.
+    to_config`) likewise runs every cell under that one schedule,
+    replacing any the grid built in (the resilience sweep's per-cell
+    schedules; its rows keep their axis/level labels).  ``backend`` (a
+    core-controller backend name, see
+    :func:`repro.core.controller.backend_names`) applies to every cell
+    that does not already pin one.  All three are part of each job's
+    cache key, so traced/faulted/pipeline-backed results never alias
+    clean ones.
     """
     submitted = list(grid_jobs)
     if obs:
         submitted = [dataclasses.replace(job, obs=dict(obs)) for job in submitted]
     if faults:
-        submitted = [
-            job if job.faults else dataclasses.replace(job, faults=dict(faults))
-            for job in submitted
-        ]
+        submitted = [dataclasses.replace(job, faults=dict(faults))
+                     for job in submitted]
     if backend:
         submitted = [
             job if job.backend else dataclasses.replace(job, backend=backend)

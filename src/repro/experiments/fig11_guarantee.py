@@ -14,12 +14,16 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, QueueSampler
-from repro.experiments.common import build_scheme, testbed_network
+from repro.experiments.common import (
+    DESTINATIONS,
+    GUARANTEE_CLASSES_GBPS,
+    SOURCES,
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+    testbed_network,
+)
 from repro.workloads.synthetic import permutation_pairs
-
-GUARANTEE_CLASSES_GBPS = (1.0, 2.0, 5.0)
-SOURCES = ("S1", "S2", "S3", "S4")
-DESTINATIONS = ("S5", "S6", "S7", "S8")
 
 
 @dataclasses.dataclass
@@ -113,43 +117,22 @@ def cell(
     return row
 
 
-def grid(
-    schemes: Sequence[str] = ("ufab", "pwc", "es+clove"),
-    duration: float = 0.3,
-    seeds: Sequence[int] = (3,),
-) -> List["Job"]:
-    from repro.runner import Job
-
-    return [
-        Job(
-            experiment="fig11",
-            entry="repro.experiments.fig11_guarantee:cell",
-            scheme=scheme,
-            seed=seed,
-            params={"scheme": scheme, "duration": duration, "seed": seed},
-        )
-        for scheme in schemes
-        for seed in seeds
-    ]
-
-
-def run_grid(
-    schemes: Sequence[str] = ("ufab", "pwc", "es+clove"),
-    duration: float = 0.3,
-    seeds: Sequence[int] = (3,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The Figure 11 sweep through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+SPEC = ExperimentSpec(
+    name="fig11",
+    help="guarantee + work conservation",
+    entry=f"{__name__}:cell",
+    axes=(Axis("schemes", "scheme", ("ufab", "pwc", "es+clove"),
+               help="subset of schemes"),),
+    seeds=(3,),
+    duration=0.25,
+    bench_duration=0.05,
+    title="Figure 11: dissatisfaction / queue p99",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("dissatisfaction", lambda r: f"{100 * r['dissatisfaction_ratio']:.1f}%"),
+        ("queue p99", lambda r: f"{r['queue_p99_bits'] / 8e3:.0f} KB"),
+    ),
+)
 
 
 def run(

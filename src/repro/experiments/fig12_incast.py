@@ -11,7 +11,13 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentiles
-from repro.experiments.common import SCHEMES_WITH_PRIME, build_scheme, testbed_network
+from repro.experiments.common import (
+    SCHEMES_WITH_PRIME,
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+    testbed_network,
+)
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -94,43 +100,23 @@ def cell(
     }
 
 
-def grid(
-    schemes: Sequence[str] = SCHEMES_WITH_PRIME,
-    duration: float = 0.06,
-    seeds: Sequence[int] = (1,),
-) -> List["Job"]:
-    from repro.runner import Job
-
-    return [
-        Job(
-            experiment="fig12",
-            entry="repro.experiments.fig12_incast:cell",
-            scheme=scheme,
-            seed=seed,
-            params={"scheme": scheme, "duration": duration, "seed": seed},
-        )
-        for scheme in schemes
-        for seed in seeds
-    ]
-
-
-def run_grid(
-    schemes: Sequence[str] = SCHEMES_WITH_PRIME,
-    duration: float = 0.06,
-    seeds: Sequence[int] = (1,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The Figure 12 sweep through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+SPEC = ExperimentSpec(
+    name="fig12",
+    help="14-to-1 incast, 4 schemes",
+    entry=f"{__name__}:cell",
+    axes=(Axis("schemes", "scheme", SCHEMES_WITH_PRIME,
+               help="subset of schemes"),),
+    seeds=(1,),
+    duration=0.04,
+    bench_duration=0.02,
+    title="Figure 12: 14-to-1 incast RTT (us)",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("p50", lambda r: f"{r['p50'] * 1e6:.0f}"),
+        ("p99", lambda r: f"{r['p99'] * 1e6:.0f}"),
+        ("max", lambda r: f"{r['max_rtt'] * 1e6:.0f}"),
+    ),
+)
 
 
 def run(

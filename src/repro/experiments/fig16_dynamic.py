@@ -14,7 +14,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentile
 from repro.core.params import UFabParams
-from repro.experiments.common import SCHEMES_WITH_PRIME, build_scheme
+from repro.experiments.common import (
+    SCHEMES_WITH_PRIME,
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+)
 from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
 from repro.workloads.synthetic import OnOffDemand, incast_pairs
@@ -138,42 +143,23 @@ def cell(
     }
 
 
-def grid(
-    schemes: Sequence[str] = SCHEMES_WITH_PRIME,
-    n_senders: int = 90,
-    duration: float = 0.024,
-) -> "List[Job]":
-    from repro.runner import Job
-
-    return [
-        Job(
-            experiment="fig16",
-            entry="repro.experiments.fig16_dynamic:cell",
-            scheme=scheme,
-            params={"scheme": scheme, "n_senders": n_senders,
-                    "duration": duration},
-        )
-        for scheme in schemes
-    ]
-
-
-def run_grid(
-    schemes: Sequence[str] = SCHEMES_WITH_PRIME,
-    n_senders: int = 90,
-    duration: float = 0.024,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The Figure 16 sweep through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(schemes, n_senders, duration), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+SPEC = ExperimentSpec(
+    name="fig16",
+    help="90-to-1 dynamic workload",
+    entry=f"{__name__}:cell",
+    axes=(Axis("schemes", "scheme", SCHEMES_WITH_PRIME,
+               help="subset of schemes"),),
+    fixed={"n_senders": 90},
+    duration=0.02,
+    bench_duration=0.02,
+    title="Figure 16: 90-to-1 dynamic workload",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("util", lambda r: f"{r['mean_utilization_overload']:.2f}"),
+        ("RTT p99 (us)", lambda r: f"{r['p99'] * 1e6:.0f}"),
+        ("RTT max (us)", lambda r: f"{r['max_rtt'] * 1e6:.0f}"),
+    ),
+)
 
 
 def run(

@@ -22,13 +22,19 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import GuaranteeAuditor, RttSampler, percentile
 from repro.core.params import UFabParams
-from repro.experiments.common import build_scheme, testbed_network
+from repro.experiments.common import (
+    DESTINATIONS,
+    GUARANTEE_CLASSES_GBPS,
+    SOURCES,
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+    testbed_network,
+)
+from repro.runner import Job
 from repro.workloads.synthetic import permutation_pairs
 
 SCHEMES = ("ufab", "pwc", "es+clove")
-GUARANTEE_CLASSES_GBPS = (1.0, 2.0, 5.0)
-SOURCES = ("S1", "S2", "S3", "S4")
-DESTINATIONS = ("S5", "S6", "S7", "S8")
 
 DEFAULT_LOSS_RATES = (0.0, 0.1, 0.3, 0.5)
 DEFAULT_MTBFS = (0.02, 0.01, 0.005)  # seconds; repair time is MTBF/4
@@ -132,13 +138,13 @@ def cell(
     return row
 
 
-def grid(
-    schemes: Sequence[str] = SCHEMES,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    mtbfs: Sequence[float] = DEFAULT_MTBFS,
-    duration: float = 0.08,
-    seeds: Sequence[int] = (5,),
-) -> List["Job"]:
+def _grid(
+    duration: float,
+    seeds: Sequence[int],
+    schemes: Sequence[str],
+    loss_rates: Sequence[float],
+    mtbfs: Sequence[float],
+) -> List[Job]:
     """Both sweeps: probe-loss rates and Agg-tier link-flap MTBFs.
 
     Each faulted cell carries its compiled :class:`FaultSchedule` config
@@ -147,7 +153,6 @@ def grid(
     namespace.
     """
     from repro.faults import parse_faults
-    from repro.runner import Job
 
     def make(scheme: str, seed: int, axis: str, level: float,
              spec: Optional[str]) -> Job:
@@ -157,7 +162,7 @@ def grid(
         )
         return Job(
             experiment="resilience",
-            entry="repro.experiments.fig_resilience:cell",
+            entry=f"{__name__}:cell",
             scheme=scheme,
             seed=seed,
             params={"scheme": scheme, "axis": axis, "level": level,
@@ -176,33 +181,36 @@ def grid(
     return jobs
 
 
-def run_grid(
-    schemes: Sequence[str] = SCHEMES,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    mtbfs: Sequence[float] = DEFAULT_MTBFS,
-    duration: float = 0.08,
-    seeds: Sequence[int] = (5,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The resilience sweep through the parallel runner (rows of dicts).
+def _injected(row) -> object:
+    report = row.get("fault_report") or {}
+    return (report.get("probe_drops", 0) + report.get("link_failures", 0)) or "-"
 
-    ``faults`` overrides both built-in axes: when given, every cell runs
-    under that one schedule instead (the grid still labels rows by its
-    own axis/level, so prefer the default ``None`` unless probing a
-    specific scenario).
-    """
-    from repro.experiments.common import run_grid as submit
 
-    grid_jobs = grid(schemes, loss_rates, mtbfs, duration, seeds)
-    if faults:
-        grid_jobs = [dataclasses.replace(j, faults={}) for j in grid_jobs]
-    return submit(grid_jobs, jobs=jobs, use_cache=use_cache,
-                  cache_dir=cache_dir, obs=obs, faults=faults, backend=backend)
+SPEC = ExperimentSpec(
+    name="resilience",
+    help="fault sweep: probe loss + link flaps",
+    build=_grid,
+    axes=(
+        Axis("schemes", "scheme", SCHEMES, help="subset of schemes"),
+        Axis("loss_rates", "level", DEFAULT_LOSS_RATES, type=float,
+             help="probe-loss sweep points (0 = clean baseline)"),
+        Axis("mtbfs", "level", DEFAULT_MTBFS, type=float,
+             help="link-flap MTBF sweep points (seconds)"),
+    ),
+    seeds=(5,),
+    duration=0.04,
+    bench_duration=0.04,
+    title="Resilience: dissatisfaction / tail RTT under faults",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("fault", lambda r: (f"loss={r['level']:g}" if r["axis"] == "loss"
+                             else f"mtbf={r['level'] * 1e3:g}ms")),
+        ("dissat", lambda r: f"{100 * r['dissatisfaction_ratio']:.1f}%"),
+        ("p99.9 (us)", lambda r: f"{r['p999'] * 1e6:.0f}"),
+        ("max (us)", lambda r: f"{r['max_rtt'] * 1e6:.0f}"),
+        ("injected", _injected),
+    ),
+)
 
 
 def run(
@@ -213,21 +221,8 @@ def run(
     seed: int = 5,
 ) -> List[ResilienceResult]:
     """In-process sweep (full result objects; no runner/cache)."""
-    from repro.faults import parse_faults
-
-    out: List[ResilienceResult] = []
-    for scheme in schemes:
-        for rate in loss_rates:
-            cfg = (
-                parse_faults(loss_spec(rate), horizon=duration,
-                             seed=seed).to_config()
-                if rate > 0 else None
-            )
-            out.append(run_one(scheme, duration=duration, seed=seed,
-                               faults=cfg))
-        for mtbf in mtbfs:
-            cfg = parse_faults(flap_spec(mtbf), horizon=duration,
-                               seed=seed).to_config()
-            out.append(run_one(scheme, duration=duration, seed=seed,
-                               faults=cfg))
-    return out
+    return [
+        run_one(job.scheme, duration=duration, seed=seed,
+                faults=dict(job.faults) or None)
+        for job in _grid(duration, (seed,), schemes, loss_rates, mtbfs)
+    ]

@@ -26,22 +26,27 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, RttSampler
 from repro.baselines import registry
-from repro.experiments.common import build_scheme, testbed_network
+from repro.experiments.common import (
+    DESTINATIONS,
+    GUARANTEE_CLASSES_GBPS,
+    SOURCES,
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+    testbed_network,
+)
 from repro.workloads.synthetic import permutation_pairs
 
 #: The head-to-head set: the paper's comparison trio plus the rivals.
 RIVAL_SCHEMES = ("ufab", "pwc", "es+clove", "soze", "qshare", "utas")
 
-GUARANTEE_CLASSES_GBPS = (1.0, 2.0, 5.0)
 #: Demand cap per class (None = backlogged).  Capping the largest class
 #: far below its reservation is what makes work conservation visible.
 DEMAND_CAPS_GBPS = (None, None, 1.0)
-SOURCES = ("S1", "S2", "S3", "S4")
-DESTINATIONS = ("S5", "S6", "S7", "S8")
 
 
 @dataclasses.dataclass
@@ -173,40 +178,23 @@ def cell(
     return row
 
 
-def grid(
-    schemes: Sequence[str] = RIVAL_SCHEMES,
-    duration: float = 0.08,
-    seeds: Sequence[int] = (7,),
-) -> List["Job"]:
-    from repro.runner import Job
-
-    return [
-        Job(
-            experiment="rivals",
-            entry="repro.experiments.fig_rivals:cell",
-            scheme=scheme,
-            seed=seed,
-            params={"scheme": scheme, "duration": duration, "seed": seed},
-        )
-        for scheme in schemes
-        for seed in seeds
-    ]
-
-
-def run_grid(
-    schemes: Sequence[str] = RIVAL_SCHEMES,
-    duration: float = 0.08,
-    seeds: Sequence[int] = (7,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The rivals head-to-head sweep through the parallel runner."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+SPEC = ExperimentSpec(
+    name="rivals",
+    help="related-work head-to-head (all six schemes)",
+    entry=f"{__name__}:cell",
+    axes=(Axis("schemes", "scheme", RIVAL_SCHEMES, help="subset of schemes"),),
+    seeds=(7,),
+    duration=0.08,
+    bench_duration=0.05,
+    title="Rivals head-to-head: compliance x work conservation x tail x overhead",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("compliance", lambda r: f"{100 * r['compliance']:.1f}%"),
+        ("work-cons", lambda r: f"{100 * r['work_conservation']:.1f}%"),
+        ("p99 (us)", lambda r: f"{r['rtt_p99_s'] * 1e6:.0f}"),
+        ("max (us)", lambda r: f"{r['rtt_max_s'] * 1e6:.0f}"),
+        ("probe cost", lambda r: (f"{r['probe_overhead_bps'] / 1e6:.1f} Mbps"
+                                  if r["uses_probes"] else "none")),
+        ("bounded", lambda r: "yes" if r["bounded_latency_by_design"] else "no"),
+    ),
+)

@@ -31,12 +31,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor
 from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
-from repro.experiments.common import build_scheme, testbed_network
+from repro.experiments.common import (
+    DESTINATIONS,
+    GUARANTEE_CLASSES_GBPS,
+    SOURCES,
+    Axis,
+    ExperimentSpec,
+    build_scheme,
+    testbed_network,
+)
 from repro.workloads.synthetic import permutation_pairs
-
-GUARANTEE_CLASSES_GBPS = (1.0, 2.0, 5.0)
-SOURCES = ("S1", "S2", "S3", "S4")
-DESTINATIONS = ("S5", "S6", "S7", "S8")
 
 #: The frontier: full, both sampling flavors at two rates, delta, sketch.
 PLANS = ("full", "sampled:k=2", DEFAULT_SAMPLED_PLAN, "sampled:p=0.25",
@@ -129,45 +133,6 @@ def cell(
     }
     row.update(r.report)  # probes/records/skips + bytes(/sec) axes
     return row
-
-
-def grid(
-    plans: Sequence[str] = PLANS,
-    duration: float = 0.3,
-    seeds: Sequence[int] = (3,),
-) -> List["Job"]:
-    from repro.runner import Job
-
-    return [
-        Job(
-            experiment="fig_telemetry",
-            entry="repro.experiments.fig_telemetry:cell",
-            scheme="ufab",
-            seed=seed,
-            params={"plan": plan, "duration": duration, "seed": seed},
-        )
-        for plan in plans
-        for seed in seeds
-    ]
-
-
-def run_grid(
-    plans: Sequence[str] = PLANS,
-    duration: float = 0.3,
-    seeds: Sequence[int] = (3,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The telemetry frontier through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    return submit(grid(plans, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
 
 
 # ---------------------------------------------------------------------
@@ -267,3 +232,35 @@ def gate(
         "failures": failures,
         "passed": not failures,
     }
+
+
+def _ratio(value: Optional[float]) -> str:
+    return f"x{value:.2f}" if value else "-"
+
+
+SPEC = ExperimentSpec(
+    name="telemetry",
+    experiment="fig_telemetry",
+    help="telemetry-plan frontier: probe overhead vs guarantees",
+    entry=f"{__name__}:cell",
+    scheme="ufab",
+    axes=(Axis("plans", "plan", PLANS,
+               help="plan specs to sweep (default: the frontier set)"),),
+    seeds=(3,),
+    seed_flag="--seeds",
+    duration=0.3,
+    bench_duration=0.3,
+    title="Telemetry-plan frontier: overhead vs guarantee fidelity",
+    summarise=frontier,
+    columns=(
+        ("plan", lambda e: e["plan"]),
+        ("seeds", lambda e: e["n_seeds"]),
+        ("compliance", lambda e: f"{100 * e['compliance']:.2f}%"),
+        ("converge", lambda e: f"{e['convergence_s'] * 1e3:.0f} ms"),
+        ("telem B/s", lambda e: f"{e['telemetry_bytes_per_sec'] / 1e3:.1f} KB/s"),
+        ("byte red", lambda e: _ratio(e["byte_reduction"])),
+        ("stamp red", lambda e: _ratio(e["stamp_reduction"])),
+        ("drift", lambda e: (f"{e['compliance_drift']:+.4f}"
+                             if e["compliance_drift"] is not None else "-")),
+    ),
+)

@@ -12,25 +12,26 @@ coverage.
 Tractability comes from two levers built for this sweep:
 
 * the :mod:`repro.sim.fluid` numpy kernel — large components run the
-  fixed point as array ops (``REPRO_SOLVER=auto`` picks it per
-  component; cells report ``vector_solves`` so coverage is auditable);
+  fixed point as array ops (chosen per component by size; cells report
+  ``vector_solves`` so coverage is auditable);
 * flow-group aggregation — same-endpoint same-class pairs share one
   fabric pair, so controller/probe/solver state scales with distinct
   (endpoints, class) combinations, not the raw pair population.
 
-``repro bench --scale`` wraps :func:`grid` into ``BENCH_scale.json``
-(events/sec + peak-RSS per cell); ``repro scale`` runs the sweep
-standalone and can A/B the vectorized solver against scalar
-(``--verify-solver``), which is what the CI scale job asserts.
+``repro bench --grid scale`` runs :data:`SPEC`'s grid into
+``BENCH_scale.json`` (events/sec + peak-RSS per cell); ``repro scale``
+prints the same sweep as a table.  Retired: the ``run_one(solver=)``
+kernel pin and its environment variable — scalar == vector on a whole
+cell is asserted by ``tests/test_scale_sweep.py`` through a test-only
+seam.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.core.params import UFabParams
-from repro.experiments.common import build_scheme
+from repro.experiments.common import Axis, ExperimentSpec, build_scheme
 from repro.sim.network import Network
 from repro.sim.topology import fat_tree
 from repro.workloads.tenants import (
@@ -116,7 +117,6 @@ def run_one(
     duration: float = DEFAULT_DURATION,
     seed: int = DEFAULT_SEED,
     aggregate: bool = True,
-    solver: Optional[str] = None,
     faults: Optional[Dict[str, object]] = None,
 ) -> Dict[str, Any]:
     """One (scheme, k, churn) cell; returns a JSON-ready row.
@@ -127,43 +127,26 @@ def run_one(
     against the same fabric the churn injector is adding and removing
     pairs on, which is the adversarial combination the resilience grid
     alone cannot produce.
-
-    ``solver`` pins ``REPRO_SOLVER`` for this cell (``scalar`` /
-    ``vector`` / ``auto``); ``None`` inherits the process environment.
-    The solver mode changes *how* the fixed point is computed, never
-    what it computes — the two modes are bit-identical, which
-    ``repro scale --verify-solver`` (and the CI scale job) asserts by
-    diffing this row across modes.
     """
     if churn not in CHURN_LEVELS:
         raise ValueError(
             f"unknown churn level {churn!r}; choose from {sorted(CHURN_LEVELS)}")
-    saved = os.environ.get("REPRO_SOLVER")
-    if solver is not None:
-        os.environ["REPRO_SOLVER"] = solver
-    try:
-        net = scale_network(k)
-        params = UFabParams(n_candidate_paths=4)
-        fabric = build_scheme(scheme, net, params=params, seed=seed)
-        config = CHURN_LEVELS[churn]
-        schedule = generate_churn(
-            net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
-        injector = install_churn(
-            net, fabric, schedule,
-            unit_bandwidth=params.unit_bandwidth, aggregate=aggregate)
-        fault_injector = None
-        if faults:
-            from repro.faults import install_faults
+    net = scale_network(k)
+    params = UFabParams(n_candidate_paths=4)
+    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    config = CHURN_LEVELS[churn]
+    schedule = generate_churn(
+        net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
+    injector = install_churn(
+        net, fabric, schedule,
+        unit_bandwidth=params.unit_bandwidth, aggregate=aggregate)
+    fault_injector = None
+    if faults:
+        from repro.faults import install_faults
 
-            fault_injector = install_faults(net, fabric, faults,
-                                            horizon=duration)
-        net.run(duration)
-    finally:
-        if solver is not None:
-            if saved is None:
-                del os.environ["REPRO_SOLVER"]
-            else:
-                os.environ["REPRO_SOLVER"] = saved
+        fault_injector = install_faults(net, fabric, faults,
+                                        horizon=duration)
+    net.run(duration)
 
     solver_stats = net.solver.stats.as_dict()
     delivered = [e.delivered_rate for e in net.solver.flows.values()]
@@ -176,7 +159,9 @@ def run_one(
         "duration": duration,
         "seed": seed,
         "aggregate": aggregate,
-        "solver_mode": net.solver.mode,
+        # Constant since the solver's mode selector was retired; the key
+        # stays because benchmarks/perf hashes rows key-for-key.
+        "solver_mode": "auto",
         "events_processed": net.sim.events_processed,
         "schedule_events": len(schedule),
         "active_pairs": len(net.pairs),
@@ -191,96 +176,50 @@ def run_one(
     return row
 
 
-def cell(
-    scheme: str,
-    k: int = 16,
-    churn: str = "high",
-    duration: float = DEFAULT_DURATION,
-    seed: int = DEFAULT_SEED,
-    aggregate: bool = True,
-    faults: Optional[Dict[str, object]] = None,
-) -> Dict[str, Any]:
-    """Runner grid cell; ``faults`` compose with the churn schedule."""
-    return run_one(scheme, k=k, churn=churn, duration=duration, seed=seed,
-                   aggregate=aggregate, faults=faults)
+# The runner grid cell is run_one itself: same keywords, JSON-ready row.
+cell = run_one
 
 
-def grid(
-    schemes: Sequence[str] = SCHEMES,
-    ks: Sequence[int] = DEFAULT_KS,
-    churn_levels: Sequence[str] = DEFAULT_CHURN,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = (DEFAULT_SEED,),
-) -> List["Job"]:
-    """The scale sweep: scheme x k x churn intensity x seed."""
-    from repro.runner import Job
-
-    jobs: List[Job] = []
-    for scheme in schemes:
-        for k in ks:
-            for churn in churn_levels:
-                for seed in seeds:
-                    jobs.append(Job(
-                        experiment="scale",
-                        entry="repro.experiments.scale_sweep:cell",
-                        scheme=scheme,
-                        seed=seed,
-                        params={"scheme": scheme, "k": k, "churn": churn,
-                                "duration": duration, "seed": seed},
-                    ))
-    return jobs
+def _churn(row: Dict[str, Any], key: str, missing: Any = 0) -> Any:
+    return (row.get("churn_report") or {}).get(key) or missing
 
 
-def run_grid(
-    schemes: Sequence[str] = SCHEMES,
-    ks: Sequence[int] = DEFAULT_KS,
-    churn_levels: Sequence[str] = DEFAULT_CHURN,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = (DEFAULT_SEED,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """The scale sweep through the parallel runner (rows of dicts)."""
-    from repro.experiments.common import run_grid as submit
-
-    grid_jobs = grid(schemes, ks, churn_levels, duration, seeds)
-    return submit(grid_jobs, jobs=jobs, use_cache=use_cache,
-                  cache_dir=cache_dir, obs=obs, faults=faults, backend=backend)
+def _folding(row: Dict[str, Any]) -> str:
+    members, groups = _churn(row, "peak_members"), _churn(row, "peak_groups")
+    return f"x{members / groups:.2f}" if members and groups else "-"
 
 
-def verify_solver_equivalence(
-    scheme: str = "ufab",
-    k: int = 8,
-    churn: str = "low",
-    duration: float = 0.005,
-    seed: int = DEFAULT_SEED,
-) -> Dict[str, Any]:
-    """Run one cell under the scalar and the vector solver and diff.
-
-    Returns both rows plus a ``matches`` verdict.  The rows are compared
-    after stripping fields the mode legitimately changes (the mode label
-    and the solver's own dispatch counters) — everything observable
-    about the *simulation* must be identical.
-    """
-    def strip(row: Dict[str, Any]) -> Dict[str, Any]:
-        out = dict(row)
-        out.pop("solver_mode", None)
-        stats = dict(out.pop("solver_stats", {}))
-        stats.pop("vector_solves", None)
-        out["solver_stats"] = stats
-        return out
-
-    scalar = run_one(scheme, k=k, churn=churn, duration=duration,
-                     seed=seed, solver="scalar")
-    vector = run_one(scheme, k=k, churn=churn, duration=duration,
-                     seed=seed, solver="vector")
-    return {
-        "matches": strip(scalar) == strip(vector),
-        "vector_solves": vector["solver_stats"]["vector_solves"],
-        "scalar": scalar,
-        "vector": vector,
-    }
+SPEC = ExperimentSpec(
+    name="scale",
+    help="cluster-scale tenant-churn sweep (k=16 fat-tree)",
+    entry=f"{__name__}:cell",
+    axes=(
+        Axis("schemes", "scheme", SCHEMES, help="subset of schemes"),
+        Axis("k", "k", DEFAULT_KS, type=int, help="fat-tree arities to sweep"),
+        Axis("churn", "churn", DEFAULT_CHURN, choices=tuple(sorted(CHURN_LEVELS)),
+             help="churn intensity levels"),
+    ),
+    seeds=(DEFAULT_SEED,),
+    seed_flag="--seed",
+    # The cells are the most expensive in the suite and the sweep gates
+    # throughput/RSS, not statistics: bench keeps the first seed given.
+    first_seed_only=True,
+    duration=DEFAULT_DURATION,
+    bench_duration=0.015,
+    title="Cluster-scale churn sweep (peak pairs/groups = flow-group folding)",
+    columns=(
+        ("scheme", lambda r: r["scheme"]),
+        ("k", lambda r: r["k"]),
+        ("hosts", lambda r: r["hosts"]),
+        ("churn", lambda r: r["churn"]),
+        ("arrive", lambda r: _churn(r, "arrivals")),
+        ("depart", lambda r: _churn(r, "departures")),
+        ("pairs/groups", lambda r: f"{_churn(r, 'peak_members', '-')}/"
+                                   f"{_churn(r, 'peak_groups', '-')}"),
+        ("fold", _folding),
+        ("w-err", lambda r: (f"{r['weighted_alloc_error']:.3f}"
+                             if r.get("weighted_alloc_error") is not None else "-")),
+        ("events", lambda r: f"{r['events_processed']:,}"),
+        ("vec solves", lambda r: r["solver_stats"].get("vector_solves", 0)),
+    ),
+)

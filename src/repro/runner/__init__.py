@@ -12,11 +12,11 @@ disk keyed by configuration hash + source fingerprint:
   isolation, in-process ``jobs=1`` fallback.
 * :mod:`repro.runner.cache` — :class:`ResultCache` under
   ``.repro_cache/``.
-* :mod:`repro.runner.bench` — ``repro bench`` grids and
-  ``BENCH_*.json`` perf reports.
+* :mod:`repro.runner.bench` — ``repro bench``: ``BENCH_*.json`` perf
+  reports over the grids registered in :mod:`repro.experiments.common`.
 """
 
-from repro.runner.bench import GRIDS, build_grid, compare_reports, run_bench
+from repro.runner.bench import compare_reports, run_bench
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.job import Job, JobResult, code_version, execute_job
 from repro.runner.parallel import ParallelRunner, default_jobs
@@ -26,8 +26,6 @@ __all__ = [
     "JobResult",
     "ParallelRunner",
     "ResultCache",
-    "GRIDS",
-    "build_grid",
     "compare_reports",
     "run_bench",
     "code_version",

@@ -1,5 +1,5 @@
-"""``repro bench`` — run a configurable grid, emit machine-readable
-``BENCH_*.json`` perf reports.
+"""``repro bench`` — run a registered experiment grid, emit
+machine-readable ``BENCH_*.json`` perf reports.
 
 Each report records per-job wall time, simulator events/sec, and cache
 hit/miss counts, seeding the repo's performance trajectory: run the
@@ -11,224 +11,48 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.runner.cache import ResultCache
-from repro.runner.job import Job, code_version
+from repro.runner.job import code_version
 from repro.runner.parallel import ParallelRunner
 
 DEFAULT_SEEDS = (1, 2)
 
 
-def _fig11_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import fig11_guarantee
-
-    return fig11_guarantee.grid(
-        schemes=schemes or ("ufab", "pwc", "es+clove"),
-        duration=duration, seeds=seeds,
-    )
-
-
-def _fig4_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import case1_incast
-
-    return case1_incast.grid(
-        degrees=degrees or (2, 6, 10, 14),
-        schemes=schemes or ("pwc", "ufab"),
-        duration=duration, seeds=seeds,
-    )
-
-
-def _fig12_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import fig12_incast
-
-    return fig12_incast.grid(
-        schemes=schemes or ("pwc", "es+clove", "ufab-prime", "ufab"),
-        duration=duration, seeds=seeds,
-    )
-
-
-def _case2_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import case2_migration
-
-    return case2_migration.grid(duration=duration)
-
-
-def _ablations_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import ablations
-
-    return ablations.grid(fractions=(1.0, 0.5, 0.0), duration=duration,
-                          seed=seeds[0] if seeds else 41)
-
-
-def _resilience_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import fig_resilience
-
-    return fig_resilience.grid(
-        schemes=schemes or fig_resilience.SCHEMES,
-        duration=duration, seeds=seeds,
-    )
-
-
-def _probe_fastpath_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    """Probe-heavy uFAB cells: the flat-transit fast path's home turf.
-
-    fig11 plus the clean + link-flaps ends of the resilience sweep, uFAB
-    only — the cells where probe transit dominates the event count.
-    Loss-axis cells with ``level > 0`` are excluded: their fault window
-    keeps a probe interceptor installed for the whole run, which turns
-    the fast path off by design, so they A/B nothing.
-
-    Run once with ``--transit slow`` and once with ``--transit fast``,
-    then ``--compare --metric heap`` (heap events deleted for the same
-    work) and ``--metric wall``.  Plain events/sec is meaningless across
-    transit modes: the fast path deletes events, it does not speed them
-    up.
-    """
-    from repro.experiments import fig11_guarantee, fig_resilience
-
-    out = fig11_guarantee.grid(schemes=("ufab",), duration=duration,
-                               seeds=seeds)
-    out += [
-        j for j in fig_resilience.grid(schemes=("ufab",), duration=duration,
-                                       seeds=seeds)
-        if not (j.params.get("axis") == "loss" and j.params.get("level", 0) > 0)
-    ]
-    return out
-
-
-def _telemetry_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    """Telemetry-plan frontier cells: plan x seed on the Fig-11 workload.
-
-    Gate with ``repro telemetry --gate BENCH_telemetry.json``: the
-    default sampled plan must keep >= 2x geomean telemetry-byte
-    reduction within 2 points of the full plan's compliance.
-    """
-    from repro.experiments import fig_telemetry
-
-    return fig_telemetry.grid(duration=duration, seeds=seeds)
-
-
-def _rivals_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    from repro.experiments import fig_rivals
-
-    return fig_rivals.grid(
-        schemes=schemes or fig_rivals.RIVAL_SCHEMES,
-        duration=duration, seeds=seeds,
-    )
-
-
-def _scale_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    """Cluster-scale churn sweep: scheme x k in {8,16} x churn level.
-
-    One seed only (the first given): the cells are the most expensive
-    in the suite and the sweep gates throughput/RSS, not statistics.
-    """
-    from repro.experiments import scale_sweep
-
-    return scale_sweep.grid(
-        schemes=schemes or scale_sweep.SCHEMES,
-        ks=scale_sweep.DEFAULT_KS,
-        churn_levels=scale_sweep.DEFAULT_CHURN,
-        duration=duration,
-        seeds=tuple(seeds[:1]) or (scale_sweep.DEFAULT_SEED,),
-    )
-
-
-def _smoke_grid(schemes, seeds, duration, degrees) -> List[Job]:
-    return [
-        Job(
-            experiment="smoke",
-            entry="repro.runner.cells:spin_cell",
-            scheme=f"spin{i}",
-            seed=i,
-            params={"n": 50_000, "seed": i},
-        )
-        for i in range(4)
-    ]
-
-
-GRIDS: Dict[str, Dict[str, Any]] = {
-    "fig11": {"build": _fig11_grid, "duration": 0.05,
-              "help": "guarantee grid: scheme x seed"},
-    "fig4": {"build": _fig4_grid, "duration": 0.01,
-             "help": "incast grid: scheme x degree x seed"},
-    "fig12": {"build": _fig12_grid, "duration": 0.02,
-              "help": "14-to-1 incast: scheme x seed"},
-    "case2": {"build": _case2_grid, "duration": 0.12,
-              "help": "migration panels (3 jobs)"},
-    "ablations": {"build": _ablations_grid, "duration": 0.03,
-                  "help": "partial deployment + headroom cells"},
-    "resilience": {"build": _resilience_grid, "duration": 0.04,
-                   "help": "fault sweep: scheme x loss-rate/MTBF x seed"},
-    "rivals": {"build": _rivals_grid, "duration": 0.05,
-               "help": "related-work head-to-head: all six headline "
-                       "schemes x seed"},
-    "telemetry": {"build": _telemetry_grid, "duration": 0.3,
-                  "help": "telemetry-plan frontier: plan x seed "
-                          "(byte-reduction vs compliance gate)"},
-    "scale": {"build": _scale_grid, "duration": 0.015,
-              "help": "k=8/16 fat-tree tenant-churn sweep "
-                      "(events/sec + peak-RSS gate)"},
-    "smoke": {"build": _smoke_grid, "duration": 0.0,
-              "help": "simulator-free runner smoke grid"},
-    "probe_fastpath": {"build": _probe_fastpath_grid, "duration": 0.04,
-                       "help": "probe-heavy ufab cells (fig11 + "
-                               "resilience) for transit-mode A/B"},
-}
-
-
-def build_grid(
-    grid: str,
-    schemes: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    duration: Optional[float] = None,
-    degrees: Optional[Sequence[int]] = None,
-) -> List[Job]:
-    if grid not in GRIDS:
-        raise ValueError(f"unknown grid {grid!r}; choose from {sorted(GRIDS)}")
-    spec = GRIDS[grid]
-    if duration is None:
-        duration = spec["duration"]
-    return spec["build"](schemes, tuple(seeds), duration, degrees)
-
-
 def run_bench(
     grid: str = "fig11",
     jobs: int = 1,
-    schemes: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     duration: Optional[float] = None,
-    degrees: Optional[Sequence[int]] = None,
     timeout_s: Optional[float] = None,
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     out: Optional[str] = None,
     profile: bool = False,
-    transit: Optional[str] = None,
     backend: Optional[str] = None,
+    **axes: Sequence[Any],
 ) -> Dict[str, Any]:
-    """Run a grid and return (and optionally write) the bench report.
+    """Run a registered grid and return (and optionally write) the report.
+
+    ``grid`` names an experiment in :mod:`repro.experiments.common`'s
+    registry; ``duration`` defaults to its spec's ``bench_duration`` and
+    ``axes`` override its axes by name (``schemes=...``, ``degrees=...``).
 
     With ``profile=True`` every cell runs under the obs profiler and the
     report carries the engine's own counters (events/sec measured inside
     ``Simulator.run`` rather than across process setup), at the cost of a
     distinct cache key from unprofiled runs.
 
-    ``transit`` pins ``REPRO_PROBE_TRANSIT`` (``"fast"`` or ``"slow"``)
-    for the whole run — in-process cells read it per Network, spawned
-    workers inherit it with the environment.  Use with ``use_cache=False``
-    when A/B-ing transit modes: the cache key does not include the mode
-    (by design — payloads are bit-identical), so a cached run would
-    report the other mode's timings.
-
     ``backend`` pins every cell's core-controller backend (it folds into
-    the cache key, unlike ``transit``, so benched backends never alias).
+    the cache key, so benched backends never alias).
     """
-    grid_jobs = build_grid(grid, schemes=schemes, seeds=seeds,
-                           duration=duration, degrees=degrees)
+    from repro.experiments.common import build_grid, get_spec
+
+    if duration is None:
+        duration = get_spec(grid).bench_duration
+    grid_jobs = build_grid(grid, duration=duration, seeds=seeds, **axes)
     if profile:
         grid_jobs = [dataclasses.replace(j, obs={"profile": True})
                      for j in grid_jobs]
@@ -240,21 +64,9 @@ def run_bench(
                      for j in grid_jobs]
     cache = ResultCache(cache_dir) if use_cache else None
     runner = ParallelRunner(jobs=jobs, timeout_s=timeout_s, cache=cache)
-    saved_transit = os.environ.get("REPRO_PROBE_TRANSIT")
-    if transit is not None:
-        if transit not in ("fast", "slow"):
-            raise ValueError(f"transit must be 'fast' or 'slow', got {transit!r}")
-        os.environ["REPRO_PROBE_TRANSIT"] = transit
-    try:
-        start = time.perf_counter()
-        results = runner.run(grid_jobs)
-        total_wall = time.perf_counter() - start
-    finally:
-        if transit is not None:
-            if saved_transit is None:
-                del os.environ["REPRO_PROBE_TRANSIT"]
-            else:
-                os.environ["REPRO_PROBE_TRANSIT"] = saved_transit
+    start = time.perf_counter()
+    results = runner.run(grid_jobs)
+    total_wall = time.perf_counter() - start
 
     per_job = []
     for r in results:
@@ -285,7 +97,6 @@ def run_bench(
         "grid": grid,
         "jobs": jobs,
         "profile": profile,
-        "transit": transit,
         "n_jobs": len(grid_jobs),
         "n_failed": sum(1 for r in results if not r.ok),
         "total_wall_s": round(total_wall, 6),
@@ -340,14 +151,12 @@ def compare_reports(
       unchanged.
     - ``"wall"``: wall-time ratio ``old / new`` — for comparisons where
       the two reports process *different event counts* for the same
-      work (e.g. ``--transit slow`` vs ``fast``: the fast path deletes
-      events, so events/sec moves the wrong way while wall time is what
-      improves).
+      work (a change that deletes events moves events/sec the wrong way
+      while wall time is what improves).
     - ``"heap"``: total-events ratio ``old / new`` — simulator heap
-      operations deleted for the same work.  This is the probe-plane
-      speedup itself (per-hop transit events collapsed into flat
-      arrivals); wall time follows it only as far as event dispatch
-      dominates the cell, so report both.
+      operations deleted for the same work (deterministic, so it gates
+      CI against the committed references); wall time follows it only
+      as far as event dispatch dominates the cell, so report both.
     - ``"rss"``: peak-RSS ratio ``old / new`` — memory-footprint gate
       for the scale sweep.  ``ru_maxrss`` is a process-lifetime high
       watermark, so under persistent workers a cell's figure is an

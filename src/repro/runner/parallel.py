@@ -19,7 +19,7 @@ tooling usable.
 The spawn start method is used everywhere (fork is unsafe with threads
 and unavailable on some platforms); jobs and payloads are plain
 picklable data, never closures.  Spawned workers inherit the parent's
-environment, so process-wide toggles (``REPRO_PROBE_TRANSIT``,
+environment, so process-wide settings (``REPRO_BACKEND``,
 ``REPRO_CODE_VERSION``) apply to every cell of a sweep.
 """
 

@@ -43,16 +43,17 @@ right exactly like the scalar hop walk, ``np.add.at`` is unbuffered and
 applies addends in row-major (flow-then-hop) order, which is the scalar
 accumulation order — so vector and scalar solves are bit-identical.
 ``tests/test_fluid_vector.py`` asserts exact equality over randomized
-incremental sequences.  Select explicitly with ``REPRO_SOLVER=
-scalar|vector`` (default ``auto``: vectorize large components only —
-the packed matrix is cached between solves, and small components are
-faster in pure Python than through numpy dispatch overhead).
+incremental sequences.  Only large components are vectorized — the
+packed matrix is cached between solves, and small components are
+faster in pure Python than through numpy dispatch overhead.  Retired:
+the environment / ``FluidSolver(mode=)`` kernel selector; the size
+threshold is the only one, and the equivalence tests pin one kernel by
+overriding :attr:`FluidSolver.vector_min_flows` on a subclass.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import OBS
@@ -63,8 +64,8 @@ try:
 except ImportError:  # pragma: no cover - numpy is a hard dependency
     _np = None
 
-# Components with at least this many flows use the numpy kernel in
-# ``auto`` mode; below it the scalar loop wins on dispatch overhead.
+# Components with at least this many flows use the numpy kernel; below
+# it the scalar loop wins on dispatch overhead.
 VECTOR_MIN_FLOWS = 128
 
 _M_FULL = OBS.metrics.counter(
@@ -85,8 +86,7 @@ _M_VECTOR = OBS.metrics.counter(
     "solver.vector_solves", unit="solves",
     site="repro/sim/fluid.py:FluidSolver._solve",
     desc="Solves executed by the vectorized numpy fixed-point kernel "
-         "(bit-identical to the scalar loop; large components only "
-         "under REPRO_SOLVER=auto).")
+         "(bit-identical to the scalar loop; large components only).")
 
 
 _BY_ORDER = operator.attrgetter("order")
@@ -236,19 +236,15 @@ class _VectorKernel:
 class FluidSolver:
     """Computes per-link inflows and per-flow delivered rates."""
 
-    def __init__(self, tolerance: float = 1e-6, max_iterations: int = 50,
-                 mode: Optional[str] = None) -> None:
+    # Kernel selector: components at least this large take the numpy
+    # kernel.  A class attribute so the equivalence tests can pin one
+    # kernel on a subclass (1 = always vector, inf = always scalar).
+    vector_min_flows: float = VECTOR_MIN_FLOWS if _np is not None else float("inf")
+
+    def __init__(self, tolerance: float = 1e-6, max_iterations: int = 50) -> None:
         self.flows: Dict[str, FlowEntry] = {}
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        if mode is None:
-            mode = os.environ.get("REPRO_SOLVER", "auto") or "auto"
-        if mode not in ("auto", "scalar", "vector"):
-            raise ValueError(
-                f"unknown solver mode {mode!r} (auto, scalar, or vector)")
-        if _np is None:  # pragma: no cover - numpy is a hard dependency
-            mode = "scalar"
-        self.mode = mode
         # Packed numpy kernels keyed by component token; cleared on any
         # membership change (the path matrix encodes structure only).
         self._kernels: Dict[int, _VectorKernel] = {}
@@ -557,8 +553,7 @@ class FluidSolver:
             self.stats.skipped_resolves += 1
             return
         old_rates = [entry.delivered_rate for entry in flows]
-        if (self.mode != "scalar" and flows
-                and (self.mode == "vector" or len(flows) >= VECTOR_MIN_FLOWS)):
+        if flows and len(flows) >= self.vector_min_flows:
             kernel = self._kernel_for(token, flows, link_ids)
             self.stats.iterations += kernel.run(
                 flows, self._links, self.tolerance, self.max_iterations)

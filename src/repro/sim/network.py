@@ -38,13 +38,16 @@ emissions are flushed, future ledger entries are withdrawn, and the
 flight resumes on the per-hop slow path at its exact precomputed next
 emission time, re-checking failure and interception per hop.  Fault
 semantics are therefore preserved exactly; the fast path is purely an
-event-count optimization.  Set ``REPRO_PROBE_TRANSIT=slow`` to disable
-it globally (the equivalence suite runs every experiment both ways).
+event-count optimization.  Retired: the environment toggle that forced
+the per-hop walker globally — the walker is production code
+(materialized and queued legs run on it) and the reference the
+equivalence suites force through the test-only
+``Network._transit_fast`` class attribute
+(``tests/test_transit_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -269,6 +272,10 @@ class _Flight:
 class Network:
     """Simulated data-center network shared by all schemes."""
 
+    # Test-only seam: the equivalence suites monkeypatch this to False
+    # to force every leg onto the per-hop walker.  Not a setting.
+    _transit_fast = True
+
     def __init__(self, topology: Topology, sim: Optional[Simulator] = None) -> None:
         self.topology = topology
         self.sim = sim or Simulator()
@@ -292,9 +299,7 @@ class Network:
         # a property: installing/removing an interceptor is a
         # turbulence event that materializes in-flight fast legs.
         self._probe_interceptor: Optional[Callable[[Probe, Link], Optional[float]]] = None
-        # Flat-transit state (see module docstring).  The env toggle is
-        # read once per network so spawned runner workers inherit it.
-        self._transit_fast = os.environ.get("REPRO_PROBE_TRANSIT", "fast") != "slow"
+        # Flat-transit state (see module docstring).
         self._transit_seq = 0
         self._fast_flights: Dict[int, _Flight] = {}
         self.turbulence_epoch = 0

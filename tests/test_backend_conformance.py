@@ -22,6 +22,7 @@ import pytest
 
 from repro.faults.spec import parse_faults
 from repro.runner.job import Job, execute_job
+from repro.sim.network import Network
 
 FIG11 = "repro.experiments.fig11_guarantee:cell"
 RESIL = "repro.experiments.fig_resilience:cell"
@@ -39,16 +40,14 @@ TELEM_PLANS = ("full", "sampled:k=4", "sampled:p=0.5,seed=11",
 
 
 def _run(job, backend, transit="fast"):
-    """Execute one cell in-process under (backend, transit mode)."""
-    old = os.environ.get("REPRO_PROBE_TRANSIT")
-    os.environ["REPRO_PROBE_TRANSIT"] = transit
-    try:
+    """Execute one cell in-process under (backend, transit mode).
+
+    ``slow`` forces the per-hop walker through ``Network._transit_fast``,
+    the test-only seam.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "_transit_fast", transit == "fast")
         return execute_job(dataclasses.replace(job, backend=backend))
-    finally:
-        if old is None:
-            del os.environ["REPRO_PROBE_TRANSIT"]
-        else:
-            os.environ["REPRO_PROBE_TRANSIT"] = old
 
 
 def _strip(payload):
@@ -161,15 +160,6 @@ def test_retired_vector_backend_fails_eagerly():
               backend="vector")
     with pytest.raises(ValueError, match="behavioral, pipeline"):
         execute_job(job)
-
-
-def test_unknown_solver_mode_error_lists_valid_modes():
-    # Same contract for the fluid solver's REPRO_SOLVER modes.
-    from repro.sim.fluid import FluidSolver
-    with pytest.raises(ValueError) as err:
-        FluidSolver(mode="no-such-mode")
-    for mode in ("auto", "scalar", "vector"):
-        assert mode in str(err.value)
 
 
 def test_execute_job_restores_environment():

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import build_parser, main
+
+FIGURES = ("fig4", "case2", "fig11", "fig12", "fig16", "resilience",
+           "rivals", "scale", "telemetry")
 
 
 def test_list_prints_all_commands(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in COMMANDS:
-        assert name in out
+    for name in FIGURES + ("tables", "overhead", "bench", "trace", "faults"):
+        assert f"  {name} " in out
 
 
 def test_no_command_defaults_to_list(capsys):
@@ -48,7 +51,7 @@ def test_unknown_command_rejected():
 
 def test_every_figure_command_accepts_jobs():
     parser = build_parser()
-    for name in COMMANDS:
+    for name in FIGURES + ("tables", "overhead"):
         args = parser.parse_args([name, "--jobs", "3", "--no-cache"])
         assert args.jobs == 3 and args.no_cache
 
@@ -84,14 +87,13 @@ def test_bench_rejects_unknown_grid():
 
 def test_every_grid_command_accepts_shared_options():
     parser = build_parser()
-    for name, spec in COMMANDS.items():
-        if not spec.get("grid"):
-            continue
+    for name in FIGURES:
         args = parser.parse_args([
             name, "--jobs", "2", "--no-cache", "--cache-dir", "/tmp/c",
             "--trace", "t.jsonl", "--metrics", "m.json",
-            "--faults", "probe_loss:0.1",
+            "--faults", "probe_loss:0.1", "--backend", "pipeline",
         ])
+        assert args.backend == "pipeline"
         assert args.jobs == 2 and args.no_cache
         assert args.cache_dir == "/tmp/c"
         assert args.trace == "t.jsonl" and args.metrics == "m.json"
@@ -154,15 +156,61 @@ def test_scale_command_tiny_run(capsys):
     assert "Cluster-scale churn sweep" in out and "ufab" in out
 
 
-def test_scale_verify_solver_passes(capsys):
-    assert main(["scale", "--verify-solver", "--k", "4",
-                 "--churn", "low"]) == 0
-    assert "MATCH" in capsys.readouterr().out
-
-
-def test_bench_scale_flag_is_grid_shorthand():
-    args = build_parser().parse_args(["bench", "--scale"])
-    assert args.scale and args.grid == "fig11"  # grid overridden at runtime
+def test_bench_metric_choices_parse():
     args = build_parser().parse_args(["bench", "--metric", "rss",
                                       "--compare", "a.json", "b.json"])
     assert args.metric == "rss"
+
+
+# ----------------------------------------------------------------------
+# Flags come from the spec's axes; retired options are rejected
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["case2", "--schemes", "ufab"],        # no schemes axis
+    ["fig11", "--degrees", "2"],           # no degrees axis
+    ["tables", "--degrees", "2"],
+    ["overhead", "--schemes", "ufab"],
+    ["bench", "--scale"],                  # retired alias of --grid scale
+    ["bench", "--transit", "slow"],        # retired with REPRO_PROBE_TRANSIT
+    ["scale", "--verify-solver"],          # retired with REPRO_SOLVER
+], ids=lambda argv: " ".join(argv))
+def test_flags_without_an_axis_or_subject_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bench_axis_override_on_a_grid_without_it_is_a_typed_error(capsys):
+    assert main(["bench", "--grid", "telemetry", "--schemes", "pwc",
+                 "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "no axis 'schemes'" in err and "plans" in err
+
+
+@pytest.mark.parametrize("experiment,scheme,labels", [
+    ("telemetry", "pwc", ("ufab",)),
+    ("ablations", "ufab", ("coverage=1", "eta=0.95")),
+    ("case2", "pwc", ("pwc@200us", "pwc@36us", "ufab")),
+])
+def test_trace_unknown_scheme_exits_2_listing_cells(
+        experiment, scheme, labels, capsys, tmp_path, monkeypatch):
+    """``trace --scheme X`` must not fall back to the first cell when no
+    cell is labelled X."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", experiment, "--scheme", scheme,
+                 "--duration", "0.004"]) == 2
+    err = capsys.readouterr().err
+    assert f"no cell labelled {scheme!r}" in err
+    for label in labels:
+        assert label in err
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
+def test_trace_picks_cell_by_label_on_irregular_grids(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "case2", "--scheme", "pwc@36us",
+                 "--duration", "0.004"]) == 0
+    assert "scheme=pwc@36us" in capsys.readouterr().out

@@ -272,11 +272,12 @@ def test_job_call_kwargs_carries_faults():
 
 
 def test_grid_faults_apply_to_cells(tmp_path):
-    from repro.experiments import fig_resilience
+    from repro.experiments.common import build_grid, run_grid
 
-    rows = fig_resilience.run_grid(
-        schemes=("ufab",), loss_rates=(0.0, 0.4), mtbfs=(),
-        duration=0.008, use_cache=False,
+    rows = run_grid(
+        build_grid("resilience", schemes=("ufab",), loss_rates=(0.0, 0.4),
+                   mtbfs=(), duration=0.008),
+        use_cache=False,
     )
     by_level = {r["level"]: r for r in rows}
     assert "fault_report" not in by_level[0.0]
@@ -284,12 +285,12 @@ def test_grid_faults_apply_to_cells(tmp_path):
 
 
 def test_resilience_grid_cache_roundtrip(tmp_path):
-    from repro.experiments import fig_resilience
+    from repro.experiments.common import build_grid, run_grid
 
-    kwargs = dict(schemes=("ufab",), loss_rates=(0.3,), mtbfs=(),
-                  duration=0.008, cache_dir=str(tmp_path))
-    first = fig_resilience.run_grid(**kwargs)
-    second = fig_resilience.run_grid(**kwargs)
+    grid = build_grid("resilience", schemes=("ufab",), loss_rates=(0.3,),
+                      mtbfs=(), duration=0.008)
+    first = run_grid(grid, cache_dir=str(tmp_path))
+    second = run_grid(grid, cache_dir=str(tmp_path))
     assert first == second
 
 

@@ -5,9 +5,10 @@ replays the scalar kernel's float operations in the scalar kernel's
 order (row-wise ``cumprod`` = the left-to-right hop walk; unbuffered
 ``np.add.at`` = flow-then-hop accumulation).  These tests drive long
 randomized mutation sequences against two solvers fed identical inputs —
-one forced to ``vector`` mode, one forced to ``scalar`` — and assert
-*exact* float equality of delivered rates and link inflows after every
-solve.  Any reordering of the arithmetic shows up as a bit divergence.
+one pinned to the numpy kernel, one to the scalar loop (subclasses
+overriding ``FluidSolver.vector_min_flows``, the test-only seam) — and
+assert *exact* float equality of delivered rates and link inflows after
+every solve.  Any reordering of the arithmetic shows up as a bit divergence.
 
 ``N_SEQUENCES`` randomized sequences run in CI (tier-1).
 """
@@ -18,6 +19,16 @@ import pytest
 
 from repro.sim.fluid import VECTOR_MIN_FLOWS, FluidSolver
 from repro.sim.topology import dumbbell, fat_tree, leaf_spine, parking_lot
+
+
+
+class VectorSolver(FluidSolver):
+    vector_min_flows = 1
+
+
+class ScalarSolver(FluidSolver):
+    vector_min_flows = float("inf")
+
 
 N_SEQUENCES = 120
 OPS_PER_SEQUENCE = 12
@@ -67,8 +78,8 @@ def _run_sequence(seq: int) -> None:
     rng.setstate(topo_rng_state)
     topo_s = _random_topology(rng)
     hosts = topo_v.hosts()
-    vec = FluidSolver(mode="vector")
-    sca = FluidSolver(mode="scalar")
+    vec = VectorSolver()
+    sca = ScalarSolver()
     links_v = list(topo_v.links.values())
     links_s = list(topo_s.links.values())
     next_id = 0
@@ -141,7 +152,7 @@ def test_vector_matches_scalar_bit_identical(block):
 
 def test_auto_mode_vectorizes_large_components_only():
     topo = dumbbell(n_pairs=2, core_capacity=10e9)
-    solver = FluidSolver(mode="auto")
+    solver = FluidSolver()
     paths = topo.shortest_paths("src0", "dst0")
     # Small component: stays on the scalar loop.
     solver.add_flow("small", paths[0], 1e9)
@@ -155,24 +166,13 @@ def test_auto_mode_vectorizes_large_components_only():
     assert solver.stats.as_dict()["vector_solves"] == 1
 
 
-def test_mode_env_and_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "vector")
-    assert FluidSolver().mode == "vector"
-    monkeypatch.setenv("REPRO_SOLVER", "scalar")
-    assert FluidSolver().mode == "scalar"
-    monkeypatch.delenv("REPRO_SOLVER")
-    assert FluidSolver().mode == "auto"
-    with pytest.raises(ValueError):
-        FluidSolver(mode="simd")
-
-
 def test_vector_solver_on_fat_tree_congestion():
     """An incast on a k=4 fat-tree: exact agreement incl. throttling."""
     topo_v = fat_tree(k=4)
     topo_s = fat_tree(k=4)
     hosts = topo_v.hosts()
-    vec = FluidSolver(mode="vector")
-    sca = FluidSolver(mode="scalar")
+    vec = VectorSolver()
+    sca = ScalarSolver()
     dst = hosts[0]
     for i, src in enumerate(hosts[1:]):
         pv = topo_v.shortest_paths(src, dst)[0]

@@ -86,7 +86,7 @@ def _incast_cell(sampler_cls, duration, churn=False, backend=None):
 @pytest.mark.parametrize("backend", [None, "pipeline"], ids=["behavioral", "pipeline"])
 @pytest.mark.parametrize("transit", ["fast", "slow"])
 def test_compiled_plan_matches_per_pair_walk(monkeypatch, transit, backend, churn):
-    monkeypatch.setenv("REPRO_PROBE_TRANSIT", transit)
+    monkeypatch.setattr(Network, "_transit_fast", transit == "fast")
     duration = 0.004 if churn else 0.002
     plan = _incast_cell(RttSampler, duration, churn, backend)
     walk = _incast_cell(WalkingRttSampler, duration, churn, backend)

@@ -17,9 +17,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _fig11_job():
-    from repro.experiments import fig11_guarantee
+    from repro.experiments.common import build_grid
 
-    return fig11_guarantee.grid(schemes=("ufab",), duration=0.004, seeds=(3,))[0]
+    return build_grid("fig11", schemes=("ufab",), duration=0.004, seeds=(3,))[0]
 
 
 # ----------------------------------------------------------------------

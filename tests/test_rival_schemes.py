@@ -216,9 +216,10 @@ def test_rival_cells_are_seed_deterministic(scheme):
 
 
 def test_rivals_grid_covers_all_six_schemes():
-    from repro.experiments.fig_rivals import RIVAL_SCHEMES, grid
+    from repro.experiments.common import build_grid
+    from repro.experiments.fig_rivals import RIVAL_SCHEMES
 
-    jobs = grid()
+    jobs = build_grid("rivals")
     assert {j.scheme for j in jobs} == set(RIVAL_SCHEMES)
     assert len(RIVAL_SCHEMES) == 6
     assert {j.entry for j in jobs} == {"repro.experiments.fig_rivals:cell"}
@@ -243,7 +244,7 @@ def test_rivals_cell_axes_tell_the_designed_story():
 
 
 def test_rivals_bench_grid_registered():
-    from repro.runner import build_grid
+    from repro.experiments.common import build_grid
 
     jobs = build_grid("rivals", seeds=(1,), duration=0.008)
     assert len(jobs) == 6

@@ -8,13 +8,11 @@ import sys
 import pytest
 
 import repro
-from repro.experiments import fig11_guarantee
-from repro.experiments.common import GridError, run_grid
+from repro.experiments.common import GridError, build_grid, run_grid
 from repro.runner import (
     Job,
     ParallelRunner,
     ResultCache,
-    build_grid,
     code_version,
     compare_reports,
     execute_job,
@@ -225,19 +223,19 @@ def test_failed_jobs_are_not_cached(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_fig11_grid_serial_vs_parallel_byte_identical(tmp_path):
-    kwargs = dict(schemes=("ufab", "pwc"), duration=0.012, seeds=(3, 4))
-    rows1 = fig11_guarantee.run_grid(jobs=1, use_cache=False, **kwargs)
-    rows4 = fig11_guarantee.run_grid(jobs=4, use_cache=False, **kwargs)
+    grid = build_grid("fig11", schemes=("ufab", "pwc"), duration=0.012,
+                      seeds=(3, 4))
+    rows1 = run_grid(grid, jobs=1, use_cache=False)
+    rows4 = run_grid(grid, jobs=4, use_cache=False)
     assert json.dumps(rows1, sort_keys=True) == json.dumps(rows4, sort_keys=True)
     assert [r["scheme"] for r in rows1] == ["ufab", "ufab", "pwc", "pwc"]
     assert all(r["events_processed"] > 0 for r in rows1)
 
 
 def test_fig11_grid_cache_round_trip(tmp_path):
-    kwargs = dict(schemes=("ufab",), duration=0.012, seeds=(3,),
-                  cache_dir=str(tmp_path))
-    cold = fig11_guarantee.run_grid(jobs=1, **kwargs)
-    warm = fig11_guarantee.run_grid(jobs=1, **kwargs)
+    grid = build_grid("fig11", schemes=("ufab",), duration=0.012, seeds=(3,))
+    cold = run_grid(grid, jobs=1, cache_dir=str(tmp_path))
+    warm = run_grid(grid, jobs=1, cache_dir=str(tmp_path))
     assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
 
 
@@ -380,14 +378,6 @@ def test_compare_reports_heap_metric_counts_deleted_events():
     assert cell["new_events"] in (1000, 2000)
     with pytest.raises(ValueError):
         compare_reports(old, new, metric="latency")
-
-
-def test_run_bench_transit_pins_env_and_restores(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_PROBE_TRANSIT", raising=False)
-    report = run_bench(grid="smoke", jobs=1, use_cache=False,
-                       out=str(tmp_path / "b.json"), transit="slow")
-    assert report["transit"] == "slow"
-    assert "REPRO_PROBE_TRANSIT" not in os.environ
 
 
 def test_compare_reports_unmatched_and_failed_rows():

@@ -4,9 +4,10 @@ The fast path (``Network.send_probe`` collapsing a calm path into two
 events) is a pure event-count optimization: every experiment payload,
 hop record, and trace stream must match the per-hop reference exactly —
 not approximately — across schemes, seeds, and fault schedules that
-open and close windows mid-flight.  ``REPRO_PROBE_TRANSIT`` selects the
-mode; it is read once per :class:`~repro.sim.network.Network`, so each
-comparison builds fresh networks under each setting.
+open and close windows mid-flight.  The per-hop walker is production
+code (materialized and queued legs run on it); ``slow`` here forces
+*every* leg onto it by monkeypatching the private class attribute
+``Network._transit_fast`` — a test-only seam, not a setting.
 
 Payload comparison is exact ``==`` after stripping ``events_processed``
 (the two modes process different event counts by design) and ``_obs``
@@ -16,7 +17,6 @@ records with their emission timestamps must be identical).
 """
 
 import json
-import os
 
 import pytest
 
@@ -42,15 +42,9 @@ MIXED = ("probe_loss:0.02@1ms-4ms;probe_delay:20us+10us@2ms-6ms;"
 
 def _run(job, transit):
     """Execute one cell in-process under the given transit mode."""
-    old = os.environ.get("REPRO_PROBE_TRANSIT")
-    os.environ["REPRO_PROBE_TRANSIT"] = transit
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "_transit_fast", transit == "fast")
         return execute_job(job)
-    finally:
-        if old is None:
-            del os.environ["REPRO_PROBE_TRANSIT"]
-        else:
-            os.environ["REPRO_PROBE_TRANSIT"] = old
 
 
 def _strip(payload):
@@ -188,7 +182,7 @@ def test_sampled_plans_keep_the_fast_path_engaged():
 # ----------------------------------------------------------------------
 
 def _net(monkeypatch, transit, topo=None):
-    monkeypatch.setenv("REPRO_PROBE_TRANSIT", transit)
+    monkeypatch.setattr(Network, "_transit_fast", transit == "fast")
     return Network(topo if topo is not None else dumbbell(n_pairs=2))
 
 
@@ -207,7 +201,7 @@ def test_fast_path_actually_engages(monkeypatch):
     assert net.sim.events_processed < 4 * (len(path) + 1)
 
 
-def test_slow_mode_env_var_disables_fast_path(monkeypatch):
+def test_per_hop_seam_disables_fast_path(monkeypatch):
     net = _net(monkeypatch, "slow")
     path = net.topology.shortest_paths("src0", "dst0")[0]
     net.send_probe(path, None)
@@ -310,3 +304,15 @@ def test_three_tier_fault_heavy_micro_equivalence(monkeypatch):
         net.run(1.0)
         results[transit] = (stamps, arrivals)
     assert results["fast"] == results["slow"]
+
+
+def test_fast_path_deletes_per_hop_events_on_a_fig11_cell():
+    """The probe-plane work gate, as a count: on a short fig11 uFAB cell
+    forced per-hop transit processes >= 1.5x the events of the default
+    run (2.55x at this duration/seed) for identical rows."""
+    job = Job("fig11", FIG11, scheme="ufab", seed=1,
+              params={"scheme": "ufab", "duration": 0.02, "seed": 1})
+    fast = _run(job, "fast")
+    slow = _run(job, "slow")
+    assert _strip(fast) == _strip(slow)
+    assert slow["events_processed"] >= 1.5 * fast["events_processed"]
