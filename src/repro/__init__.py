@@ -24,13 +24,13 @@ The lower-level pieces remain public for custom wiring::
     net.run(until=0.05)
     print(net.delivered_rate(pair.pair_id))
 
-The core-switch controller behind uFAB is pluggable
+The core-switch controller behind uFAB has two backends
 (:mod:`repro.core.controller`): ``Scenario....backend("pipeline")``,
 ``--backend pipeline`` on any grid command, or ``REPRO_BACKEND=pipeline``
-swaps the behavioral agent (:mod:`repro.core.corenode`, the default
-and the fast one) for the register-accurate P4 pipeline emulation
-(:mod:`repro.core.p4pipe`); the two backends are bit-identical on probe
-payloads and traces (see ``docs/API.md``).
+runs the same agent (:mod:`repro.core.corenode`, the default and the
+fast one) under the Tofino hardware-rule checker of
+:mod:`repro.core.p4pipe` — one algorithm, so probe payloads and traces
+are bit-identical either way (see ``docs/API.md``).
 
 Packages:
 
@@ -49,7 +49,6 @@ from repro.core.controller import (
     SwitchController,
     attach_core_agents,
     backend_names,
-    register_backend,
     resolve_backend,
 )
 from repro.core.edge import UFabFabric, install_ufab
@@ -74,7 +73,6 @@ __all__ = [
     "SwitchController",
     "attach_core_agents",
     "backend_names",
-    "register_backend",
     "resolve_backend",
     "UFabFabric",
     "install_ufab",

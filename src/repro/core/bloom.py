@@ -25,9 +25,16 @@ class CountingBloomFilter:
     arrays would cost gigabytes before the first pair arrives.
     """
 
+    #: Hashes are disjoint 4-byte chunks of one 16-byte digest.
+    MAX_HASHES = 4
+
     def __init__(self, n_counters: int = 20 * 1024, n_hashes: int = 2, seed: int = 0) -> None:
         if n_counters <= 0 or n_hashes <= 0:
             raise ValueError("n_counters and n_hashes must be positive")
+        if n_hashes > self.MAX_HASHES:
+            raise ValueError(
+                f"n_hashes={n_hashes}: at most {self.MAX_HASHES} independent "
+                f"32-bit hashes fit the 16-byte digest")
         self.n_counters = n_counters
         self.n_hashes = n_hashes
         self.seed = seed
@@ -40,11 +47,8 @@ class CountingBloomFilter:
             key.encode("utf-8"), digest_size=16, salt=self.seed.to_bytes(8, "little")
         ).digest()
         # Carve k independent 32-bit hashes out of the digest.
-        indices = []
-        for i in range(self.n_hashes):
-            chunk = digest[(4 * i) % 12 : (4 * i) % 12 + 4]
-            indices.append(int.from_bytes(chunk, "little") % self.n_counters)
-        return indices
+        return [int.from_bytes(digest[4 * i : 4 * i + 4], "little") % self.n_counters
+                for i in range(self.n_hashes)]
 
     # ------------------------------------------------------------------
     def contains(self, key: str) -> bool:

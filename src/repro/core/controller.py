@@ -1,34 +1,36 @@
-"""The abstract switch-controller seam: one interface, many backends.
+"""The abstract switch-controller seam: one interface, two backends.
 
 uFAB-C is specified twice in the paper: *behaviorally* (the per-hop
 admission/stamping algorithm of sections 3.6 and 4.2) and *physically*
 (the Appendix-G / Figure-22 bit layout plus the Tables 3-4 resource
-budgets of a real Tofino pipeline).  This module is the seam that lets
-the reproduction carry both: an abstract :class:`SwitchController`
-contract that the edge layer, the fault injectors, and the telemetry
-accounting program against, with interchangeable implementations
-("backends") behind it:
+budgets of a real Tofino pipeline).  The reproduction carries the
+algorithm once and the hardware as a checker around it, behind the
+:class:`SwitchController` contract that the edge layer, the fault
+injectors, and the telemetry accounting program against:
 
 ``behavioral``
-    :class:`repro.core.corenode.CoreAgent` — the original direct
-    implementation of the algorithm.  Fast; the default.
+    :class:`repro.core.corenode.CoreAgent` — the algorithm.  Fast; the
+    default.
 
 ``pipeline``
-    :class:`repro.core.p4pipe.PipelineCoreAgent` — a register-accurate
-    Tofino-like pipeline emulation: explicit match-action stages, one
-    register-ALU read-modify-write per register per packet, a stage
-    budget, and the Figure-22 probe layout parsed and stamped
-    field-by-field per stage.  Slower (it walks the pipeline per
-    probe), but it is the backend whose measured stage/register/PHV
-    counts feed :mod:`repro.resources` — and the honesty check that
-    the behavioral algorithm actually fits the hardware the paper
+    :class:`repro.core.p4pipe.PipelineCoreAgent` — a ``CoreAgent``
+    subclass that runs the *same* methods with their registers placed
+    in an emulated Tofino-like match-action pipeline and every access
+    checked: stage order, one write per register per packet, stage /
+    SALU / PHV budgets, the 4-bit nHop bound.  Slower (every register
+    access is accounted), but it is the backend whose built program's
+    stage/register/PHV counts feed :mod:`repro.resources` — and the
+    honesty check that the algorithm fits the hardware the paper
     claims.
 
-The two are cross-validated bit-identically on probe payloads, traces,
-and HopRecords (``tests/test_backend_conformance.py``), so any grid can
-run under either via ``--backend`` / ``REPRO_BACKEND`` and produce the
-same rows.  Future backends (an external BMv2 target) register here the
-same way — see the "adding a backend" walkthrough in ``docs/API.md``.
+Both run one algorithm, so any grid produces the same rows under
+either (``--backend`` / ``REPRO_BACKEND``;
+``tests/test_backend_conformance.py`` holds them bit-identical).  What
+guards the algorithm itself against drift is no longer a second
+implementation but the parent-recorded operation streams and the
+per-pair sum model of ``tests/test_core_twin_property.py``.  A new
+backend is a ``CoreAgent`` subclass plus a row in
+:data:`_BACKEND_CLASSES`.
 """
 
 from __future__ import annotations
@@ -126,19 +128,6 @@ def backend_names() -> Tuple[str, ...]:
     names = sorted(_BACKEND_CLASSES)
     names.remove(DEFAULT_BACKEND)
     return (DEFAULT_BACKEND, *names)
-
-
-def register_backend(name: str, module: str, cls: str) -> None:
-    """Register an additional backend (module path + class name).
-
-    The class must implement :class:`SwitchController` and the
-    ``CoreAgent.__init__(link, params, bloom_seed)`` signature.  See
-    the walkthrough in ``docs/API.md``.
-    """
-    existing = _BACKEND_CLASSES.get(name)
-    if existing is not None and existing != (module, cls):
-        raise ValueError(f"backend {name!r} registered twice")
-    _BACKEND_CLASSES[name] = (module, cls)
 
 
 def resolve_backend(name: Optional[str] = None) -> str:

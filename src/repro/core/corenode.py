@@ -79,10 +79,12 @@ _M_STALE_STAMPS = OBS.metrics.counter(
 class CoreAgent(SwitchController):
     """Per-egress-port switch agent — the ``behavioral`` backend.
 
-    The direct implementation of the section 3.6/4.2 algorithm, and the
-    reference the register-accurate ``pipeline`` backend
-    (:class:`repro.core.p4pipe.PipelineCoreAgent`) is cross-validated
-    against bit-for-bit.
+    The one implementation of the section 3.6/4.2 algorithm.  The
+    ``pipeline`` backend (:class:`repro.core.p4pipe.PipelineCoreAgent`)
+    subclasses it and runs these same methods with the registers placed
+    in an emulated Tofino pipeline, so every method below touches its
+    state in stage order: pair table, Bloom filter, Phi_l, W_l, TX
+    meter, delta view, each written at most once per probe.
     """
 
     def __init__(self, link: Link, params: Optional[UFabParams] = None,
@@ -107,10 +109,9 @@ class CoreAgent(SwitchController):
         # over an interval, not an instantaneous fluid rate.  Sampling
         # the instant a probe passes is biased toward the prober's own
         # bursts (inspection paradox) and freezes Eqn-3 below target
-        # utilization under bursty traffic.
-        self._tx_last_time = 0.0
-        self._tx_last_delivered = 0.0
-        self._tx_value = 0.0
+        # utilization under bursty traffic.  One register word:
+        # (last sample time, last byte-counter reading, EWMA value).
+        self._tx_meter = (0.0, 0.0, 0.0)
         # StaleTelemetry fault state: when frozen, stamp() serves this
         # snapshot instead of live registers.  ``_stale_age`` bounds the
         # staleness (snapshot refreshes that often); None = frozen for
@@ -190,16 +191,22 @@ class CoreAgent(SwitchController):
         pending = link._pending
         if (pending and pending[0].t < now) or now > link._last_sync:
             link.sync(now)
-        dt = now - self._tx_last_time
+        return self._meter_update(now)
+
+    def _meter_update(self, now: float) -> float:
+        """One read-modify-write of the meter word (link synced to ``now``)."""
+        link = self.link
+        t_last, d_last, tx = self._tx_meter
+        dt = now - t_last
         if dt >= 5e-6:  # refresh when enough bytes/time accumulated
-            sample = (link.delivered_bits - self._tx_last_delivered) / dt
-            alpha = dt / (dt + self.TX_METER_TAU)
-            self._tx_value += alpha * (sample - self._tx_value)
-            self._tx_last_time = now
-            self._tx_last_delivered = link.delivered_bits
-        elif self._tx_last_time == 0.0 and self._tx_last_delivered == 0.0:
-            self._tx_value = link.tx_rate(now)
-        return self._tx_value
+            delivered = link.delivered_bits
+            sample = (delivered - d_last) / dt
+            tx += dt / (dt + self.TX_METER_TAU) * (sample - tx)
+            self._tx_meter = (now, delivered, tx)
+        elif t_last == 0.0 and d_last == 0.0:
+            tx = link.tx_rate(now)
+            self._tx_meter = (t_last, d_last, tx)
+        return tx
 
     def stamp(self, header: ProbeHeader, now: float) -> None:
         """Insert this hop's INT record (Figure 9, step 2-3).
@@ -243,26 +250,27 @@ class CoreAgent(SwitchController):
         pending = link._pending
         if (pending and pending[0].t < now) or now > link._last_sync:
             link.sync(now)
-        dt = now - self._tx_last_time
+        # Registers are read after the sync (its deferred emissions may
+        # have updated them) and in stage order, ahead of the meter.
+        phi_total = self.phi_total
+        window_total = self.window_total
+        t_last, d_last, tx = self._tx_meter
+        dt = now - t_last
         if dt >= 5e-6:
             delivered = link.delivered_bits
-            sample = (delivered - self._tx_last_delivered) / dt
-            tx = self._tx_value
+            sample = (delivered - d_last) / dt
             tx += dt / (dt + self.TX_METER_TAU) * (sample - tx)
-            self._tx_value = tx
-            self._tx_last_time = now
-            self._tx_last_delivered = delivered
-        elif self._tx_last_time == 0.0 and self._tx_last_delivered == 0.0:
-            tx = self._tx_value = link.tx_rate(now)
-        else:
-            tx = self._tx_value
+            self._tx_meter = (now, delivered, tx)
+        elif t_last == 0.0 and d_last == 0.0:
+            tx = link.tx_rate(now)
+            self._tx_meter = (t_last, d_last, tx)
         # The link is synced to ``now``, so the raw queue register is
         # current — same value queue_bits(now) would return.
         queue = link.queue
         # Slot stores on a bare instance skip the __init__ frame.
         rec = _NEW_HOP(HopRecord)
-        rec.window_total = self.window_total
-        rec.phi_total = self.phi_total
+        rec.window_total = window_total
+        rec.phi_total = phi_total
         rec.tx_rate = tx
         rec.queue = queue
         rec.capacity = link.capacity
@@ -273,12 +281,12 @@ class CoreAgent(SwitchController):
             name = link.name
             OBS.trace.record(now, _EV_QUEUE, {
                 "link": name, "q_bits": queue, "tx_bps": tx,
-                "phi_total": self.phi_total, "window_total": self.window_total,
+                "phi_total": phi_total, "window_total": window_total,
             })
             _S_QUEUE.sample(now, queue, key=name)
             _S_TX.sample(now, tx, key=name)
-            _G_PHI.set(self.phi_total, key=name)
-            _G_WINDOW.set(self.window_total, key=name)
+            _G_PHI.set(phi_total, key=name)
+            _G_WINDOW.set(window_total, key=name)
 
     def _stamp_planned(self, header: ProbeHeader, now: float) -> None:
         """Data-probe stamp under a ``delta`` or ``sketch`` plan.
@@ -297,10 +305,13 @@ class CoreAgent(SwitchController):
             if OBS.enabled:
                 _M_STALE_STAMPS.inc()
         else:
-            tx = self.measured_tx(now)
-            queue = link.queue
-            window_total = self.window_total
+            pending = link._pending
+            if (pending and pending[0].t < now) or now > link._last_sync:
+                link.sync(now)
             phi_total = self.phi_total
+            window_total = self.window_total
+            tx = self._meter_update(now)
+            queue = link.queue
         plan = self.plan
         if plan.kind == "delta":
             view = (window_total, phi_total, tx, queue)
@@ -360,12 +371,10 @@ class CoreAgent(SwitchController):
     # Fault plane (repro.faults)
     # ------------------------------------------------------------------
     def _snapshot(self, now: float) -> Tuple[float, float, float, float]:
-        return (
-            self.window_total,
-            self.phi_total,
-            self.measured_tx(now),
-            self.link.queue_bits(now),
-        )
+        phi_total = self.phi_total
+        window_total = self.window_total
+        return (window_total, phi_total, self.measured_tx(now),
+                self.link.queue_bits(now))
 
     def freeze_telemetry(self, now: float, age_s: Optional[float] = None) -> None:
         """Serve stale INT: stamp a frozen snapshot instead of live state.
@@ -415,9 +424,7 @@ class CoreAgent(SwitchController):
         # Restart the TX meter from the port's current byte counter
         # (rebooted counters read from zero; diffing against the old
         # baseline would fabricate a rate spike).
-        self._tx_last_time = now
-        self._tx_last_delivered = self.link.delivered_bits
-        self._tx_value = 0.0
+        self._tx_meter = (now, self.link.delivered_bits, 0.0)
 
     # ------------------------------------------------------------------
     # Deactivation
@@ -428,9 +435,9 @@ class CoreAgent(SwitchController):
         if entry is None:
             return True  # idempotent: already gone
         phi, window, _ = entry
+        self.bloom.remove(pair_id)
         self.phi_total = max(0.0, self.phi_total - phi)
         self.window_total = max(0.0, self.window_total - window)
-        self.bloom.remove(pair_id)
         return True
 
     def sweep(self, now: float) -> int:

@@ -1,83 +1,72 @@
-"""The ``pipeline`` backend: register-accurate Tofino-like emulation.
+"""The ``pipeline`` backend: uFAB-C under a Tofino-like hardware checker.
 
-:class:`PipelineCoreAgent` re-implements the uFAB-C algorithm of
-:class:`repro.core.corenode.CoreAgent` *through* an explicit
-match-action pipeline model (:class:`P4Pipeline`): every data-plane
-probe opens a packet context and walks numbered stages, each register
-interaction is a declared register-ALU access, and the hardware
-constraints a real Tofino imposes are enforced as typed errors —
+The algorithm lives once, in :class:`repro.core.corenode.CoreAgent`.
+:class:`PipelineCoreAgent` subclasses it and contributes only
+*placement and checking*: the state ``CoreAgent`` names (``phi_total``,
+``window_total``, the TX-meter word, the delta plan's last view, the
+pair table, the Bloom filter) is stored, through class-level
+descriptors, in the registers and tables of a built match-action
+program (:func:`build_ufab_pipeline`), and every probe is one packet
+(:class:`_PacketCtx`) whose accesses are checked *from the attribute
+access the shared code makes* — not from a side table describing it:
 
-* a **stage budget** (:data:`TOFINO_STAGES`, exceeded at program build
-  time -> :class:`StageBudgetError`),
-* **one read-modify-write per register per packet**, with accesses in
-  stage order (violations -> :class:`RegisterAccessError`),
-* per-stage **stateful-ALU capacity** (:class:`SaluBudgetError`) and
-  per-stage VLIW action slots,
-* the Figure-22 **PHV layout** parsed field-by-field, with the 4-bit
-  nHop bound enforced as :class:`PhvCapacityError` at stamp time.
+* a **stage budget** (:data:`TOFINO_STAGES`) and per-stage
+  **stateful-ALU / VLIW / TCAM capacity**, exceeded at program build
+  time -> :class:`StageBudgetError` / :class:`SaluBudgetError`;
+* per packet, **stage order**: an element's first touch advances the
+  stage cursor, forward only; a register is **written at most once**,
+  from its own stage; a later read is the copy its stage forwarded in
+  PHV metadata -> :class:`RegisterAccessError` otherwise;
+* the Figure-22 **PHV layout** allocated field by field at build, and
+  the 4-bit nHop bound checked when the packet is deparsed: a probe
+  leaving with a 16th record -> :class:`PhvCapacityError`.
+
+With no packet open the agent is on the control-plane port (``sweep``,
+``reset``, freeze/thaw, direct ``on_finish`` / ``measured_tx``), where
+CPU register access is unconstrained.  Reordering or repeating a
+register operation in ``CoreAgent`` therefore fails under this backend
+with a typed error, which is how "the algorithm fits the hardware the
+paper claims" stays a tested statement.
 
 The same program description feeds :mod:`repro.resources`, so the
-Tables 3-4 budgets are *derived* from the emulated pipeline's actual
+Tables 3-4 budgets are *derived* from the built pipeline's actual
 stage/register/PHV usage rather than hand-entered.
 
-Bit-identity with the behavioral backend
-----------------------------------------
-The conformance suite (``tests/test_backend_conformance.py``) asserts
-exact equality of probe payloads, HopRecords, and traces between the
-two backends.  Three modeling concessions keep the emulation honest
-about *constraints* while staying bit-identical on *values*:
-
-* **Full-precision values.**  Registers hold the same Python floats the
-  behavioral agent holds; field widths are declared for resource
-  accounting, not rounded through.  (Wire quantization already lives in
-  ``repro.core.probe``'s codec, shared by both backends.)
-* **Shared Bloom storage.**  The two Bloom *banks* are stage-resident
+Modelling concessions
+---------------------
+* **Full-precision values.**  Registers hold the Python floats the
+  algorithm computes; field widths are declared for resource
+  accounting, not rounded through.  (Wire quantization lives in
+  ``repro.core.probe``'s codec.)
+* **Shared Bloom storage.**  The Bloom *banks* are stage-resident
   register arrays for access accounting, but their counters live in one
-  :class:`~repro.core.bloom.CountingBloomFilter` — the same object, same
-  hash, same collisions as the behavioral filter.  The insert-if-absent
-  predicate (which real SALUs resolve with a predicated increment in
-  the same pass) is resolved in emulation between the two bank
-  accesses.
-* **Wide state.**  The TX meter's (t, bytes, ewma) state and the delta
-  plan's last-view tuple exceed one 64-bit SALU word; they are modeled
-  as paired-SALU registers (2 slots) rather than split across stages.
-
-An RMW's result is forwarded in PHV metadata, so a later stage that
-needs the value (e.g. stamping Phi_l after registration updated it)
-reads the forwarded copy instead of issuing a second — illegal —
-register access.
+  :class:`~repro.core.bloom.CountingBloomFilter`.  A packet's first use
+  of the filter passes every bank once; the membership test and the
+  predicated insert or decrement (one SALU pass on hardware) resolve
+  against the shared counters within that pass.
+* **Wide state.**  The TX meter's ``(t, bytes, ewma)`` word and the
+  delta plan's last-view tuple exceed one 64-bit SALU word; they are
+  modeled as paired-SALU registers (2 slots) rather than split across
+  stages.
+* **The pair table** is simulation bookkeeping (``modeled_only``, no
+  footprint): its first touch is the packet's one apply, and the later
+  entry update is not a second one.
+* **Declared-only latches.**  ``r_portbytes`` and ``r_queue`` mirror
+  ``Link`` state (``delivered_bits``, ``queue``) that the shared code
+  reads off the link itself.  They are placed, so Table 4 counts their
+  stages and SALUs, but no packet access is accounted to them.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.bloom import CountingBloomFilter
-from repro.core.controller import SwitchController
-from repro.core import corenode as _behavioral
-from repro.core.corenode import (
-    _EV_QUEUE,
-    _EV_REGISTER,
-    _EV_SWEEP,
-    _G_PHI,
-    _G_WINDOW,
-    _M_BLOOM_FP,
-    _M_STALE_STAMPS,
-    _M_SWEPT,
-    _S_QUEUE,
-    _S_TX,
-)
+from repro.core.corenode import CoreAgent
 from repro.core.params import UFabParams
-from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
-from repro.core.telemetry import (
-    M_DELTAS_SUPPRESSED,
-    M_SKETCH_FOLDS,
-    TelemetryPlan,
-    get_plan,
-)
-from repro.obs import OBS
+from repro.core.probe import ProbeHeader, ProbeKind
+from repro.core.telemetry import TelemetryPlan, get_plan
 from repro.sim.link import Link
 
 __all__ = [
@@ -157,8 +146,9 @@ class Register(object):
     ``value`` is the emulated contents (full precision — see the module
     docstring); ``width_bits``/``entries`` describe the hardware array
     for resource accounting.  Data-plane accesses pass the packet
-    context and are constraint-checked; ``ctx=None`` is the
-    control-plane port (CPU register reads/writes are unconstrained).
+    context and are constraint-checked (:class:`_PacketCtx` has the
+    rules); ``ctx=None`` is the control-plane port (CPU register
+    reads/writes are unconstrained).
     """
 
     __slots__ = ("name", "width_bits", "entries", "salu_slots", "key_bytes",
@@ -176,17 +166,15 @@ class Register(object):
         self.stage: Optional["Stage"] = None
         self.value = None
 
-    # -- data-plane ops (one per packet) -------------------------------
-    def _account(self, ctx: Optional["_PacketCtx"]) -> None:
-        if ctx is not None:
-            ctx.access_register(self)
-
+    # -- data-plane ops ------------------------------------------------
     def read(self, ctx: Optional["_PacketCtx"]):
-        self._account(ctx)
+        if ctx is not None:
+            ctx.touch(self)
         return self.value
 
     def write(self, ctx: Optional["_PacketCtx"], value) -> None:
-        self._account(ctx)
+        if ctx is not None:
+            ctx.write(self)
         self.value = value
 
     #: ``latch`` is ``write`` under its hardware name: the stage latches
@@ -195,14 +183,8 @@ class Register(object):
 
     def rmw(self, ctx: Optional["_PacketCtx"], fn: Callable):
         """One read-modify-write: ``value = fn(value)``, returns it."""
-        self._account(ctx)
-        self.value = fn(self.value)
+        self.write(ctx, fn(self.read(ctx)))
         return self.value
-
-    def probe(self, ctx: Optional["_PacketCtx"]) -> None:
-        """Account a register access whose storage is emulated elsewhere
-        (the shared Bloom array — see the module docstring)."""
-        self._account(ctx)
 
 
 class MatchActionTable(object):
@@ -288,49 +270,61 @@ class Stage(object):
 
 
 class _PacketCtx(object):
-    """Per-packet access tracker: stage-monotonic, one touch per element.
+    """Per-packet access tracker: the rules one packet's accesses obey.
+
+    * An element's **first touch** moves the stage cursor to its stage,
+      and the cursor only moves forward.
+    * A register is **written at most once**, while the cursor is still
+      in its stage (read then write there is the one SALU
+      read-modify-write); a table is applied once.
+    * **Later reads** of a touched register are the copy its stage
+      forwarded in PHV metadata, legal from any later stage.
 
     Contexts are independent objects (not pipeline-global state) because
     a stamp can re-enter the agent: syncing the link fires deferred
     fast-path emissions, whose probes open their own packet contexts.
     """
 
-    __slots__ = ("_cursor", "_registers", "_tables")
+    __slots__ = ("header", "_cursor", "_touched", "_written")
 
-    def __init__(self) -> None:
+    def __init__(self, header: Optional[ProbeHeader] = None) -> None:
+        self.header = header
         self._cursor = -1
-        self._registers: set = set()
-        self._tables: set = set()
+        self._touched: set = set()
+        self._written: set = set()
 
-    def _advance(self, element_name: str, stage: Optional[Stage]) -> None:
+    def touch(self, element) -> bool:
+        """Account an access; False if this packet already holds it."""
+        if element in self._touched:
+            return False
+        stage = element.stage
         if stage is None:
             raise RegisterAccessError(
-                f"{element_name!r} is not placed in any stage")
+                f"{element.name!r} is not placed in any stage")
         if stage.index < self._cursor:
             raise RegisterAccessError(
-                f"{element_name!r} (stage {stage.index}) accessed after "
+                f"{element.name!r} (stage {stage.index}) accessed after "
                 f"stage {self._cursor}: packets flow forward only")
         self._cursor = stage.index
+        self._touched.add(element)
+        return True
 
-    def access_register(self, reg: Register) -> None:
-        self._advance(reg.name, reg.stage)
-        if reg.name in self._registers:
-            raise RegisterAccessError(
-                f"register {reg.name!r} accessed twice by one packet "
-                f"(one read-modify-write per register per packet)")
-        self._registers.add(reg.name)
+    def write(self, reg: Register) -> None:
+        if not self.touch(reg):
+            if reg in self._written:
+                raise RegisterAccessError(
+                    f"register {reg.name!r} accessed twice by one packet "
+                    f"(one read-modify-write per register per packet)")
+            if reg.stage.index != self._cursor:
+                raise RegisterAccessError(
+                    f"{reg.name!r} (stage {reg.stage.index}) written from "
+                    f"stage {self._cursor}: packets flow forward only")
+        self._written.add(reg)
 
     def apply_table(self, tbl: MatchActionTable) -> None:
-        self._advance(tbl.name, tbl.stage)
-        if tbl.name in self._tables:
+        if not self.touch(tbl):
             raise RegisterAccessError(
                 f"table {tbl.name!r} applied twice by one packet")
-        self._tables.add(tbl.name)
-
-    def accessed(self, reg: Register) -> bool:
-        """True if this packet already touched ``reg`` (its result is
-        available as forwarded PHV metadata)."""
-        return reg.name in self._registers
 
 
 class P4Pipeline(object):
@@ -408,27 +402,20 @@ class P4Pipeline(object):
 # ----------------------------------------------------------------------
 # The uFAB-C program (sections 3.6/4.2 + Appendix G laid onto stages)
 # ----------------------------------------------------------------------
-class UFabPipelineProgram(object):
+class UFabPipelineProgram(NamedTuple):
     """Handles to the built uFAB-C pipeline's elements."""
 
-    __slots__ = ("pipe", "t_kind", "t_pair", "r_blooms", "r_phi", "r_w",
-                 "r_portbytes", "r_txmeter", "r_queue", "r_delta",
-                 "record_slots")
-
-    def __init__(self, pipe, t_kind, t_pair, r_blooms, r_phi, r_w,
-                 r_portbytes, r_txmeter, r_queue, r_delta,
-                 record_slots) -> None:
-        self.pipe = pipe
-        self.t_kind = t_kind
-        self.t_pair = t_pair
-        self.r_blooms = r_blooms
-        self.r_phi = r_phi
-        self.r_w = r_w
-        self.r_portbytes = r_portbytes
-        self.r_txmeter = r_txmeter
-        self.r_queue = r_queue
-        self.r_delta = r_delta
-        self.record_slots = record_slots
+    pipe: P4Pipeline
+    t_kind: MatchActionTable
+    t_pair: MatchActionTable
+    r_blooms: List[Register]
+    r_phi: Register
+    r_w: Register
+    r_portbytes: Register
+    r_txmeter: Register
+    r_queue: Register
+    r_delta: Register  # placed only under a ``delta`` plan
+    record_slots: int
 
 
 def build_ufab_pipeline(
@@ -515,12 +502,12 @@ def build_ufab_pipeline(
         Register("r_queue", width_bits=32, entries=ports))
 
     # Telemetry-plan stage (PR 8): delta keeps a last-stamped view,
-    # sketch folds in VLIW only, sampled/full need no core stage.
-    r_delta: Optional[Register] = None
+    # sketch folds in VLIW only, sampled/full need no core stage — there
+    # r_delta stays unplaced: no footprint, control-plane access only.
+    r_delta = Register("r_delta", width_bits=128, entries=ports, salu_slots=2)
     if plan.kind == "delta":
         st = pipe.stage("plan-delta")
-        r_delta = st.register(Register(
-            "r_delta", width_bits=128, entries=ports, salu_slots=2))
+        st.register(r_delta)
         st.action("delta-suppress", 2)
     elif plan.kind == "sketch":
         st = pipe.stage("plan-sketch")
@@ -537,380 +524,101 @@ def build_ufab_pipeline(
 # ----------------------------------------------------------------------
 # The pipeline-backed controller
 # ----------------------------------------------------------------------
-class PipelineCoreAgent(SwitchController):
+class _InRegister(object):
+    """A ``CoreAgent`` attribute stored in a placed :class:`Register`."""
+
+    def __init__(self, handle: str) -> None:
+        self.handle = handle
+
+    def __get__(self, agent, owner=None):
+        return getattr(agent.prog, self.handle).read(agent._ctx)
+
+    def __set__(self, agent, value) -> None:
+        getattr(agent.prog, self.handle).write(agent._ctx, value)
+
+
+class _InPairTable(object):
+    """``CoreAgent._table`` stored as ``t_pair``'s entries; a packet's
+    first touch is its one apply, later ones edit the matched entry."""
+
+    def __get__(self, agent, owner=None):
+        table = agent.prog.t_pair
+        if agent._ctx is not None:
+            agent._ctx.touch(table)
+        return table.entries
+
+    def __set__(self, agent, entries) -> None:
+        agent.prog.t_pair.entries = entries
+
+
+class _InBloomBanks(object):
+    """``CoreAgent.bloom`` stored in the Bloom banks: a packet's first
+    use passes every bank once (membership test and predicated
+    insert/decrement resolve in that pass)."""
+
+    def __get__(self, agent, owner=None):
+        banks = agent.prog.r_blooms
+        if agent._ctx is not None:
+            for bank in banks:
+                agent._ctx.touch(bank)
+        return banks[0].value
+
+    def __set__(self, agent, bloom) -> None:
+        for bank in agent.prog.r_blooms:
+            bank.value = bloom
+
+
+class PipelineCoreAgent(CoreAgent):
     """Per-egress-port switch agent — the ``pipeline`` backend.
 
-    Bit-identical to :class:`repro.core.corenode.CoreAgent` on probe
-    payloads, traces, and HopRecords (the conformance suite enforces
-    it); every float operation below mirrors the behavioral code's
-    order exactly, with the pipeline model supplying the hardware
-    constraint checks around it.
+    :class:`~repro.core.corenode.CoreAgent`'s algorithm, unmodified,
+    with its state placed in a built :class:`UFabPipelineProgram` and
+    every access it makes checked against the hardware rules (module
+    docstring).  This class adds placement and packet boundaries only.
     """
+
+    phi_total = _InRegister("r_phi")
+    window_total = _InRegister("r_w")
+    _tx_meter = _InRegister("r_txmeter")
+    _delta_last = _InRegister("r_delta")
+    _table = _InPairTable()
+    bloom = _InBloomBanks()
 
     def __init__(self, link: Link, params: Optional[UFabParams] = None,
                  bloom_seed: int = 0) -> None:
-        self.link = link
-        self.params = params or UFabParams()
-        n_counters = max(64, self.params.bloom_bits)
-        self.bloom = CountingBloomFilter(
-            n_counters=n_counters, n_hashes=self.params.bloom_hashes,
-            seed=bloom_seed)
-        self.false_positives = 0
-        self.plan = get_plan(self.params.telemetry_plan)
-        self._plan_mutates = self.plan.mutates_stamp
-        self.records_stamped = 0
-        self.deltas_suppressed = 0
-        self.sketch_folds = 0
-        prog = build_ufab_pipeline(
-            self.plan, bloom_counters=n_counters,
-            n_hashes=self.params.bloom_hashes)
-        self.prog = prog
-        self.pipe = prog.pipe
-        self._t_kind = prog.t_kind
-        self._t_pair = prog.t_pair
-        self._r_blooms = prog.r_blooms
-        self._r_phi = prog.r_phi
-        self._r_w = prog.r_w
-        self._r_portbytes = prog.r_portbytes
-        self._r_txmeter = prog.r_txmeter
-        self._r_queue = prog.r_queue
-        self._r_delta = prog.r_delta
-        self._r_phi.value = 0.0
-        self._r_w.value = 0.0
-        self._r_portbytes.value = 0.0
-        # (last sample time, last byte-counter reading, EWMA value).
-        self._r_txmeter.value = (0.0, 0.0, 0.0)
-        self._r_queue.value = 0.0
-        if self._r_delta is not None:
-            self._r_delta.value = None
-        # StaleTelemetry fault state (control-plane-installed snapshot;
-        # same semantics as the behavioral agent).
-        self._frozen: Optional[Tuple[float, float, float, float]] = None
-        self._frozen_at = 0.0
-        self._stale_age: Optional[float] = None
+        params = params or UFabParams()
+        self.prog = build_ufab_pipeline(
+            params.telemetry_plan, bloom_counters=max(64, params.bloom_bits),
+            n_hashes=params.bloom_hashes)
+        # The open packet, or None: the control-plane port (sweep,
+        # reset, freeze, direct on_finish / measured_tx) is unchecked.
+        self._ctx: Optional[_PacketCtx] = None
+        super().__init__(link, params, bloom_seed)
 
-    # -- register views (what the fabric/telemetry accounting reads) ---
-    @property
-    def phi_total(self) -> float:
-        return self._r_phi.value
+    def _in_packet(self, handler: Callable, header: ProbeHeader,
+                   now: float) -> None:
+        outer = self._ctx
+        if outer is not None and outer.header is header:
+            handler(self, header, now)  # on_probe's own stamp: same packet
+            return
+        # Saved and restored: a stamp's link.sync fires deferred
+        # emissions whose probes re-enter this agent as packets of
+        # their own.
+        self._ctx = _PacketCtx(header)
+        try:
+            self.prog.t_kind.apply(self._ctx, int(header.kind))
+            handler(self, header, now)
+            if len(header.hops) > self.prog.record_slots:
+                raise PhvCapacityError(
+                    f"probe carries {len(header.hops)} records; the PHV "
+                    f"parses {self.prog.record_slots} slots (4-bit nHop)")
+        finally:
+            self._ctx = outer
 
-    @phi_total.setter
-    def phi_total(self, value: float) -> None:
-        self._r_phi.value = value
-
-    @property
-    def window_total(self) -> float:
-        return self._r_w.value
-
-    @window_total.setter
-    def window_total(self, value: float) -> None:
-        self._r_w.value = value
-
-    def _reg_value(self, ctx: Optional[_PacketCtx], reg: Register):
-        """Read ``reg`` — via forwarded PHV metadata if this packet
-        already RMW'd it (a second register access would be illegal)."""
-        if ctx is not None and ctx.accessed(reg):
-            return reg.value
-        return reg.read(ctx)
-
-    # ------------------------------------------------------------------
-    # Probe path (data plane: one packet context per probe)
-    # ------------------------------------------------------------------
     def on_probe(self, header: ProbeHeader, now: float) -> None:
         """Handle a forward probe: register demand, stamp INT."""
-        with self.pipe.packet() as ctx:
-            self._t_kind.apply(ctx, int(header.kind))
-            if header.kind == ProbeKind.PROBE:
-                self._register(ctx, header.pair_id, header.phi,
-                               header.window, now)
-            elif header.kind == ProbeKind.FINISH:
-                self._finish(ctx, header.pair_id)
-            self._stamp(ctx, header, now)
+        self._in_packet(CoreAgent.on_probe, header, now)
 
     def stamp(self, header: ProbeHeader, now: float) -> None:
         """Insert this hop's INT record (Figure 9, step 2-3)."""
-        with self.pipe.packet() as ctx:
-            self._stamp(ctx, header, now)
-
-    def _register(self, ctx: Optional[_PacketCtx], pair_id: str,
-                  phi: float, window: float, now: float) -> None:
-        entry = self._t_pair.apply(ctx, pair_id)
-        if entry is not None:
-            old_phi, old_window, _ = entry
-            self._r_phi.rmw(ctx, lambda v: v + (phi - old_phi))
-            self._r_w.rmw(ctx, lambda v: v + (window - old_window))
-            self._t_pair.entries[pair_id] = (phi, window, now)
-            return
-        # Both banks are touched once whether or not the pair is new;
-        # the membership test + predicated insert resolve against the
-        # shared counter array (module-docstring concession).
-        for bank in self._r_blooms:
-            bank.probe(ctx)
-        if self.bloom.contains(pair_id):
-            # False positive: the pair looks already-seen, so its
-            # contribution is omitted (Phi_l, W_l under-estimate).
-            self.false_positives += 1
-            if OBS.enabled:
-                _M_BLOOM_FP.inc()
-            return
-        self.bloom.add(pair_id)
-        self._t_pair.entries[pair_id] = (phi, window, now)
-        self._r_phi.rmw(ctx, lambda v: v + phi)
-        self._r_w.rmw(ctx, lambda v: v + window)
-        if OBS.enabled:
-            OBS.trace.record(now, _EV_REGISTER, {
-                "link": self.link.name, "pair": pair_id,
-                "phi": phi, "window": window,
-            })
-
-    def _finish(self, ctx: Optional[_PacketCtx], pair_id: str) -> bool:
-        entry = self._t_pair.apply(ctx, pair_id)
-        if entry is None:
-            return True  # idempotent: already gone
-        del self._t_pair.entries[pair_id]
-        phi, window, _ = entry
-        # Banks precede the summary registers in the stage program, so
-        # the Bloom decrement runs first; it commutes with the register
-        # updates (disjoint state), keeping values behavioral-identical.
-        for bank in self._r_blooms:
-            bank.probe(ctx)
-        self.bloom.remove(pair_id)
-        self._r_phi.rmw(ctx, lambda v: max(0.0, v - phi))
-        self._r_w.rmw(ctx, lambda v: max(0.0, v - window))
-        return True
-
-    def _sync_for_stamp(self, now: float) -> None:
-        """The link sync the behavioral ``measured_tx`` performs, hoisted
-        ahead of the register reads: firing deferred emissions can
-        update Phi_l/W_l, and the behavioral agent reads them *after*
-        its meter synced the link."""
-        link = self.link
-        pending = link._pending
-        if (pending and pending[0].t < now) or now > link._last_sync:
-            link.sync(now)
-
-    def _meter_update(self, ctx: Optional[_PacketCtx], now: float) -> float:
-        """The TX meter's stage work (link already synced): latch the
-        port byte counter, one RMW on the EWMA state."""
-        link = self.link
-        self._r_portbytes.latch(ctx, link.delivered_bits)
-        delivered = self._r_portbytes.value
-
-        def _meter(state):
-            t_last, d_last, value = state
-            dt = now - t_last
-            if dt >= 5e-6:  # refresh when enough bytes/time accumulated
-                sample = (delivered - d_last) / dt
-                alpha = dt / (dt + _behavioral.CoreAgent.TX_METER_TAU)
-                value += alpha * (sample - value)
-                return (now, delivered, value)
-            if t_last == 0.0 and d_last == 0.0:
-                return (t_last, d_last, link.tx_rate(now))
-            return state
-
-        return self._r_txmeter.rmw(ctx, _meter)[2]
-
-    def measured_tx(self, now: float) -> float:
-        """EWMA'd windowed TX rate from the port's byte counter."""
-        self._sync_for_stamp(now)
-        return self._meter_update(None, now)
-
-    def _stamp(self, ctx: Optional[_PacketCtx], header: ProbeHeader,
-               now: float) -> None:
-        if self._plan_mutates and header.kind == ProbeKind.PROBE:
-            self._stamp_planned(ctx, header, now)
-            return
-        link = self.link
-        if self._frozen is not None:
-            if self._stale_age is not None and now - self._frozen_at >= self._stale_age:
-                # Bounded staleness: refresh the snapshot every age_s.
-                self._frozen = self._snapshot(now)
-                self._frozen_at = now
-            window_total, phi_total, tx, queue = self._frozen
-            self._append_record(header, window_total, phi_total, tx, queue)
-            self.records_stamped += 1
-            if OBS.enabled:
-                _M_STALE_STAMPS.inc()
-                OBS.trace.record(now, _EV_QUEUE, {
-                    "link": link.name, "q_bits": queue, "tx_bps": tx,
-                    "phi_total": phi_total, "window_total": window_total,
-                })
-            return
-        self._sync_for_stamp(now)
-        phi_total = self._reg_value(ctx, self._r_phi)
-        window_total = self._reg_value(ctx, self._r_w)
-        tx = self._meter_update(ctx, now)
-        # The sync above brought the link to ``now``, so the raw queue
-        # register is current — same value queue_bits(now) would return.
-        queue = link.queue
-        self._r_queue.latch(ctx, queue)
-        self._append_record(header, window_total, phi_total, tx, queue)
-        self.records_stamped += 1
-        if OBS.enabled:
-            name = link.name
-            OBS.trace.record(now, _EV_QUEUE, {
-                "link": name, "q_bits": queue, "tx_bps": tx,
-                "phi_total": phi_total, "window_total": window_total,
-            })
-            _S_QUEUE.sample(now, queue, key=name)
-            _S_TX.sample(now, tx, key=name)
-            _G_PHI.set(phi_total, key=name)
-            _G_WINDOW.set(window_total, key=name)
-
-    def _stamp_planned(self, ctx: Optional[_PacketCtx], header: ProbeHeader,
-                       now: float) -> None:
-        """Data-probe stamp under a ``delta`` or ``sketch`` plan."""
-        link = self.link
-        if self._frozen is not None:
-            if self._stale_age is not None and now - self._frozen_at >= self._stale_age:
-                self._frozen = self._snapshot(now)
-                self._frozen_at = now
-            window_total, phi_total, tx, queue = self._frozen
-            if OBS.enabled:
-                _M_STALE_STAMPS.inc()
-        else:
-            self._sync_for_stamp(now)
-            phi_total = self._reg_value(ctx, self._r_phi)
-            window_total = self._reg_value(ctx, self._r_w)
-            tx = self._meter_update(ctx, now)
-            queue = link.queue
-            self._r_queue.latch(ctx, queue)
-        plan = self.plan
-        if plan.kind == "delta":
-            view = (window_total, phi_total, tx, queue)
-            moved = []
-
-            def _delta(last):
-                if last is not None and not plan.moved(view, last):
-                    return last  # predicate false: keep, suppress stamp
-                moved.append(True)
-                return view
-
-            self._r_delta.rmw(ctx, _delta)
-            if not moved:
-                self.deltas_suppressed += 1
-                if OBS.enabled:
-                    M_DELTAS_SUPPRESSED.inc()
-                return
-        else:  # sketch: one folded record per probe (VLIW-only stage)
-            hops = header.hops
-            if hops:
-                head = hops[0]
-                self.sketch_folds += 1
-                if OBS.enabled:
-                    M_SKETCH_FOLDS.inc()
-                # Keep the bottleneck hop: max token subscription
-                # Phi_l / C_l, with the path-max queue folded in.
-                if phi_total * head.capacity > head.phi_total * link.capacity:
-                    if head.queue > queue:
-                        queue = head.queue
-                    head.window_total = window_total
-                    head.phi_total = phi_total
-                    head.tx_rate = tx
-                    head.queue = queue
-                    head.capacity = link.capacity
-                    head.link_name = link.name
-                elif queue > head.queue:
-                    head.queue = queue
-                return
-        self._append_record(header, window_total, phi_total, tx, queue)
-        self.records_stamped += 1
-        if OBS.enabled:
-            name = link.name
-            OBS.trace.record(now, _EV_QUEUE, {
-                "link": name, "q_bits": queue, "tx_bps": tx,
-                "phi_total": phi_total, "window_total": window_total,
-            })
-            _S_QUEUE.sample(now, queue, key=name)
-            _S_TX.sample(now, tx, key=name)
-            _G_PHI.set(phi_total, key=name)
-            _G_WINDOW.set(window_total, key=name)
-
-    def _append_record(self, header: ProbeHeader, window_total: float,
-                       phi_total: float, tx: float, queue: float) -> None:
-        """Write one Figure-22 record into the PHV's record area."""
-        if len(header.hops) >= self.prog.record_slots:
-            raise PhvCapacityError(
-                f"probe already carries {len(header.hops)} records; the "
-                f"PHV parses {self.prog.record_slots} slots (4-bit nHop)")
-        link = self.link
-        header.hops.append(HopRecord(
-            window_total=window_total,
-            phi_total=phi_total,
-            tx_rate=tx,
-            queue=queue,
-            capacity=link.capacity,
-            link_name=link.name,
-        ))
-
-    # ------------------------------------------------------------------
-    # Fault plane (control plane: unconstrained register access)
-    # ------------------------------------------------------------------
-    def _snapshot(self, now: float) -> Tuple[float, float, float, float]:
-        return (
-            self.window_total,
-            self.phi_total,
-            self.measured_tx(now),
-            self.link.queue_bits(now),
-        )
-
-    def freeze_telemetry(self, now: float, age_s: Optional[float] = None) -> None:
-        """Serve stale INT: stamp a frozen snapshot instead of live state."""
-        self._frozen = self._snapshot(now)
-        self._frozen_at = now
-        self._stale_age = age_s
-
-    def unfreeze_telemetry(self, now: Optional[float] = None) -> None:
-        # Deferred fast-path stamps due during the freeze must be served
-        # from the frozen snapshot, not the thawing registers.
-        if now is not None:
-            self.link.flush_pending(now)
-        self._frozen = None
-        self._stale_age = None
-
-    @property
-    def telemetry_frozen(self) -> bool:
-        return self._frozen is not None
-
-    def reset(self, now: float = 0.0) -> None:
-        """Line-card reboot (CoreReset fault): wipe Bloom + Phi_l/W_l."""
-        self.link.flush_pending(now)
-        self._t_pair.entries.clear()
-        self._r_phi.value = 0.0
-        self._r_w.value = 0.0
-        self.bloom.clear()
-        if self._r_delta is not None:
-            # A rebooted line card has no last-stamped view either.
-            self._r_delta.value = None
-        # Restart the TX meter from the port's current byte counter.
-        self._r_portbytes.value = self.link.delivered_bits
-        self._r_txmeter.value = (now, self.link.delivered_bits, 0.0)
-
-    # ------------------------------------------------------------------
-    # Deactivation
-    # ------------------------------------------------------------------
-    def on_finish(self, pair_id: str) -> bool:
-        """Finish probe: drop the pair's contribution.  Returns ack."""
-        return self._finish(None, pair_id)
-
-    def sweep(self, now: float) -> int:
-        """Remove silently-inactive pairs (no probe within the timeout)."""
-        self.link.flush_pending(now)
-        timeout = self.params.silence_timeout_s
-        table = self._t_pair.entries
-        stale = [pid for pid, (_, _, seen) in table.items()
-                 if now - seen > timeout]
-        for pid in stale:
-            self.on_finish(pid)
-        if stale and OBS.enabled:
-            _M_SWEPT.inc(len(stale))
-            OBS.trace.record(now, _EV_SWEEP,
-                             {"link": self.link.name, "removed": len(stale)})
-        return len(stale)
-
-    # ------------------------------------------------------------------
-    def active_pairs(self) -> int:
-        return len(self._t_pair.entries)
-
-    def target_capacity(self) -> float:
-        return self.params.target_capacity(self.link.capacity)
+        self._in_packet(CoreAgent.stamp, header, now)

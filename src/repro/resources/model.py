@@ -122,7 +122,7 @@ def telemetry_plan_costs(
     usage = prog.pipe.usage()
     stamp_salus = usage["salus"] - sum(r.salu_slots for r in prog.r_blooms)
     plan_sram_bits = (prog.r_delta.width_bits
-                      if prog.r_delta is not None else 0)
+                      if prog.r_delta.stage is not None else 0)
     return {
         "plan": plan.spec,
         "expected_records": expected,

@@ -1,13 +1,16 @@
 """Backend conformance: the alternative backend must be bit-identical.
 
-The ``pipeline`` backend (:mod:`repro.core.p4pipe`) re-implements the
-core agent as an explicit Tofino-like match-action pipeline — stages,
-one register-ALU RMW per register per packet, a stage budget, the
-Figure-22 layout stamped field-by-field.  It is only admissible as a
-backend if it is *bit-identical* to the behavioral reference on
+The ``pipeline`` backend (:mod:`repro.core.p4pipe`) runs the core
+agent's own methods with their registers placed in an explicit
+Tofino-like match-action pipeline and every access checked — stage
+order, one write per register per packet, a stage budget, the 4-bit
+nHop bound.  It is only admissible as a backend if placement and
+checking leave it *bit-identical* to the behavioral default on
 everything an experiment can observe: probe payloads, hop records,
 figure rows, and trace streams — across schemes, seeds, fault
-schedules, telemetry plans, and both probe-transit modes.
+schedules, telemetry plans, and both probe-transit modes.  (These
+whole-cell runs are also where a ``CoreAgent`` edit that breaks stage
+order surfaces as a ``RegisterAccessError``.)
 
 Payload comparison is exact ``==`` after stripping ``events_processed``
 and ``_obs`` (the trace streams are compared separately, in full).
@@ -30,7 +33,7 @@ TELEM = "repro.experiments.fig_telemetry:cell"
 
 # Every injector mechanism at once: loss/delay windows, link flaps,
 # frozen telemetry, and mid-run restarts/resets (the CoreReset path
-# exercises PipelineCoreAgent.reset through the fault plane).
+# exercises reset over the control-plane port, mid-run).
 MIXED = ("probe_loss:0.02@1ms-4ms;probe_delay:20us+10us@2ms-6ms;"
          "link_flaps:mtbf=3ms,mttr=1ms/Agg;stale:1ms@3ms-5ms;"
          "core_reset:Core1@4ms;edge_restart:S1@5ms")

@@ -86,6 +86,39 @@ def test_invalid_sizes_rejected():
         CountingBloomFilter(n_hashes=0)
 
 
+def test_each_hash_reads_its_own_digest_chunk():
+    # The 16-byte digest holds four disjoint 32-bit hashes.  (Offsets
+    # were once taken mod 12, so hash 3 silently repeated hash 0.)
+    import hashlib
+
+    bloom = CountingBloomFilter(n_counters=1 << 32, n_hashes=4, seed=9)
+    digest = hashlib.blake2b(b"vm1->vm2", digest_size=16,
+                             salt=(9).to_bytes(8, "little")).digest()
+    assert bloom._indices("vm1->vm2") == [
+        int.from_bytes(digest[o:o + 4], "little") for o in (0, 4, 8, 12)]
+    at_2_20 = CountingBloomFilter(n_counters=1 << 20, n_hashes=4)._indices("vm1->vm2")
+    assert at_2_20[:3] == [402073, 940240, 611367]  # k <= 3: unchanged
+    assert len(set(at_2_20)) == 4
+
+
+def test_more_hashes_than_the_digest_holds_rejected():
+    with pytest.raises(ValueError, match="at most 4"):
+        CountingBloomFilter(n_hashes=5)
+
+
+def test_two_hash_indices_are_pinned():
+    # Every committed digest runs k = 2; these are the parent's values.
+    pinned = {
+        "vm1->vm2": ([402073, 940240], [113648, 138131]),
+        "vm3->vm0": ([868856, 642213], [49884, 17004]),
+        "10.0.0.1->10.0.3.7": ([179444, 531839], [75206, 115017]),
+    }
+    for key, (at_2_20, paper_sized) in pinned.items():
+        assert CountingBloomFilter(n_counters=1 << 20)._indices(key) == at_2_20
+        assert CountingBloomFilter(n_counters=20 * 1024 * 8,
+                                   seed=5)._indices(key) == paper_sized
+
+
 @settings(max_examples=30)
 @given(st.sets(st.text(min_size=1, max_size=20), min_size=1, max_size=100))
 def test_membership_invariant(keys):
