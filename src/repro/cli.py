@@ -7,13 +7,13 @@ Examples::
     python -m repro fig11 --schemes ufab pwc
     python -m repro case2
     python -m repro tables
-    python -m repro bench --grid fig11 --jobs 4
+    python -m repro trace fig11 --scheme ufab
 
 Every figure subcommand is generated from an experiment's declarative
 spec (:class:`repro.experiments.common.ExperimentSpec`: axes -> flags,
-columns -> table), as are ``bench --grid`` / ``trace`` choices and
-``repro list`` — this module names no experiment except for
-``telemetry``'s two non-grid modes.  Every figure command accepts
+columns -> table), as are the ``trace`` choices and ``repro list`` —
+this module names no experiment except for ``telemetry``'s
+``--resources`` mode.  Every figure command accepts
 ``--jobs N`` (default: ``REPRO_JOBS`` env var, else 1) to fan the sweep
 grid out over processes via :mod:`repro.runner`; results are memoized
 under ``.repro_cache/`` unless ``--no-cache`` is given.
@@ -135,8 +135,8 @@ def _overhead(args) -> None:
 
 
 def _telemetry(args) -> None:
-    """``repro telemetry``: the frontier grid, or one of its two
-    non-grid modes (``--resources`` cost table, ``--gate`` CI check)."""
+    """``repro telemetry``: the frontier grid, or its non-grid
+    ``--resources`` cost table."""
     if args.resources:
         from repro.resources import telemetry_plan_table
 
@@ -156,119 +156,7 @@ def _telemetry(args) -> None:
              "PHV bits", "SALU/hop", "SRAM b/port"], rows))
         return
 
-    if args.gate:
-        import json
-
-        from repro.experiments import fig_telemetry
-
-        with open(args.gate, encoding="utf-8") as fh:
-            report = json.load(fh)
-        rows_raw = report["rows"] if isinstance(report, dict) else report
-        verdict = fig_telemetry.gate(rows_raw, plan=args.gate_plan)
-        entry = verdict["entry"] or {}
-        print(f"telemetry gate ({verdict['plan']}): "
-              f"byte reduction x{entry.get('byte_reduction') or 0:.2f} "
-              f"(floor x{verdict['min_byte_reduction']:.1f}), "
-              f"stamp reduction x{entry.get('stamp_reduction') or 0:.2f} "
-              f"(floor x{verdict['min_stamp_reduction']:.1f}), "
-              f"compliance drift {entry.get('compliance_drift') or 0:+.4f} "
-              f"(cap {verdict['max_compliance_drift']:.2f})")
-        if not verdict["passed"]:
-            for failure in verdict["failures"]:
-                print(f"  FAIL: {failure}", file=sys.stderr)
-            raise SystemExit(1)
-        print("  PASS")
-        return
-
     _figure(args)
-
-
-def _bench_compare(args) -> None:
-    import json
-
-    from repro.runner.bench import compare_reports
-
-    old_path, new_path = args.compare
-    with open(old_path, encoding="utf-8") as fh:
-        old = json.load(fh)
-    with open(new_path, encoding="utf-8") as fh:
-        new = json.load(fh)
-    diff = compare_reports(old, new, threshold=args.threshold,
-                           metric=args.metric, gate=args.gate)
-    if args.compare_out:
-        with open(args.compare_out, "w", encoding="utf-8") as fh:
-            json.dump(diff, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    rows = [
-        [c["experiment"], c["scheme"], c["seed"],
-         f"{c['old_events_per_sec']:,.0f}" if c["old_events_per_sec"] else "-",
-         f"{c['new_events_per_sec']:,.0f}" if c["new_events_per_sec"] else "-",
-         f"x{c['speedup']:.2f}" if c["speedup"] is not None else "-",
-         f"{c['old_wall_s']:.2f} -> {c['new_wall_s']:.2f}"]
-        for c in diff["cells"]
-    ]
-    print(format_table(
-        f"bench compare: {old_path} -> {new_path}",
-        ["experiment", "scheme", "seed", "old ev/s", "new ev/s",
-         "speedup", "wall (s)"], rows))
-    print(f"\nmatched: {diff['n_matched']}   "
-          f"old-only: {diff['n_old_only']}   new-only: {diff['n_new_only']}")
-    print(f"speedup ({diff['metric']}): worst x{diff['worst_speedup']}, "
-          f"geomean x{diff['geomean_speedup']}, best x{diff['best_speedup']}")
-    if args.threshold is not None:
-        verdict = "PASS" if diff["passed"] else "FAIL"
-        print(f"threshold: {diff['gate']} >= x{args.threshold}  ->  {verdict}")
-    if not diff["passed"] or not diff["n_matched"]:
-        raise SystemExit(1)
-
-
-def _bench(args) -> None:
-    from repro.runner.bench import run_bench
-
-    if args.compare:
-        _bench_compare(args)
-        return
-
-    axes = {}
-    if args.schemes:
-        axes["schemes"] = args.schemes
-    if args.degrees:
-        axes["degrees"] = args.degrees
-    report = run_bench(
-        grid=args.grid,
-        jobs=args.jobs,
-        seeds=tuple(args.seeds),
-        duration=args.duration,
-        timeout_s=args.timeout,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        out=args.out,
-        profile=args.profile,
-        backend=args.backend,
-        **axes,
-    )
-    rows = [
-        [r["experiment"],
-         r["scheme"] + (f"/{r['backend']}" if r.get("backend") else ""),
-         r["seed"],
-         "hit" if r["cached"] else ("ok" if r["ok"] else "FAIL"),
-         f"{r['wall_s']:.2f}",
-         f"{r['events_per_sec']:,.0f}" if r["events_per_sec"] else "-"]
-        for r in report["results"]
-    ]
-    print(format_table(
-        f"bench {report['grid']}: {report['n_jobs']} jobs x {report['jobs']} workers",
-        ["experiment", "scheme", "seed", "status", "wall (s)", "events/s"], rows))
-    cache = report["cache"]
-    rss = report.get("peak_rss_kb", 0)
-    print(f"\ntotal wall: {report['total_wall_s']:.2f}s   "
-          f"cache: {cache['hits']} hits / {cache['misses']} misses   "
-          f"failed: {report['n_failed']}"
-          + (f"   peak RSS: {rss / 1024:.0f} MiB" if rss else ""))
-    if "out" in report:
-        print(f"report written to {report['out']}")
-    if report["n_failed"]:
-        raise SystemExit(1)
 
 
 def _trace(args) -> None:
@@ -283,13 +171,8 @@ def _trace(args) -> None:
     pick = {}
     if args.scheme and any(axis.name == "schemes" for axis in spec.axes):
         pick["schemes"] = (args.scheme,)
-    grid_jobs = build_grid(
-        spec.name,
-        duration=(args.duration if args.duration is not None
-                  else spec.bench_duration),
-        seeds=(args.seed,),
-        **pick,
-    )
+    grid_jobs = build_grid(spec.name, duration=args.duration,
+                           seeds=(args.seed,), **pick)
     if args.scheme:
         labels = dict.fromkeys(j.scheme for j in grid_jobs)
         grid_jobs = [j for j in grid_jobs if j.scheme == args.scheme]
@@ -373,7 +256,6 @@ def _backend_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
     from repro.experiments.common import experiment_names, get_spec
     from repro.obs.trace import DEFAULT_CAPACITY
 
@@ -398,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
         print("available figures:")
         for name, help in catalog:
             print(f"  {name:10s} {help}")
-        print(f"\ngrids (bench --grid / trace): {' '.join(grids)}")
+        print(f"\ngrids (trace): {' '.join(grids)}")
         print("(benchmarks/ regenerates everything: "
               "pytest benchmarks/ --benchmark-only -s)")
 
     for name in grids:
         spec = get_spec(name)
         if not (spec.columns or spec.render):
-            continue  # bench/trace-only grid
+            continue  # trace-only grid
         p = command(name, _figure, spec.help, parents=grid_opts)
         p.add_argument("--duration", type=float, default=spec.duration,
                        help=f"simulated seconds per cell "
@@ -429,15 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.description = (
         "Sweep the Fig-11 guarantee workload under each telemetry plan "
         "(full / sampled / delta / sketch) and print the overhead-vs-"
-        "fidelity frontier.  --gate checks a BENCH_telemetry.json report "
-        "against the CI thresholds (exit 1 on failure); --resources "
-        "prints the analytic per-plan hardware cost table instead.")
-    tp.add_argument("--gate", metavar="PATH", default=None,
-                    help="gate this BENCH_telemetry.json report instead "
-                         "of running the sweep (exit 1 on failure)")
-    tp.add_argument("--gate-plan", default=DEFAULT_SAMPLED_PLAN,
-                    help=f"plan the gate holds to its thresholds "
-                         f"(default: {DEFAULT_SAMPLED_PLAN})")
+        "fidelity frontier.  --resources prints the analytic per-plan "
+        "hardware cost table instead.")
     tp.add_argument("--resources", action="store_true",
                     help="print the analytic wire/PHV/SALU/SRAM cost table")
     tp.add_argument("--hops", type=int, default=5,
@@ -447,44 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
             parents=[runner_opts])
     command("overhead", _overhead, "Figure 15b probing overhead",
             parents=[runner_opts])
-
-    b = command("bench", _bench, "run a sweep grid, emit BENCH_*.json",
-                parents=[runner_opts, _backend_parent()])
-    b.add_argument("--grid", choices=sorted(grids), default="fig11",
-                   help="which grid to run (default: fig11)")
-    b.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per cell (default: per-grid)")
-    b.add_argument("--schemes", nargs="*", default=None,
-                   help="subset of schemes (grids with a schemes axis)")
-    b.add_argument("--degrees", nargs="*", type=int, default=None,
-                   help="incast degrees (fig4 grid)")
-    b.add_argument("--seeds", nargs="*", type=int, default=[1, 2],
-                   help="seeds per cell (default: 1 2)")
-    b.add_argument("--timeout", type=float, default=None,
-                   help="per-job timeout in wall seconds")
-    b.add_argument("--out", default=None,
-                   help="report path (default: BENCH_<grid>.json)")
-    b.add_argument("--profile", action="store_true",
-                   help="attach the obs event-loop profiler to every cell "
-                        "(distinct cache keys from unprofiled runs)")
-    b.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-                   help="diff two BENCH_*.json reports (events/sec and "
-                        "per-job wall time) instead of running a grid")
-    b.add_argument("--threshold", type=float, default=None,
-                   help="with --compare: fail (exit 1) if the gated "
-                        "speedup is below this")
-    b.add_argument("--metric", choices=("events", "wall", "heap", "rss"),
-                   default="events",
-                   help="with --compare: speedup basis — events/sec "
-                        "(default), wall time, heap (total events "
-                        "deleted; the machine-independent work gate), "
-                        "or rss (peak-RSS ratio, the scale sweep's "
-                        "memory gate)")
-    b.add_argument("--gate", choices=("worst", "geomean"), default="worst",
-                   help="with --compare: apply --threshold to the worst "
-                        "cell (default) or to the geometric mean")
-    b.add_argument("--compare-out", metavar="PATH", default=None,
-                   help="with --compare: also write the diff JSON here")
 
     t = command(
         "trace", _trace, "run one fully-instrumented cell, write its trace",
@@ -501,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: first cell)")
     t.add_argument("--seed", type=int, default=1, help="cell seed (default: 1)")
     t.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds (default: per-grid bench duration)")
+                   help="simulated seconds (default: the grid's own)")
     t.add_argument("--out", default=None,
                    help="JSONL trace path (default: TRACE_<experiment>.jsonl)")
     t.add_argument("--chrome", metavar="PATH", default=None,

@@ -62,8 +62,8 @@ PLAN_KINDS = ("full", "sampled", "delta", "sketch")
 
 # The default lightweight plan: every link stamps every 4th probe of a
 # pair (rotating by seq), ~1 record per probe on the 4-hop testbed
-# paths — the plan the bench gate holds to >= 2x telemetry-byte
-# reduction at < 2% compliance drift.
+# paths — the plan tests/test_count_gates.py holds to >= 2x
+# telemetry-byte reduction at < 2% compliance drift.
 DEFAULT_SAMPLED_PLAN = "sampled:k=4"
 
 # ---------------------------------------------------------------------

@@ -5,8 +5,8 @@ that finish in seconds, returning a result object whose fields map
 one-to-one onto the figure's panels.  The benchmark suite calls these
 and prints paper-style rows; EXPERIMENTS.md records paper-vs-measured.
 Grid experiments also declare a ``SPEC`` (:class:`repro.experiments.
-common.ExperimentSpec`) from which the runner grids, ``repro bench`` and
-the CLI subcommands are generated.
+common.ExperimentSpec`) from which the runner grids and the CLI
+subcommands are generated.
 
 Modules (import directly, e.g. ``from repro.experiments import
 case1_incast``):

@@ -334,7 +334,6 @@ SPEC = ExperimentSpec(
     ),
     seeds=(41,),
     duration=0.03,
-    bench_duration=0.03,
 )
 
 

@@ -102,7 +102,6 @@ SPEC = ExperimentSpec(
     ),
     seeds=(1,),
     duration=0.02,
-    bench_duration=0.01,
     title="Figure 4: incast RTT (us)",
     columns=(
         ("scheme", lambda r: r["scheme"]),

@@ -218,7 +218,6 @@ SPEC = ExperimentSpec(
     help="Case-2 migration scenario",
     build=_grid,
     duration=0.16,
-    bench_duration=0.12,
     render=_render,
 )
 

@@ -8,10 +8,10 @@ doorway into :mod:`repro.runner`.  Each grid experiment declares one
 :func:`run_grid` submits them, fanning out over processes when
 ``jobs > 1`` and otherwise running in-process (debugger- and
 coverage-friendly), with results served from the on-disk cache when
-the configuration and code are unchanged.  ``repro bench``, ``repro
-trace`` and every figure subcommand are generated from the same specs,
-so adding an experiment is one module plus one :data:`_EXPERIMENT_MODULES`
-line (walkthrough: ``docs/API.md``).
+the configuration and code are unchanged.  ``repro trace`` and every
+figure subcommand are generated from the same specs, so adding an
+experiment is one module plus one :data:`_EXPERIMENT_MODULES` line
+(walkthrough: ``docs/API.md``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import itertools
+import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines.fabrics import make_fabric
@@ -64,7 +65,8 @@ def build_scheme(
 # ----------------------------------------------------------------------
 
 class SpecError(ValueError):
-    """An unknown experiment name, axis override or cell label."""
+    """An unknown experiment name, axis override or cell label, a grid
+    left without cells, or a duration that is not positive and finite."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,9 +97,8 @@ class ExperimentSpec:
     ``seeds`` innermost; each cell is a :class:`Job` calling ``entry``
     with the axis params, ``fixed``, ``duration`` and ``seed``.
     Irregular grids give ``build(duration, seeds, **axes)`` instead and
-    assemble their own jobs.  ``duration`` / ``bench_duration`` are the
-    figure-subcommand and the ``repro bench`` / ``repro trace``
-    defaults.  An empty ``seeds`` means the cells take no seed;
+    assemble their own jobs.  ``duration`` is the default simulated
+    seconds per cell.  An empty ``seeds`` means the cells take no seed;
     ``seed_flag`` (``"--seed"`` or ``"--seeds"``) exposes it on the
     figure subcommand; ``first_seed_only`` keeps one seed of those
     requested.  ``experiment`` / ``scheme`` override the :class:`Job`
@@ -106,13 +107,12 @@ class ExperimentSpec:
     The result table is ``title`` + ``columns`` (header, callable on
     the row), over ``summarise(rows)`` when given; ``render(rows)``
     replaces the table with free text.  A spec with neither is a
-    bench/trace-only grid, not a figure subcommand.
+    trace-only grid, not a figure subcommand.
     """
 
     name: str
     help: str
     duration: float
-    bench_duration: float
     entry: str = ""
     axes: Tuple[Axis, ...] = ()
     seeds: Tuple[int, ...] = ()
@@ -141,7 +141,6 @@ _EXPERIMENT_MODULES: Dict[str, str] = {
     "scale": "repro.experiments.scale_sweep",
     "telemetry": "repro.experiments.fig_telemetry",
     "ablations": "repro.experiments.ablations",
-    "smoke": "repro.experiments.smoke",
 }
 
 
@@ -168,9 +167,10 @@ def build_grid(
     """The named experiment's cells, in table order.
 
     ``duration`` / ``seeds`` default to the spec's; ``overrides``
-    replace axis values by axis name (an unknown name is a
-    :class:`SpecError` listing the spec's axes).  Specs whose cells take
-    no seed ignore ``seeds``.
+    replace axis values by axis name.  An unknown axis name, values
+    that leave the grid without a cell (an empty axis or seed list), or
+    a ``duration`` that is not a positive finite number is a
+    :class:`SpecError`.  Specs whose cells take no seed ignore ``seeds``.
     """
     spec = get_spec(name)
     axes = {axis.name: axis.default for axis in spec.axes}
@@ -182,23 +182,33 @@ def build_grid(
     axes.update((key, tuple(values)) for key, values in overrides.items())
     if duration is None:
         duration = spec.duration
+    if not (math.isfinite(duration) and duration > 0):
+        raise SpecError(f"grid {name!r}: duration must be a positive finite "
+                        f"number of seconds, got {duration!r}")
     seeds = tuple(spec.seeds if seeds is None else seeds)
     if spec.first_seed_only:
         seeds = seeds[:1]
     if spec.build is not None:
-        return spec.build(duration, seeds, **axes)
-    keys = [axis.param for axis in spec.axes]
-    grid_jobs = []
-    for values in itertools.product(*axes.values()):
-        cell = dict(zip(keys, values), **spec.fixed, duration=duration)
-        for seed in seeds if spec.seeds else (None,):
-            grid_jobs.append(Job(
-                experiment=spec.experiment or name,
-                entry=spec.entry,
-                scheme=cell.get("scheme", spec.scheme),
-                seed=seed or 0,
-                params=cell if seed is None else dict(cell, seed=seed),
-            ))
+        grid_jobs = spec.build(duration, seeds, **axes)
+    else:
+        keys = [axis.param for axis in spec.axes]
+        grid_jobs = []
+        for values in itertools.product(*axes.values()):
+            cell = dict(zip(keys, values), **spec.fixed, duration=duration)
+            for seed in seeds if spec.seeds else (None,):
+                grid_jobs.append(Job(
+                    experiment=spec.experiment or name,
+                    entry=spec.entry,
+                    scheme=cell.get("scheme", spec.scheme),
+                    seed=seed or 0,
+                    params=cell if seed is None else dict(cell, seed=seed),
+                ))
+    if not grid_jobs:
+        empty = [key for key, values in axes.items() if not values]
+        if spec.seeds and not seeds:
+            empty.append("seeds")
+        raise SpecError(
+            f"grid {name!r} has no cells: no values for {', '.join(empty)}")
     return grid_jobs
 
 

@@ -125,7 +125,6 @@ SPEC = ExperimentSpec(
                help="subset of schemes"),),
     seeds=(3,),
     duration=0.25,
-    bench_duration=0.05,
     title="Figure 11: dissatisfaction / queue p99",
     columns=(
         ("scheme", lambda r: r["scheme"]),

@@ -108,7 +108,6 @@ SPEC = ExperimentSpec(
                help="subset of schemes"),),
     seeds=(1,),
     duration=0.04,
-    bench_duration=0.02,
     title="Figure 12: 14-to-1 incast RTT (us)",
     columns=(
         ("scheme", lambda r: r["scheme"]),

@@ -151,7 +151,6 @@ SPEC = ExperimentSpec(
                help="subset of schemes"),),
     fixed={"n_senders": 90},
     duration=0.02,
-    bench_duration=0.02,
     title="Figure 16: 90-to-1 dynamic workload",
     columns=(
         ("scheme", lambda r: r["scheme"]),

@@ -199,7 +199,6 @@ SPEC = ExperimentSpec(
     ),
     seeds=(5,),
     duration=0.04,
-    bench_duration=0.04,
     title="Resilience: dissatisfaction / tail RTT under faults",
     columns=(
         ("scheme", lambda r: r["scheme"]),

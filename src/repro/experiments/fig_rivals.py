@@ -185,7 +185,6 @@ SPEC = ExperimentSpec(
     axes=(Axis("schemes", "scheme", RIVAL_SCHEMES, help="subset of schemes"),),
     seeds=(7,),
     duration=0.08,
-    bench_duration=0.05,
     title="Rivals head-to-head: compliance x work conservation x tail x overhead",
     columns=(
         ("scheme", lambda r: r["scheme"]),

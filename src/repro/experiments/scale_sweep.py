@@ -18,9 +18,9 @@ Tractability comes from two levers built for this sweep:
   fabric pair, so controller/probe/solver state scales with distinct
   (endpoints, class) combinations, not the raw pair population.
 
-``repro bench --grid scale`` runs :data:`SPEC`'s grid into
-``BENCH_scale.json`` (events/sec + peak-RSS per cell); ``repro scale``
-prints the same sweep as a table.  Retired: the ``run_one(solver=)``
+``repro scale`` prints :data:`SPEC`'s grid as a table;
+``tests/test_count_gates.py`` caps three of its cells' event counts and
+the k=16 cell's flow-group count.  Retired: the ``run_one(solver=)``
 kernel pin and its environment variable — scalar == vector on a whole
 cell is asserted by ``tests/test_scale_sweep.py`` through a test-only
 seam.
@@ -201,11 +201,10 @@ SPEC = ExperimentSpec(
     ),
     seeds=(DEFAULT_SEED,),
     seed_flag="--seed",
-    # The cells are the most expensive in the suite and the sweep gates
-    # throughput/RSS, not statistics: bench keeps the first seed given.
+    # The cells are the most expensive in the suite and the sweep reports
+    # counts, not statistics: the grid keeps the first seed given.
     first_seed_only=True,
     duration=DEFAULT_DURATION,
-    bench_duration=0.015,
     title="Cluster-scale churn sweep (peak pairs/groups = flow-group folding)",
     columns=(
         ("scheme", lambda r: r["scheme"]),

@@ -13,8 +13,8 @@ about itself:
   and time-series declared at module import, sampled per-RTT by
   ``EdgeAgent`` / ``CoreAgent`` / ``Link``;
 * :class:`~repro.obs.profile.SimProfiler` — event-loop profiling hooks
-  in ``Simulator.run()`` (events/sec, heap depth, wall per sim-second)
-  feeding ``BENCH_*.json``;
+  in ``Simulator.run()`` (events/sec, heap depth, wall per sim-second),
+  printed by ``repro trace``;
 * ``python -m repro.obs`` — documentation generator and checker for
   ``docs/METRICS.md`` (:mod:`repro.obs.docs`).
 

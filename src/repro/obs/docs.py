@@ -108,10 +108,10 @@ def generated_markdown() -> str:
         "",
         "## Profiling",
         "",
-        "`repro bench --profile` (or an obs config with `profile: true`)",
-        "attaches a `SimProfiler` to every `Simulator`, sampling the event",
-        "loop every `profile_sample_every` events.  The per-cell summary",
-        "feeds `BENCH_*.json` under each result's `profile` key:",
+        "`repro trace` (or an obs config with `profile: true`) attaches a",
+        "`SimProfiler` to every `Simulator`, sampling the event loop every",
+        "`profile_sample_every` events.  The per-cell summary lands in the",
+        "payload under `_obs.profile`:",
         "",
         "| field | meaning |",
         "|---|---|",

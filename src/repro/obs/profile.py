@@ -7,7 +7,8 @@ drives its event loop in ``sample_every``-event slices and calls
 :meth:`tick` between them.  A plain run carries ``profiler is None``
 and runs the same loop unsliced; neither mode adds per-event work.
 
-The :meth:`summary` feeds ``BENCH_*.json`` via ``repro bench --profile``.
+The :meth:`summary` lands in the cell's payload under
+``_obs.profile``; ``repro trace`` prints its engine line.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class SimProfiler:
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
-        """JSON-serializable digest for bench reports."""
+        """JSON-serializable digest (the payload's ``_obs.profile``)."""
         return {
             "events": self.events,
             "runs": self.runs,

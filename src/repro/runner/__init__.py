@@ -12,11 +12,11 @@ disk keyed by configuration hash + source fingerprint:
   isolation, in-process ``jobs=1`` fallback.
 * :mod:`repro.runner.cache` — :class:`ResultCache` under
   ``.repro_cache/``.
-* :mod:`repro.runner.bench` — ``repro bench``: ``BENCH_*.json`` perf
-  reports over the grids registered in :mod:`repro.experiments.common`.
+
+Grids are built and submitted through
+:func:`repro.experiments.common.build_grid` / ``run_grid``.
 """
 
-from repro.runner.bench import compare_reports, run_bench
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.job import Job, JobResult, code_version, execute_job
 from repro.runner.parallel import ParallelRunner, default_jobs
@@ -26,8 +26,6 @@ __all__ = [
     "JobResult",
     "ParallelRunner",
     "ResultCache",
-    "compare_reports",
-    "run_bench",
     "code_version",
     "execute_job",
     "default_cache_dir",

@@ -4,8 +4,7 @@ One JSON file per job under ``.repro_cache/`` (override with
 ``REPRO_CACHE_DIR`` or the ``cache_dir`` argument), named by the job's
 config hash.  The hash already folds in the source-tree fingerprint,
 so editing any ``repro`` module invalidates every entry without a
-manual flush.  Records keep the cold-run wall time and event count so
-cached bench reports can still show the original cost.
+manual flush.  Records keep the cold-run wall time next to the payload.
 """
 
 from __future__ import annotations

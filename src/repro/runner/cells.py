@@ -1,4 +1,4 @@
-"""Diagnostic grid cells for runner tests and CI smoke grids.
+"""Diagnostic grid cells for runner tests.
 
 These are module-level entry points (spawn workers import them by
 name) with no simulator dependency, so runner mechanics — ordering,
@@ -16,7 +16,7 @@ def echo_cell(value: Any = 0, sleep_s: float = 0.0, seed: int = 0) -> Dict[str, 
     """Return its inputs; optionally sleeps to simulate work."""
     if sleep_s > 0:
         time.sleep(sleep_s)
-    return {"value": value, "seed": seed, "sleep_s": sleep_s, "events_processed": 1}
+    return {"value": value, "seed": seed, "sleep_s": sleep_s}
 
 
 def failing_cell(message: str = "boom", seed: int = 0) -> Dict[str, Any]:
@@ -27,12 +27,12 @@ def failing_cell(message: str = "boom", seed: int = 0) -> Dict[str, Any]:
 def hanging_cell(sleep_s: float = 3600.0, seed: int = 0) -> Dict[str, Any]:
     """Sleeps (nominally) forever — exercises the per-job timeout."""
     time.sleep(sleep_s)
-    return {"slept": sleep_s, "events_processed": 0}
+    return {"slept": sleep_s}
 
 
 def pid_cell(seed: int = 0) -> Dict[str, Any]:
     """Report the executing PID — proves workers persist across jobs."""
-    return {"pid": os.getpid(), "seed": seed, "events_processed": 1}
+    return {"pid": os.getpid(), "seed": seed}
 
 
 def dying_cell(exit_code: int = 7, seed: int = 0) -> Dict[str, Any]:
@@ -44,10 +44,3 @@ def dying_cell(exit_code: int = 7, seed: int = 0) -> Dict[str, Any]:
     os._exit(exit_code)
     return {}  # pragma: no cover - unreachable
 
-
-def spin_cell(n: int = 200_000, seed: int = 0) -> Dict[str, Any]:
-    """CPU-bound busy loop — exercises real parallel speedup."""
-    acc = seed
-    for i in range(n):
-        acc = (acc * 1103515245 + 12345 + i) % (2**31)
-    return {"acc": acc, "n": n, "events_processed": n}

@@ -146,24 +146,6 @@ class Job:
         return f"{self.experiment}[{self.scheme or self.entry}]{tail}"
 
 
-def peak_rss_kb() -> int:
-    """This process's lifetime peak resident set size, in KiB.
-
-    ``ru_maxrss`` is a high-watermark: it never decreases, so for a
-    persistent worker it reports the largest job seen so far, an upper
-    bound for any individual cell (exact for the cell that set it —
-    which, for a scale sweep, is the cell being gated).  Linux reports
-    KiB, macOS bytes; normalized here.
-    """
-    import resource
-    import sys
-
-    raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        raw //= 1024
-    return int(raw)
-
-
 @dataclasses.dataclass
 class JobResult:
     """Outcome of one job, in submission order (``index``)."""
@@ -175,16 +157,6 @@ class JobResult:
     error: Optional[str] = None
     wall_s: float = 0.0
     cached: bool = False
-    # Peak RSS of the process that executed the job, in KiB (0 when
-    # unknown, e.g. a cache hit — the cache stores results, not the
-    # memory profile of the machine that produced them).
-    peak_rss_kb: int = 0
-
-    @property
-    def events_processed(self) -> int:
-        if self.payload and isinstance(self.payload, dict):
-            return int(self.payload.get("events_processed", 0) or 0)
-        return 0
 
 
 def execute_job(job: Job) -> Dict[str, Any]:
@@ -234,8 +206,8 @@ def execute_job(job: Job) -> Dict[str, Any]:
     return json.loads(canonical_json(dict(payload)))
 
 
-def timed_execute(job: Job) -> "tuple[Dict[str, Any], float, int]":
-    """Run a job; returns (payload, wall seconds, peak RSS in KiB)."""
+def timed_execute(job: Job) -> "tuple[Dict[str, Any], float]":
+    """Run a job; returns (payload, wall seconds)."""
     start = time.perf_counter()
     payload = execute_job(job)
-    return payload, time.perf_counter() - start, peak_rss_kb()
+    return payload, time.perf_counter() - start

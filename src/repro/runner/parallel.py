@@ -49,7 +49,7 @@ def _worker_main(conn) -> None:
     """Persistent worker body: serve jobs until the ``None`` sentinel.
 
     Messages in: ``(index, job)`` tuples.  Messages out:
-    ``(index, "ok", payload, wall_s, peak_rss_kb)`` or
+    ``(index, "ok", payload, wall_s)`` or
     ``(index, "error", tb)``.  A raising cell is an answered request,
     not a dead worker.
     """
@@ -60,8 +60,8 @@ def _worker_main(conn) -> None:
                 break
             index, job = request
             try:
-                payload, wall, rss = timed_execute(job)
-                conn.send((index, "ok", payload, wall, rss))
+                payload, wall = timed_execute(job)
+                conn.send((index, "ok", payload, wall))
             except BaseException:
                 conn.send((index, "error", traceback.format_exc()))
     except (EOFError, OSError):  # parent went away - nothing to report to
@@ -180,10 +180,9 @@ class ParallelRunner:
         for index in todo:
             job = jobs[index]
             try:
-                payload, wall, rss = timed_execute(job)
+                payload, wall = timed_execute(job)
                 result = JobResult(index=index, job=job, ok=True,
-                                   payload=payload, wall_s=wall,
-                                   peak_rss_kb=rss)
+                                   payload=payload, wall_s=wall)
             except Exception:
                 result = JobResult(index=index, job=job, ok=False,
                                    error=traceback.format_exc())
@@ -248,10 +247,9 @@ class ParallelRunner:
                         replace(worker)
                         continue
                     if message[1] == "ok":
-                        _, _, payload, wall, rss = message
+                        _, _, payload, wall = message
                         finish(worker, JobResult(index=index, job=job, ok=True,
-                                                 payload=payload, wall_s=wall,
-                                                 peak_rss_kb=rss))
+                                                 payload=payload, wall_s=wall))
                     else:
                         finish(worker, JobResult(index=index, job=job, ok=False,
                                                  error=message[2]))

@@ -11,7 +11,7 @@ FIGURES = ("fig4", "case2", "fig11", "fig12", "fig16", "resilience",
 def test_list_prints_all_commands(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in FIGURES + ("tables", "overhead", "bench", "trace", "faults"):
+    for name in FIGURES + ("tables", "overhead", "trace", "faults"):
         assert f"  {name} " in out
 
 
@@ -45,8 +45,10 @@ def test_fig4_command_tiny_run(capsys):
 
 
 def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["nope"])
+    for name in ("nope", "bench"):  # bench: retired with its reports
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([name])
+        assert exc.value.code == 2
 
 
 def test_every_figure_command_accepts_jobs():
@@ -64,21 +66,6 @@ def test_fig4_parallel_matches_serial(capsys, tmp_path, monkeypatch):
     serial = capsys.readouterr().out
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
-
-
-def test_bench_command_writes_report(capsys, tmp_path):
-    out = tmp_path / "BENCH_smoke.json"
-    assert main(["bench", "--grid", "smoke", "--jobs", "2",
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "bench smoke" in printed and "report written" in printed
-    assert out.exists()
-
-
-def test_bench_rejects_unknown_grid():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench", "--grid", "not-a-grid"])
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +143,6 @@ def test_scale_command_tiny_run(capsys):
     assert "Cluster-scale churn sweep" in out and "ufab" in out
 
 
-def test_bench_metric_choices_parse():
-    args = build_parser().parse_args(["bench", "--metric", "rss",
-                                      "--compare", "a.json", "b.json"])
-    assert args.metric == "rss"
-
-
 # ----------------------------------------------------------------------
 # Flags come from the spec's axes; retired options are rejected
 # ----------------------------------------------------------------------
@@ -171,8 +152,6 @@ def test_bench_metric_choices_parse():
     ["fig11", "--degrees", "2"],           # no degrees axis
     ["tables", "--degrees", "2"],
     ["overhead", "--schemes", "ufab"],
-    ["bench", "--scale"],                  # retired alias of --grid scale
-    ["bench", "--transit", "slow"],        # retired with REPRO_PROBE_TRANSIT
     ["scale", "--verify-solver"],          # retired with REPRO_SOLVER
 ], ids=lambda argv: " ".join(argv))
 def test_flags_without_an_axis_or_subject_are_rejected(argv, capsys):
@@ -182,11 +161,26 @@ def test_flags_without_an_axis_or_subject_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_bench_axis_override_on_a_grid_without_it_is_a_typed_error(capsys):
-    assert main(["bench", "--grid", "telemetry", "--schemes", "pwc",
-                 "--no-cache"]) == 2
-    err = capsys.readouterr().err
-    assert "no axis 'schemes'" in err and "plans" in err
+@pytest.mark.parametrize("argv,complaint", [
+    (["fig12", "--duration", "nan", "--schemes", "ufab"], "duration"),
+    (["fig11", "--duration", "-1"], "duration"),
+    (["fig11", "--duration", "0"], "duration"),
+    (["fig11", "--schemes"], "no values for schemes"),
+    (["trace", "fig11", "--duration", "-1"], "duration"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_malformed_grid_exits_2_before_any_cell_runs(
+        argv, complaint, capsys, tmp_path, monkeypatch):
+    """A duration that is not positive and finite, or an axis given no
+    values, used to reach the simulator: ``nan`` never terminated,
+    ``-1`` failed inside a cell, ``0`` and an empty axis printed a
+    meaningless table and exited 0."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert complaint in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("experiment,scheme,labels", [

@@ -1,10 +1,9 @@
 """The experiment registry: every spec builds, resolves, and reaches the
-CLI; cell identities are pinned against committed bench artifacts.
+CLI; cell identities are pinned.
 
 A cell's identity is ``(experiment, entry, scheme, seed, params,
-faults)`` — the inputs of ``Job.config_hash`` and of ``bench
---compare``'s row matching — so these goldens are what keeps the result
-cache and the committed ``benchmarks/trajectory`` reports valid.
+faults)`` — the inputs of ``Job.config_hash`` — so these goldens are
+what keeps a warm result cache valid across refactors of the registry.
 """
 
 import json
@@ -24,20 +23,19 @@ from repro.experiments.common import (
 )
 from repro.runner.job import resolve_entry
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-BENCH_SEEDS = (1, 2)
+PIN_SEEDS = (1, 2)
 
 
 def _subparsers(parser):
     return next(a for a in parser._actions if a.dest == "command").choices
 
 
-def _bench_grid(name, **overrides):
-    """The grid ``repro bench --grid name`` runs at its defaults."""
-    overrides.setdefault("duration", get_spec(name).bench_duration)
-    overrides.setdefault("seeds", BENCH_SEEDS)
-    return build_grid(name, **overrides)
+def _pinned_grid(name):
+    """The grid whose cells ``PINNED[name]`` records: default axes,
+    seeds 1 and 2, the duration the pin names."""
+    duration = PINNED[name][1][3]["duration"]
+    return build_grid(name, duration=duration, seeds=PIN_SEEDS)
 
 
 def _identity(job):
@@ -59,10 +57,9 @@ def test_spec_builds_resolves_and_reaches_the_cli(name, capsys):
     assert len({job.config_hash() for job in jobs}) == len(jobs)
 
     commands = _subparsers(build_parser())
-    bench_grid = next(a for a in commands["bench"]._actions if a.dest == "grid")
     trace_exp = next(a for a in commands["trace"]._actions
                      if a.dest == "experiment")
-    assert name in bench_grid.choices and name in trace_exp.choices
+    assert name in trace_exp.choices
     has_table = bool(spec.columns or spec.render)
     assert (name in commands) == has_table
     assert main(["list"]) == 0
@@ -81,10 +78,12 @@ def test_figure_flags_are_exactly_the_spec_axes():
               "metrics", "faults", "backend", "duration"}
     for name in experiment_names():
         spec = get_spec(name)
-        if name not in commands or name == "telemetry":  # + its two modes
+        if name not in commands:
             continue
         flags = {a.dest for a in commands[name]._actions} - shared
         expected = {axis.name for axis in spec.axes}
+        if name == "telemetry":
+            expected |= {"resources", "hops"}
         if spec.seed_flag:
             expected.add("seeds")
         assert flags == expected, name
@@ -100,21 +99,6 @@ def test_unknown_experiment_is_a_typed_error():
 # (b) Cell-identity goldens
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("grid", ["fig11", "fig4", "scale", "telemetry"])
-def test_registry_rebuilds_committed_bench_cells(grid):
-    path = os.path.join(REPO_ROOT, "benchmarks", "trajectory",
-                        f"BENCH_{grid}.json")
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    rows = report["results"]
-    assert report["grid"] == grid and len(rows) == report["n_jobs"]
-    seeds = tuple(dict.fromkeys(r["seed"] for r in rows))
-    (duration,) = {r["params"]["duration"] for r in rows}
-    jobs = build_grid(grid, duration=duration, seeds=seeds)
-    assert [_identity(j) for j in jobs] == [
-        (r["experiment"], r["scheme"], r["seed"], r["params"]) for r in rows]
-
-
 FLAPS_5MS = {
     "events": [{"kind": "link_flaps", "mtbf_s": 0.005, "mttr_s": 0.00125,
                 "prefix": "Agg", "time": 0.0, "until": 0.04}],
@@ -122,7 +106,28 @@ FLAPS_5MS = {
 }
 
 PINNED = {
-    # name: (count, first cell, last cell) at the bench defaults
+    # name: (count, first cell, last cell) at seeds 1 2 and the duration
+    # named; fig11, fig4, scale and telemetry were recorded from the
+    # reports the retired bench command had committed.
+    "fig11": (6,
+              ("fig11", "ufab", 1, {"scheme": "ufab", "duration": 0.05, "seed": 1}),
+              ("fig11", "es+clove", 2,
+               {"scheme": "es+clove", "duration": 0.05, "seed": 2})),
+    "fig4": (16,
+             ("fig4", "pwc", 1,
+              {"scheme": "pwc", "degree": 2, "duration": 0.01, "seed": 1}),
+             ("fig4", "ufab", 2,
+              {"scheme": "ufab", "degree": 14, "duration": 0.01, "seed": 2})),
+    "scale": (8,
+              ("scale", "ufab", 1, {"scheme": "ufab", "k": 8, "churn": "low",
+                                    "duration": 0.015, "seed": 1}),
+              ("scale", "pwc", 1, {"scheme": "pwc", "k": 16, "churn": "high",
+                                   "duration": 0.015, "seed": 1})),
+    "telemetry": (12,
+                  ("fig_telemetry", "ufab", 1,
+                   {"plan": "full", "duration": 0.3, "seed": 1}),
+                  ("fig_telemetry", "ufab", 2,
+                   {"plan": "sketch", "duration": 0.3, "seed": 2})),
     "fig12": (8,
               ("fig12", "pwc", 1, {"scheme": "pwc", "duration": 0.02, "seed": 1}),
               ("fig12", "ufab", 2, {"scheme": "ufab", "duration": 0.02, "seed": 2})),
@@ -156,19 +161,19 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_cell_identities(name):
     count, first, last = PINNED[name]
-    jobs = _bench_grid(name)
+    jobs = _pinned_grid(name)
     assert len(jobs) == count
     assert _identity(jobs[0]) == first
     assert _identity(jobs[-1]) == last
 
 
 def test_resilience_cells_carry_their_own_fault_schedules():
-    jobs = _bench_grid("resilience")
+    jobs = _pinned_grid("resilience")
     assert dict(jobs[0].faults) == {}  # the loss=0 baseline: clean namespace
     assert json.loads(json.dumps(dict(jobs[-1].faults))) == FLAPS_5MS
     entries = {j.entry for j in jobs}
     assert entries == {"repro.experiments.fig_resilience:cell"}
-    ablation_entries = [j.entry for j in _bench_grid("ablations")]
+    ablation_entries = [j.entry for j in _pinned_grid("ablations")]
     assert ablation_entries[0].endswith(":partial_deployment_cell")
     assert ablation_entries[-1].endswith(":headroom_cell")
 

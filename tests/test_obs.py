@@ -310,15 +310,6 @@ def test_cli_trace_subcommand(tmp_path, capsys):
     assert json.loads(chrome.read_text())["traceEvents"]
 
 
-def test_cli_bench_profile_flag(tmp_path, capsys):
-    from repro.cli import main
-
-    report_path = tmp_path / "B.json"
-    assert main(["bench", "--grid", "smoke", "--no-cache", "--profile",
-                 "--out", str(report_path)]) == 0
-    assert json.loads(report_path.read_text())["profile"] is True
-
-
 def test_obs_main_check_and_dump(tmp_path, capsys):
     from repro.obs.__main__ import main as obs_main
 

@@ -14,9 +14,7 @@ from repro.runner import (
     ParallelRunner,
     ResultCache,
     code_version,
-    compare_reports,
     execute_job,
-    run_bench,
 )
 
 ECHO = "repro.runner.cells:echo_cell"
@@ -249,256 +247,3 @@ def test_grid_error_lists_failures():
 def test_build_grid_unknown_name_rejected():
     with pytest.raises(ValueError, match="unknown grid"):
         build_grid("not-a-grid")
-
-
-# ----------------------------------------------------------------------
-# bench reports
-# ----------------------------------------------------------------------
-
-def test_run_bench_smoke_grid_report(tmp_path):
-    out = tmp_path / "BENCH_smoke.json"
-    report = run_bench(grid="smoke", jobs=2, use_cache=True,
-                       cache_dir=str(tmp_path / "cache"), out=str(out))
-    assert report["n_jobs"] == 4 and report["n_failed"] == 0
-    assert report["cache"]["misses"] == 4
-    assert all(r["events_per_sec"] for r in report["results"])
-    on_disk = json.loads(out.read_text())
-    assert on_disk["grid"] == "smoke"
-    assert len(on_disk["rows"]) == 4
-
-    # Second invocation: served >= 90% from cache.
-    report2 = run_bench(grid="smoke", jobs=2, use_cache=True,
-                        cache_dir=str(tmp_path / "cache"), out=str(out))
-    assert report2["cache"]["hits"] >= 0.9 * report2["n_jobs"]
-    assert json.dumps(report2["rows"], sort_keys=True) == \
-        json.dumps(report["rows"], sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# bench report comparison (``repro bench --compare``)
-# ----------------------------------------------------------------------
-
-def _report(cells):
-    """Minimal bench report with the fields compare_reports consumes."""
-    return {
-        "total_wall_s": round(sum(c.get("wall_s", 0.0) for c in cells), 6),
-        "results": [
-            {"ok": True, "experiment": "fig11", "params": {}, **c}
-            for c in cells
-        ],
-    }
-
-
-def test_compare_reports_matches_on_identity_not_cache_key():
-    old = _report([
-        {"scheme": "ufab", "seed": 1, "key": "aaa",
-         "events_per_sec": 1000.0, "wall_s": 2.0},
-        {"scheme": "pwc", "seed": 1, "key": "bbb",
-         "events_per_sec": 500.0, "wall_s": 4.0},
-    ])
-    new = _report([
-        {"scheme": "ufab", "seed": 1, "key": "ccc",  # key changed: still matches
-         "events_per_sec": 2000.0, "wall_s": 1.0},
-        {"scheme": "pwc", "seed": 1, "key": "ddd",
-         "events_per_sec": 750.0, "wall_s": 8.0 / 3},
-    ])
-    diff = compare_reports(old, new)
-    assert diff["n_matched"] == 2
-    assert diff["n_old_only"] == 0 and diff["n_new_only"] == 0
-    by_scheme = {c["scheme"]: c for c in diff["cells"]}
-    assert by_scheme["ufab"]["speedup"] == pytest.approx(2.0)
-    assert by_scheme["pwc"]["speedup"] == pytest.approx(1.5)
-    assert by_scheme["ufab"]["wall_ratio"] == pytest.approx(0.5)
-    assert diff["worst_speedup"] == pytest.approx(1.5)
-    assert diff["best_speedup"] == pytest.approx(2.0)
-    assert diff["geomean_speedup"] == pytest.approx((2.0 * 1.5) ** 0.5, rel=1e-3)
-    assert diff["passed"] is True  # no threshold: informational only
-
-
-def test_compare_reports_threshold_gates_on_worst_cell():
-    old = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0, "wall_s": 1.0},
-        {"scheme": "pwc", "seed": 1, "events_per_sec": 1000.0, "wall_s": 1.0},
-    ])
-    new = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 3000.0, "wall_s": 0.4},
-        {"scheme": "pwc", "seed": 1, "events_per_sec": 900.0, "wall_s": 1.1},
-    ])
-    # Great geomean, but pwc regressed to 0.9x: the worst cell decides.
-    assert compare_reports(old, new, threshold=1.0)["passed"] is False
-    assert compare_reports(old, new, threshold=0.85)["passed"] is True
-
-
-def test_compare_reports_wall_metric_and_geomean_gate():
-    # A transit-mode A/B: the fast path processes *fewer* events, so
-    # events/sec drops while wall time improves 2x and 1.25x.
-    old = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0, "wall_s": 1.0},
-        {"scheme": "ufab", "seed": 2, "events_per_sec": 1000.0, "wall_s": 1.0},
-    ])
-    new = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 400.0, "wall_s": 0.5},
-        {"scheme": "ufab", "seed": 2, "events_per_sec": 500.0, "wall_s": 0.8},
-    ])
-    diff = compare_reports(old, new, metric="wall")
-    assert diff["metric"] == "wall"
-    assert sorted(c["speedup"] for c in diff["cells"]) == [1.25, 2.0]
-    assert diff["geomean_speedup"] == pytest.approx(1.5811, abs=1e-3)
-    # geomean ~1.58 passes a 1.5 gate; the worst cell (1.25) would not.
-    assert compare_reports(old, new, metric="wall", gate="geomean",
-                           threshold=1.5)["passed"] is True
-    assert compare_reports(old, new, metric="wall", gate="worst",
-                           threshold=1.5)["passed"] is False
-
-
-def test_compare_reports_heap_metric_counts_deleted_events():
-    # Heap metric: total events for the same work, old/new — the flat
-    # transit path deletes per-hop events, so slow/fast = 4x here even
-    # though wall barely moves.
-    old = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0,
-         "wall_s": 1.0, "events_processed": 4000},
-        {"scheme": "ufab", "seed": 2, "events_per_sec": 1000.0,
-         "wall_s": 1.0, "events_processed": 6000},
-    ])
-    new = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1100.0,
-         "wall_s": 0.9, "events_processed": 1000},
-        {"scheme": "ufab", "seed": 2, "events_per_sec": 1100.0,
-         "wall_s": 0.9, "events_processed": 2000},
-    ])
-    diff = compare_reports(old, new, metric="heap", gate="geomean",
-                           threshold=1.5)
-    assert diff["metric"] == "heap"
-    assert sorted(c["speedup"] for c in diff["cells"]) == [3.0, 4.0]
-    assert diff["geomean_speedup"] == pytest.approx(12 ** 0.5, abs=1e-3)
-    assert diff["passed"] is True
-    cell = diff["cells"][0]
-    assert cell["old_events"] in (4000, 6000)
-    assert cell["new_events"] in (1000, 2000)
-    with pytest.raises(ValueError):
-        compare_reports(old, new, metric="latency")
-
-
-def test_compare_reports_unmatched_and_failed_rows():
-    old = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0, "wall_s": 1.0},
-        {"scheme": "ufab", "seed": 2, "events_per_sec": 1000.0, "wall_s": 1.0},
-    ])
-    new = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1200.0, "wall_s": 0.8},
-        {"scheme": "ufab", "seed": 3, "events_per_sec": 1100.0, "wall_s": 0.9},
-    ])
-    new["results"].append({"ok": False, "experiment": "fig11", "params": {},
-                           "scheme": "ufab", "seed": 4, "error": "boom"})
-    diff = compare_reports(old, new)
-    assert diff["n_matched"] == 1  # only (ufab, seed 1) in both
-    assert diff["n_old_only"] == 1 and diff["n_new_only"] == 1
-    assert [c["seed"] for c in diff["cells"]] == [1]
-
-
-def test_compare_reports_empty_match_fails_any_threshold():
-    old = _report([{"scheme": "ufab", "seed": 1,
-                    "events_per_sec": 1000.0, "wall_s": 1.0}])
-    new = _report([{"scheme": "pwc", "seed": 1,
-                    "events_per_sec": 1000.0, "wall_s": 1.0}])
-    diff = compare_reports(old, new, threshold=0.1)
-    assert diff["n_matched"] == 0
-    assert diff["worst_speedup"] is None
-    assert diff["passed"] is False
-
-
-def test_bench_report_rows_carry_backend(tmp_path):
-    report = run_bench(grid="smoke", jobs=1, use_cache=False,
-                       out=str(tmp_path / "b.json"), backend="behavioral")
-    assert all(r["backend"] == "behavioral" for r in report["results"])
-
-
-def test_compare_cli_exit_codes(tmp_path):
-    fast = _report([{"scheme": "ufab", "seed": 1,
-                     "events_per_sec": 2000.0, "wall_s": 0.5}])
-    slow = _report([{"scheme": "ufab", "seed": 1,
-                     "events_per_sec": 1000.0, "wall_s": 1.0}])
-    a, b = tmp_path / "old.json", tmp_path / "new.json"
-    a.write_text(json.dumps(slow))
-    b.write_text(json.dumps(fast))
-    env = dict(os.environ)
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    ok = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "--compare", str(a), str(b),
-         "--threshold", "1.5"],
-        capture_output=True, text=True, env=env)
-    assert ok.returncode == 0, ok.stdout + ok.stderr
-    assert "PASS" in ok.stdout
-    bad = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "--compare", str(b), str(a),
-         "--threshold", "1.5"],
-        capture_output=True, text=True, env=env)
-    assert bad.returncode == 1
-    assert "FAIL" in bad.stdout
-
-
-# ----------------------------------------------------------------------
-# peak-RSS plumbing (scale-sweep memory gate)
-# ----------------------------------------------------------------------
-
-def test_peak_rss_reported_in_serial_and_parallel_runs():
-    jobs = _echo_jobs(2)
-    for workers in (1, 2):
-        results = ParallelRunner(jobs=workers).run(jobs)
-        assert all(r.ok for r in results)
-        # Any live Python process is at least a few MiB resident.
-        assert all(r.peak_rss_kb > 1024 for r in results)
-
-
-def test_cache_hits_report_unknown_rss(tmp_path):
-    from repro.runner import ResultCache
-
-    cache = ResultCache(str(tmp_path))
-    jobs = _echo_jobs(1)
-    first = ParallelRunner(jobs=1, cache=cache).run(jobs)
-    again = ParallelRunner(jobs=1, cache=cache).run(jobs)
-    assert first[0].peak_rss_kb > 0
-    assert again[0].cached and again[0].peak_rss_kb == 0
-
-
-def test_bench_report_carries_peak_rss(tmp_path):
-    report = run_bench(grid="smoke", jobs=1, use_cache=False,
-                       out=str(tmp_path / "b.json"))
-    assert report["peak_rss_kb"] > 1024
-    assert all(r["peak_rss_kb"] > 1024 for r in report["results"])
-    assert report["peak_rss_kb"] == \
-        max(r["peak_rss_kb"] for r in report["results"])
-
-
-def test_compare_reports_rss_metric_gates_on_ratio():
-    old = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0,
-         "wall_s": 1.0, "peak_rss_kb": 100_000},
-    ])
-    new_ok = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0,
-         "wall_s": 1.0, "peak_rss_kb": 120_000},
-    ])
-    diff = compare_reports(old, new_ok, metric="rss", threshold=0.5)
-    assert diff["cells"][0]["speedup"] == pytest.approx(100 / 120, abs=1e-3)
-    assert diff["passed"] is True
-
-    new_bloated = _report([
-        {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0,
-         "wall_s": 1.0, "peak_rss_kb": 250_000},
-    ])
-    diff = compare_reports(old, new_bloated, metric="rss", threshold=0.5)
-    assert diff["passed"] is False
-
-
-def test_compare_reports_rss_metric_skips_unknown_rss():
-    # Old report predates RSS capture (or was a cache hit): no gate.
-    old = _report([{"scheme": "ufab", "seed": 1,
-                    "events_per_sec": 1000.0, "wall_s": 1.0}])
-    new = _report([{"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0,
-                    "wall_s": 1.0, "peak_rss_kb": 50_000}])
-    diff = compare_reports(old, new, metric="rss")
-    assert diff["cells"][0]["speedup"] is None
-    assert diff["worst_speedup"] is None
