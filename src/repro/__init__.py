@@ -13,22 +13,24 @@ Public API quickstart (the :class:`Scenario` builder)::
     )
     print(result.delivered_bps)
 
-The lower-level pieces remain public for custom wiring::
+The lower-level pieces remain public for custom wiring
+(``registry.build`` is the one call that stands a scheme up)::
 
-    from repro import Network, VMPair, install_ufab, three_tier_testbed
+    from repro import Network, VMPair, three_tier_testbed
+    from repro.baselines import registry
 
     net = Network(three_tier_testbed())
-    fabric = install_ufab(net)
+    fabric = registry.build("ufab", net)
     pair = VMPair("t1:S1->S5", vf="t1", src_host="S1", dst_host="S5", phi=2000)
     fabric.add_pair(pair)
     net.run(until=0.05)
     print(net.delivered_rate(pair.pair_id))
 
 The core-switch controller behind uFAB has two backends
-(:mod:`repro.core.controller`): ``Scenario....backend("pipeline")``,
-``--backend pipeline`` on any grid command, or ``REPRO_BACKEND=pipeline``
-runs the same agent (:mod:`repro.core.corenode`, the default and the
-fast one) under the Tofino hardware-rule checker of
+(:mod:`repro.core.controller`): ``Scenario....backend("pipeline")`` or
+``--backend pipeline`` on any grid command runs the same agent
+(:mod:`repro.core.corenode`, the default and the fast one) under the
+Tofino hardware-rule checker of
 :mod:`repro.core.p4pipe` — one algorithm, so probe payloads and traces
 are bit-identical either way (see ``docs/API.md``).
 
@@ -46,14 +48,15 @@ Packages:
 
 from repro.api import Scenario, ScenarioResult
 from repro.core.controller import (
-    SwitchController,
     attach_core_agents,
     backend_names,
     resolve_backend,
+    use_backend,
 )
-from repro.core.edge import UFabFabric, install_ufab
+from repro.core.edge import UFabFabric
+from repro.core.fabric import Fabric
 from repro.core.params import UFabParams
-from repro.baselines.fabrics import ESCloveFabric, PWCFabric, make_fabric
+from repro.baselines.fabrics import ESCloveFabric, PWCFabric
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import (
@@ -70,16 +73,15 @@ __version__ = "1.0.0"
 __all__ = [
     "Scenario",
     "ScenarioResult",
-    "SwitchController",
     "attach_core_agents",
     "backend_names",
     "resolve_backend",
+    "use_backend",
+    "Fabric",
     "UFabFabric",
-    "install_ufab",
     "UFabParams",
     "PWCFabric",
     "ESCloveFabric",
-    "make_fabric",
     "VMPair",
     "Network",
     "Topology",

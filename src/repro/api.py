@@ -1,8 +1,7 @@
 """The unified public Scenario API.
 
-One fluent builder covers what previously took four entry points
-(``testbed_network`` / ``build_scheme`` / ``install_ufab`` plus manual
-pair wiring)::
+One fluent builder covers topology, scheme, tenants, faults and
+observability::
 
     from repro import Scenario
 
@@ -24,11 +23,11 @@ fault schedule (:mod:`repro.faults` spec string, config mapping, or
 and hands back ``(network, fabric)`` for scenarios that drive custom
 workloads or failures mid-run (see ``examples/``).
 
-The pre-Scenario entry points (``testbed_network`` / ``build_scheme`` /
-``install_ufab``) went through a deprecation cycle here and are gone;
-they remain importable from their original homes
-(:mod:`repro.experiments.common`, :mod:`repro.baselines.fabrics`,
-:mod:`repro.core.edge`) for internal plumbing.
+Arguments are validated at the call that takes them (an unknown scheme
+or backend, a non-positive guarantee, a duration that is not a positive
+finite number all raise ``ValueError`` naming the argument), and the
+fabric is built by the one :func:`repro.baselines.registry.build` call
+every experiment cell uses.
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ import dataclasses
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.baselines import registry
+from repro.core.controller import resolve_backend, use_backend
 from repro.core.params import UFabParams
+from repro.faults import FaultInjector, install_faults
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import Topology, three_tier_testbed
@@ -48,6 +50,15 @@ __all__ = [
 ]
 
 TenantSpec = Union[VMPair, Tuple[str, str, float], Mapping[str, Any]]
+
+
+def _positive(name: str, value: float, finite: bool = True) -> float:
+    """``value`` if it is a positive (and, by default, finite) number."""
+    if not value > 0 or (finite and not math.isfinite(value)):
+        raise ValueError(
+            f"{name} must be a positive{' finite' if finite else ''} "
+            f"number, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass
@@ -115,7 +126,6 @@ class Scenario:
         self._scheme = "ufab"
         self._backend: Optional[str] = None
         self._params: Optional[UFabParams] = None
-        self._flowlet_gap_s = 200e-6
         self._seed = 1
         self._resolve_interval = 0.0
         self._tenants: List[Tuple[float, Dict[str, Any], Optional[List]]] = []
@@ -141,12 +151,7 @@ class Scenario:
 
     # -- configuration --------------------------------------------------
 
-    def scheme(
-        self,
-        name: str,
-        params: Optional[UFabParams] = None,
-        flowlet_gap_s: float = 200e-6,
-    ) -> "Scenario":
+    def scheme(self, name: str, params: Optional[UFabParams] = None) -> "Scenario":
         """Pick the fabric scheme by registry name.
 
         Any name (or alias) registered in
@@ -154,12 +159,13 @@ class Scenario:
         ``ufab``/``ufab-prime``/``pwc``/``es+clove``/``wcc+ecmp``
         plus the related-work rivals ``soze``/``qshare``/``utas``;
         ``repro.baselines.scheme_names()`` lists them all and
-        ``docs/SCHEMES.md`` documents each.
+        ``docs/SCHEMES.md`` documents each.  An unknown name is a
+        ``ValueError`` here, not at :meth:`build`.
         """
+        registry.get(name)
         self._scheme = name
         if params is not None:
             self._params = params
-        self._flowlet_gap_s = flowlet_gap_s
         return self
 
     def backend(self, name: Optional[str]) -> "Scenario":
@@ -170,14 +176,11 @@ class Scenario:
         ``"pipeline"`` (register-accurate Tofino pipeline emulation);
         ``repro.core.controller.backend_names()`` lists them all and
         ``docs/API.md`` documents the seam.  ``None`` (the default)
-        defers to ``$REPRO_BACKEND`` or ``"behavioral"``.  Only schemes
+        keeps the ambient backend — ``"behavioral"`` unless the
+        scenario runs inside a ``--backend`` grid cell.  Only schemes
         that attach core agents (the uFAB family) are affected.
         """
-        if name is not None:
-            from repro.core.controller import resolve_backend
-
-            name = resolve_backend(name)  # validate eagerly
-        self._backend = name
+        self._backend = resolve_backend(name) if name else None  # validate eagerly
         return self
 
     def params(self, params: UFabParams) -> "Scenario":
@@ -210,17 +213,17 @@ class Scenario:
 
         ``at`` delays the pair's join to that simulated time;
         ``candidates`` pins its path set (advanced; paths from
-        ``Topology.shortest_paths``).
+        ``Topology.shortest_paths``).  The guarantee becomes tokens at
+        :meth:`build`, from whatever ``unit_bandwidth`` is set by then.
         """
         vf = vf or f"t{self._n_auto}"
         self._n_auto += 1
-        unit = (self._params or UFabParams()).unit_bandwidth
         kwargs = {
             "pair_id": name or f"{vf}:{src}->{dst}",
             "vf": vf,
             "src_host": src,
             "dst_host": dst,
-            "phi": gbps * 1e9 / unit,
+            "gbps": _positive("gbps", gbps),
             "demand_bps": (
                 demand_gbps * 1e9 if math.isfinite(demand_gbps) else math.inf
             ),
@@ -276,33 +279,40 @@ class Scenario:
         """Realize the scenario without running: ``(network, fabric)``.
 
         Tenant joins are scheduled, faults installed against
-        ``horizon``.  Use this to attach custom workloads or samplers,
-        then drive ``network.run`` yourself.
+        ``horizon`` (positive; the default leaves it open-ended).  Use
+        this to attach custom workloads or samplers, then drive
+        ``network.run`` yourself.
         """
+        return self._realize(horizon)[:2]
+
+    def _realize(
+        self, horizon: float,
+    ) -> Tuple[Network, Any, List[VMPair], Optional[FaultInjector]]:
+        _positive("horizon", horizon, finite=False)
         net = Network(self._topology_factory())
         net.resolve_interval = self._resolve_interval
-        from repro.baselines.fabrics import make_fabric
-
-        fabric = make_fabric(self._scheme, net, self._params, self._seed,
-                             self._flowlet_gap_s, backend=self._backend)
+        with use_backend(self._backend):
+            fabric = registry.build(self._scheme, net, self._params, self._seed)
+        pairs = []
         for at, kwargs, candidates in self._tenants:
-            pair = kwargs.get("_pair") or VMPair(**kwargs)
+            pair = kwargs.get("_pair")
+            if pair is None:
+                kwargs = dict(kwargs)
+                phi = kwargs.pop("gbps") * 1e9 / fabric.params.unit_bandwidth
+                pair = VMPair(phi=phi, **kwargs)
+            pairs.append(pair)
             args = (pair,) if candidates is None else (pair, candidates)
             if at <= 0:
                 fabric.add_pair(*args)
             else:
                 net.sim.at(at, fabric.add_pair, *args)
-        injector = None
-        if self._faults is not None:
-            from repro.faults import install_faults
-
-            injector = install_faults(net, fabric, self._faults,
-                                      horizon=horizon)
-        net._scenario_injector = injector
-        return net, fabric
+        injector = install_faults(net, fabric, self._faults, horizon=horizon)
+        return net, fabric, pairs, injector
 
     def run(self, until: float, sample_period: float = 1e-3) -> ScenarioResult:
         """Build, simulate to ``until``, and collect a typed result."""
+        _positive("until", until)
+        _positive("sample_period", sample_period)
         if self._obs:
             from repro.obs import OBS
 
@@ -315,24 +325,15 @@ class Scenario:
     def _run(self, until: float, sample_period: float) -> ScenarioResult:
         from repro.analysis.metrics import GuaranteeAuditor
 
-        net, fabric = self.build(horizon=until)
-        pairs = [
-            kwargs.get("_pair") or VMPair(**kwargs)
-            for _, kwargs, _ in self._tenants
-        ]
-        # build() constructed its own VMPair instances for dict specs;
-        # recover the live ones so demand edits through the fabric are
-        # visible on the result's pair objects.
-        pairs = [net.pairs.get(p.pair_id, p) for p in pairs]
+        net, fabric, pairs, injector = self._realize(until)
         ids = [p.pair_id for p in pairs]
-        unit = (self._params or UFabParams()).unit_bandwidth
+        unit = fabric.params.unit_bandwidth
         guarantees = {p.pair_id: p.phi * unit for p in pairs}
         auditor = GuaranteeAuditor(net, guarantees,
                                    period=min(0.5e-3, until / 20))
         auditor.start(until)
         net.sample_rates(ids, period=sample_period, until=until)
         net.run(until)
-        injector = getattr(net, "_scenario_injector", None)
         return ScenarioResult(
             scheme=self._scheme,
             seed=self._seed,

@@ -3,7 +3,8 @@ related work (section 2.2, 5.1; see ``docs/SCHEMES.md``).
 
 * :mod:`~repro.baselines.registry` — the scheme registry: every fabric
   the grids can build, with capability flags (``uses_probes``,
-  ``work_conserving``, ``bounded_latency``).
+  ``work_conserving``, ``bounded_latency``); ``registry.build`` is the
+  one call that stands a named scheme up on a network.
 * :mod:`~repro.baselines.wcc` — Seawall-style weighted congestion
   control on a Swift-like delay signal (the "WCC" in PicNIC'+WCC+Clove).
 * :mod:`~repro.baselines.picnic` — PicNIC': edge-only bandwidth
@@ -29,7 +30,7 @@ from repro.baselines.picnic import PicNicPrime, ReceiverGrants
 from repro.baselines.elasticswitch import ElasticSwitchRA
 from repro.baselines.clove import CloveSelector
 from repro.baselines.ecmp import EcmpSelector, StaticSelector
-from repro.baselines.fabrics import ESCloveFabric, PWCFabric, make_fabric
+from repro.baselines.fabrics import ESCloveFabric, PWCFabric
 from repro.baselines.registry import SchemeInfo, scheme_infos, scheme_names
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "StaticSelector",
     "PWCFabric",
     "ESCloveFabric",
-    "make_fabric",
     "SchemeInfo",
     "scheme_infos",
     "scheme_names",

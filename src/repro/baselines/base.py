@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional
 
+from repro.core.fabric import Fabric
 from repro.core.params import UFabParams
 from repro.sim.engine import Event
 from repro.sim.host import VMPair
@@ -179,8 +180,9 @@ class BaselinePair:
         return out
 
 
-class BaselineFabric:
-    """A deployed baseline scheme: mirrors :class:`UFabFabric`'s API."""
+class BaselineFabric(Fabric):
+    """A deployed baseline scheme: probe-clocked per-pair control loops
+    built from a rate controller and a path selector."""
 
     #: Per-pair control-loop class; schemes that change the probe wire
     #: format (e.g. Söze's folded scalar) override with a subclass.
@@ -195,12 +197,9 @@ class BaselineFabric:
         seed: int = 1,
         grants: Optional[object] = None,
     ) -> None:
-        self.network = network
-        self.params = params or UFabParams()
-        self.rng = random.Random(seed)
+        super().__init__(network, params, seed)
         self.rate_controller_factory = rate_controller_factory
         self.path_selector_factory = path_selector_factory
-        self.pairs: Dict[str, BaselinePair] = {}
         self.grants = grants  # e.g. PicNIC' ReceiverGrants
 
     def add_pair(
@@ -209,15 +208,8 @@ class BaselineFabric:
         candidates: Optional[List[Path]] = None,
         n_candidates: Optional[int] = None,
     ) -> BaselinePair:
-        topo = self.network.topology
         if candidates is None:
-            all_paths = topo.shortest_paths(pair.src_host, pair.dst_host)
-            if not all_paths:
-                raise ValueError(f"no path {pair.src_host} -> {pair.dst_host}")
-            k = n_candidates or self.params.n_candidate_paths
-            candidates = (
-                self.rng.sample(all_paths, k) if len(all_paths) > k else list(all_paths)
-            )
+            candidates = self.draw_candidates(pair, self.rng, n_candidates)
         controller = self.pair_cls(
             self,
             pair,
@@ -239,23 +231,10 @@ class BaselineFabric:
             self.grants.unregister(controller.pair)
         self.network.unregister_pair(pair_id)
 
-    def controller(self, pair_id: str) -> BaselinePair:
-        return self.pairs[pair_id]
-
     def grant_for(self, pair: VMPair) -> float:
         if self.grants is None:
             return float("inf")
         return self.grants.grant(pair)
-
-    def set_demand(self, pair_id: str, demand_bps: float) -> None:
-        """Change a pair's demand process (uniform API with UFabFabric)."""
-        pair = self.pairs[pair_id].pair
-        pair.demand_bps = demand_bps
-        self.network.refresh_pair(pair_id)
-
-    def probes_sent(self) -> int:
-        """Total probes launched across all live pair controllers."""
-        return sum(c.stats.get("probes_sent", 0) for c in self.pairs.values())
 
     def restart_host(self, host: str) -> None:
         """EdgeRestart fault: controllers on ``host`` lose their state."""

@@ -16,11 +16,15 @@ from typing import Optional
 from repro.baselines.base import BaselinePair, PathSelector
 
 
-def _hash_int(key: str, seed: int) -> int:
+def hash_index(key: str, n: int, seed: int = 0) -> int:
+    """Deterministic flow hash of ``key`` onto ``range(n)``; every
+    hashed path choice (ECMP, Söze, QShare, μTAS) goes through it."""
+    if n <= 1:
+        return 0
     digest = hashlib.blake2b(
         key.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "little")
     ).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(digest, "little") % n
 
 
 class EcmpSelector(PathSelector):
@@ -35,12 +39,9 @@ class EcmpSelector(PathSelector):
 
     def initial_path(self, pair: BaselinePair, rng: random.Random) -> int:
         n = len(pair.candidates)
-        if n == 1:
-            return 0
         if self.polarized:
-            usable = max(1, int(round(n * self.polarized_fraction)))
-            return _hash_int(pair.pair.pair_id, self.seed) % usable
-        return _hash_int(pair.pair.pair_id, self.seed) % n
+            n = max(1, int(round(n * self.polarized_fraction)))
+        return hash_index(pair.pair.pair_id, n, self.seed)
 
     def on_feedback(self, pair, utilizations, now) -> Optional[int]:
         return None  # ECMP never migrates

@@ -7,17 +7,17 @@ The paper compares uFAB against two combinations (section 5.1):
   balancing.
 * **ES+Clove** = ElasticSwitch (GP + RA) with Clove load balancing.
 
-``make_fabric`` resolves any registered scheme name through
-``repro.baselines.registry`` — this module registers the paper's own
-six (uFAB, uFAB', PWC, ES+Clove, and the two best-effort WCC+ECMP
-stacks); the rival schemes register themselves from their own modules.
+This module's :data:`SCHEMES` are the paper's own six (uFAB, uFAB',
+PWC, ES+Clove, and the two best-effort WCC+ECMP stacks); the rival
+schemes list theirs in their own modules.  Fabrics are built by name
+through :func:`repro.baselines.registry.build`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
-from repro.baselines import registry
 from repro.baselines.base import BaselineFabric
 from repro.baselines.clove import CloveSelector
 from repro.baselines.ecmp import EcmpSelector
@@ -25,7 +25,7 @@ from repro.baselines.elasticswitch import ElasticSwitchRA
 from repro.baselines.picnic import ReceiverGrants
 from repro.baselines.registry import SchemeInfo
 from repro.baselines.wcc import SwiftWCC
-from repro.core.edge import install_ufab
+from repro.core.edge import UFabFabric
 from repro.core.params import UFabParams
 from repro.sim.network import Network
 
@@ -87,21 +87,9 @@ def WccEcmpFabric(
 SCHEME_NAMES = ("ufab", "ufab-prime", "pwc", "es+clove")
 
 
-def _build_ufab(network, params, seed, flowlet_gap_s):
-    return install_ufab(network, params or UFabParams(), seed)
-
-
-def _build_ufab_prime(network, params, seed, flowlet_gap_s):
+def _ufab_prime(network, params=None, seed=1):
     params = params or UFabParams()
-    return install_ufab(network, params.replace(two_stage_admission=False), seed)
-
-
-def _build_wcc_ecmp(network, params, seed, flowlet_gap_s):
-    return WccEcmpFabric(network, params, seed)
-
-
-def _build_wcc_ecmp_polarized(network, params, seed, flowlet_gap_s):
-    return WccEcmpFabric(network, params, seed, polarized=True)
+    return UFabFabric(network, params.replace(two_stage_admission=False), seed)
 
 
 # Probe sizing: μFAB's probe is 52 bytes at the resource model's 4-hop
@@ -109,69 +97,44 @@ def _build_wcc_ecmp_polarized(network, params, seed, flowlet_gap_s):
 # (Φ_l, W_l) stamped per hop.  The baselines reuse the transport but
 # carry less: Clove-based stacks stamp 4 bytes of utilization per hop;
 # plain WCC carries only the end-to-end delay echo.
-register = registry.register
-register(SchemeInfo(
-    name="ufab", builder=_build_ufab,
+SCHEMES = (SchemeInfo(
+    name="ufab", builder=UFabFabric,
     summary="the paper's scheme: per-hop Φ/W INT telemetry, one-RTT "
             "exact allocation with two-stage admission",
     guarantee_model="exact", telemetry="per-hop INT (Φ_l, W_l)",
     uses_probes=True, work_conserving=True, bounded_latency=True,
     probe_base_bytes=20, probe_hop_bytes=8,
-))
-register(SchemeInfo(
-    name="ufab-prime", builder=_build_ufab_prime,
+), SchemeInfo(
+    name="ufab-prime", builder=_ufab_prime,
     summary="uFAB without two-stage admission (the bounded-latency "
             "optimization ablated)",
     guarantee_model="exact", telemetry="per-hop INT (Φ_l, W_l)",
     uses_probes=True, work_conserving=True, bounded_latency=False,
     probe_base_bytes=20, probe_hop_bytes=8,
-))
-register(SchemeInfo(
+), SchemeInfo(
     name="pwc", builder=PWCFabric,
     summary="PicNIC' receiver grants + Swift WCC + Clove load balancing",
     guarantee_model="floor", telemetry="e2e delay + per-hop utilization",
     uses_probes=True, work_conserving=True, bounded_latency=False,
     probe_base_bytes=20, probe_hop_bytes=4,
-))
-register(SchemeInfo(
+), SchemeInfo(
     name="es+clove", builder=ESCloveFabric,
     summary="ElasticSwitch guarantee partitioning/rate allocation + "
             "Clove load balancing",
     guarantee_model="floor", telemetry="e2e delay + per-hop utilization",
     uses_probes=True, work_conserving=True, bounded_latency=False,
     probe_base_bytes=20, probe_hop_bytes=4,
-))
-register(SchemeInfo(
-    name="wcc+ecmp", builder=_build_wcc_ecmp,
+), SchemeInfo(
+    name="wcc+ecmp", builder=WccEcmpFabric,
     summary="production best-effort stack: Swift WCC over flow-hash ECMP",
     guarantee_model="weighted", telemetry="e2e delay",
     uses_probes=True, work_conserving=True, bounded_latency=False,
     probe_base_bytes=20, probe_hop_bytes=0,
-))
-register(SchemeInfo(
-    name="wcc+ecmp-polarized", builder=_build_wcc_ecmp_polarized,
+), SchemeInfo(
+    name="wcc+ecmp-polarized", builder=functools.partial(WccEcmpFabric, polarized=True),
     summary="WCC over a polarized ECMP hash (section 2.1 pathology)",
     guarantee_model="weighted", telemetry="e2e delay",
     uses_probes=True, work_conserving=True, bounded_latency=False,
     probe_base_bytes=20, probe_hop_bytes=0,
 ))
 
-
-def make_fabric(
-    name: str,
-    network: Network,
-    params: Optional[UFabParams] = None,
-    seed: int = 1,
-    flowlet_gap_s: float = 200e-6,
-    backend: Optional[str] = None,
-):
-    """Build a fabric by scheme name; all expose add_pair/remove_pair.
-
-    Resolves through :mod:`repro.baselines.registry`, so rival schemes
-    (``soze``, ``qshare``, ``utas``) and aliases work everywhere this is
-    plumbed.  ``backend`` picks the core-switch controller backend for
-    schemes that attach core agents (``None`` = ``REPRO_BACKEND`` or
-    ``behavioral``).
-    """
-    return registry.build(name, network, params, seed, flowlet_gap_s,
-                          backend=backend)

@@ -20,16 +20,11 @@ there is no probe plane at all (``probes_sent() == 0``).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List
 
-from repro.baselines.registry import (
-    SchemeInfo,
-    candidate_paths,
-    hash_index,
-    register,
-    resolve_params,
-)
+from repro.baselines.ecmp import hash_index
+from repro.baselines.registry import SchemeInfo
+from repro.core.fabric import Fabric
 from repro.obs import OBS
 
 _M_REBINDS = OBS.metrics.counter(
@@ -218,7 +213,7 @@ def _water_fill(capacity: float, queues: List[Dict[str, float]]) -> List[float]:
     return shares
 
 
-class QShareFabric:
+class QShareFabric(Fabric):
     """Dynamic tenant-queue binding at sender edges; no probe plane."""
 
     def __init__(
@@ -229,45 +224,33 @@ class QShareFabric:
         n_queues: int = 8,
         tick_s: float = 100e-6,
     ) -> None:
-        self.network = network
-        self.params = resolve_params(params)
-        self.seed = seed
-        self.rng = random.Random(seed)
+        super().__init__(network, params, seed)
         self.n_queues = n_queues
         self.tick_s = tick_s
         self.agents: Dict[str, QueueBindAgent] = {}
-        self._homes: Dict[str, str] = {}  # pair_id -> src host
 
     # -- fabric protocol ------------------------------------------------
     def add_pair(self, pair, candidates=None, n_candidates=None):
         if candidates is None:
-            candidates = candidate_paths(
-                self.network, pair, self.params, self.rng, n_candidates)
+            candidates = self.draw_candidates(pair, self.rng, n_candidates)
         idx = hash_index(pair.pair_id, len(candidates), seed=self.seed)
         path = tuple(candidates[idx])
         self.network.register_pair(pair, path)
         agent = self.agents.get(pair.src_host)
         if agent is None:
             agent = self.agents[pair.src_host] = QueueBindAgent(self, pair.src_host)
-        self._homes[pair.pair_id] = pair.src_host
-        tenant = _Tenant(pair, path)
+        tenant = self.pairs[pair.pair_id] = _Tenant(pair, path)
         agent.add(tenant)
         return tenant
 
     def remove_pair(self, pair_id: str) -> None:
-        host = self._homes.pop(pair_id)
-        self.agents[host].remove(pair_id)
+        tenant = self.pairs.pop(pair_id)
+        self.agents[tenant.pair.src_host].remove(pair_id)
         self.network.unregister_pair(pair_id)
 
     def set_demand(self, pair_id: str, demand_bps: float) -> None:
-        host = self._homes[pair_id]
-        tenant = self.agents[host].tenants[pair_id]
-        tenant.pair.demand_bps = demand_bps
-        self.network.refresh_pair(pair_id)
-        self.agents[host].rebind()
-
-    def controller(self, pair_id: str) -> _Tenant:
-        return self.agents[self._homes[pair_id]].tenants[pair_id]
+        super().set_demand(pair_id, demand_bps)
+        self.agents[self.pairs[pair_id].pair.src_host].rebind()
 
     def restart_host(self, host: str) -> None:
         agent = self.agents.get(host)
@@ -278,15 +261,9 @@ class QShareFabric:
         return 0
 
 
-def make_qshare(network, params=None, seed: int = 1,
-                flowlet_gap_s: float = 200e-6) -> QShareFabric:
-    """QShare: dynamic tenant-queue binding, probe-free work conservation."""
-    return QShareFabric(network, params=params, seed=seed)
-
-
-register(SchemeInfo(
+SCHEMES = (SchemeInfo(
     name="qshare",
-    builder=make_qshare,
+    builder=QShareFabric,
     summary="dynamic tenant-queue binding at sender edges for "
             "work-conserving guarantees without probes (Liu et al.)",
     guarantee_model="edge-envelope",
@@ -295,4 +272,4 @@ register(SchemeInfo(
     work_conserving=True,
     bounded_latency=False,
     aliases=("tqbind",),
-))
+),)

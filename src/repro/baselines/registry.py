@@ -1,16 +1,16 @@
 """The scheme registry: every fabric the grids can build, in one table.
 
-A *scheme* is anything that exposes the fabric protocol (``add_pair`` /
-``remove_pair`` / ``set_demand`` and the optional fault entry points,
-see ``docs/SCHEMES.md``).  Each one registers here exactly once, as a
-:class:`SchemeInfo`: a builder plus the capability flags the comparison
-grids and the ``repro rivals`` figure key on (does it probe the fabric,
-is it work-conserving, does it bound latency, what telemetry does it
-consume).  ``--scheme`` plumbing everywhere resolves names through
-:func:`build`, so adding a scheme is a one-file operation: write the
-module, call :func:`register` at import, list the module in
-:data:`_SCHEME_MODULES` — every figure, resilience, and scale grid
-picks it up without per-figure edits.
+A *scheme* is a :class:`repro.core.fabric.Fabric` subclass plus the
+capability flags the comparison grids and the ``repro rivals`` figure
+key on (does it probe the fabric, is it work-conserving, does it bound
+latency, what telemetry does it consume) — one :class:`SchemeInfo`.
+:func:`build` is the one place a named scheme's fabric comes into
+being: every ``--schemes`` flag, every experiment cell and
+:meth:`repro.api.Scenario.build` call it.  Adding a scheme is a
+one-file operation: write the module, list its infos in a module-level
+``SCHEMES`` tuple, name the module in :data:`_SCHEME_MODULES` — every
+figure, resilience, and scale grid picks it up without per-figure
+edits.
 
 Names are canonical-first; aliases (``"tqbind"`` for ``"qshare"``)
 resolve through the same :func:`get`.  ``docs/SCHEMES.md`` documents
@@ -21,7 +21,8 @@ drift (``python -m repro.obs --check-schemes``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+import importlib
+from typing import Callable, Dict, List, Tuple
 
 __all__ = [
     "SchemeInfo",
@@ -32,9 +33,9 @@ __all__ = [
     "scheme_infos",
 ]
 
-# Modules that register schemes at import.  Kept here (not imported at
-# module load) so registry.py has no import cycle with the scheme
-# modules themselves.
+# Modules whose ``SCHEMES`` tuples make up the registry, in canonical
+# order.  Import paths, not modules: the scheme modules import this one
+# for :class:`SchemeInfo`.
 _SCHEME_MODULES = (
     "repro.baselines.fabrics",
     "repro.baselines.soze",
@@ -47,8 +48,8 @@ _SCHEME_MODULES = (
 class SchemeInfo:
     """One registered scheme: builder + the flags the grids key on.
 
-    ``builder(network, params, seed, flowlet_gap_s)`` returns a fabric
-    exposing the protocol in ``docs/SCHEMES.md``.  ``guarantee_model``
+    ``builder(network, params, seed)`` returns the scheme's
+    :class:`~repro.core.fabric.Fabric`.  ``guarantee_model``
     is a short label for the comparison tables (``"exact"``, ``"floor"``,
     ``"weighted"``, ``"edge-envelope"``, ``"gated"``); ``telemetry``
     names what the scheme's control loop consumes.
@@ -88,10 +89,12 @@ def register(info: SchemeInfo) -> SchemeInfo:
 
 
 def _ensure_loaded() -> None:
-    import importlib
-
+    # Registration happens here, module by module, and not as an import
+    # side effect: importing one scheme module directly must not move
+    # its schemes ahead of the canonical ``scheme_names()`` order.
     for module in _SCHEME_MODULES:
-        importlib.import_module(module)
+        for info in importlib.import_module(module).SCHEMES:
+            register(info)
 
 
 def get(name: str) -> SchemeInfo:
@@ -106,61 +109,24 @@ def get(name: str) -> SchemeInfo:
             f"unknown scheme {name!r} (registered: {known})") from None
 
 
-def build(
-    name: str,
-    network,
-    params=None,
-    seed: int = 1,
-    flowlet_gap_s: float = 200e-6,
-    backend: Optional[str] = None,
-):
-    """Build a fabric by scheme name; all expose add_pair/remove_pair.
+def build(name: str, network, params=None, seed: int = 1):
+    """Stand the named scheme up on ``network``; returns its fabric.
 
-    ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`) for schemes that
-    attach core agents (the uFAB family); it is pinned into
-    ``REPRO_BACKEND`` around the builder call so every scheme resolves
-    it uniformly without widening the builder signature.  ``None``
-    keeps whatever the environment already says.
+    The uFAB family attaches its core agents with the ambient backend
+    (:func:`repro.core.controller.use_backend`), else ``behavioral``.
     """
-    info = get(name)
-    if backend is None:
-        return info.builder(network, params, seed, flowlet_gap_s)
-    import os
-
-    from repro.core.controller import resolve_backend
-
-    saved = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = resolve_backend(backend)
-    try:
-        return info.builder(network, params, seed, flowlet_gap_s)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+    return get(name).builder(network, params, seed)
 
 
-def _ordered() -> List[SchemeInfo]:
-    # Canonical order is _SCHEME_MODULES order, not import order: a test
-    # (or user) importing a scheme module directly registers its schemes
-    # early, and raw dict order would then depend on who imported what
-    # first.  Stable sort keeps within-module registration order.
+def scheme_infos() -> List[SchemeInfo]:
+    """Every registered scheme, in canonical order."""
     _ensure_loaded()
-    rank = {module: i for i, module in enumerate(_SCHEME_MODULES)}
-    return sorted(
-        _REGISTRY.values(),
-        key=lambda info: rank.get(info.builder.__module__, len(rank)),
-    )
+    return list(_REGISTRY.values())
 
 
 def scheme_names() -> Tuple[str, ...]:
     """Canonical names in registry order (no aliases)."""
-    return tuple(info.name for info in _ordered())
-
-
-def scheme_infos() -> List[SchemeInfo]:
-    return _ordered()
+    return tuple(info.name for info in scheme_infos())
 
 
 def probe_overhead_bps(
@@ -194,64 +160,3 @@ def probe_overhead_bps(
         base_bytes += 2 * (p.base_bytes - 4)  # bitmap, both directions
     bits = 8.0 * (base_bytes + hop_bytes)
     return probes_sent * bits / duration_s
-
-
-def probes_sent(fabric) -> int:
-    """Total probes a fabric has launched (0 for probe-free schemes).
-
-    Duck-types the three fabric families: ``BaselineFabric`` pairs and
-    uFAB edge controllers both keep ``stats["probes_sent"]``; probe-free
-    fabrics may expose ``probes_sent()`` directly or nothing at all.
-    """
-    fn = getattr(fabric, "probes_sent", None)
-    if callable(fn):
-        return int(fn())
-    total = 0
-    controllers = getattr(fabric, "pairs", None)
-    if isinstance(controllers, dict):  # BaselineFabric
-        for controller in controllers.values():
-            stats = getattr(controller, "stats", None)
-            if stats:
-                total += stats.get("probes_sent", 0)
-    for agent in getattr(fabric, "edges", {}).values():  # UFabFabric
-        for controller in agent.controllers.values():
-            total += controller.stats.get("probes_sent", 0)
-    return total
-
-
-def resolve_params(params) -> "object":
-    """Default-construct :class:`UFabParams` when ``params`` is None."""
-    if params is not None:
-        return params
-    from repro.core.params import UFabParams
-
-    return UFabParams()
-
-
-def hash_index(key: str, n: int, seed: int = 0) -> int:
-    """Deterministic ECMP-style hash of ``key`` onto ``range(n)``.
-
-    Shared by the probe-free schemes (QShare, μTAS) whose path choice
-    is plain flow hashing; matches the idiom of
-    :class:`repro.baselines.ecmp.EcmpSelector`.
-    """
-    import hashlib
-
-    if n <= 1:
-        return 0
-    digest = hashlib.blake2b(
-        key.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "little") % n
-
-
-def candidate_paths(network, pair, params, rng, n_candidates: Optional[int] = None):
-    """The shared candidate-path lottery used by every fabric family."""
-    topo = network.topology
-    all_paths = topo.shortest_paths(pair.src_host, pair.dst_host)
-    if not all_paths:
-        raise ValueError(f"no path {pair.src_host} -> {pair.dst_host}")
-    k = n_candidates or params.n_candidate_paths
-    if len(all_paths) > k:
-        return rng.sample(all_paths, k)
-    return list(all_paths)

@@ -24,7 +24,7 @@ from typing import Dict
 
 from repro.baselines.base import BaselineFabric, BaselinePair, RateController
 from repro.baselines.ecmp import EcmpSelector
-from repro.baselines.registry import SchemeInfo, register, resolve_params
+from repro.baselines.registry import SchemeInfo
 from repro.obs import OBS
 
 MTU_BITS = 1500 * 8
@@ -136,21 +136,20 @@ class SozeController(RateController):
         pair.state.pop("signal", None)
 
 
-def SozeFabric(network, params=None, seed: int = 1,
-               flowlet_gap_s: float = 200e-6) -> BaselineFabric:
+def SozeFabric(network, params=None, seed: int = 1) -> BaselineFabric:
     """Söze: weighted AIMD on one folded telemetry scalar, hashed paths."""
     fabric = BaselineFabric(
         network,
         rate_controller_factory=SozeController,
         path_selector_factory=lambda: EcmpSelector(seed=seed),
-        params=resolve_params(params),
+        params=params,
         seed=seed,
     )
     fabric.pair_cls = SozePair
     return fabric
 
 
-register(SchemeInfo(
+SCHEMES = (SchemeInfo(
     name="soze",
     builder=SozeFabric,
     summary="one end-to-end telemetry scalar driving weighted AIMD "
@@ -165,4 +164,4 @@ register(SchemeInfo(
     probe_base_bytes=24,
     probe_hop_bytes=0,
     aliases=("söze",),
-))
+),)

@@ -19,16 +19,11 @@ observe it.
 
 from __future__ import annotations
 
-import random
 from typing import Dict
 
-from repro.baselines.registry import (
-    SchemeInfo,
-    candidate_paths,
-    hash_index,
-    register,
-    resolve_params,
-)
+from repro.baselines.ecmp import hash_index
+from repro.baselines.registry import SchemeInfo
+from repro.core.fabric import Fabric
 from repro.obs import OBS
 
 _M_GATE_UPDATES = OBS.metrics.counter(
@@ -56,49 +51,37 @@ class _Gate:
         self.rate: float = 0.0
 
 
-class UTasFabric:
-    """Per-uplink cyclic gate schedules; bounded latency, no probes."""
+class UTasFabric(Fabric):
+    """Per-uplink cyclic gate schedules; bounded latency, no probes.
+
+    Demand does not move the gates — only the reservation does — so
+    ``set_demand`` is the base's: the fluid model caps the sent rate at
+    demand via the pair's ``send_rate``.
+    """
 
     def __init__(self, network, params=None, seed: int = 1) -> None:
-        self.network = network
-        self.params = resolve_params(params)
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.gates: Dict[str, _Gate] = {}  # pair_id -> gate
+        super().__init__(network, params, seed)
         self._by_host: Dict[str, Dict[str, _Gate]] = {}
 
     # -- fabric protocol ------------------------------------------------
     def add_pair(self, pair, candidates=None, n_candidates=None):
         if candidates is None:
-            candidates = candidate_paths(
-                self.network, pair, self.params, self.rng, n_candidates)
+            candidates = self.draw_candidates(pair, self.rng, n_candidates)
         idx = hash_index(pair.pair_id, len(candidates), seed=self.seed)
         path = tuple(candidates[idx])
         self.network.register_pair(pair, path)
-        gate = _Gate(pair, path)
-        self.gates[pair.pair_id] = gate
+        gate = self.pairs[pair.pair_id] = _Gate(pair, path)
         self._by_host.setdefault(pair.src_host, {})[pair.pair_id] = gate
         self._reschedule(pair.src_host)
         return gate
 
     def remove_pair(self, pair_id: str) -> None:
-        gate = self.gates.pop(pair_id)
+        gate = self.pairs.pop(pair_id)
         host_gates = self._by_host[gate.pair.src_host]
         host_gates.pop(pair_id, None)
         self.network.unregister_pair(pair_id)
         if host_gates:
             self._reschedule(gate.pair.src_host)
-
-    def set_demand(self, pair_id: str, demand_bps: float) -> None:
-        gate = self.gates[pair_id]
-        gate.pair.demand_bps = demand_bps
-        self.network.refresh_pair(pair_id)
-        # Demand does not move the gates — only the reservation does —
-        # but the fluid model caps the sent rate at demand via the
-        # pair's send_rate, so nothing to recompute here beyond refresh.
-
-    def controller(self, pair_id: str) -> _Gate:
-        return self.gates[pair_id]
 
     def restart_host(self, host: str) -> None:
         """EdgeRestart fault: the schedule is static state; re-derive."""
@@ -137,15 +120,9 @@ class UTasFabric:
             _M_GATE_UPDATES.inc()
 
 
-def make_utas(network, params=None, seed: int = 1,
-              flowlet_gap_s: float = 200e-6) -> UTasFabric:
-    """μTAS: time-aware gate shaping at edges, bounded latency."""
-    return UTasFabric(network, params=params, seed=seed)
-
-
-register(SchemeInfo(
+SCHEMES = (SchemeInfo(
     name="utas",
-    builder=make_utas,
+    builder=UTasFabric,
     summary="time-aware gate-schedule shaping at sender edges for "
             "bounded latency (μTAS)",
     guarantee_model="gated",
@@ -154,4 +131,4 @@ register(SchemeInfo(
     work_conserving=False,
     bounded_latency=True,
     aliases=("mutas", "μtas"),
-))
+),)

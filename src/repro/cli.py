@@ -249,7 +249,7 @@ def _backend_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--backend", choices=backend_names(), default=None,
                    help="core-switch controller backend for every cell "
-                        "(default: $REPRO_BACKEND or 'behavioral'; "
+                        "(default: 'behavioral'; "
                         "'pipeline' = register-accurate Tofino emulation, "
                         "distinct cache keys)")
     return p

@@ -26,7 +26,8 @@ from repro.core.admission import (
 from repro.core.token import PairDemand, token_admission, token_assignment
 from repro.core.multipath import PathDemand, multipath_assignment
 from repro.core.corenode import CoreAgent
-from repro.core.edge import EdgeAgent, PairController, install_ufab
+from repro.core.edge import EdgeAgent, PairController, UFabFabric
+from repro.core.fabric import Fabric
 from repro.core.scheduler import WeightedFairScheduler
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "CoreAgent",
     "EdgeAgent",
     "PairController",
-    "install_ufab",
+    "UFabFabric",
+    "Fabric",
     "WeightedFairScheduler",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.bloom import CountingBloomFilter
-from repro.core.controller import SwitchController, attach_core_agents
+from repro.core.controller import attach_core_agents
 from repro.core.params import UFabParams
 from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
 from repro.core.telemetry import M_DELTAS_SUPPRESSED, M_SKETCH_FOLDS, get_plan
@@ -76,7 +76,7 @@ _M_STALE_STAMPS = OBS.metrics.counter(
          "of live registers (StaleTelemetry fault active on the link).")
 
 
-class CoreAgent(SwitchController):
+class CoreAgent:
     """Per-egress-port switch agent — the ``behavioral`` backend.
 
     The one implementation of the section 3.6/4.2 algorithm.  The
@@ -85,6 +85,18 @@ class CoreAgent(SwitchController):
     in an emulated Tofino pipeline, so every method below touches its
     state in stage order: pair table, Bloom filter, Phi_l, W_l, TX
     meter, delta view, each written at most once per probe.
+
+    One instance is attached to each directed link
+    (``link.core_agent``).  Its public surface is the contract the edge
+    layer, :mod:`repro.faults` and the telemetry accounting program
+    against: the probe path (``on_probe`` / ``stamp`` /
+    ``measured_tx``), deactivation (``on_finish`` / ``sweep`` /
+    ``active_pairs`` / ``target_capacity``), the fault hooks
+    (``freeze_telemetry`` / ``unfreeze_telemetry`` /
+    ``telemetry_frozen`` / ``reset``) and the attributes ``link``,
+    ``params``, ``plan``, ``phi_total``, ``window_total``,
+    ``false_positives``, ``records_stamped``, ``deltas_suppressed`` and
+    ``sketch_folds``.
     """
 
     def __init__(self, link: Link, params: Optional[UFabParams] = None,
@@ -390,6 +402,7 @@ class CoreAgent(SwitchController):
         self._stale_age = age_s
 
     def unfreeze_telemetry(self, now: Optional[float] = None) -> None:
+        """End a StaleTelemetry window; resume stamping live registers."""
         # Apply any deferred fast-path stamps that were due while the
         # freeze was in effect — they must be served from the frozen
         # snapshot, not the live registers thawing now.
@@ -400,6 +413,7 @@ class CoreAgent(SwitchController):
 
     @property
     def telemetry_frozen(self) -> bool:
+        """True while a StaleTelemetry fault window is active."""
         return self._frozen is not None
 
     def reset(self, now: float = 0.0) -> None:
@@ -461,7 +475,9 @@ class CoreAgent(SwitchController):
 
     # ------------------------------------------------------------------
     def active_pairs(self) -> int:
+        """Number of pairs currently contributing to the registers."""
         return len(self._table)
 
     def target_capacity(self) -> float:
+        """Eqn-3 target capacity (headroom applied to the link)."""
         return self.params.target_capacity(self.link.capacity)

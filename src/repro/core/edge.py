@@ -25,17 +25,19 @@ from __future__ import annotations
 import enum
 import math
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.core.admission import (
-    additive_increment,
-    bootstrap_window,
-    proportional_share,
-    window_entitlement,
-)
-from repro.core.controller import SwitchController, attach_core_agents
+from repro.core.admission import bootstrap_window
+from repro.core.controller import attach_core_agents
+from repro.core.fabric import Fabric
 from repro.core.params import UFabParams
-from repro.core.pathsel import PathBook, digest_hops, merge_hop_records, summarize_path
+from repro.core.pathsel import (
+    PathBook,
+    digest_hops,
+    merge_hop_records,
+    summarize_path,
+    window_from_hops,
+)
 from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
 from repro.core.telemetry import M_BYTES_SAVED, M_STAMPS_SKIPPED, get_plan
 from repro.obs import OBS
@@ -144,14 +146,14 @@ def _probe_on_hop(payload: ProbeHeader, link, now: float) -> None:
     only time-indexed link state and per-agent stamp state, so it is
     ``pure_hop`` for the flat-transit ledger.
     """
-    agent: Optional[SwitchController] = link.core_agent
+    agent = link.core_agent
     if agent is not None:
         agent.on_probe(payload, now)
 
 
 def _stamp_on_hop(payload: ProbeHeader, link, now: float) -> None:
     """Hop work for scout probes: stamp INT without registering."""
-    agent: Optional[SwitchController] = link.core_agent
+    agent = link.core_agent
     if agent is not None:
         agent.stamp(payload, now)
 
@@ -340,7 +342,8 @@ class PairController:
             # the utilization window (unbounded incast bursts, Fig 12).
             self.state = PairState.STABLE
             if self._last_hops is not None:
-                self.window, self.report_window, _ = self._window_from_hops(self._last_hops)
+                self.window, self.report_window, _ = window_from_hops(
+                    self._last_hops, self.phi(), t, self.params)
             else:
                 self.window = self.w_prime
                 self.report_window = self.w_prime
@@ -567,32 +570,6 @@ class PairController:
     # ------------------------------------------------------------------
     # Control law
     # ------------------------------------------------------------------
-    def _window_from_hops(self, hops) -> Tuple[float, float, float]:
-        """Min over hops of (eqn3 applied window, entitlement, increment)."""
-        t = self.base_rtt()
-        phi = self.phi()
-        window = math.inf
-        entitlement = math.inf
-        increment = math.inf
-        floor = math.inf
-        for hop in hops:
-            c_target = self.params.target_capacity(hop.capacity)
-            ent = window_entitlement(
-                phi, hop.phi_total, hop.window_total, c_target,
-                hop.tx_rate, hop.queue, t,
-            )
-            entitlement = min(entitlement, ent)
-            window = min(window, ent, c_target * t)
-            increment = min(increment, additive_increment(phi, hop.phi_total, c_target, t))
-            floor = min(floor, proportional_share(phi, hop.phi_total, c_target) * t)
-        # "Senders should use r_{a->b} as a lower bound" (section 3.3):
-        # the Eqn-1 proportional share floors the window, so a pair on a
-        # qualified path always commands its guarantee even while the
-        # aggregate W_l is still ramping.
-        window = max(window, floor)
-        entitlement = max(entitlement, floor)
-        return window, entitlement, increment
-
     def _on_feedback(self, header: ProbeHeader, now: float, rtt: float) -> None:
         self._last_feedback_at = now
         if OBS.enabled:
@@ -625,7 +602,7 @@ class PairController:
                     return
         # Fused fold: PathQuality and the Eqn-3 window/entitlement/
         # increment mins in one pass over the hop records (bit-identical
-        # to summarize_path + _window_from_hops, see digest_hops).
+        # to summarize_path + window_from_hops, see digest_hops).
         quality, w_eqn3, entitlement, increment = digest_hops(
             hops, self.phi(), rtt, now, self.params, self.base_rtt())
         self.book.record(self.current_idx, quality)
@@ -1050,16 +1027,17 @@ class EdgeAgent:
             pure_hop=True, hop_filter=hop_filter)
 
 
-class UFabFabric:
-    """The installed uFAB deployment: all edge agents plus the core."""
+class UFabFabric(Fabric):
+    """The installed uFAB deployment: all edge agents plus the core.
+
+    The core agents' backend is the ambient one
+    (:func:`repro.core.controller.use_backend`), else ``behavioral``.
+    """
 
     def __init__(self, network: Network, params: Optional[UFabParams] = None,
-                 seed: int = 1, backend: Optional[str] = None) -> None:
-        self.network = network
-        self.params = params or UFabParams()
-        self.rng = random.Random(seed)
-        self.core_agents = attach_core_agents(network.topology, self.params,
-                                              backend=backend)
+                 seed: int = 1) -> None:
+        super().__init__(network, params, seed)
+        self.core_agents = attach_core_agents(network.topology, self.params)
         self.edges: Dict[str, EdgeAgent] = {}
         for name, host in network.hosts.items():
             agent = EdgeAgent(name, network, self.params, random.Random(self.rng.random()))
@@ -1086,19 +1064,11 @@ class UFabFabric:
         n_candidates: Optional[int] = None,
     ) -> PairController:
         """Register a VM-pair and start its controller."""
-        topo = self.network.topology
+        edge = self.edges[pair.src_host]
         if candidates is None:
-            all_paths = topo.shortest_paths(pair.src_host, pair.dst_host)
-            if not all_paths:
-                raise ValueError(f"no path {pair.src_host} -> {pair.dst_host}")
-            k = n_candidates or self.params.n_candidate_paths
-            if len(all_paths) > k:
-                edge_rng = self.edges[pair.src_host].rng
-                candidates = edge_rng.sample(all_paths, k)
-            else:
-                candidates = list(all_paths)
+            candidates = self.draw_candidates(pair, edge.rng, n_candidates)
         self.network.register_pair(pair, candidates[0])
-        controller = self.edges[pair.src_host].add_pair(pair, candidates)
+        controller = self.pairs[pair.pair_id] = edge.add_pair(pair, candidates)
         # Wake the controller when a message-driven pair gets new demand,
         # chaining after the network's solver-sync hook.
         if pair.message_queue is not None:
@@ -1113,32 +1083,23 @@ class UFabFabric:
         return controller
 
     def remove_pair(self, pair_id: str) -> None:
-        for agent in self.edges.values():
-            controller = agent.controllers.pop(pair_id, None)
-            if controller is not None:
-                controller.stop()
+        controller = self.pairs.pop(pair_id)
+        del self.edges[controller.pair.src_host].controllers[pair_id]
+        controller.stop()
         self.network.unregister_pair(pair_id)
-
-    def controller(self, pair_id: str) -> PairController:
-        for agent in self.edges.values():
-            if pair_id in agent.controllers:
-                return agent.controllers[pair_id]
-        raise KeyError(pair_id)
 
     def set_demand(self, pair_id: str, demand_bps: float) -> None:
         """Change a pair's demand process and wake its controller."""
-        pair = self.network.pairs[pair_id]
-        rising = demand_bps > pair.demand_bps
-        pair.demand_bps = demand_bps
-        self.network.refresh_pair(pair_id)
+        controller = self.pairs[pair_id]
+        rising = demand_bps > controller.pair.demand_bps
+        super().set_demand(pair_id, demand_bps)
         if rising:
-            self.controller(pair_id).poke()
+            controller.poke()
 
     # ------------------------------------------------------------------
     # Fault plane (repro.faults)
     # ------------------------------------------------------------------
     def restart_host(self, host: str) -> None:
-        """EdgeRestart fault entry point (uniform with BaselineFabric)."""
         agent = self.edges.get(host)
         if agent is not None:
             agent.restart()
@@ -1161,18 +1122,3 @@ class UFabFabric:
             for controller in list(edge.controllers.values()):
                 if any(link.name in wiped for link in controller.path()):
                     controller.resync()
-
-
-def install_ufab(
-    network: Network,
-    params: Optional[UFabParams] = None,
-    seed: int = 1,
-    backend: Optional[str] = None,
-) -> UFabFabric:
-    """Deploy uFAB on a simulated network (edge agents + informative core).
-
-    ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`: ``behavioral`` or the
-    register-accurate ``pipeline``); ``None`` defers to ``REPRO_BACKEND``.
-    """
-    return UFabFabric(network, params, seed, backend=backend)

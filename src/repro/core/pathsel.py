@@ -106,6 +106,38 @@ def summarize_path(
     )
 
 
+def window_from_hops(
+    hops: Sequence[HopRecord],
+    phi: float,
+    base_rtt: float,
+    params: UFabParams,
+) -> Tuple[float, float, float]:
+    """Eqns 1-3 per hop, folded: ``(window, entitlement, increment)``.
+
+    The reference the fused :func:`digest_hops` loop must match: min
+    over hops of the Eqn-3 applied window, the entitlement and the
+    additive increment, all floored by the Eqn-1 proportional share.
+    """
+    window = entitlement = increment = floor = math.inf
+    for hop in hops:
+        c_target = params.target_capacity(hop.capacity)
+        ent = window_entitlement(
+            phi, hop.phi_total, hop.window_total, c_target,
+            hop.tx_rate, hop.queue, base_rtt,
+        )
+        entitlement = min(entitlement, ent)
+        window = min(window, ent, c_target * base_rtt)
+        increment = min(
+            increment, additive_increment(phi, hop.phi_total, c_target, base_rtt))
+        floor = min(
+            floor, proportional_share(phi, hop.phi_total, c_target) * base_rtt)
+    # "Senders should use r_{a->b} as a lower bound" (section 3.3):
+    # the Eqn-1 proportional share floors the window, so a pair on a
+    # qualified path always commands its guarantee even while the
+    # aggregate W_l is still ramping.
+    return max(window, floor), max(entitlement, floor), increment
+
+
 def digest_hops(
     hops: Sequence[HopRecord],
     phi: float,
@@ -117,8 +149,8 @@ def digest_hops(
     """One-pass fold of a probe's hop records for the feedback handler.
 
     Returns ``(quality, window, entitlement, increment)`` — exactly what
-    :func:`summarize_path` plus the per-hop Eqn-3 fold in
-    ``PairController._window_from_hops`` produce, with every accumulator
+    :func:`summarize_path` plus :func:`window_from_hops` produce, with
+    every accumulator
     computed by the same operations in the same order, so results are
     bit-identical.  The two folds are fused into a single loop with the
     admission formulas inlined because the feedback handler runs once
@@ -134,20 +166,7 @@ def digest_hops(
         # arithmetic below assumes phi > 0 and t > 0, so keep the
         # reference implementations for this rare case.
         quality = summarize_path(hops, phi, measured_rtt, now, params)
-        window = entitlement = increment = floor = math.inf
-        for hop in hops:
-            c_target = params.target_capacity(hop.capacity)
-            ent = window_entitlement(phi, hop.phi_total, hop.window_total,
-                                     c_target, hop.tx_rate, hop.queue, t)
-            entitlement = min(entitlement, ent)
-            window = min(window, ent, c_target * t)
-            increment = min(
-                increment, additive_increment(phi, hop.phi_total, c_target, t))
-            floor = min(
-                floor, proportional_share(phi, hop.phi_total, c_target) * t)
-        window = max(window, floor)
-        entitlement = max(entitlement, floor)
-        return quality, window, entitlement, increment
+        return (quality, *window_from_hops(hops, phi, t, params))
 
     eta = params.target_utilization
     bu = params.unit_bandwidth

@@ -310,10 +310,9 @@ def telemetry_report(fabric, duration_s: float,
     plan = get_plan(getattr(fabric.params, "telemetry_plan", "full"))
     probes = 0
     stamps_skipped = 0
-    for agent in fabric.edges.values():
-        for controller in agent.controllers.values():
-            probes += controller.stats.get("probes_sent", 0)
-            stamps_skipped += controller.stats.get("stamps_skipped", 0)
+    for controller in fabric.pairs.values():
+        probes += controller.stats["probes_sent"]
+        stamps_skipped += controller.stats["stamps_skipped"]
     records = 0
     deltas_suppressed = 0
     sketch_folds = 0

@@ -22,22 +22,19 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor, QueueSampler
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.multipath import PathDemand, multipath_assignment
 from repro.core.params import UFabParams
 from repro.experiments.common import (
-    DESTINATIONS,
-    GUARANTEE_CLASSES_GBPS,
-    SOURCES,
     Axis,
     ExperimentSpec,
+    guarantee_workload,
     testbed_network,
 )
 from repro.runner import Job
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import Topology
-from repro.workloads.synthetic import permutation_pairs
 
 
 # ----------------------------------------------------------------------
@@ -77,13 +74,9 @@ def run_partial_deployment_one(
     """One coverage point of the partial-deployment ablation."""
     net = testbed_network()
     params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = install_ufab(net, params, seed=seed)
+    fabric = registry.build("ufab", net, params, seed)
     _strip_core_agents(net, fraction, random.Random(seed))
-    classes = [g * 1e9 / unit_bandwidth for g in GUARANTEE_CLASSES_GBPS]
-    pairs = permutation_pairs(SOURCES, DESTINATIONS, classes)
-    rng = random.Random(seed)
-    rng.shuffle(pairs)
-    guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
+    pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
     for i, pair in enumerate(pairs):
         net.sim.at(i * 5e-3, fabric.add_pair, pair)
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
@@ -163,7 +156,7 @@ def run_explicit_rate_ablation(
         net = Network(topo)
         params = UFabParams(unit_bandwidth=unit_bandwidth,
                             explicit_rate_only=explicit)
-        fabric = install_ufab(net, params)
+        fabric = registry.build("ufab", net, params)
         fabric.add_pair(VMPair("limited", "a", "src0", "dst0", phi=5000,
                                demand_bps=1e9))
         fabric.add_pair(VMPair("backlogged", "b", "src1", "dst1", phi=1000))
@@ -205,7 +198,7 @@ def run_bloom_sensitivity(
         net = testbed_network()
         params = UFabParams(unit_bandwidth=unit_bandwidth, bloom_bits=bits,
                             n_candidate_paths=8)
-        fabric = install_ufab(net, params, seed=seed)
+        fabric = registry.build("ufab", net, params, seed)
         # Incast concentrates every pair onto the receiver's downlink, so
         # the shared Bloom filter there sees all of them (worst case for
         # false positives).
@@ -258,7 +251,7 @@ def run_headroom_one(
     net = Network(topo)
     params = UFabParams(unit_bandwidth=unit_bandwidth,
                         target_utilization=eta)
-    fabric = install_ufab(net, params)
+    fabric = registry.build("ufab", net, params)
     for i in range(4):
         fabric.add_pair(VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}",
                                phi=2000))
@@ -378,7 +371,7 @@ def run_multipath_split(
     topo = _bottlenecked_two_path_topo()
     net = Network(topo)
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = install_ufab(net, params)
+    fabric = registry.build("ufab", net, params)
     paths = sorted(topo.shortest_paths("src", "dst"), key=lambda p: p[1].name)
     single = VMPair("single", "vf", "src", "dst", phi=8000)
     fabric.add_pair(single, candidates=[paths[0]])
@@ -388,7 +381,7 @@ def run_multipath_split(
     # Multipath: two sub-pairs, tokens re-split by Algorithm 2 every ms.
     topo2 = _bottlenecked_two_path_topo()
     net2 = Network(topo2)
-    fabric2 = install_ufab(net2, params)
+    fabric2 = registry.build("ufab", net2, params)
     paths2 = sorted(topo2.shortest_paths("src", "dst"), key=lambda p: p[1].name)
     subs = []
     for i, path in enumerate(paths2):

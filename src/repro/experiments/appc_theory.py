@@ -15,8 +15,8 @@ from typing import List
 
 import numpy as np
 
+from repro.baselines import registry
 from repro.core.admission import dual_recursion, weighted_max_min
-from repro.core.edge import install_ufab
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -63,7 +63,7 @@ def run_primal_reaction(unit_bandwidth: float = 1e6) -> ReactionResult:
     topo = dumbbell(n_pairs=4)
     net = Network(topo)
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = install_ufab(net, params)
+    fabric = registry.build("ufab", net, params)
     base_rtt = topo.base_rtt(topo.shortest_paths("src0", "dst0")[0])
     # One pair occupies the link, then three burst in simultaneously.
     first = VMPair("p0", "vf0", "src0", "dst0", phi=2000)

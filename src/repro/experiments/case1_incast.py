@@ -11,12 +11,13 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RttSampler, percentile
+from repro.baselines import registry
 from repro.experiments.common import (
     Axis,
     ExperimentSpec,
-    build_scheme,
     testbed_network,
 )
+from repro.faults import install_faults
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -43,17 +44,14 @@ def run_one(
 ) -> IncastResult:
     """One incast run: ``degree`` senders to S8 on the 10G testbed."""
     net = testbed_network()
-    fabric = build_scheme(scheme, net, seed=seed)
+    fabric = registry.build(scheme, net, seed=seed)
     # Sources cycle over the other 7 servers; multiple VFs per host for
     # higher degrees (exactly the paper's testbed usage).
     sources = [f"S{1 + (i % 7)}" for i in range(degree)]
     pairs = incast_pairs(sources, "S8", tokens=guarantee_tokens)
     for pair in pairs:
         fabric.add_pair(pair)
-    if faults:
-        from repro.faults import install_faults
-
-        install_faults(net, fabric, faults, horizon=duration)
+    install_faults(net, fabric, faults, horizon=duration)
     sampler = RttSampler(net, [p.pair_id for p in pairs], period=6e-6)
     sampler.start(duration)
     net.run(duration)

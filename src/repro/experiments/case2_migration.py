@@ -14,13 +14,14 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
+from repro.baselines import registry
 from repro.baselines.base import BaselineFabric
 from repro.baselines.clove import CloveSelector
 from repro.baselines.picnic import ReceiverGrants
 from repro.baselines.wcc import SwiftWCC
-from repro.core.edge import install_ufab
 from repro.core.params import UFabParams
 from repro.experiments.common import ExperimentSpec
+from repro.faults import install_faults
 from repro.runner import Job
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -95,7 +96,7 @@ def run_one(
     params = UFabParams(unit_bandwidth=unit_bandwidth)
 
     if scheme == "ufab":
-        fabric = install_ufab(net, params)
+        fabric = registry.build("ufab", net, params)
 
         def add(name, src, dst, tokens, demand, pinned: Optional[int]) -> None:
             pair = VMPair(name, vf=name, src_host=src, dst_host=dst, phi=tokens,
@@ -108,6 +109,8 @@ def run_one(
         grants = ReceiverGrants(net, params) if scheme == "pwc" else None
         pin_holder: List[Optional[int]] = [None]
 
+        # The one fabric not built by name: the registry has no Clove
+        # variant with a scripted initial path and a swept flowlet gap.
         fabric = BaselineFabric(
             net,
             rate_controller_factory=SwiftWCC,
@@ -128,18 +131,13 @@ def run_one(
         add(name, src, dst, tokens, demand, pinned)
     net.sim.at(join_time, add, *F4, None)
 
-    if faults:
-        from repro.faults import install_faults
-
-        install_faults(net, fabric, faults, horizon=duration)
+    install_faults(net, fabric, faults, horizon=duration)
 
     names = [f[0] for f in FLOWS] + [F4[0]]
     net.sample_rates(names, period=1e-3, until=duration)
     net.run(duration)
 
-    f4_ctrl = fabric.controller("F4") if "F4" in getattr(fabric, "pairs", {}) else None
-    if scheme == "ufab":
-        f4_ctrl = fabric.controller("F4")
+    f4_ctrl = fabric.pairs.get("F4")  # absent when the run ends before the join
     migrations = f4_ctrl.stats["migrations"] if f4_ctrl is not None else 0
 
     series = net.rate_samples

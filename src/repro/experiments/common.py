@@ -1,6 +1,8 @@
 """Shared experiment scaffolding and the experiment registry.
 
-Besides the testbed/scheme helpers, this module is the experiments'
+Besides the testbed and Figure-11 workload helpers (cells build their
+fabric with :func:`repro.baselines.registry.build`), this module is the
+experiments'
 doorway into :mod:`repro.runner`.  Each grid experiment declares one
 :class:`ExperimentSpec` (``SPEC``) next to its ``cell``: its
 (scheme x parameter x seed) axes, default durations and result table.
@@ -20,13 +22,14 @@ import dataclasses
 import importlib
 import itertools
 import math
+import random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.baselines.fabrics import make_fabric
-from repro.core.params import UFabParams
 from repro.runner import Job, ParallelRunner, ResultCache
+from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import three_tier_testbed
+from repro.workloads.synthetic import permutation_pairs
 
 SCHEMES_WITH_PRIME = ("pwc", "es+clove", "ufab-prime", "ufab")
 
@@ -48,16 +51,20 @@ def testbed_network(
     return net
 
 
-def build_scheme(
-    scheme: str,
-    network: Network,
-    params: Optional[UFabParams] = None,
-    seed: int = 1,
-    flowlet_gap_s: float = 200e-6,
-    backend: Optional[str] = None,
-):
-    return make_fabric(scheme, network, params, seed, flowlet_gap_s,
-                       backend=backend)
+def guarantee_workload(
+    unit_bandwidth: float = 1e6,
+    shuffle_seed: Optional[int] = None,
+) -> Tuple[List[VMPair], Dict[str, float]]:
+    """The Figure-11 pairs and ``{pair_id: guarantee in bits/s}``.
+
+    One pair per class per source, in class-major order, or in the join
+    order ``random.Random(shuffle_seed)`` shuffles them into.
+    """
+    classes_tokens = [g * 1e9 / unit_bandwidth for g in GUARANTEE_CLASSES_GBPS]
+    pairs = permutation_pairs(SOURCES, DESTINATIONS, classes_tokens)
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(pairs)
+    return pairs, {p.pair_id: p.phi * unit_bandwidth for p in pairs}
 
 
 # ----------------------------------------------------------------------

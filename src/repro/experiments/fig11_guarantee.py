@@ -10,20 +10,18 @@ dissatisfaction over time, (e) core queue-length CDF.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, QueueSampler
+from repro.baselines import registry
+from repro.core.params import UFabParams
 from repro.experiments.common import (
-    DESTINATIONS,
-    GUARANTEE_CLASSES_GBPS,
-    SOURCES,
     Axis,
     ExperimentSpec,
-    build_scheme,
+    guarantee_workload,
     testbed_network,
 )
-from repro.workloads.synthetic import permutation_pairs
+from repro.faults import install_faults
 
 
 @dataclasses.dataclass
@@ -46,27 +44,17 @@ def run_one(
     unit_bandwidth: float = 1e6,
     faults: Optional[Dict[str, object]] = None,
 ) -> GuaranteeResult:
-    from repro.core.params import UFabParams
-
     net = testbed_network()
     # The testbed has 8 equal-cost paths between pods; let pairs see all
     # of them so subscription-aware packing has room to work.
     params = UFabParams(n_candidate_paths=8)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
-    classes_tokens = [g * 1e9 / unit_bandwidth for g in GUARANTEE_CLASSES_GBPS]
-    pairs = permutation_pairs(SOURCES, DESTINATIONS, classes_tokens)
-    rng = random.Random(seed)
-    rng.shuffle(pairs)
-    guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
+    fabric = registry.build(scheme, net, params, seed)
+    pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
 
     for i, pair in enumerate(pairs):
         net.sim.at(i * join_interval, fabric.add_pair, pair)
 
-    injector = None
-    if faults:
-        from repro.faults import install_faults
-
-        injector = install_faults(net, fabric, faults, horizon=duration)
+    injector = install_faults(net, fabric, faults, horizon=duration)
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)

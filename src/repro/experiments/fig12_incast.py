@@ -11,13 +11,14 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentiles
+from repro.baselines import registry
 from repro.experiments.common import (
     SCHEMES_WITH_PRIME,
     Axis,
     ExperimentSpec,
-    build_scheme,
     testbed_network,
 )
+from repro.faults import install_faults
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -42,15 +43,12 @@ def run_one(
     faults: Optional[Dict[str, object]] = None,
 ) -> Fig12Result:
     net = testbed_network()
-    fabric = build_scheme(scheme, net, seed=seed)
+    fabric = registry.build(scheme, net, seed=seed)
     sources = [f"S{1 + (i % 7)}" for i in range(degree)]
     pairs = incast_pairs(sources, "S8", tokens=guarantee_tokens)
     for pair in pairs:
         fabric.add_pair(pair)
-    if faults:
-        from repro.faults import install_faults
-
-        install_faults(net, fabric, faults, horizon=duration)
+    install_faults(net, fabric, faults, horizon=duration)
     ids = [p.pair_id for p in pairs]
     sampler = RttSampler(net, ids, period=6e-6)
     sampler.start(duration)

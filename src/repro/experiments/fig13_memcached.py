@@ -14,8 +14,9 @@ import random
 from typing import List, Sequence
 
 from repro.analysis.metrics import percentile
-from repro.experiments.common import build_scheme, testbed_network
+from repro.baselines import registry
 from repro.core.params import UFabParams
+from repro.experiments.common import testbed_network
 from repro.workloads.apps import BulkFetchApp, RequestResponseApp
 from repro.workloads.flowsize import KEY_VALUE_CDF, EmpiricalSize
 
@@ -41,7 +42,7 @@ def run_one(
 ) -> MemcachedResult:
     net = testbed_network()
     params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    fabric = registry.build(scheme, net, params, seed)
 
     # Memcached: 2 Gbps-class guarantee split over server->client pairs.
     memcached_servers = ["S7", "S8"]

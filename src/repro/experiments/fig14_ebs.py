@@ -13,8 +13,9 @@ import random
 from typing import Dict, List, Sequence
 
 from repro.analysis.metrics import percentile
+from repro.baselines import registry
 from repro.core.params import UFabParams
-from repro.experiments.common import build_scheme, testbed_network
+from repro.experiments.common import testbed_network
 from repro.workloads.apps import EbsCluster
 
 LATENCY_BOUND_AVG = 2e-3
@@ -38,7 +39,7 @@ def run_one(
 ) -> EbsResult:
     net = testbed_network()
     params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    fabric = registry.build(scheme, net, params, seed)
     cluster = EbsCluster(
         net,
         fabric,

@@ -13,7 +13,7 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.analysis.metrics import QueueSampler
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import testbed_network
 from repro.resources.model import probing_overhead_bound, probing_overhead_curve
@@ -42,7 +42,7 @@ def run(
 ) -> HardwareResult:
     net = testbed_network(link_capacity=100e9)
     params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = install_ufab(net, params, seed=seed)
+    fabric = registry.build("ufab", net, params, seed)
 
     pairs: List[VMPair] = []
     sources = ["S1", "S2", "S3", "S4", "S5", "S6", "S7"]

@@ -13,13 +13,14 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentile
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import (
     SCHEMES_WITH_PRIME,
     Axis,
     ExperimentSpec,
-    build_scheme,
 )
+from repro.faults import install_faults
 from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
 from repro.workloads.synthetic import OnOffDemand, incast_pairs
@@ -58,7 +59,7 @@ def run_one(
     net = Network(topo)
     net.resolve_interval = 2e-6
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    fabric = registry.build(scheme, net, params, seed)
 
     hosts = topo.hosts()
     receiver = "h0_0"
@@ -77,10 +78,7 @@ def run_one(
             phase_s=period_s,  # first switch to overload at t = period
         )
 
-    if faults:
-        from repro.faults import install_faults
-
-        install_faults(net, fabric, faults, horizon=duration)
+    install_faults(net, fabric, faults, horizon=duration)
 
     ids = [p.pair_id for p in pairs]
     sampler = RttSampler(net, ids[:16], period=20e-6)

@@ -18,8 +18,8 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import RttSampler, fct_slowdown, percentile
+from repro.baselines import registry
 from repro.core.params import UFabParams
-from repro.experiments.common import build_scheme
 from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
 from repro.workloads.flowsize import WEB_SEARCH_CDF, EmpiricalSize, PoissonFlowGenerator
@@ -73,7 +73,7 @@ def run_one(
     net = Network(topo)
     net.resolve_interval = 4e-6
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    fabric = registry.build(scheme, net, params, seed)
     rng = random.Random(seed)
 
     tenants = synthesize_tenants(

@@ -13,7 +13,7 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import testbed_network
 from repro.sim.host import VMPair
@@ -110,7 +110,7 @@ def run_freeze_window(
                 freeze_window_rtts=window,
                 n_candidate_paths=8,
             )
-            fabric = install_ufab(net, params, seed=seed)
+            fabric = registry.build("ufab", net, params, seed)
             rng = random.Random(seed)
             pairs = _random_workload(net, fabric, rng, load, unit_bandwidth)
             guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
@@ -128,11 +128,7 @@ def run_freeze_window(
                 if good >= 0.95 * len(rest):
                     t_conv = t
                     break
-            migrations = sum(
-                c.stats["migrations"]
-                for agent in fabric.edges.values()
-                for c in agent.controllers.values()
-            )
+            migrations = sum(c.stats["migrations"] for c in fabric.pairs.values())
             results.append(
                 FreezeWindowResult(
                     freeze_window=window,
@@ -159,7 +155,7 @@ def run_probing_frequency(
             probe_period_rtts=period,
             n_candidate_paths=8,
         )
-        fabric = install_ufab(net, params, seed=seed)
+        fabric = registry.build("ufab", net, params, seed)
         rng = random.Random(seed)
         # Background: random cross-pod pairs at ~50% average load.
         _background = _random_workload(net, fabric, rng, 0.5, unit_bandwidth)

@@ -14,7 +14,7 @@ import random
 import statistics
 from typing import Dict, List, Tuple
 
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -48,7 +48,7 @@ def run(
     net = Network(topo)
     net.resolve_interval = 2e-6
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = install_ufab(net, params, seed=seed)
+    fabric = registry.build("ufab", net, params, seed)
     rng = random.Random(seed)
 
     hosts = topo.hosts()

@@ -21,18 +21,16 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import GuaranteeAuditor, RttSampler, percentile
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import (
-    DESTINATIONS,
-    GUARANTEE_CLASSES_GBPS,
-    SOURCES,
     Axis,
     ExperimentSpec,
-    build_scheme,
+    guarantee_workload,
     testbed_network,
 )
+from repro.faults import install_faults
 from repro.runner import Job
-from repro.workloads.synthetic import permutation_pairs
 
 SCHEMES = ("ufab", "pwc", "es+clove")
 
@@ -73,18 +71,12 @@ def run_one(
 ) -> ResilienceResult:
     net = testbed_network()
     params = UFabParams(n_candidate_paths=8)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
-    classes_tokens = [g * 1e9 / unit_bandwidth for g in GUARANTEE_CLASSES_GBPS]
-    pairs = permutation_pairs(SOURCES, DESTINATIONS, classes_tokens)
-    guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
+    fabric = registry.build(scheme, net, params, seed)
+    pairs, guarantees = guarantee_workload(unit_bandwidth)
     for pair in pairs:
         fabric.add_pair(pair)
 
-    injector = None
-    if faults:
-        from repro.faults import install_faults
-
-        injector = install_faults(net, fabric, faults, horizon=duration)
+    injector = install_faults(net, fabric, faults, horizon=duration)
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)

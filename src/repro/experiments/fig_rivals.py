@@ -25,21 +25,19 @@ smoke can key on them.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Dict, Optional
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, RttSampler
 from repro.baselines import registry
+from repro.core.params import UFabParams
 from repro.experiments.common import (
-    DESTINATIONS,
-    GUARANTEE_CLASSES_GBPS,
     SOURCES,
     Axis,
     ExperimentSpec,
-    build_scheme,
+    guarantee_workload,
     testbed_network,
 )
-from repro.workloads.synthetic import permutation_pairs
+from repro.faults import install_faults
 
 #: The head-to-head set: the paper's comparison trio plus the rivals.
 RIVAL_SCHEMES = ("ufab", "pwc", "es+clove", "soze", "qshare", "utas")
@@ -71,31 +69,21 @@ def run_one(
     unit_bandwidth: float = 1e6,
     faults: Optional[Dict[str, object]] = None,
 ) -> RivalsResult:
-    from repro.core.params import UFabParams
-
     net = testbed_network()
     params = UFabParams(n_candidate_paths=8)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    fabric = registry.build(scheme, net, params, seed)
 
-    classes_tokens = [g * 1e9 / unit_bandwidth for g in GUARANTEE_CLASSES_GBPS]
-    pairs = permutation_pairs(SOURCES, DESTINATIONS, classes_tokens)
+    pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
     for pair in pairs:
         cls = int(pair.vf.rsplit("-", 1)[1])
         cap = DEMAND_CAPS_GBPS[cls]
         if cap is not None:
             pair.demand_bps = cap * 1e9
-    rng = random.Random(seed)
-    rng.shuffle(pairs)
-    guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
 
     for i, pair in enumerate(pairs):
         net.sim.at(i * join_interval, fabric.add_pair, pair)
 
-    injector = None
-    if faults:
-        from repro.faults import install_faults
-
-        injector = install_faults(net, fabric, faults, horizon=duration)
+    injector = install_faults(net, fabric, faults, horizon=duration)
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)
@@ -125,7 +113,7 @@ def run_one(
         measured["bits"] / measured["seconds"] if measured["seconds"] else 0.0
     )
 
-    n_probes = registry.probes_sent(fabric)
+    n_probes = fabric.probes_sent()
     hops = [len(net.path_of(p.pair_id)) for p in pairs if p.pair_id in net.pairs]
     mean_hops = sum(hops) / len(hops) if hops else 4.0
 

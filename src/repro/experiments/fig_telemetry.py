@@ -26,21 +26,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor
+from repro.baselines import registry
 from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
 from repro.experiments.common import (
-    DESTINATIONS,
-    GUARANTEE_CLASSES_GBPS,
-    SOURCES,
     Axis,
     ExperimentSpec,
-    build_scheme,
+    guarantee_workload,
     testbed_network,
 )
-from repro.workloads.synthetic import permutation_pairs
 
 #: The frontier: full, both sampling flavors at two rates, delta, sketch.
 PLANS = ("full", "sampled:k=2", DEFAULT_SAMPLED_PLAN, "sampled:p=0.25",
@@ -87,12 +83,8 @@ def run_one(
 
     net = testbed_network()
     params = UFabParams(n_candidate_paths=8, telemetry_plan=plan)
-    fabric = build_scheme("ufab", net, params=params, seed=seed)
-    classes_tokens = [g * 1e9 / unit_bandwidth for g in GUARANTEE_CLASSES_GBPS]
-    pairs = permutation_pairs(SOURCES, DESTINATIONS, classes_tokens)
-    rng = random.Random(seed)
-    rng.shuffle(pairs)
-    guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
+    fabric = registry.build("ufab", net, params, seed)
+    pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
 
     for i, pair in enumerate(pairs):
         net.sim.at(i * join_interval, fabric.add_pair, pair)

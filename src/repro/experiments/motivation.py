@@ -18,7 +18,7 @@ import random
 from typing import Dict, List
 
 from repro.analysis.metrics import RttSampler, percentile
-from repro.baselines.fabrics import WccEcmpFabric
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import testbed_network
 from repro.sim.host import VMPair
@@ -44,7 +44,7 @@ def run_burst_interference(
     to line rate under best-effort WCC+ECMP (no guarantees)."""
     net = testbed_network()
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = WccEcmpFabric(net, params, seed=seed)
+    fabric = registry.build("wcc+ecmp", net, params, seed)
     victim = VMPair("victim", "tenant-a", "S1", "S5", phi=1000, demand_bps=0.5e9)
     fabric.add_pair(victim)
     # The aggressor: routine data analytics bursting into the victim's
@@ -103,7 +103,8 @@ def run_polarization(
                           host_capacity=10e9, fabric_capacity=10e9, prop_delay=2e-6)
         net = Network(topo)
         net.resolve_interval = 2e-6
-        fabric = WccEcmpFabric(net, UFabParams(), seed=seed, polarized=polarized)
+        scheme = "wcc+ecmp-polarized" if polarized else "wcc+ecmp"
+        fabric = registry.build(scheme, net, seed=seed)
         rng = random.Random(seed)
         lhs = [h for h in topo.hosts() if h.startswith("h0_")]
         rhs = [h for h in topo.hosts() if h.startswith("h1_")]

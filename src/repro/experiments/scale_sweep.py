@@ -30,8 +30,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.baselines import registry
 from repro.core.params import UFabParams
-from repro.experiments.common import Axis, ExperimentSpec, build_scheme
+from repro.experiments.common import Axis, ExperimentSpec
+from repro.faults import install_faults
 from repro.sim.network import Network
 from repro.sim.topology import fat_tree
 from repro.workloads.tenants import (
@@ -133,19 +135,14 @@ def run_one(
             f"unknown churn level {churn!r}; choose from {sorted(CHURN_LEVELS)}")
     net = scale_network(k)
     params = UFabParams(n_candidate_paths=4)
-    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    fabric = registry.build(scheme, net, params, seed)
     config = CHURN_LEVELS[churn]
     schedule = generate_churn(
         net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
     injector = install_churn(
         net, fabric, schedule,
         unit_bandwidth=params.unit_bandwidth, aggregate=aggregate)
-    fault_injector = None
-    if faults:
-        from repro.faults import install_faults
-
-        fault_injector = install_faults(net, fabric, faults,
-                                        horizon=duration)
+    fault_injector = install_faults(net, fabric, faults, horizon=duration)
     net.run(duration)
 
     solver_stats = net.solver.stats.as_dict()

@@ -1,12 +1,11 @@
 """FaultInjector: compiles a FaultSchedule onto the simulator heap.
 
 The injector is scheme-agnostic — it acts on the shared :class:`Network`
-(link state, probe transit) and on whatever fabric is installed, via two
-optional duck-typed entry points (``restart_host(host)`` and
-``on_core_reset(switch)``); both :class:`~repro.core.edge.UFabFabric`
-and :class:`~repro.baselines.base.BaselineFabric` implement the first,
-only uFAB implements the second (baselines have no core registers to
-resynchronize).
+(link state, probe transit) and on whatever fabric is installed, via the
+two fault entry points of the :class:`~repro.core.fabric.Fabric`
+protocol (``restart_host(host)`` and ``on_core_reset(switch)``, no-ops
+by default): every scheme with edge state overrides the first, only
+uFAB the second (baselines have no core registers to resynchronize).
 
 Zero overhead off the fault plane: the per-hop probe interceptor is
 installed on the network only while at least one loss/delay window is
@@ -291,9 +290,8 @@ class FaultInjector:
             OBS.trace.record(self.network.sim.now, _EV_FIRED, {
                 "kind": event.kind, "detail": event.host,
             })
-        fabric = self.fabric
-        if fabric is not None and hasattr(fabric, "restart_host"):
-            fabric.restart_host(event.host)
+        if self.fabric is not None:
+            self.fabric.restart_host(event.host)
 
     def _fire_core_reset(self, event: CoreReset) -> None:
         now = self.network.sim.now
@@ -308,9 +306,8 @@ class FaultInjector:
             OBS.trace.record(now, _EV_FIRED, {
                 "kind": event.kind, "detail": f"{event.switch} ({wiped} ports)",
             })
-        fabric = self.fabric
-        if fabric is not None and hasattr(fabric, "on_core_reset"):
-            fabric.on_core_reset(event.switch)
+        if self.fabric is not None:
+            self.fabric.on_core_reset(event.switch)
 
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, int]:

@@ -21,6 +21,8 @@ import os
 import time
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.core.controller import use_backend
+
 _CODE_VERSION: Optional[str] = None
 
 
@@ -97,12 +99,13 @@ class Job:
     fault schedules (or none) never alias in the result cache.
 
     ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`; empty = the session
-    default, i.e. ``REPRO_BACKEND`` or ``behavioral``).  It is pinned
-    into the environment for the duration of :func:`execute_job` — the
-    fabric builders resolve it at attach time — and folded into
-    :meth:`config_hash` only when set, so cached results never mix
-    backends.
+    (:func:`repro.core.controller.backend_names`; empty = the default,
+    ``behavioral``).  :func:`execute_job` makes it the ambient backend
+    (:func:`repro.core.controller.use_backend`) for the duration of the
+    cell — in whichever process runs it, so spawned workers take it
+    from the job, not from the environment — and it is folded into
+    :meth:`config_hash` only when set.  It is the only channel, so the
+    hash always names the backend that actually ran.
     """
 
     experiment: str
@@ -173,15 +176,7 @@ def execute_job(job: Job) -> Dict[str, Any]:
     outputs are byte-identical to an uninstrumented run.
     """
     fn = resolve_entry(job.entry)
-    saved_backend = os.environ.get("REPRO_BACKEND")
-    if job.backend:
-        # Validate eagerly (a typo should fail the job, not silently
-        # run the default) and pin for the duration of the cell: the
-        # fabric builders resolve REPRO_BACKEND at agent-attach time.
-        from repro.core.controller import resolve_backend
-
-        os.environ["REPRO_BACKEND"] = resolve_backend(job.backend)
-    try:
+    with use_backend(job.backend):
         if job.obs:
             from repro.obs import OBS
 
@@ -192,12 +187,6 @@ def execute_job(job: Job) -> Dict[str, Any]:
                 payload["_obs"] = cap.export()
         else:
             payload = fn(**job.call_kwargs())
-    finally:
-        if job.backend:
-            if saved_backend is None:
-                os.environ.pop("REPRO_BACKEND", None)
-            else:
-                os.environ["REPRO_BACKEND"] = saved_backend
     if not isinstance(payload, Mapping):
         raise TypeError(
             f"entry {job.entry!r} returned {type(payload).__name__}; "

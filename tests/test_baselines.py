@@ -11,9 +11,10 @@ from repro.baselines import (
     ESCloveFabric,
     PWCFabric,
     StaticSelector,
-    make_fabric,
+    registry,
 )
 from repro.baselines.fabrics import SCHEME_NAMES, WccEcmpFabric
+from repro.core.fabric import Fabric
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import dumbbell, three_tier_testbed
@@ -210,19 +211,19 @@ def test_static_selector_pins_index():
 # Factory
 # ----------------------------------------------------------------------
 
-def test_make_fabric_all_names():
+def test_registry_build_all_names():
     for name in SCHEME_NAMES + ("wcc+ecmp", "wcc+ecmp-polarized"):
         net = Network(dumbbell(n_pairs=1))
-        fabric = make_fabric(name, net)
-        assert hasattr(fabric, "add_pair")
+        fabric = registry.build(name, net)
+        assert isinstance(fabric, Fabric)
 
 
-def test_make_fabric_unknown_name():
+def test_registry_build_unknown_name():
     with pytest.raises(ValueError):
-        make_fabric("nope", Network(dumbbell(n_pairs=1)))
+        registry.build("nope", Network(dumbbell(n_pairs=1)))
 
 
 def test_ufab_prime_disables_two_stage():
     net = Network(dumbbell(n_pairs=1))
-    fabric = make_fabric("ufab-prime", net)
+    fabric = registry.build("ufab-prime", net)
     assert fabric.params.two_stage_admission is False

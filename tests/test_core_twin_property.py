@@ -84,7 +84,7 @@ def _params(plan):
 
 
 def _snap(agent, now):
-    """The SwitchController surface + link state, in exact-compare form.
+    """The CoreAgent public surface + link state, in exact-compare form.
 
     ``measured_tx(now)`` exposes the meter word (and refreshes it the
     same way on every run); stamped hop tuples expose frozen/delta

@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from repro.core.edge import PairState, install_ufab
+from repro.baselines import registry
+from repro.core.edge import PairState
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.messages import Message
@@ -20,7 +21,7 @@ from repro.sim.topology import dumbbell, three_tier_testbed
 def dumbbell_fabric(n_pairs=3, **param_kw):
     topo = dumbbell(n_pairs=n_pairs)
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams(**param_kw))
+    fabric = registry.build("ufab", net, UFabParams(**param_kw))
     return topo, net, fabric
 
 
@@ -101,7 +102,7 @@ def test_single_pair_uses_full_target_capacity():
 def test_incast_queue_bounded_by_3bdp():
     topo = three_tier_testbed()
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     for i in range(10):
         pair = VMPair(f"p{i}", f"vf{i}", f"S{1 + i % 7}", "S8", phi=500)
         fabric.add_pair(pair)
@@ -117,7 +118,7 @@ def test_two_stage_bounds_burst_vs_prime():
     def peak_queue(two_stage):
         topo = three_tier_testbed()
         net = Network(topo)
-        fabric = install_ufab(net, UFabParams(two_stage_admission=two_stage))
+        fabric = registry.build("ufab", net, UFabParams(two_stage_admission=two_stage))
         for i in range(12):
             fabric.add_pair(VMPair(f"p{i}", f"vf{i}", f"S{1 + i % 7}", "S8", phi=500))
         net.run(0.02)
@@ -133,7 +134,7 @@ def test_two_stage_bounds_burst_vs_prime():
 def test_pairs_spread_across_parallel_paths():
     topo = three_tier_testbed()
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     # Four 5G-class pairs cannot share core uplinks pairwise (9.5 cap).
     pairs = [
         VMPair(f"p{i}", f"vf{i}", src, dst, phi=5000)
@@ -151,7 +152,7 @@ def test_pairs_spread_across_parallel_paths():
 def test_failure_triggers_migration():
     topo = three_tier_testbed()
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     pair = VMPair("p", "vf", "S1", "S5", phi=2000)
     fabric.add_pair(pair)
     net.run(0.02)
@@ -168,7 +169,7 @@ def test_failure_triggers_migration():
 def test_scout_probes_do_not_subscribe_candidates():
     topo = three_tier_testbed()
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     pair = VMPair("p", "vf", "S1", "S5", phi=2000)
     fabric.add_pair(pair)
     net.run(0.01)

@@ -4,7 +4,7 @@ probing, explicit-rate mode, and probe-loss handling."""
 
 import pytest
 
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -17,7 +17,7 @@ def test_avoid_reordering_delays_data_switch():
     topo = three_tier_testbed()
     net = Network(topo)
     params = UFabParams(n_candidate_paths=8, avoid_reordering=True)
-    fabric = install_ufab(net, params)
+    fabric = registry.build("ufab", net, params)
     pair = VMPair("p", "vf", "S1", "S5", phi=2000)
     fabric.add_pair(pair)
     net.run(0.02)
@@ -34,7 +34,7 @@ def test_lazy_probing_still_converges():
     topo = dumbbell(n_pairs=2)
     net = Network(topo)
     params = UFabParams(probe_period_rtts=3.0)
-    fabric = install_ufab(net, params)
+    fabric = registry.build("ufab", net, params)
     for i, phi in enumerate((1000, 3000)):
         fabric.add_pair(VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}", phi=phi))
     net.run(0.03)
@@ -46,7 +46,7 @@ def test_lazy_probing_still_converges():
 def test_explicit_rate_only_is_proportional_but_static():
     topo = dumbbell(n_pairs=2)
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams(explicit_rate_only=True))
+    fabric = registry.build("ufab", net, UFabParams(explicit_rate_only=True))
     fabric.add_pair(VMPair("p0", "vf0", "src0", "dst0", phi=1000))
     fabric.add_pair(VMPair("p1", "vf1", "src1", "dst1", phi=3000))
     net.run(0.02)
@@ -57,7 +57,7 @@ def test_explicit_rate_only_is_proportional_but_static():
 def test_probe_loss_brakes_window():
     topo = dumbbell(n_pairs=1)
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     pair = VMPair("p0", "vf0", "src0", "dst0", phi=2000)
     fabric.add_pair(pair)
     net.run(0.01)
@@ -74,7 +74,7 @@ def test_probe_loss_brakes_window():
 def test_scout_timeout_marks_candidate_failed():
     topo = three_tier_testbed()
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     net.fail_node("Core1")  # half the candidates are dead from the start
     pair = VMPair("p", "vf", "S1", "S5", phi=2000)
     fabric.add_pair(pair)
@@ -91,7 +91,7 @@ def test_scout_timeout_marks_candidate_failed():
 def test_stop_sends_finish_and_zeroes_registers():
     topo = dumbbell(n_pairs=1)
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     pair = VMPair("p0", "vf0", "src0", "dst0", phi=2000)
     fabric.add_pair(pair)
     net.run(0.01)

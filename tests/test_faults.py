@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.experiments.common import build_scheme
+from repro.baselines import registry
 from repro.experiments.common import testbed_network as make_testbed
 from repro.faults import (
     CoreReset,
@@ -32,7 +32,7 @@ def _pair(pid="p0", src="S1", dst="S5", tokens=2000.0):
 
 def _run(scheme="ufab", faults=None, duration=0.01, tokens=2000.0):
     net = make_testbed()
-    fabric = build_scheme(scheme, net, seed=1)
+    fabric = registry.build(scheme, net, seed=1)
     pair = _pair(tokens=tokens)
     fabric.add_pair(pair)
     injector = install_faults(net, fabric, faults, horizon=duration)
@@ -133,7 +133,7 @@ def test_random_link_failures_deterministic_and_per_link_stable():
 
 def test_install_faults_empty_is_noop():
     net = make_testbed()
-    fabric = build_scheme("ufab", net)
+    fabric = registry.build("ufab", net)
     assert install_faults(net, fabric, None, horizon=1.0) is None
     assert install_faults(net, fabric, {}, horizon=1.0) is None
     assert net.probe_interceptor is None
@@ -211,7 +211,7 @@ def test_stale_telemetry_freeze_window_counts():
 
 def test_double_install_raises():
     net = make_testbed()
-    fabric = build_scheme("ufab", net)
+    fabric = registry.build("ufab", net)
     injector = install_faults(net, fabric, "probe_loss:0.1", horizon=0.01)
     with pytest.raises(RuntimeError):
         injector.install()

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.gp import GuaranteePartitioner, enable_gp
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
@@ -14,7 +14,7 @@ from repro.sim.topology import three_tier_testbed
 
 def build_fabric():
     net = Network(three_tier_testbed())
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     return net, fabric
 
 

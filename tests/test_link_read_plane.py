@@ -18,6 +18,8 @@ import random
 import pytest
 
 from repro.analysis.metrics import RttSampler
+from repro.baselines import registry
+from repro.core.controller import use_backend
 from repro.experiments import common
 from repro.sim.host import VMPair
 from repro.sim.link import Link, path_max_utilization
@@ -51,7 +53,8 @@ class WalkingRttSampler(RttSampler):
 def _incast_fabric(backend=None):
     """fig12_incast.run_one's cell (ufab, degree 14) up to the sampler."""
     net = common.testbed_network()
-    fabric = common.build_scheme("ufab", net, seed=1, backend=backend)
+    with use_backend(backend):
+        fabric = registry.build("ufab", net, seed=1)
     pairs = incast_pairs([f"S{1 + (i % 7)}" for i in range(14)], "S8", tokens=500.0)
     for pair in pairs:
         fabric.add_pair(pair)

@@ -17,7 +17,7 @@ from repro.analysis.metrics import (
     percentiles,
 )
 from repro.analysis.report import format_series, format_table
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -134,7 +134,7 @@ def test_percentile_monotone_in_p(values):
 
 def build():
     net = Network(dumbbell(n_pairs=2))
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     return net, fabric
 
 

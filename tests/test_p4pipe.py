@@ -10,6 +10,7 @@ from repro.core.controller import (
     backend_class,
     backend_names,
     resolve_backend,
+    use_backend,
 )
 from repro.core.corenode import CoreAgent
 from repro.core.p4pipe import (
@@ -356,12 +357,19 @@ def test_backend_names_default_first():
     assert "pipeline" in names
 
 
-def test_resolve_backend_env_and_default(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def test_resolve_backend_env_and_default():
+    """Explicit -> ambient -> ``behavioral``.  (That the environment is
+    no channel any more is ``tests/test_backend_conformance.py``'s.)"""
     assert resolve_backend(None) == "behavioral"
-    monkeypatch.setenv("REPRO_BACKEND", "pipeline")
-    assert resolve_backend(None) == "pipeline"
-    assert resolve_backend("behavioral") == "behavioral"  # explicit wins
+    with use_backend("pipeline"):
+        assert resolve_backend(None) == "pipeline"
+        assert resolve_backend("behavioral") == "behavioral"  # explicit wins
+        with use_backend(""):  # empty keeps the ambient choice
+            assert resolve_backend(None) == "pipeline"
+    assert resolve_backend(None) == "behavioral"
+    with pytest.raises(ValueError, match="registered"):
+        with use_backend("bmv2"):
+            pytest.fail("an unknown backend must not enter the block")
 
 
 def test_resolve_backend_rejects_unknown():

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from repro.core.params import UFabParams
-from repro.core.pathsel import PathBook, PathQuality, summarize_path
+from repro.core.pathsel import (
+    PathBook,
+    PathQuality,
+    digest_hops,
+    summarize_path,
+    window_from_hops,
+)
 from repro.core.probe import HopRecord
 from repro.sim.topology import three_tier_testbed
 
@@ -52,6 +58,26 @@ def test_summarize_tracks_max_queue():
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize_path([], 100, 24e-6, 0.0, PARAMS)
+
+
+def test_fused_fold_is_bit_identical_to_the_reference_folds():
+    """``digest_hops`` inlines ``summarize_path`` + ``window_from_hops``;
+    every accumulator must come out ``==``, cold corner included."""
+    rng = random.Random(7)
+    for trial in range(300):
+        hops = [
+            hop(phi_total=rng.choice((0.0, rng.uniform(0, 12000))),
+                capacity=rng.choice((10e9, 40e9, 100e9)),
+                tx=rng.choice((0.0, rng.uniform(0, 12e9))),
+                queue=rng.choice((0.0, rng.uniform(0, 4e6))),
+                window=rng.choice((0.0, rng.uniform(0, 5e6))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        phi = 0.0 if trial % 50 == 0 else rng.uniform(1, 9000)
+        base_rtt = rng.uniform(8e-6, 80e-6)
+        quality_, *windows = digest_hops(hops, phi, 30e-6, 1.5, PARAMS, base_rtt)
+        assert quality_ == summarize_path(hops, phi, 30e-6, 1.5, PARAMS)
+        assert tuple(windows) == window_from_hops(hops, phi, base_rtt, PARAMS)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,10 @@ import math
 import pytest
 
 from repro.baselines import registry
-from repro.baselines.fabrics import SCHEME_NAMES, make_fabric
+from repro.baselines.fabrics import SCHEME_NAMES
+from repro.core.fabric import Fabric
+from repro.core.params import UFabParams
+from repro.experiments.common import testbed_network as make_testbed
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import dumbbell
@@ -39,7 +42,7 @@ def test_unknown_scheme_lists_known_names():
     with pytest.raises(ValueError, match="qshare"):
         registry.get("bogus-scheme")
     with pytest.raises(ValueError, match="unknown scheme"):
-        make_fabric("bogus-scheme", Network(dumbbell(n_pairs=1)))
+        registry.build("bogus-scheme", Network(dumbbell(n_pairs=1)))
 
 
 def test_duplicate_registration_rejected():
@@ -90,16 +93,82 @@ def test_probe_overhead_scales_with_hops_only_for_int_schemes():
 def test_probes_sent_duck_types_all_fabric_families():
     for name in ("ufab", "pwc", "soze", "qshare", "utas"):
         net = Network(dumbbell(n_pairs=2))
-        fabric = make_fabric(name, net)
+        fabric = registry.build(name, net)
         for i in range(2):
             fabric.add_pair(VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}",
                                    phi=1000, demand_bps=math.inf))
         net.run(0.004)
-        count = registry.probes_sent(fabric)
+        count = fabric.probes_sent()
         if registry.get(name).uses_probes:
             assert count > 0, name
         else:
             assert count == 0, name
+
+
+# ----------------------------------------------------------------------
+# The fabric protocol: one contract, every scheme
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", registry.scheme_names())
+def test_fabric_protocol_contract(scheme):
+    net = make_testbed()
+    fabric = registry.build(scheme, net, seed=2)
+    assert isinstance(fabric, Fabric)
+    assert fabric.network is net and fabric.seed == 2
+    assert isinstance(fabric.params, UFabParams)
+
+    pairs = [VMPair(f"p{i}", f"vf{i}", f"S{i + 1}", f"S{i + 5}", phi=1000.0)
+             for i in range(3)]
+    for pair in pairs:
+        controller = fabric.add_pair(pair)
+        assert fabric.controller(pair.pair_id) is controller
+        assert controller.pair is pair
+    assert list(fabric.pairs) == ["p0", "p1", "p2"]
+    net.run(0.002)
+
+    fabric.set_demand("p0", 0.5e9)
+    assert pairs[0].demand_bps == 0.5e9
+    net.run(0.004)
+    assert net.delivered_rate("p0") <= 0.5e9 * 1.001
+    assert (fabric.probes_sent() > 0) == registry.get(scheme).uses_probes
+
+    fabric.restart_host("S1")
+    fabric.restart_host("no-such-host")
+    fabric.on_core_reset("Agg1")
+    net.run(0.006)
+    assert all(net.delivered_rate(p.pair_id) > 0 for p in pairs)
+
+    fabric.remove_pair("p1")
+    assert "p1" not in fabric.pairs and "p1" not in net.pairs
+    for unknown in ("p1", "never-added"):
+        with pytest.raises(KeyError):
+            fabric.remove_pair(unknown)
+        with pytest.raises(KeyError):
+            fabric.controller(unknown)
+        with pytest.raises(KeyError):
+            fabric.set_demand(unknown, 1e9)
+    net.run(0.008)
+    assert list(fabric.pairs) == ["p0", "p2"]
+    assert all(net.delivered_rate(pid) > 0 for pid in fabric.pairs)
+
+
+def test_scheme_order_survives_a_direct_module_import():
+    """Registration is not an import side effect, so importing a rival's
+    module first cannot move it ahead in ``scheme_names()``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = ("import repro.baselines.utas, repro.baselines.soze\n"
+             "from repro.baselines import registry\n"
+             "print(registry.scheme_names())")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=src_root)).stdout
+    assert out.strip() == repr(ALL_SCHEMES)
 
 
 # ----------------------------------------------------------------------

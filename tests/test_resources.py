@@ -127,16 +127,17 @@ def test_tofino_fits_check():
     assert TofinoResourceModel(80_000).fits()
 
 
-def test_table4_numbers_are_backend_invariant(monkeypatch):
+def test_table4_numbers_are_backend_invariant():
     """The derived Table-4 / plan-cost columns come off the emulated
     pipeline program, not the simulation backend: selecting the
     ``pipeline`` core backend for experiments must not move a single
     number."""
     from repro.resources.model import telemetry_plan_table
 
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    from repro.core.controller import use_backend
+
     reference = telemetry_plan_table()
     ref_usage = TofinoResourceModel(20_000).usage()
-    monkeypatch.setenv("REPRO_BACKEND", "pipeline")
-    assert telemetry_plan_table() == reference
-    assert TofinoResourceModel(20_000).usage() == ref_usage
+    with use_backend("pipeline"):
+        assert telemetry_plan_table() == reference
+        assert TofinoResourceModel(20_000).usage() == ref_usage

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.baselines import make_fabric
+from repro.baselines import registry
 from repro.baselines.queuebind import QShareFabric
 from repro.baselines.utas import UTasFabric
 from repro.sim.host import VMPair
@@ -16,7 +16,7 @@ from repro.sim.topology import dumbbell
 def run_dumbbell(scheme, phis, duration=0.05, demands=None, seed=1):
     topo = dumbbell(n_pairs=len(phis))
     net = Network(topo)
-    fabric = make_fabric(scheme, net, seed=seed)
+    fabric = registry.build(scheme, net, seed=seed)
     pairs = []
     for i, phi in enumerate(phis):
         demand = demands[i] if demands else math.inf
@@ -175,7 +175,7 @@ def test_utas_overcommit_scales_gates_proportionally():
     r0, r1 = net.delivered_rate("p0"), net.delivered_rate("p1")
     assert r0 == pytest.approx(r1, rel=0.02)
     assert r0 + r1 <= 10e9
-    fractions = [g.fraction for g in fabric.gates.values()]
+    fractions = [g.fraction for g in fabric.pairs.values()]
     assert sum(fractions) <= 1.0 + 1e-9
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.messages import Message
@@ -16,7 +16,7 @@ def test_receiver_hose_guarantees_under_incast():
     """Many senders toward one VM share its receive-side capacity in
     proportion to their tokens (the hose model's receive constraint)."""
     net = Network(three_tier_testbed())
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     tokens = [1000, 2000, 3000]
     pairs = []
     for i, phi in enumerate(tokens):
@@ -37,7 +37,7 @@ def test_oversubscribed_fabric_qualification_prevents_overload():
                       host_capacity=10e9, fabric_capacity=10e9,
                       prop_delay=2e-6)
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     # 4 cross-leaf pairs x 3G of guarantees = 12G over a 10G spine path:
     # only three can qualify; the fourth is honestly unsatisfiable.
     for i in range(4):
@@ -55,7 +55,7 @@ def test_mixed_message_and_stream_tenants_coexist():
     """A message-driven RPC pair and a backlogged stream share a link:
     the RPC's messages finish promptly despite the elephant."""
     net = Network(three_tier_testbed())
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     elephant = VMPair("elephant", "big", "S1", "S5", phi=4000)
     fabric.add_pair(elephant)
     rpc = VMPair("rpc", "small", "S2", "S5", phi=4000)
@@ -82,7 +82,7 @@ def test_two_tenants_full_isolation_story():
     """End-to-end isolation: tenant A's burst does not break tenant B's
     guarantee, and the fabric stays near zero queue."""
     net = Network(three_tier_testbed())
-    fabric = install_ufab(net, UFabParams(n_candidate_paths=8))
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
     victim = VMPair("victim", "a", "S1", "S5", phi=3000)
     fabric.add_pair(victim)
     attackers = []

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.edge import install_ufab
+from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -55,7 +55,7 @@ def test_invalid_cdf_rejected():
 def test_poisson_generator_hits_target_load():
     topo = dumbbell(n_pairs=2)
     net = Network(topo)
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     pairs = []
     for i in range(2):
         pair = VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}", phi=4000)
@@ -104,7 +104,7 @@ def test_incast_pairs_share_destination():
 
 def test_on_off_demand_toggles():
     net = Network(dumbbell(n_pairs=1))
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     pair = VMPair("p0", "vf0", "src0", "dst0", phi=1000, demand_bps=0.5e9)
     fabric.add_pair(pair)
     toggler = OnOffDemand(net.sim, "p0", fabric.set_demand, low_bps=0.5e9,
@@ -124,7 +124,7 @@ def test_on_off_demand_toggles():
 
 def test_staggered_joins_schedule():
     net = Network(dumbbell(n_pairs=3))
-    fabric = install_ufab(net, UFabParams())
+    fabric = registry.build("ufab", net, UFabParams())
     pairs = [
         VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}", phi=100) for i in range(3)
     ]
