@@ -342,13 +342,17 @@ class PathBook:
         params: UFabParams,
         current: int,
     ) -> Optional[int]:
-        """Only the qualified path with the largest R_{a->b} is considered."""
-        qualified = [
-            i for i in self.qualified_indices(phi, params, current=current) if i != current
-        ]
-        if not qualified:
-            return None
-        return max(qualified, key=lambda i: self.quality[i].wc_rate)
+        """Only the qualified path with the largest R_{a->b} is considered
+        (one pass per feedback; the first maximum wins ties, as in ``max``;
+        qualification is :meth:`PathQuality.qualified_for`'s)."""
+        best, best_rate = None, 0.0
+        for i, quality in enumerate(self.quality):
+            if (quality is None or self.failed[i] or i == current
+                    or not quality.headroom_tokens >= phi):
+                continue
+            if best is None or quality.wc_rate > best_rate:
+                best, best_rate = i, quality.wc_rate
+        return best
 
     def best_fallback(self, rng: random.Random, exclude: Optional[int] = None) -> int:
         """When nothing is qualified (e.g. failures), pick the least-

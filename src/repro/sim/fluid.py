@@ -49,6 +49,25 @@ faster in pure Python than through numpy dispatch overhead.  Retired:
 the environment / ``FluidSolver(mode=)`` kernel selector; the size
 threshold is the only one, and the equivalence tests pin one kernel by
 overriding :attr:`FluidSolver.vector_min_flows` on a subclass.
+
+Calm components
+---------------
+
+μFAB-C keeps links below capacity, so in the steady state the throttle
+is idle.  An incremental solve is *calm* when only rates moved (no
+dirty links, partition valid) and every dirty flow is *settled*: the
+last solve over its component converged in its first iteration, at
+unit scales, leaving delivered == send rates.  Solves cover whole
+components, so the flag is uniform per component.  A calm solve
+re-sums, in registration order, only the dirty flows' links; if each
+is up and ``total <= capacity`` it commits them at scale 1.0 with
+delivered == send.  That is the fixed point's own answer — iteration 1
+from unit scales re-derives every other link as last time and stops —
+so results are bit-identical, and :class:`SolverStats` records what
+the fixed point would have (the union's flows, one iteration, a vector
+solve past :attr:`FluidSolver.vector_min_flows`).  Otherwise the fixed
+point runs.  ``tests/test_fluid_calm.py`` holds both paths ``==`` via
+the test-only ``FluidSolver._calm_fast`` class attribute.
 """
 
 from __future__ import annotations
@@ -92,6 +111,15 @@ _M_VECTOR = OBS.metrics.counter(
 _BY_ORDER = operator.attrgetter("order")
 
 
+def _send_rate(flow_id: str, rate: float) -> float:
+    """A send rate as the solver stores it: negative clamps to 0.0, NaN
+    raises (it would poison every inflow it is summed into)."""
+    rate = float(rate)
+    if rate != rate:
+        raise ValueError(f"flow {flow_id!r}: send rate is NaN")
+    return rate if rate > 0.0 else 0.0
+
+
 class SolverStats:
     """Always-on counters for one :class:`FluidSolver` (cheap, per solve)."""
 
@@ -131,7 +159,7 @@ class FlowEntry:
     """Solver-side record of one fluid flow."""
 
     __slots__ = ("flow_id", "path", "send_rate", "delivered_rate",
-                 "index", "link_ids", "order")
+                 "index", "link_ids", "order", "settled")
 
     def __init__(self, flow_id: str, path: Sequence[Link], send_rate: float = 0.0):
         if not path:
@@ -143,6 +171,7 @@ class FlowEntry:
         self.index = -1
         self.link_ids: Tuple[int, ...] = ()
         self.order = 0
+        self.settled = False  # calm-solve eligibility ("Calm components")
 
 
 class _VectorKernel:
@@ -240,6 +269,8 @@ class FluidSolver:
     # kernel.  A class attribute so the equivalence tests can pin one
     # kernel on a subclass (1 = always vector, inf = always scalar).
     vector_min_flows: float = VECTOR_MIN_FLOWS if _np is not None else float("inf")
+    # Test-only seam: False forces every solve through the fixed point.
+    _calm_fast = True
 
     def __init__(self, tolerance: float = 1e-6, max_iterations: int = 50) -> None:
         self.flows: Dict[str, FlowEntry] = {}
@@ -277,6 +308,8 @@ class FluidSolver:
         self._link_comp: List[int] = []   # link id -> component id (-1: no flows)
         self._comp_flows: List[List[FlowEntry]] = []  # sorted by registration
         self._comp_links: List[List[int]] = []
+        # link id -> its flows in registration order (None: not built).
+        self._link_order: List[Optional[List[FlowEntry]]] = []
         # Results pending consumption by apply()/changed-rate listeners.
         self._changed_links: Set[int] = set()
         self._changed_flows: Set[int] = set()
@@ -307,7 +340,7 @@ class FluidSolver:
     def add_flow(self, flow_id: str, path: Sequence[Link], send_rate: float = 0.0) -> None:
         if flow_id in self.flows:
             raise ValueError(f"duplicate flow {flow_id!r}")
-        entry = FlowEntry(flow_id, path, send_rate)
+        entry = FlowEntry(flow_id, path, _send_rate(flow_id, send_rate))
         if self._free:
             index = self._free.pop()
             self._entries[index] = entry
@@ -343,7 +376,9 @@ class FluidSolver:
 
     def set_rate(self, flow_id: str, rate: float) -> None:
         entry = self.flows[flow_id]
-        new = max(0.0, float(rate))
+        new = float(rate)
+        if not new > 0.0:  # the common positive rate skips the call
+            new = _send_rate(flow_id, new)
         if new != entry.send_rate:
             entry.send_rate = new
             self._dirty_flows.add(entry.index)
@@ -422,6 +457,7 @@ class FluidSolver:
             comp_links.append(links)
         self._flow_comp = flow_comp
         self._link_comp = link_comp
+        self._link_order = [None] * len(self._links)
         self._comp_flows = comp_flows
         self._comp_links = comp_links
         self._partition_valid = True
@@ -471,12 +507,52 @@ class FluidSolver:
         flows.sort(key=_BY_ORDER)
         return flows, link_ids, None
 
-    def _fixed_point(self, flows: List[FlowEntry], link_ids: List[int]) -> None:
+    def _calm_sums(self) -> Optional[Tuple[List[FlowEntry], List[int], int]]:
+        """The calm case of an incremental solve (see "Calm components"),
+        for a valid partition and no dirty links: ``None`` if not calm,
+        else the re-summed inflows are committed and the dirty flows, the
+        re-summed link ids and the fixed point's union size returned."""
+        entries = self._entries
+        dirty = self._dirty_flows
+        for fidx in dirty:
+            if not entries[fidx].settled:
+                return None
+        flows = [entries[fidx] for fidx in dirty]
+        comp_ids = {self._flow_comp[fidx] for fidx in dirty}
+        link_order = self._link_order
+        for cid in comp_ids:
+            # Built on a component's first calm attempt after a rebuild,
+            # so never-calm workloads that re-path often (PWC) skip it.
+            if link_order[self._comp_links[cid][0]] is None:
+                for lid in self._comp_links[cid]:
+                    link_order[lid] = []
+                for entry in self._comp_flows[cid]:
+                    for lid in entry.link_ids:
+                        link_order[lid].append(entry)
+        sums: Dict[int, float] = {}
+        for entry in flows:
+            for lid in entry.link_ids:
+                if lid not in sums:
+                    total = 0.0
+                    for other in link_order[lid]:
+                        total += other.send_rate
+                    link = self._links[lid]
+                    # Not ``total > capacity``: a NaN total must fail too.
+                    if link.failed or not total <= link.capacity:
+                        return None
+                    sums[lid] = total
+        for lid, total in sums.items():
+            self._acc[lid] = total
+            self._scale[lid] = 1.0
+        size = sum(len(self._comp_flows[cid]) for cid in comp_ids)
+        return flows, list(sums), size
+
+    def _fixed_point(self, flows: List[FlowEntry], link_ids: List[int]) -> int:
         """Run the proportional-throttle fixed point on one component.
 
         ``flows`` must be every flow that traverses any link in
         ``link_ids`` (the flood-filled closure guarantees this), so the
-        accumulated inflows are exact, not partial.
+        accumulated inflows are exact, not partial.  Returns iterations.
         """
         acc = self._acc
         scale = self._scale
@@ -513,7 +589,7 @@ class FluidSolver:
                 scale[lid] = new_scale
             if worst <= tolerance:
                 break
-        self.stats.iterations += iterations
+        return iterations
 
     def _kernel_for(self, token: Optional[int], flows: List[FlowEntry],
                     link_ids: List[int]) -> _VectorKernel:
@@ -535,34 +611,51 @@ class FluidSolver:
 
     def _solve(self) -> None:
         """Advance the solver to a converged state for the current inputs."""
+        stats = self.stats
+        calm = None
         if self._full:
             flows = list(self.flows.values())
             link_ids = list(range(len(self._links)))
             token: Optional[int] = -1
-            self.stats.full_solves += 1
+            size = len(flows)
+            stats.full_solves += 1
             if OBS.enabled:
                 _M_FULL.inc()
         elif self._dirty_flows or self._dirty_links:
-            flows, link_ids, token = self._component()
-            self.stats.incremental_solves += 1
-            self.stats.component_flows += len(flows)
+            if self._calm_fast and self._partition_valid and not self._dirty_links:
+                calm = self._calm_sums()
+            if calm is None:
+                flows, link_ids, token = self._component()
+                size = len(flows)
+            else:
+                flows, link_ids, size = calm
+            stats.incremental_solves += 1
+            stats.component_flows += size
             if OBS.enabled:
                 _M_INCR.inc()
-                _M_COMP.inc(len(flows))
+                _M_COMP.inc(size)
         else:
-            self.stats.skipped_resolves += 1
+            stats.skipped_resolves += 1
             return
         old_rates = [entry.delivered_rate for entry in flows]
-        if flows and len(flows) >= self.vector_min_flows:
+        vector = size > 0 and size >= self.vector_min_flows
+        if calm is not None:
+            iterations = 1  # at unit scales; the sums are in ``_acc``
+            for entry in flows:
+                entry.delivered_rate = entry.send_rate
+        elif vector:
             kernel = self._kernel_for(token, flows, link_ids)
-            self.stats.iterations += kernel.run(
+            iterations = kernel.run(
                 flows, self._links, self.tolerance, self.max_iterations)
             kernel.writeback(self._acc, self._scale)
-            self.stats.vector_solves += 1
+        else:
+            iterations = self._fixed_point(flows, link_ids)
+        stats.iterations += iterations
+        if vector:
+            stats.vector_solves += 1
             if OBS.enabled:
                 _M_VECTOR.inc()
-        else:
-            self._fixed_point(flows, link_ids)
+        settled = iterations == 1
         inflow = self._inflow
         acc = self._acc
         changed_links = self._changed_links
@@ -577,6 +670,7 @@ class FluidSolver:
         eps = self.notify_epsilon
         changed_flows = self._changed_flows
         for entry, old in zip(flows, old_rates):
+            entry.settled = settled
             new = entry.delivered_rate
             delta = new - old
             if delta < 0.0:

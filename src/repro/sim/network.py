@@ -96,11 +96,11 @@ class Probe:
 
 
 class _TransitEntry:
-    """One pending fast-path emission: probe ``flight`` enters hop
-    ``hop``'s link at time ``t``.  Lives in the link's sorted ledger
-    until applied (``fire``) or withdrawn by materialization."""
+    """One pending fast-path emission (``flight.entries[index]``): probe
+    ``flight`` enters hop ``hop``'s link at time ``t``.  Lives in the link's
+    sorted ledger until applied (``fire``) or withdrawn by materialization."""
 
-    __slots__ = ("t", "seq", "flight", "hop", "link", "applied", "stamp")
+    __slots__ = ("t", "seq", "flight", "hop", "index", "link", "applied", "stamp")
 
     def __lt__(self, other: "_TransitEntry") -> bool:
         return (self.t, self.seq) < (other.t, other.seq)
@@ -124,7 +124,12 @@ class _TransitEntry:
             link._integrate(self.t)
             return
         flight = self.flight
-        flight.ensure_prior(self.hop)
+        if self.index:
+            # An applied stamped predecessor applied every entry before it;
+            # a no-stamp marker applies none, so it proves nothing.
+            prev = flight.entries[self.index - 1]
+            if not (prev.applied and prev.stamp):
+                flight.ensure_prior(self.hop)
         t = self.t
         last = link._last_sync
         if t > last:
@@ -554,13 +559,28 @@ class Network:
         flight.fast = True
         flight.t_arr = t_arr
         if flight.on_hop is not None:
+            # _add_entry per hop, inlined: a fresh flight has no entries
+            # (index == hop) and the newest seq, so only t orders it.
             times = flight.times
             hop_filter = flight.hop_filter
             payload = flight.probe.payload
+            entries = flight.entries
+            efree = self._entry_free
             for hop, link in enumerate(flight.hops):
-                self._add_entry(
-                    flight, hop, link, times[hop],
-                    stamp=hop_filter is None or hop_filter(payload, link))
+                entry = efree.pop() if efree else _TransitEntry()
+                entry.t = t = times[hop]
+                entry.seq = flight.seq
+                entry.flight = flight
+                entry.hop = entry.index = hop
+                entry.link = link
+                entry.applied = False
+                entry.stamp = hop_filter is None or hop_filter(payload, link)
+                entries.append(entry)
+                pending = link._pending
+                if pending and t < pending[-1].t:
+                    insort(pending, entry)
+                else:
+                    pending.append(entry)
         flight.ev_pre = self.sim.at_transient(
             flight.times[-1], self._transit_prearrive, flight)
         self._fast_flights[flight.seq] = flight
@@ -640,22 +660,26 @@ class Network:
         probe.hops_taken += 1
         sim.schedule_transient(link.delay(now) + extra, self._transit_step, flight, index + 1)
 
-    def _add_entry(self, flight: _Flight, hop: int, link: Link, t: float,
-                   stamp: bool = True) -> None:
+    def _add_entry(self, flight: _Flight, hop: int, link: Link, t: float) -> None:
+        """Ledger a per-hop leg's stamp (``_launch_fast`` inlines this).
+        The ledger is (t, seq)-sorted and a new entry usually sorts last,
+        so it is appended unless it sorts below the tail."""
         efree = self._entry_free
-        if efree:
-            entry = efree.pop()
-        else:
-            entry = _TransitEntry()
+        entry = efree.pop() if efree else _TransitEntry()
         entry.t = t
         entry.seq = flight.seq
         entry.flight = flight
         entry.hop = hop
+        entry.index = len(flight.entries)
         entry.link = link
         entry.applied = False
-        entry.stamp = stamp
+        entry.stamp = True
         flight.entries.append(entry)
-        insort(link._pending, entry)
+        pending = link._pending
+        if pending and entry < pending[-1]:
+            insort(pending, entry)
+        else:
+            pending.append(entry)
 
     # -- transit object pools ------------------------------------------
     def _new_flight(self, probe, hops, on_hop, on_arrive, on_drop) -> _Flight:

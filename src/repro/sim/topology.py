@@ -8,6 +8,7 @@ small classic topologies (dumbbell, parking lot) used in unit tests.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +30,11 @@ class Topology:
         # invalidated alongside _path_cache when a link is added.
         self._reverse_cache: Dict[Path, Path] = {}
         self._rtt_cache: Dict[Tuple[Path, float], float] = {}
+        # shortest_paths' graph over dense node ids: the reverse adjacency
+        # (once per link set) and hop distances per queried destination.
+        self._node_ids: Dict[str, int] = {}
+        self._rev_adj: Optional[List[List[int]]] = None
+        self._dist_cache: Dict[str, array] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -63,6 +69,8 @@ class Topology:
         self._path_cache.clear()
         self._reverse_cache.clear()
         self._rtt_cache.clear()
+        self._rev_adj = None
+        self._dist_cache.clear()
         return link
 
     def add_duplex(
@@ -115,19 +123,9 @@ class Topology:
         if src == dst:
             self._path_cache[key] = []
             return []
-        # BFS to find hop distance from every node to dst (on reversed edges).
-        dist = {dst: 0}
-        rev_adj: Dict[str, List[str]] = {}
-        for link in self.links.values():
-            rev_adj.setdefault(link.dst, []).append(link.src)
-        frontier = deque([dst])
-        while frontier:
-            node = frontier.popleft()
-            for prev in rev_adj.get(node, []):
-                if prev not in dist:
-                    dist[prev] = dist[node] + 1
-                    frontier.append(prev)
-        if src not in dist:
+        dist = self._distances_to(dst)
+        ids = self._node_ids
+        if dist is None or src not in ids or dist[ids[src]] < 0:
             self._path_cache[key] = []
             return []
         # DFS along strictly-decreasing distance to enumerate all shortest paths.
@@ -139,9 +137,10 @@ class Topology:
             if node == dst:
                 paths.append(tuple(acc))
                 return
+            want = dist[ids[node]] - 1
             for link in self._adj[node]:
                 nxt = link.dst
-                if dist.get(nxt, -1) == dist[node] - 1:
+                if dist[ids[nxt]] == want:
                     acc.append(link)
                     walk(nxt, acc)
                     acc.pop()
@@ -149,6 +148,34 @@ class Topology:
         walk(src, [])
         self._path_cache[key] = paths
         return paths
+
+    def _distances_to(self, dst: str) -> Optional[array]:
+        """BFS hop distances to ``dst`` on reversed edges, by ``_node_ids``
+        (-1: unreachable; ``None``: unknown ``dst``), cached until a link
+        is added."""
+        dist = self._dist_cache.get(dst)
+        if dist is not None:
+            return dist
+        rev_adj = self._rev_adj
+        if rev_adj is None:
+            ids = self._node_ids = {name: i for i, name in enumerate(self.nodes)}
+            rev_adj = self._rev_adj = [[] for _ in ids]
+            for link in self.links.values():
+                rev_adj[ids[link.dst]].append(ids[link.src])
+        target = self._node_ids.get(dst)
+        if target is None:
+            return None
+        dist = array("i", [-1]) * len(rev_adj)
+        dist[target] = 0
+        frontier = deque([target])
+        while frontier:
+            node = frontier.popleft()
+            for prev in rev_adj[node]:
+                if dist[prev] < 0:
+                    dist[prev] = dist[node] + 1
+                    frontier.append(prev)
+        self._dist_cache[dst] = dist
+        return dist
 
     def base_rtt(self, path: Sequence[Link], host_delay: float = 0.0) -> float:
         """Round-trip propagation delay over ``path`` and its reverse."""

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.fluid import FluidSolver
 from repro.sim.link import Link
+from repro.sim.topology import dumbbell
 
 
 def chain(*capacities):
@@ -106,6 +107,35 @@ def test_empty_path_rejected():
     solver = FluidSolver()
     with pytest.raises(ValueError):
         solver.add_flow("a", [], 1.0)
+
+
+@pytest.mark.parametrize("entry_point", ["add_flow", "set_rate"])
+def test_negative_rate_clamps_and_nan_raises_at_both_entry_points(entry_point):
+    topo = dumbbell(n_pairs=2)
+    core = topo.link("SW1", "SW2")
+
+    def offer(solver, rate):
+        if entry_point == "add_flow":
+            solver.add_flow("a", topo.shortest_paths("src0", "dst0")[0], rate)
+        else:
+            solver.set_rate("a", rate)
+
+    def fresh():
+        solver = FluidSolver()
+        solver.add_flow("b", topo.shortest_paths("src1", "dst1")[0], 4e9)
+        if entry_point == "set_rate":
+            solver.add_flow("a", topo.shortest_paths("src0", "dst0")[0], 1e9)
+            solver.solve()
+        return solver
+
+    solver = fresh()
+    offer(solver, -3e9)  # must not cancel b's traffic on the shared link
+    assert solver.solve()[core] == 4e9
+    assert solver.delivered_rate("a") == 0.0
+    solver = fresh()
+    with pytest.raises(ValueError, match="'a'.*NaN"):
+        offer(solver, float("nan"))
+    assert solver.solve()[core] == (4e9 if entry_point == "add_flow" else 5e9)
 
 
 def test_remove_flow():

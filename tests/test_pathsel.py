@@ -155,6 +155,26 @@ def test_work_conservation_picks_largest_wc_rate():
     assert book.select_for_work_conservation(100, PARAMS, current=0) == 1
 
 
+def test_work_conservation_one_pass_matches_the_reference_selection():
+    """The one-pass loop picks what "qualified others, then the first
+    ``max`` by wc_rate" picks — ties, unknown and failed paths, and the
+    current path's relaxed qualification included."""
+    rng = random.Random(11)
+    book = make_book(8)
+    for _ in range(500):
+        for i in range(len(book.candidates)):
+            book.quality[i] = None if rng.random() < 0.2 else quality(
+                headroom=rng.choice((50.0, 150.0, 100.0)),
+                wc_rate=rng.choice((1e9, 2e9, 2e9, rng.uniform(0, 9e9))))
+            book.failed[i] = rng.random() < 0.15
+        current = rng.randrange(len(book.candidates))
+        qualified = [i for i in book.qualified_indices(100, PARAMS, current=current)
+                     if i != current]
+        expect = (max(qualified, key=lambda i: book.quality[i].wc_rate)
+                  if qualified else None)
+        assert book.select_for_work_conservation(100, PARAMS, current=current) == expect
+
+
 def test_failed_paths_are_not_candidates():
     book = make_book(2)
     book.record(0, quality())

@@ -95,6 +95,21 @@ def test_path_cache_is_invalidated_on_new_link():
     assert len(after) == 1  # the new path is longer, so still one shortest
 
 
+def test_new_shortcut_reaches_an_already_queried_destination():
+    # Query dst0 first, so its hop distances are cached; then a new link
+    # gives *another* source a shorter route to it.  A stale distance
+    # cache would keep returning src1's old three-hop path.
+    topo = dumbbell(n_pairs=2)
+    assert [len(p) for p in topo.shortest_paths("src0", "dst0")] == [3]
+    topo.add_link("src1", "SW2", 10e9)
+    topo.add_host("late")
+    topo.add_link("late", "SW2", 10e9)
+    for src in ("src1", "late"):
+        paths = topo.shortest_paths(src, "dst0")
+        assert [[l.name for l in p] for p in paths] == [[f"{src}->SW2", "SW2->dst0"]]
+    assert [len(p) for p in topo.shortest_paths("src0", "dst0")] == [3]
+
+
 def test_no_path_returns_empty():
     topo = Topology()
     topo.add_host("a")

@@ -227,6 +227,35 @@ def test_pure_hop_stamps_identical_between_modes(monkeypatch):
     # modes, so the streams match element-for-element, not just as sets.
 
 
+def test_stamp_after_an_early_no_stamp_marker_keeps_hop_order(monkeypatch):
+    # Hop 1 is filtered (a no-stamp marker).  Reading hop 1's link and
+    # then hop 2's after every emission applies hop 1's marker and then
+    # hop 2's stamp while hop 0's stamp is still pending: hop 2 must
+    # apply hop 0 first, although the entry just before it is applied.
+    runs = {}
+    for transit in ("fast", "slow"):
+        net = _net(monkeypatch, transit)
+        path = net.topology.shortest_paths("src0", "dst0")[0]
+        seen = []
+
+        def launch():
+            net.send_probe(path, None,
+                           on_hop=lambda pl, link, t: seen.append(link.name),
+                           pure_hop=True,
+                           hop_filter=lambda pl, link: link is not path[1])
+
+        def read_links():
+            path[1].sync(net.sim.now)
+            path[2].sync(net.sim.now)
+
+        net.sim.at(1e-5, launch)
+        net.sim.at(1e-5 + 2.5 * path[0].prop_delay, read_links)
+        net.run(1.0)
+        runs[transit] = (seen, net.fastpath_legs)
+    assert runs["fast"] == (["src0->SW1", "SW2->dst0"], 1)
+    assert runs["slow"] == (["src0->SW1", "SW2->dst0"], 0)
+
+
 def test_mid_flight_link_failure_materializes_identically(monkeypatch):
     # Fail the bottleneck while probes are in flight: the fast flights
     # must materialize and drop exactly like the per-hop reference.
