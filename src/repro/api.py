@@ -17,8 +17,8 @@ observability::
 Every method returns the builder, so scenarios read top to bottom:
 pick a topology (:meth:`Scenario.testbed` or :meth:`Scenario.topology`),
 pick a scheme (default ``"ufab"``), add tenants, optionally attach a
-fault schedule (:mod:`repro.faults` spec string, config mapping, or
-:class:`~repro.faults.FaultSchedule`) and observability capture, then
+fault schedule (``--faults`` spec string, config mapping, or
+:class:`~repro.schedule.Schedule`) and observability capture, then
 :meth:`~Scenario.run`.  :meth:`~Scenario.build` stops short of running
 and hands back ``(network, fabric)`` for scenarios that drive custom
 workloads or failures mid-run (see ``examples/``).
@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.baselines import registry
 from repro.core.controller import resolve_backend, use_backend
 from repro.core.params import UFabParams
-from repro.faults import FaultInjector, install_faults
+from repro.schedule import Injector, PairJoin, Schedule, install_schedule, parse_faults
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import Topology, three_tier_testbed
@@ -257,9 +257,9 @@ class Scenario:
     # -- faults & observability ----------------------------------------
 
     def faults(self, faults) -> "Scenario":
-        """Attach a fault schedule: a :mod:`repro.faults` spec string
+        """Attach a fault schedule: a ``--faults`` spec string
         (``"probe_loss:0.2; link_down:Agg1-Core1@0.01"``), a config
-        mapping, or a :class:`~repro.faults.FaultSchedule`."""
+        mapping, or a :class:`~repro.schedule.Schedule`."""
         self._faults = faults
         return self
 
@@ -287,13 +287,13 @@ class Scenario:
 
     def _realize(
         self, horizon: float,
-    ) -> Tuple[Network, Any, List[VMPair], Optional[FaultInjector]]:
+    ) -> Tuple[Network, Any, List[VMPair], Injector]:
         _positive("horizon", horizon, finite=False)
         net = Network(self._topology_factory())
         net.resolve_interval = self._resolve_interval
         with use_backend(self._backend):
             fabric = registry.build(self._scheme, net, self._params, self._seed)
-        pairs = []
+        pairs, joins = [], []
         for at, kwargs, candidates in self._tenants:
             pair = kwargs.get("_pair")
             if pair is None:
@@ -302,11 +302,16 @@ class Scenario:
                 pair = VMPair(phi=phi, **kwargs)
             pairs.append(pair)
             args = (pair,) if candidates is None else (pair, candidates)
-            if at <= 0:
-                fabric.add_pair(*args)
+            if at > 0:
+                joins.append(PairJoin(at, *args))
             else:
-                net.sim.at(at, fabric.add_pair, *args)
-        injector = install_faults(net, fabric, self._faults, horizon=horizon)
+                fabric.add_pair(*args)
+        faults = self._faults
+        if isinstance(faults, str):
+            faults = parse_faults(faults, horizon)
+        elif not isinstance(faults, Schedule):
+            faults = Schedule.from_config(faults)
+        injector = install_schedule(net, fabric, faults.extended(joins))
         return net, fabric, pairs, injector
 
     def run(self, until: float, sample_period: float = 1e-3) -> ScenarioResult:
@@ -347,5 +352,5 @@ class Scenario:
             guarantees_bps=guarantees,
             dissatisfaction_ratio=auditor.dissatisfaction_ratio,
             events_processed=net.sim.events_processed,
-            fault_report=injector.report() if injector is not None else None,
+            fault_report=injector.report().get("faults"),
         )

@@ -25,7 +25,7 @@ distinct cache keys, so they never alias untraced results), and ``repro
 trace <experiment>`` runs a single fully-instrumented cell for
 interactive inspection.
 
-Fault injection (:mod:`repro.faults`) threads through the same
+Fault injection (:mod:`repro.schedule`) threads through the same
 surface: every grid subcommand accepts ``--faults SPEC`` (e.g.
 ``--faults "probe_loss:0.2; link_down:Agg1-Core1@0.01"``) to run every
 cell under that schedule (distinct cache keys again), ``repro faults``
@@ -44,10 +44,10 @@ from repro.runner.parallel import default_jobs
 
 
 def _faults_config(args) -> Optional[dict]:
-    """Parse --faults into a FaultSchedule config (raises FaultSpecError)."""
+    """Parse --faults into a fault-schedule config (raises FaultSpecError)."""
     if not args.faults:
         return None
-    from repro.faults import parse_faults
+    from repro.schedule import parse_faults
 
     schedule = parse_faults(args.faults, horizon=args.duration or float("inf"))
     return schedule.to_config()
@@ -96,7 +96,7 @@ def _figure(args) -> None:
 
 def _faults_cmd(args) -> None:
     """``repro faults``: print the spec grammar / validate a schedule."""
-    from repro.faults import GRAMMAR, parse_faults
+    from repro.schedule import GRAMMAR, parse_faults
 
     if not args.spec:
         print(GRAMMAR.strip())
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.experiments.common import GridError, SpecError
-    from repro.faults import FaultSpecError
+    from repro.schedule import FaultSpecError
 
     parser = build_parser()
     args = parser.parse_args(argv)

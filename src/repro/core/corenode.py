@@ -88,7 +88,7 @@ class CoreAgent:
 
     One instance is attached to each directed link
     (``link.core_agent``).  Its public surface is the contract the edge
-    layer, :mod:`repro.faults` and the telemetry accounting program
+    layer, :mod:`repro.schedule` and the telemetry accounting program
     against: the probe path (``on_probe`` / ``stamp`` /
     ``measured_tx``), deactivation (``on_finish`` / ``sweep`` /
     ``active_pairs`` / ``target_capacity``), the fault hooks
@@ -380,7 +380,7 @@ class CoreAgent:
             _G_WINDOW.set(window_total, key=name)
 
     # ------------------------------------------------------------------
-    # Fault plane (repro.faults)
+    # Fault plane (repro.schedule)
     # ------------------------------------------------------------------
     def _snapshot(self, now: float) -> Tuple[float, float, float, float]:
         phi_total = self.phi_total

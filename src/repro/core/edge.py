@@ -857,7 +857,7 @@ class PairController:
             self._send_data_probe()
 
     # ------------------------------------------------------------------
-    # Fault plane (repro.faults)
+    # Fault plane (repro.schedule)
     # ------------------------------------------------------------------
     def resync(self) -> None:
         """Probe out of band so Phi_l/W_l re-learn this pair now.
@@ -1097,7 +1097,7 @@ class UFabFabric(Fabric):
             controller.poke()
 
     # ------------------------------------------------------------------
-    # Fault plane (repro.faults)
+    # Fault plane (repro.schedule)
     # ------------------------------------------------------------------
     def restart_host(self, host: str) -> None:
         agent = self.edges.get(host)

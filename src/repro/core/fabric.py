@@ -5,7 +5,7 @@ A *fabric* is one scheme stood up on one :class:`Network` —
 one place they come into being.  :class:`Fabric` owns what every scheme
 shares (the network, the parameters, the seeded rng, the pair table and
 the candidate-path lottery) and the defaults of the protocol the cells,
-:class:`repro.api.Scenario` and :mod:`repro.faults` drive; a scheme
+:class:`repro.api.Scenario` and :mod:`repro.schedule` drive; a scheme
 overrides ``add_pair`` / ``remove_pair`` and whichever default does not
 fit it.  ``docs/SCHEMES.md`` documents the protocol.
 """
@@ -69,7 +69,7 @@ class Fabric:
         """Probes launched by the live pairs' control loops."""
         return sum(c.stats["probes_sent"] for c in self.pairs.values())
 
-    # -- fault plane (repro.faults) -------------------------------------
+    # -- fault plane (repro.schedule) -----------------------------------
     def restart_host(self, host: str) -> None:
         """EdgeRestart fault: ``host``'s edge loses its learned state."""
 

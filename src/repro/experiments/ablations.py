@@ -32,6 +32,7 @@ from repro.experiments.common import (
     testbed_network,
 )
 from repro.runner import Job
+from repro.schedule import PairJoin, Schedule, install_schedule
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import Topology
@@ -77,8 +78,8 @@ def run_partial_deployment_one(
     fabric = registry.build("ufab", net, params, seed)
     _strip_core_agents(net, fraction, random.Random(seed))
     pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
-    for i, pair in enumerate(pairs):
-        net.sim.at(i * 5e-3, fabric.add_pair, pair)
+    install_schedule(net, fabric, Schedule.of(
+        *(PairJoin(i * 5e-3, pair) for i, pair in enumerate(pairs))))
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)
     core = [

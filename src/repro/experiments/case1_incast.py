@@ -17,7 +17,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     testbed_network,
 )
-from repro.faults import install_faults
+from repro.schedule import Schedule, install_schedule
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -51,7 +51,7 @@ def run_one(
     pairs = incast_pairs(sources, "S8", tokens=guarantee_tokens)
     for pair in pairs:
         fabric.add_pair(pair)
-    install_faults(net, fabric, faults, horizon=duration)
+    install_schedule(net, fabric, Schedule.from_config(faults))
     sampler = RttSampler(net, [p.pair_id for p in pairs], period=6e-6)
     sampler.start(duration)
     net.run(duration)

@@ -21,7 +21,7 @@ from repro.baselines.picnic import ReceiverGrants
 from repro.baselines.wcc import SwiftWCC
 from repro.core.params import UFabParams
 from repro.experiments.common import ExperimentSpec
-from repro.faults import install_faults
+from repro.schedule import Schedule, install_schedule
 from repro.runner import Job
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -131,7 +131,7 @@ def run_one(
         add(name, src, dst, tokens, demand, pinned)
     net.sim.at(join_time, add, *F4, None)
 
-    install_faults(net, fabric, faults, horizon=duration)
+    install_schedule(net, fabric, Schedule.from_config(faults))
 
     names = [f[0] for f in FLOWS] + [F4[0]]
     net.sample_rates(names, period=1e-3, until=duration)

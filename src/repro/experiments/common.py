@@ -249,8 +249,8 @@ def run_grid(
     ``obs`` (an observability config mapping, see :mod:`repro.obs`)
     applies to every cell: each runs inside a capture and returns its
     trace/metrics under the payload key ``"_obs"``.  ``faults`` (a
-    fault-schedule config, see :meth:`repro.faults.FaultSchedule.
-    to_config`) likewise runs every cell under that one schedule,
+    fault-schedule config, see :meth:`repro.schedule.Schedule.to_config`)
+    likewise runs every cell under that one schedule,
     replacing any the grid built in (the resilience sweep's per-cell
     schedules; its rows keep their axis/level labels).  ``backend`` (a
     core-controller backend name, see

@@ -21,7 +21,7 @@ from repro.experiments.common import (
     guarantee_workload,
     testbed_network,
 )
-from repro.faults import install_faults
+from repro.schedule import PairJoin, Schedule, install_schedule
 
 
 @dataclasses.dataclass
@@ -51,10 +51,8 @@ def run_one(
     fabric = registry.build(scheme, net, params, seed)
     pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
 
-    for i, pair in enumerate(pairs):
-        net.sim.at(i * join_interval, fabric.add_pair, pair)
-
-    injector = install_faults(net, fabric, faults, horizon=duration)
+    injector = install_schedule(net, fabric, Schedule.from_config(faults).extended(
+        PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs)))
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)
@@ -76,7 +74,7 @@ def run_one(
         queue_cdf=queues.queue_bits,
         guarantees=guarantees,
         events_processed=net.sim.events_processed,
-        fault_report=injector.report() if injector is not None else None,
+        fault_report=injector.report().get("faults"),
     )
 
 

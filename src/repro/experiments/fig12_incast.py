@@ -18,7 +18,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     testbed_network,
 )
-from repro.faults import install_faults
+from repro.schedule import Schedule, install_schedule
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -48,7 +48,7 @@ def run_one(
     pairs = incast_pairs(sources, "S8", tokens=guarantee_tokens)
     for pair in pairs:
         fabric.add_pair(pair)
-    install_faults(net, fabric, faults, horizon=duration)
+    install_schedule(net, fabric, Schedule.from_config(faults))
     ids = [p.pair_id for p in pairs]
     sampler = RttSampler(net, ids, period=6e-6)
     sampler.start(duration)

@@ -17,6 +17,7 @@ from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import testbed_network
 from repro.resources.model import probing_overhead_bound, probing_overhead_curve
+from repro.schedule import NodeDown, PairJoin, Schedule, install_schedule
 from repro.sim.host import VMPair
 
 VF_GUARANTEES_GBPS = (5.0, 5.0, 5.0, 10.0, 10.0, 10.0, 15.0)
@@ -55,10 +56,11 @@ def run(
             phi=gbps * 1e9 / unit_bandwidth,
         )
         pairs.append(pair)
-        net.sim.at(i * join_interval, fabric.add_pair, pair)
     guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
 
-    net.sim.at(failure_time, net.fail_node, "Core1")
+    install_schedule(net, fabric, Schedule.of(
+        *(PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs)),
+        NodeDown(failure_time, "Core1")))
     ids = [p.pair_id for p in pairs]
     net.sample_rates(ids, period=0.25e-3, until=duration)
     dst_links = [

@@ -20,10 +20,10 @@ from repro.experiments.common import (
     Axis,
     ExperimentSpec,
 )
-from repro.faults import install_faults
+from repro.schedule import DemandOnOff, Schedule, install_schedule
 from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
-from repro.workloads.synthetic import OnOffDemand, incast_pairs
+from repro.workloads.synthetic import incast_pairs
 
 
 @dataclasses.dataclass
@@ -68,17 +68,10 @@ def run_one(
     for pair in pairs:
         pair.demand_bps = 0.5e9  # start in underload
         fabric.add_pair(pair)
-    for i, pair in enumerate(pairs):
-        OnOffDemand(
-            net.sim,
-            pair.pair_id,
-            fabric.set_demand,
-            low_bps=0.5e9,
-            period_s=period_s,
-            phase_s=period_s,  # first switch to overload at t = period
-        )
-
-    install_faults(net, fabric, faults, horizon=duration)
+    # First switch to overload at t = period.
+    install_schedule(net, fabric, Schedule.from_config(faults).extended(
+        DemandOnOff(period_s, pair.pair_id, low_bps=0.5e9, period_s=period_s)
+        for pair in pairs))
 
     ids = [p.pair_id for p in pairs]
     sampler = RttSampler(net, ids[:16], period=20e-6)

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import testbed_network
+from repro.schedule import PairJoin, Schedule, install_schedule
 from repro.sim.host import VMPair
 from repro.workloads.synthetic import incast_pairs
 
@@ -162,8 +163,8 @@ def run_probing_frequency(
         sources = [f"S{1 + (i % 7)}" for i in range(16)]
         incast = incast_pairs(sources, "S8", tokens=500.0, vf_prefix="inc")
         t_join = 2e-3
-        for pair in incast:
-            net.sim.at(t_join, fabric.add_pair, pair)
+        install_schedule(net, fabric, Schedule.of(
+            *(PairJoin(t_join, pair) for pair in incast)))
         ids = [p.pair_id for p in incast]
         net.sample_rates(ids[:1], period=0.05e-3, until=duration)
         net.run(duration)

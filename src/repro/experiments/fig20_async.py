@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 
 from repro.baselines import registry
 from repro.core.params import UFabParams
+from repro.schedule import PairJoin, Schedule, install_schedule
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
@@ -64,8 +65,8 @@ def run(
 
     pairs = incast_pairs(senders, receiver, tokens=0.5e9 / unit_bandwidth)
     t_join = 2e-3
-    for pair in pairs:
-        net.sim.at(t_join, fabric.add_pair, pair)
+    install_schedule(net, fabric, Schedule.of(
+        *(PairJoin(t_join, pair) for pair in pairs)))
     probe_id = pairs[0].pair_id
     net.sample_rates([probe_id], period=0.05e-3, until=duration)
 

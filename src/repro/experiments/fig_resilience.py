@@ -29,7 +29,7 @@ from repro.experiments.common import (
     guarantee_workload,
     testbed_network,
 )
-from repro.faults import install_faults
+from repro.schedule import Schedule, install_schedule, parse_faults
 from repro.runner import Job
 
 SCHEMES = ("ufab", "pwc", "es+clove")
@@ -76,7 +76,7 @@ def run_one(
     for pair in pairs:
         fabric.add_pair(pair)
 
-    injector = install_faults(net, fabric, faults, horizon=duration)
+    injector = install_schedule(net, fabric, Schedule.from_config(faults))
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)
@@ -93,7 +93,7 @@ def run_one(
         p999=percentile(samples, 99.9),
         max_rtt=max(samples) if samples else 0.0,
         events_processed=net.sim.events_processed,
-        fault_report=injector.report() if injector is not None else None,
+        fault_report=injector.report().get("faults"),
     )
 
 
@@ -139,13 +139,11 @@ def _grid(
 ) -> List[Job]:
     """Both sweeps: probe-loss rates and Agg-tier link-flap MTBFs.
 
-    Each faulted cell carries its compiled :class:`FaultSchedule` config
+    Each faulted cell carries its compiled fault :class:`Schedule` config
     on the job itself, so it participates in the cache key; the
     ``level == 0`` loss baseline carries none and shares the clean cache
     namespace.
     """
-    from repro.faults import parse_faults
-
     def make(scheme: str, seed: int, axis: str, level: float,
              spec: Optional[str]) -> Job:
         faults = (

@@ -37,7 +37,7 @@ from repro.experiments.common import (
     guarantee_workload,
     testbed_network,
 )
-from repro.faults import install_faults
+from repro.schedule import PairJoin, Schedule, install_schedule
 
 #: The head-to-head set: the paper's comparison trio plus the rivals.
 RIVAL_SCHEMES = ("ufab", "pwc", "es+clove", "soze", "qshare", "utas")
@@ -80,10 +80,8 @@ def run_one(
         if cap is not None:
             pair.demand_bps = cap * 1e9
 
-    for i, pair in enumerate(pairs):
-        net.sim.at(i * join_interval, fabric.add_pair, pair)
-
-    injector = install_faults(net, fabric, faults, horizon=duration)
+    injector = install_schedule(net, fabric, Schedule.from_config(faults).extended(
+        PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs)))
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)
@@ -129,7 +127,7 @@ def run_one(
         delivered_bps=delivered,
         deliverable_bps=deliverable,
         events_processed=net.sim.events_processed,
-        fault_report=injector.report() if injector is not None else None,
+        fault_report=injector.report().get("faults"),
     )
 
 

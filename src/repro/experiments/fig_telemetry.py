@@ -37,6 +37,7 @@ from repro.experiments.common import (
     guarantee_workload,
     testbed_network,
 )
+from repro.schedule import PairJoin, Schedule, install_schedule
 
 #: The frontier: full, both sampling flavors at two rates, delta, sketch.
 PLANS = ("full", "sampled:k=2", DEFAULT_SAMPLED_PLAN, "sampled:p=0.25",
@@ -86,8 +87,8 @@ def run_one(
     fabric = registry.build("ufab", net, params, seed)
     pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
 
-    for i, pair in enumerate(pairs):
-        net.sim.at(i * join_interval, fabric.add_pair, pair)
+    install_schedule(net, fabric, Schedule.of(
+        *(PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs))))
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)

@@ -21,10 +21,10 @@ from repro.analysis.metrics import RttSampler, percentile
 from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import testbed_network
+from repro.schedule import DemandOnOff, Schedule, install_schedule
 from repro.sim.host import VMPair
 from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
-from repro.workloads.synthetic import OnOffDemand
 
 
 @dataclasses.dataclass
@@ -49,15 +49,13 @@ def run_burst_interference(
     fabric.add_pair(victim)
     # The aggressor: routine data analytics bursting into the victim's
     # destination rack (synchronized on/off, the Fig-1 interference).
-    aggressors = []
+    bursts = []
     for i, src in enumerate(("S2", "S3", "S4", "S6", "S7", "S8")):
         pair = VMPair(f"agg-{i}", "tenant-b", src, "S5", phi=1000, demand_bps=0.0)
         fabric.add_pair(pair)
-        OnOffDemand(
-            net.sim, pair.pair_id, fabric.set_demand,
-            low_bps=0.0, period_s=8e-3, phase_s=2e-3, high_duration_s=0.4e-3,
-        )
-        aggressors.append(pair)
+        bursts.append(DemandOnOff(2e-3, pair.pair_id, low_bps=0.0, period_s=8e-3,
+                                  high_duration_s=0.4e-3))
+    install_schedule(net, fabric, Schedule.of(*bursts))
 
     sampler = RttSampler(net, ["victim"], period=10e-6)
     sampler.start(duration)

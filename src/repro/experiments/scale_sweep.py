@@ -4,7 +4,7 @@ The paper's predictability story is a *scale* story — guarantees must
 hold while thousands of VM-pairs join and leave.  This sweep drives a
 k-ary fat-tree (k=16 is 1024 hosts, the ROADMAP's order-of-magnitude
 target over the 512-host static workload) with a seed-reproducible
-:class:`~repro.workloads.tenants.TenantSchedule` of VF churn, and
+:class:`~repro.schedule.Schedule` of VF churn, and
 measures the simulator's throughput (events/sec), the churn plane's
 footprint (flow groups vs raw pairs), and the solver's vectorization
 coverage.
@@ -33,14 +33,10 @@ from typing import Any, Dict, Optional
 from repro.baselines import registry
 from repro.core.params import UFabParams
 from repro.experiments.common import Axis, ExperimentSpec
-from repro.faults import install_faults
+from repro.schedule import Schedule, install_schedule
 from repro.sim.network import Network
 from repro.sim.topology import fat_tree
-from repro.workloads.tenants import (
-    TenantChurnConfig,
-    generate_churn,
-    install_churn,
-)
+from repro.workloads.tenants import TenantChurnConfig, generate_churn
 
 SCHEMES = ("ufab", "pwc")
 DEFAULT_KS = (8, 16)
@@ -118,17 +114,15 @@ def run_one(
     churn: str = "high",
     duration: float = DEFAULT_DURATION,
     seed: int = DEFAULT_SEED,
-    aggregate: bool = True,
     faults: Optional[Dict[str, object]] = None,
 ) -> Dict[str, Any]:
     """One (scheme, k, churn) cell; returns a JSON-ready row.
 
     ``faults`` is a fault-schedule config (see
-    :meth:`repro.faults.FaultSchedule.to_config`) composed *with* the
-    churn plane: the injector drives link flaps / probe loss / restarts
-    against the same fabric the churn injector is adding and removing
-    pairs on, which is the adversarial combination the resilience grid
-    alone cannot produce.
+    :meth:`repro.schedule.Schedule.to_config`) composed *with* the churn
+    into one schedule: link flaps / probe loss / restarts hit the same
+    fabric the churn is adding and removing pairs on, which is the
+    adversarial combination the resilience grid alone cannot produce.
     """
     if churn not in CHURN_LEVELS:
         raise ValueError(
@@ -137,14 +131,13 @@ def run_one(
     params = UFabParams(n_candidate_paths=4)
     fabric = registry.build(scheme, net, params, seed)
     config = CHURN_LEVELS[churn]
-    schedule = generate_churn(
+    churn_events = generate_churn(
         net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
-    injector = install_churn(
-        net, fabric, schedule,
-        unit_bandwidth=params.unit_bandwidth, aggregate=aggregate)
-    fault_injector = install_faults(net, fabric, faults, horizon=duration)
+    schedule = Schedule.from_config(faults).extended(churn_events)
+    injector = install_schedule(net, fabric, schedule)
     net.run(duration)
 
+    report = injector.report()
     solver_stats = net.solver.stats.as_dict()
     delivered = [e.delivered_rate for e in net.solver.flows.values()]
     alloc_error = weighted_allocation_error(net, params)
@@ -155,21 +148,22 @@ def run_one(
         "churn": churn,
         "duration": duration,
         "seed": seed,
-        "aggregate": aggregate,
-        # Constant since the solver's mode selector was retired; the key
-        # stays because benchmarks/perf hashes rows key-for-key.
+        # Constants since flow-group folding and the solver's mode
+        # selector lost their switches; the keys stay because
+        # benchmarks/perf hashes rows key-for-key.
+        "aggregate": True,
         "solver_mode": "auto",
         "events_processed": net.sim.events_processed,
-        "schedule_events": len(schedule),
+        "schedule_events": len(churn_events),
         "active_pairs": len(net.pairs),
         "delivered_total_bps": round(sum(delivered), 3),
         "weighted_alloc_error": (
             round(alloc_error, 6) if alloc_error is not None else None),
-        "churn_report": injector.report(),
+        "churn_report": report["churn"],
         "solver_stats": solver_stats,
     }
-    if fault_injector is not None:
-        row["fault_report"] = fault_injector.report()
+    if "faults" in report:
+        row["fault_report"] = report["faults"]
     return row
 
 

@@ -31,7 +31,7 @@ _INSTRUMENTED_MODULES = (
     "repro.core.telemetry",
     "repro.core.pathsel",
     "repro.core.edge",
-    "repro.faults.injector",
+    "repro.schedule.injector",
     "repro.workloads.tenants",
     "repro.baselines.soze",
     "repro.baselines.queuebind",

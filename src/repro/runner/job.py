@@ -92,9 +92,10 @@ class Job:
     runs of the same cell never alias in the result cache.
 
     ``faults`` is a fault-schedule config (the JSON form produced by
-    :meth:`repro.faults.FaultSchedule.to_config`).  When non-empty it is
+    :meth:`repro.schedule.Schedule.to_config`).  When non-empty it is
     passed to the entry as the ``faults`` keyword argument — entries
-    install it with :func:`repro.faults.install_faults`.  Like ``obs``
+    extend their own workload schedule with it and install the result
+    with :func:`repro.schedule.install_schedule`.  Like ``obs``
     it is part of :meth:`config_hash`, so cells run under different
     fault schedules (or none) never alias in the result cache.
 

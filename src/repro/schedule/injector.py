@@ -1,184 +1,190 @@
-"""FaultInjector: compiles a FaultSchedule onto the simulator heap.
+"""Injector: compiles one Schedule onto the simulator heap.
+
+:meth:`Injector.install` first checks every event against the topology
+(an unknown link, node, host or switch raises
+:class:`~repro.schedule.events.ScheduleError` naming the event before
+anything fires), then arms the events in schedule order through one
+per-kind handler table (:data:`_ARM`), and :meth:`Injector.report`
+ends the run with per-plane counts.
 
 The injector is scheme-agnostic — it acts on the shared :class:`Network`
-(link state, probe transit) and on whatever fabric is installed, via the
-two fault entry points of the :class:`~repro.core.fabric.Fabric`
-protocol (``restart_host(host)`` and ``on_core_reset(switch)``, no-ops
-by default): every scheme with edge state overrides the first, only
-uFAB the second (baselines have no core registers to resynchronize).
+(link state, probe transit) and on whatever fabric is installed:
+``add_pair`` / ``set_demand`` for the workload plane, and the two fault
+entry points of the :class:`~repro.core.fabric.Fabric` protocol
+(``restart_host(host)`` and ``on_core_reset(switch)``, no-ops by
+default).  Tenant churn is handled by
+:class:`repro.workloads.tenants.TenantPlane`, beside its flow groups.
 
 Zero overhead off the fault plane: the per-hop probe interceptor is
 installed on the network only while at least one loss/delay window is
 active, and removed again when the last one closes — a run whose
-schedule is empty (or whose windows have all passed) executes the exact
-pre-faults hop path.
+schedule has no fault (or whose windows have all passed) executes the
+exact unfaulted hop path.
 
 Determinism: every random draw (loss coin flips, delay jitter) comes
 from one private ``random.Random`` seeded from the schedule seed, never
-from the workload's RNGs — so ``(seed, FaultSchedule)`` fully determines
+from the workload's RNGs — so ``(seed, Schedule)`` fully determines
 the fault trace, and an empty schedule perturbs nothing at all.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.faults.events import (
-    CoreReset,
-    EdgeRestart,
-    FaultEvent,
-    LinkDown,
-    LinkFlaps,
-    LinkUp,
-    ProbeDelay,
-    ProbeLoss,
-    StaleTelemetry,
-)
-from repro.faults.schedule import FaultSchedule, random_link_failures
 from repro.obs import OBS
+from repro.schedule.events import (
+    FAULT, CoreReset, DemandOnOff, EdgeRestart, Event, LinkDown, LinkFlaps, LinkUp,
+    NodeDown, NodeUp, PairJoin, ProbeDelay, ProbeLoss, StaleTelemetry, VFArrival,
+    VFDeparture,
+)
+from repro.schedule.schedule import Schedule, random_link_failures
 from repro.sim.network import Network
 
-__all__ = ["FaultInjector"]
+__all__ = ["Injector", "install_schedule"]
 
 # ---------------------------------------------------------------------
 # Observability declarations (recorded only when OBS.enabled)
 # ---------------------------------------------------------------------
 _EV_FIRED = OBS.metrics.event(
     "faults.fired", fields=("kind", "detail"),
-    site="repro/faults/injector.py:FaultInjector",
-    desc="A scheduled fault event fired (window start/end, link "
+    site="repro/schedule/injector.py:Injector",
+    desc="A scheduled fault event fired (window start/end, link or node "
          "transition, restart, or reset).")
 _EV_DROP = OBS.metrics.event(
     "faults.probe_drop", fields=("link",),
-    site="repro/faults/injector.py:FaultInjector._intercept",
+    site="repro/schedule/injector.py:Injector._intercept",
     desc="The fault plane dropped a probe crossing a lossy link.")
 _M_DROPS = OBS.metrics.counter(
     "faults.probe_drops", unit="probes",
-    site="repro/faults/injector.py:FaultInjector._intercept",
+    site="repro/schedule/injector.py:Injector._intercept",
     desc="Probes dropped by active ProbeLoss windows.")
 _M_DELAYED = OBS.metrics.counter(
     "faults.probes_delayed", unit="probes",
-    site="repro/faults/injector.py:FaultInjector._intercept",
+    site="repro/schedule/injector.py:Injector._intercept",
     desc="Probe hops given extra latency by active ProbeDelay windows.")
 _M_LINK_FAILS = OBS.metrics.counter(
     "faults.link_failures", unit="links",
-    site="repro/faults/injector.py:FaultInjector._set_link",
+    site="repro/schedule/injector.py:Injector._fire_link",
     desc="Injected link failures (LinkDown and compiled LinkFlaps).")
 _M_LINK_RECOVERIES = OBS.metrics.counter(
     "faults.link_recoveries", unit="links",
-    site="repro/faults/injector.py:FaultInjector._set_link",
+    site="repro/schedule/injector.py:Injector._fire_link",
     desc="Injected link recoveries (LinkUp and compiled LinkFlaps).")
 _M_EDGE_RESTARTS = OBS.metrics.counter(
     "faults.edge_restarts", unit="restarts",
-    site="repro/faults/injector.py:FaultInjector._fire_edge_restart",
+    site="repro/schedule/injector.py:Injector._fire_edge_restart",
     desc="EdgeRestart faults delivered to the installed fabric.")
 _M_CORE_RESETS = OBS.metrics.counter(
     "faults.core_resets", unit="resets",
-    site="repro/faults/injector.py:FaultInjector._fire_core_reset",
+    site="repro/schedule/injector.py:Injector._fire_core_reset",
     desc="CoreReset faults: egress-port register/Bloom wipes performed.")
 _M_STALE_WINDOWS = OBS.metrics.counter(
     "faults.stale_windows", unit="windows",
-    site="repro/faults/injector.py:FaultInjector._refresh_stale",
+    site="repro/schedule/injector.py:Injector._refresh_stale",
     desc="Telemetry-freeze transitions applied to core agents.")
 
+# The fault report's keys (one count each).
+FAULT_COUNTS = ("probe_drops", "probes_delayed", "link_failures",
+                "link_recoveries", "edge_restarts", "core_resets")
 
-class FaultInjector:
-    """Executes one :class:`FaultSchedule` against a network + fabric."""
 
-    def __init__(
-        self,
-        network: Network,
-        fabric: Optional[object] = None,
-        schedule: Optional[FaultSchedule] = None,
-    ) -> None:
+class Injector:
+    """Executes one :class:`Schedule` against a network + fabric."""
+
+    def __init__(self, network: Network, fabric: Optional[Any], schedule: Schedule) -> None:
         self.network = network
         self.fabric = fabric
-        self.schedule = schedule or FaultSchedule()
+        self.schedule = schedule
         self.rng = random.Random(f"fault-injector:{self.schedule.seed}")
         self._loss_active: List[ProbeLoss] = []
         self._delay_active: List[ProbeDelay] = []
         self._stale_active: List[StaleTelemetry] = []
         self._installed = False
-        self.counts: Dict[str, int] = {
-            "probe_drops": 0,
-            "probes_delayed": 0,
-            "link_failures": 0,
-            "link_recoveries": 0,
-            "edge_restarts": 0,
-            "core_resets": 0,
-        }
+        self.counts: Dict[str, int] = dict.fromkeys(FAULT_COUNTS, 0)
+        self.tenants = None  # the TenantPlane, made by the first VF event
 
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
-    def install(self) -> "FaultInjector":
-        """Compile the schedule onto the simulator event heap."""
+    def install(self) -> "Injector":
+        """Check the schedule against the topology, then arm every event."""
         if self._installed:
-            raise RuntimeError("FaultInjector.install() called twice")
+            raise RuntimeError("Injector.install() called twice")
         self._installed = True
-        sim = self.network.sim
-        for event in self._compiled_events():
-            if isinstance(event, LinkDown):
-                sim.at(event.time, self._fire_link, event.src, event.dst, True)
-            elif isinstance(event, LinkUp):
-                sim.at(event.time, self._fire_link, event.src, event.dst, False)
-            elif isinstance(event, ProbeLoss):
-                sim.at(event.time, self._open_window, self._loss_active, event)
-                self._schedule_close(event, self._loss_active)
-            elif isinstance(event, ProbeDelay):
-                sim.at(event.time, self._open_window, self._delay_active, event)
-                self._schedule_close(event, self._delay_active)
-            elif isinstance(event, StaleTelemetry):
-                sim.at(event.time, self._open_window, self._stale_active, event)
-                self._schedule_close(event, self._stale_active)
-            elif isinstance(event, EdgeRestart):
-                sim.at(event.time, self._fire_edge_restart, event)
-            elif isinstance(event, CoreReset):
-                sim.at(event.time, self._fire_core_reset, event)
+        topology = self.network.topology
+        for event in self.schedule:
+            event.check(topology)
+        for event in self.schedule:
+            _ARM[type(event)](self, event)
         return self
 
-    def _compiled_events(self) -> List[FaultEvent]:
-        """Expand LinkFlaps into concrete LinkDown/LinkUp against the topology."""
-        out: List[FaultEvent] = []
-        for event in self.schedule:
-            if not isinstance(event, LinkFlaps):
-                out.append(event)
-                continue
-            # Physical links are failed in both directions; canonicalize
-            # each directed pair so one flap drives both.
-            pairs = {
-                tuple(sorted((link.src, link.dst)))
-                for link in self.network.topology.links.values()
-                if link.src.startswith(event.prefix)
-            }
-            out.extend(random_link_failures(
-                pairs,
-                mtbf_s=event.mtbf_s,
-                mttr_s=event.mttr_s,
-                until=event.until,
-                seed=self.schedule.seed,
-                start=event.time,
-            ))
-        return out
+    def _at(self, event: Event, fn: Callable[..., Any], *args: Any) -> None:
+        self.network.sim.at(event.time, fn, *args)
 
-    def _schedule_close(self, event, active: List) -> None:
-        sim = self.network.sim
-        if event.until != float("inf"):
-            sim.at(event.until, self._close_window, active, event)
+    def _arm_window(self, event, active: List) -> None:
+        self._at(event, self._open_window, active, event)
+        if event.until != math.inf:
+            self.network.sim.at(event.until, self._close_window, active, event)
+
+    def _arm_flaps(self, event: LinkFlaps) -> None:
+        """Compile the flaps into LinkDown/LinkUp against the topology."""
+        # Physical links are failed in both directions; canonicalize
+        # each directed pair so one flap drives both.
+        pairs = {
+            tuple(sorted((link.src, link.dst)))
+            for link in self.network.topology.links.values()
+            if link.src.startswith(event.prefix)
+        }
+        for flip in random_link_failures(
+                pairs, mtbf_s=event.mtbf_s, mttr_s=event.mttr_s,
+                until=event.until, seed=self.schedule.seed, start=event.time):
+            _ARM[type(flip)](self, flip)
+
+    def _arm_join(self, event: PairJoin) -> None:
+        # The fabric's own add_pair is the callback, as a hand-written
+        # ``sim.at(t, fabric.add_pair, pair)`` would schedule it.
+        args: tuple = (event.pair,)
+        if event.candidates is not None:
+            links = self.network.topology.links
+            args += ([tuple(links[name] for name in path)
+                      for path in event.candidates],)
+        self._at(event, self.fabric.add_pair, *args)
+
+    def _arm_tenant(self, event) -> None:
+        if self.tenants is None:
+            # Imported here: tenants imports this module (its alias of
+            # install_schedule), so a top-level import would be circular.
+            from repro.workloads.tenants import TenantPlane
+
+            self.tenants = TenantPlane(self.fabric)
+        handler = (self.tenants.on_arrival if isinstance(event, VFArrival)
+                   else self.tenants.on_departure)
+        self._at(event, handler, event)
 
     # ------------------------------------------------------------------
-    # Link transitions
+    # Workload plane: periodic demand
+    # ------------------------------------------------------------------
+    def _toggle(self, event: DemandOnOff, high: bool) -> None:
+        self.fabric.set_demand(event.pair_id, math.inf if high else event.low_bps)
+        if event.high_duration_s is None:
+            delay = event.period_s
+        elif high:
+            delay = event.high_duration_s
+        else:
+            delay = event.period_s - event.high_duration_s
+        self.network.sim.schedule(delay, self._toggle, event, not high)
+
+    # ------------------------------------------------------------------
+    # Link and node transitions
     # ------------------------------------------------------------------
     def _fire_link(self, src: str, dst: str, failed: bool) -> None:
         flipped = 0
-        topo = self.network.topology
-        for a, b in ((src, dst), (dst, src)):
-            try:
-                link = topo.link(a, b)
-            except KeyError:
-                continue
-            if link.failed != failed:
+        links = self.network.topology.links
+        for name in (f"{src}->{dst}", f"{dst}->{src}"):
+            link = links.get(name)
+            if link is not None and link.failed != failed:
                 link.failed = failed
                 flipped += 1
         if not flipped:
@@ -195,6 +201,16 @@ class FaultInjector:
             OBS.trace.record(self.network.sim.now, _EV_FIRED, {
                 "kind": "link_down" if failed else "link_up",
                 "detail": f"{src}-{dst}",
+            })
+
+    def _fire_node(self, event) -> None:
+        if isinstance(event, NodeDown):
+            self.network.fail_node(event.node)
+        else:
+            self.network.recover_node(event.node)
+        if OBS.enabled:
+            OBS.trace.record(self.network.sim.now, _EV_FIRED, {
+                "kind": event.kind, "detail": event.node,
             })
 
     # ------------------------------------------------------------------
@@ -257,8 +273,6 @@ class FaultInjector:
         for event in self._stale_active:
             names = event.links if event.links is not None else tuple(links)
             for name in names:
-                if name not in links:
-                    continue
                 current = desired.get(name, "unset")
                 if current == "unset":
                     desired[name] = event.age_s
@@ -310,6 +324,40 @@ class FaultInjector:
             self.fabric.on_core_reset(event.switch)
 
     # ------------------------------------------------------------------
-    def report(self) -> Dict[str, int]:
-        """Counts of injected faults, for experiment result JSON."""
-        return dict(self.counts)
+    def report(self) -> Dict[str, Dict[str, int]]:
+        """Per-plane counts for experiment result JSON: ``"faults"`` (the
+        six :data:`FAULT_COUNTS`) when the schedule has a fault event,
+        ``"churn"`` when it has tenant churn."""
+        out: Dict[str, Dict[str, int]] = {}
+        if any(event.plane == FAULT for event in self.schedule):
+            out["faults"] = dict(self.counts)
+        if self.tenants is not None:
+            out["churn"] = self.tenants.report()
+        return out
+
+
+# One handler per kind: each pushes the event's heap entries — one per
+# point event, two per bounded window, one per join, VF event or first
+# toggle (a toggle re-arms itself), and a LinkFlaps' compiled flips.
+_ARM: Dict[type, Callable[[Injector, Any], None]] = {
+    PairJoin: Injector._arm_join,
+    DemandOnOff: lambda inj, e: inj._at(e, inj._toggle, e, True),
+    VFArrival: Injector._arm_tenant,
+    VFDeparture: Injector._arm_tenant,
+    LinkDown: lambda inj, e: inj._at(e, inj._fire_link, e.src, e.dst, True),
+    LinkUp: lambda inj, e: inj._at(e, inj._fire_link, e.src, e.dst, False),
+    NodeDown: lambda inj, e: inj._at(e, inj._fire_node, e),
+    NodeUp: lambda inj, e: inj._at(e, inj._fire_node, e),
+    LinkFlaps: Injector._arm_flaps,
+    ProbeLoss: lambda inj, e: inj._arm_window(e, inj._loss_active),
+    ProbeDelay: lambda inj, e: inj._arm_window(e, inj._delay_active),
+    StaleTelemetry: lambda inj, e: inj._arm_window(e, inj._stale_active),
+    EdgeRestart: lambda inj, e: inj._at(e, inj._fire_edge_restart, e),
+    CoreReset: lambda inj, e: inj._at(e, inj._fire_core_reset, e),
+}
+
+
+def install_schedule(network: Network, fabric: Optional[Any],
+                     schedule: Schedule) -> Injector:
+    """Arm ``schedule`` on ``network``'s simulator heap; returns the injector."""
+    return Injector(network, fabric, schedule).install()

@@ -1,11 +1,18 @@
-"""FaultSchedule: an ordered, seed-reproducible set of fault events.
+"""Schedule: an ordered, seed-reproducible set of timed events.
 
 A schedule is *data*: it round-trips through a JSON-serializable config
-(:meth:`FaultSchedule.to_config` / :meth:`FaultSchedule.from_config`),
-which is exactly what :class:`repro.runner.Job` folds into its cache
-key — two cells with different schedules can never alias in the result
-cache, and rerunning a cell with the same ``(seed, FaultSchedule)`` is
+(:meth:`Schedule.to_config` / :meth:`Schedule.from_config`), which is
+exactly what :class:`repro.runner.Job` folds into its cache key for the
+fault plane — two cells with different fault schedules can never alias
+in the result cache, and rerunning a cell with the same schedule is
 bit-identical.
+
+Events are totally ordered by ``(plane, time, kind, tie key)``, and the
+injector arms them in that order, so at one instant every workload
+event fires before any fault event (a fault window's close and a flap's
+compiled transitions are pushed when the fault arms), same-instant
+joins and demand toggles keep their list order, and faults and churn
+tie-break on their description and tenant name.
 
 The ``seed`` drives every random draw the faults make at run time
 (probe-loss coin flips, delay jitter, link-flap timing), independently
@@ -19,47 +26,32 @@ import dataclasses
 import random
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.faults.events import FaultEvent, LinkDown, LinkUp, event_from_config
+from repro.schedule.events import Event, LinkDown, LinkUp, event_from_config
 
-__all__ = ["FaultSchedule", "random_link_failures"]
-
-
-def _sort_key(event: FaultEvent) -> Tuple[float, str, str]:
-    # (time, kind, repr) makes ordering total and deterministic for
-    # simultaneous events of different kinds.
-    return (event.time, event.kind, event.describe())
+__all__ = ["Schedule", "random_link_failures"]
 
 
 @dataclasses.dataclass(frozen=True)
-class FaultSchedule:
-    """An immutable, time-sorted sequence of fault events plus a seed."""
+class Schedule:
+    """An immutable, totally ordered sequence of events plus a seed."""
 
-    events: Tuple[FaultEvent, ...] = ()
+    events: Tuple[Event, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
         for event in self.events:
             event.validate()
         object.__setattr__(
-            self, "events", tuple(sorted(self.events, key=_sort_key)))
+            self, "events", tuple(sorted(self.events, key=Event.sort_key)))
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
-    def of(cls, *events: FaultEvent, seed: int = 0) -> "FaultSchedule":
+    def of(cls, *events: Event, seed: int = 0) -> "Schedule":
         return cls(events=tuple(events), seed=seed)
 
-    def extended(self, other: "FaultSchedule") -> "FaultSchedule":
-        """This schedule plus ``other``'s events (keeps this seed)."""
-        return FaultSchedule(events=self.events + other.events, seed=self.seed)
+    def extended(self, events: Iterable[Event]) -> "Schedule":
+        """This schedule plus ``events`` (a schedule works too; keeps this seed)."""
+        return Schedule(events=self.events + tuple(events), seed=self.seed)
 
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        return FaultSchedule(events=self.events, seed=seed)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.events)
 
@@ -72,9 +64,6 @@ class FaultSchedule:
     def describe(self) -> List[str]:
         return [event.describe() for event in self.events]
 
-    # ------------------------------------------------------------------
-    # JSON round trip (the runner's cache-key form)
-    # ------------------------------------------------------------------
     def to_config(self) -> Dict[str, Any]:
         return {
             "seed": self.seed,
@@ -82,7 +71,7 @@ class FaultSchedule:
         }
 
     @classmethod
-    def from_config(cls, config: Optional[Mapping[str, Any]]) -> "FaultSchedule":
+    def from_config(cls, config: Optional[Mapping[str, Any]]) -> "Schedule":
         if not config:
             return cls()
         events = tuple(event_from_config(spec) for spec in config.get("events", ()))
@@ -96,7 +85,7 @@ def random_link_failures(
     until: float,
     seed: int,
     start: float = 0.0,
-) -> Sequence[FaultEvent]:
+) -> Sequence[Event]:
     """Deterministic LinkDown/LinkUp pairs for each ``(src, dst)``.
 
     Each link fails independently with exponential inter-failure gaps of
@@ -106,7 +95,7 @@ def random_link_failures(
     """
     if mtbf_s <= 0 or mttr_s <= 0:
         raise ValueError("mtbf_s and mttr_s must be > 0")
-    events: List[FaultEvent] = []
+    events: List[Event] = []
     for src, dst in sorted(set(link_pairs)):
         # One RNG per link, derived from (seed, link): adding a link to
         # the target set never shifts the other links' failure times.

@@ -297,7 +297,7 @@ class Network:
         # to batch hundreds of per-pair updates per control round.
         self.resolve_interval = 0.0
         self.failed_nodes: set = set()
-        # Fault-plane hook (repro.faults): when set, called as
+        # Fault-plane hook (repro.schedule): when set, called as
         # fn(probe, link) for every hop of every probe.  Returns extra
         # per-hop delay in seconds, or None to drop the probe.  None
         # (the default) keeps the hop path allocation-free.  Exposed as

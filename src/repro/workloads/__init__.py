@@ -1,9 +1,8 @@
 """Workload generators: synthetic patterns, flow-size distributions,
 application models (Memcached/MongoDB, EBS), tenant synthesis, and the
-cluster-scale tenant-churn schedule."""
+cluster-scale tenant-churn generator."""
 
 from repro.workloads.synthetic import (
-    OnOffDemand,
     incast_pairs,
     permutation_pairs,
 )
@@ -18,21 +17,15 @@ from repro.workloads.apps import (
     RequestResponseApp,
 )
 from repro.workloads.tenants import (
-    ChurnInjector,
     FlowGroupTable,
     TenantChurnConfig,
-    TenantSchedule,
+    TenantPlane,
     TenantSpec,
-    VFArrival,
-    VFDeparture,
-    churn_event_from_config,
     generate_churn,
-    install_churn,
     synthesize_tenants,
 )
 
 __all__ = [
-    "OnOffDemand",
     "incast_pairs",
     "permutation_pairs",
     "EmpiricalSize",
@@ -44,12 +37,7 @@ __all__ = [
     "TenantSpec",
     "synthesize_tenants",
     "TenantChurnConfig",
-    "TenantSchedule",
-    "VFArrival",
-    "VFDeparture",
-    "churn_event_from_config",
     "generate_churn",
-    "install_churn",
     "FlowGroupTable",
-    "ChurnInjector",
+    "TenantPlane",
 ]

@@ -1,16 +1,17 @@
 """Synthetic traffic patterns used by the microbenchmarks.
 
 * permutation traffic with per-class guarantees (Fig 11);
-* N-to-1 incast (Fig 4, 12, 16, 18c, 20);
-* on/off demand switching (Fig 16's 4 ms underload/overload cycle).
+* N-to-1 incast (Fig 4, 12, 16, 18c, 20).
+
+Their timing — staggered joins, Fig 16's on/off demand — is a
+:class:`repro.schedule.Schedule` of ``PairJoin`` / ``DemandOnOff``
+events.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.sim.engine import Simulator
 from repro.sim.host import VMPair
 
 
@@ -56,69 +57,3 @@ def incast_pairs(
         )
         for i, src in enumerate(sources)
     ]
-
-
-class OnOffDemand:
-    """Periodically toggles a pair's demand between two levels.
-
-    Figure 16: VFs "periodically switch between fixed 500 Mbps sending
-    demands (underload) and unlimited sending demands every 4 ms".
-    ``set_demand`` is the fabric's demand API so controllers are woken
-    on the rising edge.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        pair_id: str,
-        set_demand: Callable[[str, float], None],
-        low_bps: float,
-        high_bps: float = math.inf,
-        period_s: float = 4e-3,
-        start_high: bool = False,
-        phase_s: float = 0.0,
-        high_duration_s: Optional[float] = None,
-    ) -> None:
-        self.sim = sim
-        self.pair_id = pair_id
-        self.set_demand = set_demand
-        self.low_bps = low_bps
-        self.high_bps = high_bps
-        self.period_s = period_s
-        # Default: toggle every period_s (Fig 16's "every 4 ms" halves).
-        # Short bursts (Fig 1-style episodic interference) instead set
-        # high_duration_s: high for that long, low for the rest of each
-        # period_s cycle.
-        self.high_duration_s = high_duration_s
-        self._high = start_high
-        self._stopped = False
-        sim.schedule(phase_s, self._toggle)
-
-    def _toggle(self) -> None:
-        if self._stopped:
-            return
-        self._high = not self._high
-        self.set_demand(self.pair_id, self.high_bps if self._high else self.low_bps)
-        if self.high_duration_s is None:
-            delay = self.period_s
-        elif self._high:
-            delay = self.high_duration_s
-        else:
-            delay = self.period_s - self.high_duration_s
-        self.sim.schedule(delay, self._toggle)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-
-def staggered_joins(
-    sim: Simulator,
-    add_pair: Callable[[VMPair], object],
-    pairs: Sequence[VMPair],
-    interval_s: float,
-    start_s: float = 0.0,
-) -> None:
-    """Insert pairs one at a time (Fig 11: 'randomly insert a VF every
-    20 ms'; Fig 15a: every 10 ms)."""
-    for i, pair in enumerate(pairs):
-        sim.at(start_s + i * interval_s, add_pair, pair)

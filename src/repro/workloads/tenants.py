@@ -19,15 +19,14 @@ The scale axis replays a *dynamic* tenant population instead of a fixed
 one: :func:`generate_churn` draws Poisson VF arrivals (optionally
 thinned by a sinusoidal diurnal profile), exponential VF lifetimes, and
 heavy-tailed (Pareto) per-VF VM counts, and compiles them into a
-:class:`TenantSchedule` — an immutable, time-sorted sequence of typed
-events mirroring :class:`repro.faults.FaultSchedule`: it round-trips
-through JSON (:meth:`TenantSchedule.to_config`), participates verbatim
-in runner cache keys, and every draw derives from
+:class:`~repro.schedule.Schedule` of :class:`~repro.schedule.VFArrival`
+/ :class:`~repro.schedule.VFDeparture` events; every draw derives from
 ``random.Random(f"{seed}:{key}")`` so the same seed yields the same
 trace in any process (spawn workers included).
 
-:func:`install_churn` compiles a schedule onto the simulator heap
-against any installed fabric.  To keep per-pair state bounded as the
+:func:`repro.schedule.install_schedule` arms a schedule against any
+installed fabric, and the VF events' handlers are
+:class:`TenantPlane`'s, here.  To keep per-pair state bounded as the
 population scales, arriving VM-pairs are folded into *flow groups* by
 :class:`FlowGroupTable`: pairs with the same (src host, dst host)
 share one fabric pair whose ``phi`` is the members' summed hose weight
@@ -44,22 +43,23 @@ import dataclasses
 import itertools
 import math
 import random
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import OBS
+from repro.schedule import Event, Schedule, VFArrival, VFDeparture, install_schedule
 from repro.sim.host import VMPair
 
 _M_ARRIVALS = OBS.metrics.counter(
     "scale.tenant_arrivals", unit="tenants",
-    site="repro/workloads/tenants.py:ChurnInjector._on_arrival",
+    site="repro/workloads/tenants.py:TenantPlane.on_arrival",
     desc="Tenant VFs that joined the fabric through a churn schedule.")
 _M_DEPARTURES = OBS.metrics.counter(
     "scale.tenant_departures", unit="tenants",
-    site="repro/workloads/tenants.py:ChurnInjector._on_departure",
+    site="repro/workloads/tenants.py:TenantPlane.on_departure",
     desc="Tenant VFs that left the fabric through a churn schedule.")
 _M_PAIRS_ADDED = OBS.metrics.counter(
     "scale.pairs_added", unit="pairs",
-    site="repro/workloads/tenants.py:ChurnInjector._on_arrival",
+    site="repro/workloads/tenants.py:TenantPlane.on_arrival",
     desc="VM-pairs admitted by churn arrivals (before flow-group "
          "aggregation; compare with scale.flow_groups for the ratio).")
 _M_GROUPS = OBS.metrics.gauge(
@@ -177,7 +177,6 @@ class TenantChurnConfig:
     vm_tail_alpha: float = 1.6        # Pareto shape for VM counts
     guarantee_choices_bps: Tuple[float, ...] = (0.5e9, 1e9, 2e9)
     peers_per_vm: int = 2
-    demand_over_guarantee: float = 2.0  # demand = x * guarantee
     host_skew: float = 2.0            # Zipf exponent for VM placement
 
     def validate(self) -> None:
@@ -199,8 +198,6 @@ class TenantChurnConfig:
             raise ValueError("guarantee_choices_bps must be non-empty")
         if self.peers_per_vm < 1:
             raise ValueError("peers_per_vm must be >= 1")
-        if self.demand_over_guarantee <= 0:
-            raise ValueError("demand_over_guarantee must be > 0")
         if self.host_skew < 0:
             raise ValueError("host_skew must be >= 0")
 
@@ -224,167 +221,6 @@ class TenantChurnConfig:
         cfg = cls(**spec)
         cfg.validate()
         return cfg
-
-
-# ---------------------------------------------------------------------
-# Typed churn events (repro.faults idiom: kind tag + JSON round trip)
-# ---------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class ChurnEvent:
-    """Base class: one scheduled churn transition.  ``time`` is when."""
-
-    time: float
-    tenant: str = ""
-
-    kind = "churn"
-
-    def to_config(self) -> Dict[str, Any]:
-        """JSON-serializable form (stable keys, scalars and lists only)."""
-        out: Dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[field.name] = value
-        return out
-
-    def validate(self) -> None:
-        if self.time < 0 or not math.isfinite(self.time):
-            raise ValueError(
-                f"{self.kind}: time must be finite and >= 0, got {self.time}")
-        if not self.tenant:
-            raise ValueError(f"{self.kind}: tenant is required")
-
-    def describe(self) -> str:
-        return f"t={self.time:.6f}s {self.kind}({self.tenant})"
-
-
-@dataclasses.dataclass(frozen=True)
-class VFArrival(ChurnEvent):
-    """A tenant VF joins: place its VMs and admit its VM-pairs.
-
-    The event is self-contained — VM placement and the peer graph are
-    materialized at generation time, so replaying a schedule needs no
-    RNG and two replays of the same schedule are identical by
-    construction.  ``pairs`` holds (src VM index, dst VM index) edges;
-    ``guarantee_bps`` is the per-VM hose guarantee, split evenly over
-    each VM's outgoing pairs like the static synthesizer does.
-    """
-
-    vm_hosts: Tuple[str, ...] = ()
-    guarantee_bps: float = 0.0
-    pairs: Tuple[Tuple[int, int], ...] = ()
-
-    kind = "vf_arrival"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "vm_hosts", tuple(str(h) for h in self.vm_hosts))
-        object.__setattr__(
-            self, "pairs",
-            tuple((int(s), int(d)) for s, d in self.pairs))
-
-    def validate(self) -> None:
-        super().validate()
-        if len(self.vm_hosts) < 2:
-            raise ValueError("vf_arrival: need at least two VM hosts")
-        if self.guarantee_bps <= 0:
-            raise ValueError("vf_arrival: guarantee_bps must be > 0")
-        n = len(self.vm_hosts)
-        for s, d in self.pairs:
-            if not (0 <= s < n and 0 <= d < n) or s == d:
-                raise ValueError(f"vf_arrival: bad VM pair ({s}, {d})")
-
-    def describe(self) -> str:
-        return (f"t={self.time:.6f}s {self.kind}({self.tenant}: "
-                f"{len(self.vm_hosts)} VMs, {len(self.pairs)} pairs, "
-                f"guarantee={self.guarantee_bps:g} bps)")
-
-
-@dataclasses.dataclass(frozen=True)
-class VFDeparture(ChurnEvent):
-    """A tenant VF leaves: withdraw every pair it contributed."""
-
-    kind = "vf_departure"
-
-
-_CHURN_EVENT_TYPES: Dict[str, Type[ChurnEvent]] = {
-    cls.kind: cls for cls in (VFArrival, VFDeparture)
-}
-
-
-def churn_event_from_config(config: Mapping[str, Any]) -> ChurnEvent:
-    """Inverse of :meth:`ChurnEvent.to_config`."""
-    spec = dict(config)
-    kind = spec.pop("kind", None)
-    cls = _CHURN_EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown churn kind {kind!r} (known: {sorted(_CHURN_EVENT_TYPES)})")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(spec) - known
-    if unknown:
-        raise ValueError(f"{kind}: unknown fields {sorted(unknown)}")
-    event = cls(**spec)
-    event.validate()
-    return event
-
-
-def _churn_sort_key(event: ChurnEvent) -> Tuple[float, str, str]:
-    return (event.time, event.kind, event.tenant)
-
-
-@dataclasses.dataclass(frozen=True)
-class TenantSchedule:
-    """An immutable, time-sorted churn trace plus the seed that made it.
-
-    Like :class:`repro.faults.FaultSchedule`, a schedule is *data*: its
-    :meth:`to_config` form is what runner jobs fold into cache keys, so
-    two cells with different churn never alias.  ``demand_over_guarantee``
-    rides along so replay needs only the schedule and a fabric.
-    """
-
-    events: Tuple[ChurnEvent, ...] = ()
-    seed: int = 0
-    demand_over_guarantee: float = 2.0
-
-    def __post_init__(self):
-        for event in self.events:
-            event.validate()
-        object.__setattr__(
-            self, "events", tuple(sorted(self.events, key=_churn_sort_key)))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def describe(self) -> List[str]:
-        return [event.describe() for event in self.events]
-
-    def to_config(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "demand_over_guarantee": self.demand_over_guarantee,
-            "events": [event.to_config() for event in self.events],
-        }
-
-    @classmethod
-    def from_config(cls, config: Optional[Mapping[str, Any]]) -> "TenantSchedule":
-        if not config:
-            return cls()
-        events = tuple(
-            churn_event_from_config(spec) for spec in config.get("events", ()))
-        return cls(
-            events=events,
-            seed=int(config.get("seed", 0)),
-            demand_over_guarantee=float(
-                config.get("demand_over_guarantee", 2.0)),
-        )
 
 
 # ---------------------------------------------------------------------
@@ -468,7 +304,7 @@ def generate_churn(
     horizon_s: float,
     seed: int,
     config: Optional[TenantChurnConfig] = None,
-) -> TenantSchedule:
+) -> Schedule:
     """Compile a seed-reproducible churn trace over ``[0, horizon_s)``.
 
     Arrivals are a Poisson process at ``arrival_rate_hz``, thinned by
@@ -488,7 +324,7 @@ def generate_churn(
         # pods rather than wherever the topology happens to enumerate
         # first (which would conflate popularity with adjacency).
         random.Random(f"{seed}:placement").shuffle(hosts)
-    events: List[ChurnEvent] = []
+    events: List[Event] = []
 
     arrival_times: List[float] = [0.0] * config.n_seed_tenants
     if config.arrival_rate_hz > 0:
@@ -516,9 +352,7 @@ def generate_churn(
         departure = at + rng.expovariate(1.0 / config.mean_lifetime_s)
         if departure < horizon_s:
             events.append(VFDeparture(time=departure, tenant=name))
-    return TenantSchedule(
-        events=tuple(events), seed=seed,
-        demand_over_guarantee=config.demand_over_guarantee)
+    return Schedule(events=tuple(events), seed=seed)
 
 
 # ---------------------------------------------------------------------
@@ -634,41 +468,21 @@ class FlowGroupTable:
 
 
 # ---------------------------------------------------------------------
-# Injection
+# The churn handlers
 # ---------------------------------------------------------------------
-class ChurnInjector:
-    """Compiles a :class:`TenantSchedule` onto the simulator heap.
+class TenantPlane:
+    """The :class:`~repro.schedule.Injector`'s handlers for VF events.
 
-    Mirrors :class:`repro.faults.FaultInjector`: scheme-agnostic (works
-    against any fabric exposing ``add_pair``/``remove_pair``/
-    ``set_demand``), deterministic (arrival events are self-contained,
-    so replay draws no randomness), and zero overhead for an empty
-    schedule.  With ``aggregate=True`` (the default) pairs route through
-    a :class:`FlowGroupTable`; otherwise each VM-pair becomes its own
-    fabric pair (the unaggregated baseline for measuring the state
-    saving).
+    Scheme-agnostic (any fabric exposing ``add_pair`` / ``remove_pair``
+    / ``set_demand`` and ``params``) and deterministic (arrival events
+    are self-contained, so replay draws no randomness).  Every VM-pair
+    joins through one :class:`FlowGroupTable`.
     """
 
-    def __init__(
-        self,
-        network,
-        fabric,
-        schedule: TenantSchedule,
-        unit_bandwidth: float = 1e6,
-        aggregate: bool = True,
-    ) -> None:
-        self.network = network
-        self.fabric = fabric
-        self.schedule = schedule
-        self.unit_bandwidth = unit_bandwidth
-        self.groups: Optional[FlowGroupTable] = (
-            FlowGroupTable(
-                fabric, unit_bandwidth=unit_bandwidth,
-                demand_over_guarantee=schedule.demand_over_guarantee)
-            if aggregate else None
-        )
-        # tenant -> member ids (aggregated) or pair ids (direct).
-        self._live: Dict[str, List[str]] = {}
+    def __init__(self, fabric) -> None:
+        self.unit_bandwidth = fabric.params.unit_bandwidth
+        self.groups = FlowGroupTable(fabric, unit_bandwidth=self.unit_bandwidth)
+        self._live: Dict[str, List[str]] = {}  # tenant -> member ids
         self.arrivals = 0
         self.departures = 0
         self.pairs_added = 0
@@ -676,46 +490,21 @@ class ChurnInjector:
         self.peak_tenants = 0
         self.skipped_arrivals = 0
 
-    def install(self) -> "ChurnInjector":
-        sim = self.network.sim
-        for event in self.schedule:
-            if isinstance(event, VFArrival):
-                sim.at(event.time, self._on_arrival, event)
-            elif isinstance(event, VFDeparture):
-                sim.at(event.time, self._on_departure, event)
-            else:  # pragma: no cover - schedule validates kinds
-                raise TypeError(f"unknown churn event {event!r}")
-        return self
-
-    # -- handlers -----------------------------------------------------
     def _member_phi(self, event: VFArrival, vm_index: int) -> float:
         out_degree = sum(1 for s, _ in event.pairs if s == vm_index)
         tokens = event.guarantee_bps / self.unit_bandwidth
         return tokens / out_degree
 
-    def _on_arrival(self, event: VFArrival) -> None:
+    def on_arrival(self, event: VFArrival) -> None:
         if event.tenant in self._live:
             raise ValueError(f"tenant {event.tenant!r} arrived twice")
         members: List[str] = []
-        demand_x = self.schedule.demand_over_guarantee
         for s, d in event.pairs:
             src, dst = event.vm_hosts[s], event.vm_hosts[d]
             if src == dst:
                 continue  # two VMs co-located on one host: no fabric flow
             member_id = f"{event.tenant}:vm{s}->vm{d}"
-            phi = self._member_phi(event, s)
-            if self.groups is not None:
-                self.groups.add(member_id, src, dst, phi)
-            else:
-                pair = VMPair(
-                    pair_id=member_id,
-                    vf=event.tenant,
-                    src_host=src,
-                    dst_host=dst,
-                    phi=phi,
-                    demand_bps=phi * self.unit_bandwidth * demand_x,
-                )
-                self.fabric.add_pair(pair)
+            self.groups.add(member_id, src, dst, self._member_phi(event, s))
             members.append(member_id)
             self.pairs_added += 1
         if not members:
@@ -728,21 +517,17 @@ class ChurnInjector:
             _M_ARRIVALS.inc()
             _M_PAIRS_ADDED.inc(len(members))
 
-    def _on_departure(self, event: VFDeparture) -> None:
+    def on_departure(self, event: VFDeparture) -> None:
         members = self._live.pop(event.tenant, None)
         if members is None:
             return  # arrival degenerated (e.g. all VMs co-located)
         for member_id in members:
-            if self.groups is not None:
-                self.groups.remove(member_id)
-            else:
-                self.fabric.remove_pair(member_id)
+            self.groups.remove(member_id)
             self.pairs_removed += 1
         self.departures += 1
         if OBS.enabled:
             _M_DEPARTURES.inc()
 
-    # -- reporting ----------------------------------------------------
     def report(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "arrivals": self.arrivals,
@@ -753,20 +538,10 @@ class ChurnInjector:
             "skipped_arrivals": self.skipped_arrivals,
             "live_tenants": len(self._live),
         }
-        if self.groups is not None:
-            out.update(self.groups.report())
+        out.update(self.groups.report())
         return out
 
 
-def install_churn(
-    network,
-    fabric,
-    schedule: TenantSchedule,
-    unit_bandwidth: float = 1e6,
-    aggregate: bool = True,
-) -> ChurnInjector:
-    """Arm a churn schedule on the network's simulator heap."""
-    return ChurnInjector(
-        network, fabric, schedule,
-        unit_bandwidth=unit_bandwidth, aggregate=aggregate,
-    ).install()
+# ``benchmarks/perf/trace.py`` wraps this name; kept as the one alias.
+install_churn = install_schedule
+

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Scenario, ScenarioResult, UFabParams
-from repro.faults import parse_faults
+from repro.schedule import parse_faults
 from repro.sim.host import VMPair
 from repro.sim.topology import three_tier_testbed
 
@@ -179,7 +179,7 @@ def test_build_installs_faults_against_horizon():
     # The loss window spans the whole horizon, so its interceptor (a
     # bound method of the injector) is still on the network here.
     injector = net.probe_interceptor.__self__
-    assert injector.report()["probe_drops"] > 0
+    assert injector.report()["faults"]["probe_drops"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ import os
 import pytest
 
 from repro.core.controller import backend_class, resolve_backend
-from repro.faults.spec import parse_faults
+from repro.schedule import parse_faults
 from repro.runner.job import Job, execute_job
 from repro.sim.network import Network
 

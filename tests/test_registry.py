@@ -188,7 +188,7 @@ def test_round_trip_fig11_cell(scheme):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_round_trip_resilience_cell(scheme):
     from repro.experiments.fig_resilience import cell, flap_spec
-    from repro.faults import parse_faults
+    from repro.schedule import parse_faults
 
     faults = parse_faults(flap_spec(0.003), horizon=0.006, seed=5).to_config()
     row = cell(scheme, axis="mtbf", level=0.003, duration=0.006, seed=5,

@@ -31,7 +31,7 @@ def test_unknown_churn_level_rejected():
 
 
 def test_cell_composes_faults_with_churn():
-    from repro.faults import parse_faults
+    from repro.schedule import parse_faults
 
     faults = parse_faults("probe_loss:0.5", horizon=0.003, seed=5).to_config()
     clean = scale_sweep.cell("ufab", k=4, churn="low", duration=0.003, seed=5)
@@ -45,7 +45,7 @@ def test_cell_composes_faults_with_churn():
 
 
 def test_cell_faults_with_link_flaps_and_churn():
-    from repro.faults import parse_faults
+    from repro.schedule import parse_faults
 
     faults = parse_faults("link_flaps:mtbf=0.002,mttr=0.0005/core",
                           horizon=0.004, seed=5).to_config()

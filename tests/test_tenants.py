@@ -10,15 +10,8 @@ import pytest
 
 import repro
 from repro.runner import Job, ParallelRunner
-from repro.workloads import (
-    FlowGroupTable,
-    TenantChurnConfig,
-    TenantSchedule,
-    VFArrival,
-    VFDeparture,
-    churn_event_from_config,
-    generate_churn,
-)
+from repro.schedule import VFArrival, VFDeparture
+from repro.workloads import FlowGroupTable, TenantChurnConfig, generate_churn
 from repro.workloads.tenants import _place_vms
 
 HOSTS = [f"h{i}" for i in range(32)]
@@ -84,22 +77,8 @@ def test_scale_cell_identical_across_spawn_workers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Schedule / event plumbing
+# Generated schedule shape
 # ----------------------------------------------------------------------
-
-def test_schedule_json_round_trip():
-    schedule = generate_churn(HOSTS, horizon_s=0.01, seed=3, config=SMALL)
-    clone = TenantSchedule.from_config(
-        json.loads(json.dumps(schedule.to_config())))
-    assert clone.to_config() == schedule.to_config()
-    assert clone.seed == schedule.seed
-
-
-def test_events_sorted_by_time():
-    schedule = generate_churn(HOSTS, horizon_s=0.01, seed=3, config=SMALL)
-    times = [e.time for e in schedule.events]
-    assert times == sorted(times)
-
 
 def test_departures_reference_arrivals():
     schedule = generate_churn(HOSTS, horizon_s=0.02, seed=3, config=SMALL)
@@ -108,21 +87,6 @@ def test_departures_reference_arrivals():
                 if isinstance(e, VFDeparture)}
     assert departed  # lifetimes short enough that some VFs leave
     assert departed <= arrived
-
-
-def test_event_from_config_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        churn_event_from_config({"kind": "vf_resize", "time": 0.0,
-                                 "tenant": "t"})
-
-
-def test_arrival_validation_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        VFArrival(time=0.0, tenant="t", vm_hosts=("a", "b"),
-                  guarantee_bps=1e9, pairs=((0, 2),)).validate()
-    with pytest.raises(ValueError):
-        VFArrival(time=0.0, tenant="t", vm_hosts=("a", "b"),
-                  guarantee_bps=-1.0, pairs=((0, 1),)).validate()
 
 
 def test_config_validation():
@@ -258,14 +222,3 @@ def test_churn_drives_fabric_end_to_end(scheme):
     assert rep["peak_members"] >= rep["peak_groups"] > 0
     assert row["delivered_total_bps"] > 0
 
-
-def test_unaggregated_run_installs_raw_pairs():
-    from repro.experiments.scale_sweep import run_one
-
-    grouped = run_one("ufab", k=4, churn="low", duration=0.004, seed=5)
-    raw = run_one("ufab", k=4, churn="low", duration=0.004, seed=5,
-                  aggregate=False)
-    assert "flow_groups" not in raw["churn_report"]
-    assert raw["active_pairs"] >= grouped["active_pairs"]
-    assert raw["churn_report"]["pairs_added"] == \
-        grouped["churn_report"]["pairs_added"]

@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.faults.spec import parse_faults
+from repro.schedule import parse_faults
 from repro.runner.job import Job, execute_job
 from repro.sim.network import Network
 from repro.sim.topology import dumbbell, three_tier_testbed

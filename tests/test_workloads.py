@@ -16,7 +16,7 @@ from repro.workloads.flowsize import (
     EmpiricalSize,
     PoissonFlowGenerator,
 )
-from repro.workloads.synthetic import OnOffDemand, incast_pairs, permutation_pairs, staggered_joins
+from repro.workloads.synthetic import incast_pairs, permutation_pairs
 from repro.workloads.tenants import synthesize_tenants
 
 
@@ -100,39 +100,6 @@ def test_incast_pairs_share_destination():
     pairs = incast_pairs(["S1", "S2", "S3"], "S8", tokens=500)
     assert all(p.dst_host == "S8" for p in pairs)
     assert len({p.pair_id for p in pairs}) == 3
-
-
-def test_on_off_demand_toggles():
-    net = Network(dumbbell(n_pairs=1))
-    fabric = registry.build("ufab", net, UFabParams())
-    pair = VMPair("p0", "vf0", "src0", "dst0", phi=1000, demand_bps=0.5e9)
-    fabric.add_pair(pair)
-    toggler = OnOffDemand(net.sim, "p0", fabric.set_demand, low_bps=0.5e9,
-                          period_s=2e-3, phase_s=2e-3)
-    net.run(0.001)
-    assert pair.demand_bps == 0.5e9  # before the first toggle
-    net.run(0.0025)  # first toggle at t=2 ms -> high
-    assert pair.demand_bps == float("inf")
-    net.run(0.0045)  # next toggle at t=4 ms -> low again
-    assert pair.demand_bps == 0.5e9
-    net.run(0.006)
-    toggler.stop()
-    demand_at_stop = pair.demand_bps
-    net.run(0.02)
-    assert pair.demand_bps == demand_at_stop  # no toggles after stop
-
-
-def test_staggered_joins_schedule():
-    net = Network(dumbbell(n_pairs=3))
-    fabric = registry.build("ufab", net, UFabParams())
-    pairs = [
-        VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}", phi=100) for i in range(3)
-    ]
-    staggered_joins(net.sim, fabric.add_pair, pairs, interval_s=5e-3)
-    net.run(0.006)
-    assert set(net.pairs) == {"p0", "p1"}
-    net.run(0.02)
-    assert set(net.pairs) == {"p0", "p1", "p2"}
 
 
 # ----------------------------------------------------------------------
