@@ -87,7 +87,7 @@ M_SKETCH_FOLDS = OBS.metrics.counter(
          "record instead of appending a new one.")
 M_BYTES_SAVED = OBS.metrics.counter(
     "telemetry.bytes_saved", unit="bytes",
-    site="repro/core/edge.py:PairController._on_feedback",
+    site="repro/core/edge.py:PairController._on_echo",
     desc="Figure-22 telemetry bytes a non-full plan saved versus the "
          "full plan on echoed probes (both directions of the round trip).")
 

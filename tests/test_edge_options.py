@@ -64,7 +64,8 @@ def test_probe_loss_brakes_window():
     controller = fabric.controller("p0")
     window_before = controller.window
     assert window_before > 0
-    # Kill the path: probes stop returning, the window halves per loss.
+    # Kill the path: probes stop returning, each loss brakes the window
+    # toward the guarantee floor.
     net.fail_link("SW1", "SW2")
     net.run(0.02)
     assert controller.stats["probe_losses"] >= 1

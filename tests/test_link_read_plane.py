@@ -71,7 +71,12 @@ def _incast_cell(sampler_cls, duration, churn=False, backend=None):
         mover = fabric.controller(ids[0])
         target = (mover.current_idx + 1) % len(mover.book.candidates)
         path_before = net.path_of(ids[0])
-        net.sim.schedule(0.3 * duration, mover._migrate, "test", True, target)
+
+        def forced_migration():
+            mover.agent.freeze_until = 0.0  # move now, whatever the host's freeze
+            mover._migrate("test", target)
+
+        net.sim.schedule(0.3 * duration, forced_migration)
         net.sim.schedule(0.6 * duration, fabric.remove_pair, ids[3])
     net.run(duration)
     if churn:
