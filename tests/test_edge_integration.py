@@ -12,6 +12,7 @@ import pytest
 from repro.baselines import registry
 from repro.core.edge import PairState
 from repro.core.params import UFabParams
+from repro.obs import OBS
 from repro.sim.host import VMPair
 from repro.sim.messages import Message
 from repro.sim.network import Network
@@ -221,6 +222,35 @@ def test_remove_pair_cleans_up():
     net.run(0.02)
     assert "p0" not in net.pairs
     assert net.delivered_rate("p1") == pytest.approx(9.5e9, rel=0.05)
+
+
+@pytest.mark.parametrize("case", ["join", "migration"])
+def test_restart_drops_scout_rounds_in_flight(case):
+    # Scouts sent before an EdgeRestart answer into the restarted
+    # controller.  They must not record, fail or finish anything: only
+    # the new round's scouts, a full round trip after the restart, may
+    # join the pair.
+    net = Network(three_tier_testbed())
+    fabric = registry.build("ufab", net, UFabParams(n_candidate_paths=8))
+    fabric.add_pair(VMPair("p", "vf", "S1", "S5", phi=2000))
+    controller = fabric.controller("p")
+    restart_at = 5e-6
+    if case == "migration":
+        net.run(5e-3)
+        controller._migrate("guarantee")
+        restart_at = 5e-3 + 5e-6
+    net.sim.at(restart_at, fabric.restart_host, "S1")
+    base_rtt = controller.base_rtt()
+    with OBS.capture({"trace": True}) as cap:
+        net.run(restart_at + 0.8 * base_rtt)
+        # The old round's answers are back; the new round's are not.
+        assert controller.book.quality == [None] * 8
+        assert not any(controller.book.failed)
+        net.run(restart_at + 3 * base_rtt)
+    after = [(t, kind) for t, kind, _ in cap.export()["trace"]
+             if kind in ("pair.join", "pair.migrate") and t > restart_at]
+    assert [kind for _, kind in after] == ["pair.join"]
+    assert after[0][0] >= restart_at + base_rtt
 
 
 def test_receiver_token_bounds_effective_phi():
