@@ -144,18 +144,25 @@ def _stamp_on_hop(payload: ProbeHeader, link, now: float) -> None:
 
 
 class _RoundTrip:
-    """Pooled per-round-trip state for :meth:`EdgeAgent.launch_probe`:
-    the destination turnaround, the echo, and the reverse path resolved
-    once at launch.  Recycled when the echo is delivered (left to the GC
-    if the probe is lost)."""
+    """Per-round-trip state for :meth:`EdgeAgent.launch_probe`: the
+    destination turnaround, the echo, and the reverse path resolved once
+    at launch.  One per probe, alive while the probe is in flight; the
+    header it delivers belongs to the response consumer from then on."""
 
-    __slots__ = ("agent", "network", "pair_id", "dst_agent", "header",
-                 "on_response", "reverse")
+    __slots__ = ("network", "pair_id", "dst_agent", "header", "on_response", "reverse")
+
+    def __init__(self, network: Network, pair_id: str, dst_agent, header: ProbeHeader,
+                 on_response, reverse) -> None:
+        self.network = network
+        self.pair_id = pair_id
+        self.dst_agent = dst_agent
+        self.header = header
+        self.on_response = on_response
+        self.reverse = reverse
 
     def at_destination(self, probe, now: float) -> None:
         if self.on_response is None:
-            self.agent._release_rt(self)
-            return
+            return  # a finish probe: nothing comes back
         header = self.header
         dst_agent = self.dst_agent
         if dst_agent is not None:
@@ -165,10 +172,7 @@ class _RoundTrip:
                                 on_arrive=self.on_echo, pure_hop=True)
 
     def on_echo(self, probe, now: float) -> None:
-        on_response = self.on_response
-        header = self.header
-        self.agent._release_rt(self)
-        on_response(header, now)
+        self.on_response(self.header, now)
 
 
 class PairController:
@@ -342,24 +346,8 @@ class PairController:
     # ------------------------------------------------------------------
     def _make_header(self, kind: ProbeKind) -> ProbeHeader:
         self.seq += 1
-        free = self.agent._header_free
-        if not free:
-            return ProbeHeader(kind=kind, pair_id=self.pair.pair_id, phi=self.phi(),
-                               window=self.decision.report_window, seq=self.seq)
-        header = free.pop()
-        header.kind = kind
-        header.pair_id = self.pair.pair_id
-        header.phi = self.phi()
-        header.window = self.decision.report_window
-        # Fresh list, not .clear(): the decision state keeps a reference
-        # to the previous round's hops (``last_hops``).
-        header.hops = []
-        header.phi_receiver = None
-        header.seq = self.seq
-        header.sent_at = 0.0
-        header.path_idx = -1
-        self.sim.note_pool_reuse()
-        return header
+        return ProbeHeader(kind=kind, pair_id=self.pair.pair_id, phi=self.phi(),
+                           window=self.decision.report_window, seq=self.seq)
 
     def _scout(self, indices, done: Callable[[], None]) -> None:
         """Read-only probes on candidates ``indices``; ``done()`` once each
@@ -390,12 +378,10 @@ class PairController:
                 timeout_ev[0].cancel()
                 timeout_ev[0] = None
             if self.book is not book:
-                self.agent.release_header(hdr)
                 return
             self._note_hops(idx, hdr.hops)
             quality = summarize_path(hdr.hops, self.phi(), now - sent_at, now, self.params)
             book.record(idx, quality)
-            self.agent.release_header(hdr)
             done()
 
         def on_timeout() -> None:
@@ -404,7 +390,7 @@ class PairController:
                 book.mark_failed(idx)
                 done()
 
-        timeout_ev[0] = self.sim.schedule_transient(self.params.probe_timeout_rtts * max(
+        timeout_ev[0] = self.sim.schedule(self.params.probe_timeout_rtts * max(
             self.base_rtt(idx), self.decision.rtt_est), on_timeout)
         self._note_send("scout", header, path)
         self.agent.launch_probe(self.pair, path, header, _stamp_on_hop, on_response)
@@ -427,9 +413,12 @@ class PairController:
                 baseline[record.link_name] = record
 
     def _send_data_probe(self) -> None:
-        """The self-clocked control probe on the current path."""
-        # If the probe timer fired to get here, its event is spent;
-        # drop the reference so the pooled event can be recycled.
+        """The self-clocked control probe on the current path.
+
+        A fresh header per probe; its echo's consumer may keep it.
+        """
+        # If the probe timer fired to get here, its event is spent: drop
+        # the reference so no later cancel counts it twice.
         self._probe_event = None
         if self.decision.state is PairState.IDLE:
             return
@@ -443,7 +432,7 @@ class PairController:
         # of the latency bound probes are late, not lost, and declaring
         # them lost would freeze the control loop mid-congestion.
         timeout = self.params.probe_timeout_rtts * max(self.base_rtt(idx), self.decision.rtt_est)
-        self._timeout_event = self.sim.schedule_transient(timeout, self._on_probe_loss)
+        self._timeout_event = self.sim.schedule(timeout, self._on_probe_loss)
         path = self.path(idx)
         hop_filter = self.agent.plan_filter
         if hop_filter is not None:
@@ -471,7 +460,6 @@ class PairController:
         s.consecutive_losses = 0
         idx = self.current_idx
         if header.path_idx != idx or s.state is PairState.IDLE:
-            self.agent.release_header(header)
             return  # stale response from before a migration
         rtt = now - header.sent_at
         pair = self.pair
@@ -511,7 +499,6 @@ class PairController:
             self._set_rate(step.rate)
             self._perform(step.actions)
         self._schedule_next_probe()
-        self.agent.release_header(header)
 
     def _on_probe_loss(self) -> None:
         self._timeout_event = None
@@ -617,7 +604,7 @@ class PairController:
             gap_bits = self.params.probe_payload_gap_bytes * 8.0
             delay = max(gap_bits / rate, self.params.min_probe_gap_rtts * t)
             delay = min(delay, 64.0 * t)  # keep state fresh even when slow
-        self._probe_event = self.sim.schedule_transient(delay, self._send_data_probe)
+        self._probe_event = self.sim.schedule(delay, self._send_data_probe)
 
     def _cancel_probe_timer(self) -> None:
         if self._probe_event is not None:
@@ -648,10 +635,6 @@ class EdgeAgent:
         self.freeze_until = 0.0
         # Receiver-side token admission hook: pair_id -> phi_receiver.
         self.receiver_tokens: Dict[str, float] = {}
-        # Object freelists for the probe hot path (see _RoundTrip and
-        # PairController._make_header).
-        self._header_free: List[ProbeHeader] = []
-        self._rt_free: List[_RoundTrip] = []
 
     def restart(self) -> None:
         """EdgeRestart fault: wipe this host's learned edge state."""
@@ -663,28 +646,6 @@ class EdgeAgent:
         for controller in list(self.controllers.values()):
             controller.restart()
 
-    def release_header(self, header: ProbeHeader) -> None:
-        """Return a delivered probe header to the freelist.
-
-        Only once the response is fully consumed; headers of lost probes
-        are never released (a late, fault-delayed response may still
-        deliver them) and fall to the GC.
-        """
-        free = self._header_free
-        if len(free) < 256:
-            free.append(header)
-
-    def _release_rt(self, rt: "_RoundTrip") -> None:
-        rt.agent = None
-        rt.network = None
-        rt.dst_agent = None
-        rt.header = None
-        rt.on_response = None
-        rt.reverse = ()
-        free = self._rt_free
-        if len(free) < 256:
-            free.append(rt)
-
     def launch_probe(self, pair: VMPair, path: Path, header: ProbeHeader, on_hop,
                      on_response: Optional[Callable[[ProbeHeader, float], None]],
                      hop_filter=None) -> None:
@@ -695,19 +656,8 @@ class EdgeAgent:
         one.
         """
         network = self.network
-        free = self._rt_free
-        if free:
-            rt = free.pop()
-            network.sim.note_pool_reuse()
-        else:
-            rt = _RoundTrip()
-        rt.agent = self
-        rt.network = network
-        rt.pair_id = pair.pair_id
-        rt.dst_agent = network.hosts[pair.dst_host].edge_agent
-        rt.header = header
-        rt.on_response = on_response
-        rt.reverse = network.topology.reverse_path(path)
+        rt = _RoundTrip(network, pair.pair_id, network.hosts[pair.dst_host].edge_agent,
+                        header, on_response, network.topology.reverse_path(path))
         network.send_probe(
             path, header, on_hop=on_hop, on_arrive=rt.at_destination,
             pure_hop=True, hop_filter=hop_filter)

@@ -40,37 +40,24 @@ _M_COMPACTIONS = OBS.metrics.counter(
     "engine.heap_compactions", unit="compactions",
     site="repro/sim/engine.py:Simulator._compact",
     desc="Event-heap rebuilds that dropped accumulated cancelled entries.")
-_M_POOL_REUSE = OBS.metrics.counter(
-    "engine.pool_reuse", unit="objects",
-    site="repro/sim/engine.py:Simulator.schedule_transient",
-    desc="Pooled simulation objects (events, probes, probe headers, "
-         "round-trip closures) served from a freelist instead of a fresh "
-         "allocation.")
 
 # Compact when cancelled heap entries exceed COMPACT_RATIO x live ones
 # (and the heap is big enough for the rebuild to matter).
 COMPACT_RATIO = 2
 COMPACT_MIN_CANCELLED = 64
 
-# Bound on the event freelist: enough to absorb the steady-state churn
-# of probe transit without pinning memory after a burst.
-FREELIST_MAX = 512
-
 
 class Event:
     """A scheduled callback.  Cancel with :meth:`cancel`.
 
-    ``recyclable`` marks events created by
-    :meth:`Simulator.schedule_transient`: the engine returns them to a
-    freelist once popped (fired or cancelled), so the per-probe event
-    churn of big sweeps reuses a handful of objects instead of
-    allocating millions.  Only call sites that provably drop every
-    reference to the event after it fires (or after cancelling it) may
-    use the transient path — a retained reference to a recycled event
-    would alias a later, unrelated one.
+    Every event is a fresh object; the garbage collector reclaims it
+    once nothing refers to it.  Cancel only an event that has not fired:
+    a fired event is no longer counted live, so cancelling it would
+    miscount :meth:`Simulator.pending`.  Holders of a timer therefore
+    drop their reference when it fires.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "recyclable", "_sim")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -85,7 +72,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.recyclable = False
         self._sim = sim
 
     def cancel(self) -> None:
@@ -117,8 +103,9 @@ class Simulator:
         self.events_processed = 0
         self.compactions = 0
         self.compacted_events = 0
+        # Always 0: nothing is pooled.  benchmarks/perf/trace.py (frozen)
+        # still reads it.
         self.pool_reuse = 0
-        self._event_free: List[Event] = []
         # Wall-clock seconds spent inside run() (all calls), and the
         # event-loop profiler (None unless an obs capture asks for one).
         self.wall_s = 0.0
@@ -139,73 +126,6 @@ class Simulator:
         self._live += 1
         return ev
 
-    def schedule_transient(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Like :meth:`schedule`, but the event is pooled.
-
-        Once the engine pops the event (fired or cancelled) it goes back
-        to a freelist and a later ``schedule_transient`` call reuses the
-        object.  Callers must not retain a reference past the fire/cancel
-        point — see :class:`Event`.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        time = self.now + delay
-        self._seq += 1
-        free = self._event_free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = self._seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            self.pool_reuse += 1
-            if OBS.enabled:
-                _M_POOL_REUSE.inc()
-        else:
-            ev = Event(time, self._seq, fn, args, self)
-            ev.recyclable = True
-        heapq.heappush(self._heap, (time, self._seq, ev))
-        self._live += 1
-        return ev
-
-    def at_transient(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Absolute-time variant of :meth:`schedule_transient`.
-
-        Used where the fire time was accumulated exactly (fast-path
-        emission times) and ``now + delay`` round-off must be avoided.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
-        free = self._event_free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = self._seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            self.pool_reuse += 1
-            if OBS.enabled:
-                _M_POOL_REUSE.inc()
-        else:
-            ev = Event(time, self._seq, fn, args, self)
-            ev.recyclable = True
-        heapq.heappush(self._heap, (time, self._seq, ev))
-        self._live += 1
-        return ev
-
-    def note_pool_reuse(self) -> None:
-        """Record a non-event pooled-object reuse (probe/header/closure).
-
-        Kept on the Simulator so every pooling site shares one always-on
-        counter (``pool_reuse``) and one obs metric (``engine.pool_reuse``).
-        """
-        self.pool_reuse += 1
-        if OBS.enabled:
-            _M_POOL_REUSE.inc()
-
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self.now:
@@ -215,6 +135,11 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, ev))
         self._live += 1
         return ev
+
+    # Only the frozen benchmarks/perf/trace.py uses these names: it wraps
+    # them alongside schedule / at.  Nothing in src/ calls them.
+    schedule_transient = schedule
+    at_transient = at
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping and heap compaction
@@ -287,7 +212,6 @@ class Simulator:
         processed = 0
         heap = self._heap
         pop = heapq.heappop
-        free = self._event_free
         while heap and self._running:
             entry = heap[0]
             if until is not None and entry[0] > until:
@@ -296,20 +220,12 @@ class Simulator:
             ev = entry[2]
             if ev.cancelled:
                 self._cancelled -= 1
-                if ev.recyclable and len(free) < FREELIST_MAX:
-                    ev.fn = None
-                    ev.args = ()
-                    free.append(ev)
                 continue
             self._live -= 1
             self.now = entry[0]
             ev.fn(*ev.args)
             self.events_processed += 1
             processed += 1
-            if ev.recyclable and len(free) < FREELIST_MAX:
-                ev.fn = None
-                ev.args = ()
-                free.append(ev)
             if max_events is not None and processed >= max_events:
                 break
         self._running = False

@@ -294,7 +294,7 @@ class FluidSolver:
         self._link_flows: List[Set[int]] = []  # link id -> flow indices through it
         # Flow interning: dense entries with index recycling.
         self._entries: List[Optional[FlowEntry]] = []
-        self._free: List[int] = []
+        self._free_slots: List[int] = []
         self._order_seq = 0
         # Dirty state.
         self._full = True                 # next solve covers everything
@@ -341,8 +341,8 @@ class FluidSolver:
         if flow_id in self.flows:
             raise ValueError(f"duplicate flow {flow_id!r}")
         entry = FlowEntry(flow_id, path, _send_rate(flow_id, send_rate))
-        if self._free:
-            index = self._free.pop()
+        if self._free_slots:
+            index = self._free_slots.pop()
             self._entries[index] = entry
         else:
             index = len(self._entries)
@@ -367,7 +367,7 @@ class FluidSolver:
             # Surviving flows on these links gain headroom: re-solve them.
             self._dirty_links.add(lid)
         self._entries[index] = None
-        self._free.append(index)
+        self._free_slots.append(index)
         self._dirty_flows.discard(index)
         self._changed_flows.discard(index)
         self._forced_notify.discard(index)

@@ -71,19 +71,13 @@ _M_FASTPATH = OBS.metrics.counter(
 # than this stay on the per-hop path.
 _METER_SAFE_T = 5e-6
 
-# Cap on each object freelist (probes, flights, ledger entries).
-_POOL_MAX = 1024
-
 
 class Probe:
     """An in-flight control packet (probe, response, or finish probe).
 
     Concrete header contents (INT records, tokens, windows) live in
     :mod:`repro.core.probe`; the network layer only needs hop callbacks.
-
-    Arrived probes are pooled: the object handed to ``on_arrive`` (and
-    returned by ``send_probe``) must not be retained past the arrival
-    callback.  Dropped probes are never recycled and may be kept.
+    Every leg gets its own object, so a callback may keep it.
     """
 
     __slots__ = ("payload", "sent_at", "hops_taken", "dropped")
@@ -147,27 +141,27 @@ class _TransitEntry:
 
 
 class _Flight:
-    """Transit state for one probe leg (either path).
-
-    Pooled per network; holds the hop list, per-hop ledger entries and
-    precomputed emission times when on the fast path, and the pending
-    helper/arrival events so turbulence can cancel them.
+    """Transit state for one probe leg (either path): the hop list,
+    per-hop ledger entries and precomputed emission times when on the
+    fast path, and the pending helper/arrival events so turbulence can
+    cancel them.
     """
 
     __slots__ = ("network", "probe", "hops", "on_hop", "hop_filter",
                  "on_arrive", "on_drop", "seq", "pure", "entries", "times",
                  "t_arr", "ev_pre", "ev_arr", "fast", "done")
 
-    def __init__(self) -> None:
-        self.network = None
-        self.probe = None
-        self.hops: tuple = ()
-        self.on_hop = None
-        self.hop_filter = None
-        self.on_arrive = None
-        self.on_drop = None
-        self.seq = 0
-        self.pure = False
+    def __init__(self, network: "Network", probe: Probe, hops: tuple, on_hop,
+                 hop_filter, on_arrive, on_drop, seq: int, pure: bool) -> None:
+        self.network = network
+        self.probe = probe
+        self.hops = hops
+        self.on_hop = on_hop
+        self.hop_filter = hop_filter
+        self.on_arrive = on_arrive
+        self.on_drop = on_drop
+        self.seq = seq
+        self.pure = pure
         self.entries: list = []
         self.times: list = []
         self.t_arr = 0.0
@@ -175,6 +169,13 @@ class _Flight:
         self.ev_arr: Optional[Event] = None
         self.fast = False
         self.done = False
+
+    def release(self) -> None:
+        """Break the leg's reference cycles once it arrived or dropped:
+        its ledger entries and events point back at it, and cutting them
+        lets reference counting, not the cyclic GC, free the leg."""
+        del self.entries[:]
+        self.ev_pre = self.ev_arr = None
 
     def ensure_prior(self, hop: int) -> None:
         """Apply this flight's earlier-hop entries before a later one.
@@ -249,16 +250,11 @@ class _Flight:
                 # Withdraw the not-yet-due entries; the slow path will
                 # re-insert each stamp at its actual emission instant
                 # (same (t, seq) when calm, later under queueing).
-                efree = net._entry_free
                 for entry in entries[cut:]:
                     try:
                         entry.link._pending.remove(entry)
                     except ValueError:  # pragma: no cover - defensive
                         pass
-                    entry.flight = None
-                    entry.link = None
-                    if len(efree) < _POOL_MAX:
-                        efree.append(entry)
                 del entries[cut:]
         if resume < 0:
             # Every emission already happened; only the arrival remains
@@ -310,14 +306,10 @@ class Network:
         self.turbulence_epoch = 0
         self.fastpath_legs = 0
         self.fastpath_materialized = 0
-        self._probe_free: List[Probe] = []
-        self._flight_free: List[_Flight] = []
-        self._entry_free: List[_TransitEntry] = []
         # Per-pair delivered-rate listeners (message queues, meters).
         self._rate_listeners: Dict[str, List[Callable[[float], None]]] = {}
         # Time series: pair_id -> [(t, delivered_rate)] if sampling enabled.
         self.rate_samples: Dict[str, List[Tuple[float, float]]] = {}
-        self._samplers: List[Event] = []
 
     # ------------------------------------------------------------------
     # Pair / flow management
@@ -509,20 +501,13 @@ class Network:
         """
         sim = self.sim
         now = sim.now
-        free = self._probe_free
-        if free:
-            probe = free.pop()
-            probe.payload = payload
-            probe.sent_at = now
-            probe.hops_taken = 0
-            probe.dropped = False
-            sim.note_pool_reuse()
-        else:
-            probe = Probe(payload, now)
+        probe = Probe(payload, now)
         hops = tuple(path)
-        flight = self._new_flight(probe, hops, on_hop, on_arrive, on_drop)
-        flight.pure = on_hop is None or pure_hop
-        flight.hop_filter = hop_filter if on_hop is not None else None
+        self._transit_seq += 1
+        flight = _Flight(self, probe, hops, on_hop,
+                         hop_filter if on_hop is not None else None,
+                         on_arrive, on_drop, self._transit_seq,
+                         on_hop is None or pure_hop)
         if (self._transit_fast and hops
                 and self._probe_interceptor is None
                 and (on_hop is None
@@ -547,8 +532,7 @@ class Network:
             else:
                 self._launch_fast(flight, t)
                 return probe
-        flight.fast = False
-        sim.schedule_transient(host_delay, self._transit_step, flight, 0)
+        sim.schedule(host_delay, self._transit_step, flight, 0)
         return probe
 
     def _launch_fast(self, flight: _Flight, t_arr: float) -> None:
@@ -565,9 +549,8 @@ class Network:
             hop_filter = flight.hop_filter
             payload = flight.probe.payload
             entries = flight.entries
-            efree = self._entry_free
             for hop, link in enumerate(flight.hops):
-                entry = efree.pop() if efree else _TransitEntry()
+                entry = _TransitEntry()
                 entry.t = t = times[hop]
                 entry.seq = flight.seq
                 entry.flight = flight
@@ -581,8 +564,7 @@ class Network:
                     insort(pending, entry)
                 else:
                     pending.append(entry)
-        flight.ev_pre = self.sim.at_transient(
-            flight.times[-1], self._transit_prearrive, flight)
+        flight.ev_pre = self.sim.at(flight.times[-1], self._transit_prearrive, flight)
         self._fast_flights[flight.seq] = flight
         self.fastpath_legs += 1
         if OBS.enabled:
@@ -597,7 +579,7 @@ class Network:
         Pending stamps are left in the ledgers; the arrival flushes
         them (their emission instants are strictly earlier than it)."""
         flight.ev_pre = None
-        flight.ev_arr = self.sim.schedule_transient(
+        flight.ev_arr = self.sim.schedule(
             flight.hops[-1].prop_delay, self._transit_step, flight, len(flight.hops))
 
     def _transit_step(self, flight: _Flight, index: int) -> None:
@@ -612,24 +594,20 @@ class Network:
             flight.done = True
             if flight.fast:
                 self._fast_flights.pop(flight.seq, None)
-                flight.ev_arr = None
                 probe.hops_taken = len(hops)
             flight.flush_own()
-            on_arrive = flight.on_arrive
-            self._release_flight(flight)
-            if on_arrive is not None:
-                on_arrive(probe, now)
-            self._release_probe(probe)
+            flight.release()
+            if flight.on_arrive is not None:
+                flight.on_arrive(probe, now)
             return
         link = hops[index]
         if link.failed:
             probe.dropped = True
             flight.done = True
             flight.flush_own()
-            on_drop = flight.on_drop
-            self._release_flight(flight)
-            if on_drop is not None:
-                on_drop(probe)
+            flight.release()
+            if flight.on_drop is not None:
+                flight.on_drop(probe)
             return
         extra = 0.0
         interceptor = self._probe_interceptor
@@ -639,10 +617,9 @@ class Network:
                 probe.dropped = True
                 flight.done = True
                 flight.flush_own()
-                on_drop = flight.on_drop
-                self._release_flight(flight)
-                if on_drop is not None:
-                    on_drop(probe)
+                flight.release()
+                if flight.on_drop is not None:
+                    flight.on_drop(probe)
                 return
             extra = verdict
         on_hop = flight.on_hop
@@ -658,14 +635,13 @@ class Network:
                 else:
                     on_hop(probe.payload, link, now)
         probe.hops_taken += 1
-        sim.schedule_transient(link.delay(now) + extra, self._transit_step, flight, index + 1)
+        sim.schedule(link.delay(now) + extra, self._transit_step, flight, index + 1)
 
     def _add_entry(self, flight: _Flight, hop: int, link: Link, t: float) -> None:
         """Ledger a per-hop leg's stamp (``_launch_fast`` inlines this).
         The ledger is (t, seq)-sorted and a new entry usually sorts last,
         so it is appended unless it sorts below the tail."""
-        efree = self._entry_free
-        entry = efree.pop() if efree else _TransitEntry()
+        entry = _TransitEntry()
         entry.t = t
         entry.seq = flight.seq
         entry.flight = flight
@@ -680,59 +656,6 @@ class Network:
             insort(pending, entry)
         else:
             pending.append(entry)
-
-    # -- transit object pools ------------------------------------------
-    def _new_flight(self, probe, hops, on_hop, on_arrive, on_drop) -> _Flight:
-        free = self._flight_free
-        if free:
-            flight = free.pop()
-            self.sim.note_pool_reuse()
-        else:
-            flight = _Flight()
-        flight.network = self
-        flight.probe = probe
-        flight.hops = hops
-        flight.on_hop = on_hop
-        flight.on_arrive = on_arrive
-        flight.on_drop = on_drop
-        flight.done = False
-        flight.fast = False
-        self._transit_seq += 1
-        flight.seq = self._transit_seq
-        return flight
-
-    def _release_flight(self, flight: _Flight) -> None:
-        entries = flight.entries
-        if entries:
-            efree = self._entry_free
-            for entry in entries:
-                entry.flight = None
-                entry.link = None
-                if len(efree) < _POOL_MAX:
-                    efree.append(entry)
-            del entries[:]
-        del flight.times[:]
-        flight.probe = None
-        flight.hops = ()
-        flight.on_hop = None
-        flight.hop_filter = None
-        flight.on_arrive = None
-        flight.on_drop = None
-        flight.ev_pre = None
-        flight.ev_arr = None
-        free = self._flight_free
-        if len(free) < _POOL_MAX:
-            free.append(flight)
-
-    def _release_probe(self, probe: Probe) -> None:
-        # Dropped probes are retained by callers (loss bookkeeping);
-        # only clean arrivals recycle.
-        if probe.dropped:
-            return
-        probe.payload = None
-        free = self._probe_free
-        if len(free) < _POOL_MAX:
-            free.append(probe)
 
     def path_delay(self, path: Sequence[Link]) -> float:
         """Instantaneous one-way delay along ``path`` (prop + queuing)."""

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from repro.baselines import registry
-from repro.core.edge import PairState
+from repro.core.edge import PairController, PairState
 from repro.core.params import UFabParams
 from repro.obs import OBS
 from repro.sim.host import VMPair
@@ -251,6 +251,25 @@ def test_restart_drops_scout_rounds_in_flight(case):
              if kind in ("pair.join", "pair.migrate") and t > restart_at]
     assert [kind for _, kind in after] == ["pair.join"]
     assert after[0][0] >= restart_at + base_rtt
+
+
+def test_echoed_header_is_not_rewritten_by_later_probes(monkeypatch):
+    # A response consumer may keep the ProbeHeader it was handed: the
+    # agent's later probes get headers of their own.
+    kept = []
+    on_echo = PairController._on_echo
+
+    def keep(controller, header, now):
+        kept.append((header, header.seq, header.sent_at, list(header.hops)))
+        on_echo(controller, header, now)
+
+    monkeypatch.setattr(PairController, "_on_echo", keep)
+    topo, net, fabric = dumbbell_fabric(1)
+    add(fabric, 0, 2000)
+    net.run(0.002)
+    assert len(kept) > 10
+    for header, seq, sent_at, hops in kept:
+        assert (header.seq, header.sent_at, header.hops) == (seq, sent_at, hops)
 
 
 def test_receiver_token_bounds_effective_phi():

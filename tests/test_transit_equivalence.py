@@ -289,19 +289,19 @@ def test_materialization_counter_increments(monkeypatch):
     assert net.fastpath_materialized >= 1
 
 
-def test_probe_and_event_pools_recycle(monkeypatch):
-    net = _net(monkeypatch, "fast")
+@pytest.mark.parametrize("transit", ["fast", "slow"])
+def test_kept_probe_keeps_its_payload(monkeypatch, transit):
+    # Every leg owns its Probe: one kept from on_arrive is not reused
+    # and rewritten by the legs that arrive after it.
+    net = _net(monkeypatch, transit)
     path = net.topology.shortest_paths("src0", "dst0")[0]
-    done = []
-    # Sequential waves so earlier probes' objects are back in the pools
-    # when later waves launch.
+    kept = []
     for wave in range(5):
-        net.sim.at(wave * 1e-3, lambda: net.send_probe(
-            path, None, on_arrive=lambda p, t: done.append(t)))
+        net.sim.at(wave * 1e-3, net.send_probe, path, f"payload{wave}", None,
+                   lambda p, t: kept.append(p))
     net.run(1.0)
-    assert len(done) == 5
-    assert net._probe_free, "arrived probes should return to the pool"
-    assert net.sim.pool_reuse > 0
+    assert [p.payload for p in kept] == [f"payload{wave}" for wave in range(5)]
+    assert len({id(p) for p in kept}) == 5
 
 
 def test_three_tier_fault_heavy_micro_equivalence(monkeypatch):
