@@ -195,6 +195,7 @@ class PairController:
         self._failure_migration_pending = False
         self._probe_event: Optional[Event] = None
         self._timeout_event: Optional[Event] = None
+        self._timeout_seq = 0  # header.seq of the probe the timeout guards
         self._registered_paths: set = set()
         # Instrumentation for figures.
         self.stats = {"migrations": 0, "probes_sent": 0, "probe_losses": 0,
@@ -415,7 +416,12 @@ class PairController:
     def _send_data_probe(self) -> None:
         """The self-clocked control probe on the current path.
 
-        A fresh header per probe; its echo's consumer may keep it.
+        A pair has at most one armed probe timeout: the newest control
+        probe's.  Sending disarms the previous probe's timeout, which
+        may still be live when a poke, a retransmit or a migration sends
+        while a probe is in flight, and arms one for this probe; only
+        this probe's echo (``header.seq``) disarms it.  A fresh header
+        per probe; its echo's consumer may keep it.
         """
         # If the probe timer fired to get here, its event is spent: drop
         # the reference so no later cancel counts it twice.
@@ -432,6 +438,8 @@ class PairController:
         # of the latency bound probes are late, not lost, and declaring
         # them lost would freeze the control loop mid-congestion.
         timeout = self.params.probe_timeout_rtts * max(self.base_rtt(idx), self.decision.rtt_est)
+        self._cancel_timeout()
+        self._timeout_seq = header.seq
         self._timeout_event = self.sim.schedule(timeout, self._on_probe_loss)
         path = self.path(idx)
         hop_filter = self.agent.plan_filter
@@ -453,9 +461,8 @@ class PairController:
     def _on_echo(self, header: ProbeHeader, now: float) -> None:
         """Echo of the control probe: one :func:`on_feedback` step.  (The
         launch time and path index ride on the header: no closure.)"""
-        if self._timeout_event is not None:
-            self._timeout_event.cancel()
-            self._timeout_event = None
+        if header.seq == self._timeout_seq:
+            self._cancel_timeout()
         s = self.decision
         s.consecutive_losses = 0
         idx = self.current_idx
@@ -611,11 +618,14 @@ class PairController:
             self._probe_event.cancel()
             self._probe_event = None
 
-    def _cancel_timers(self) -> None:
-        self._cancel_probe_timer()
+    def _cancel_timeout(self) -> None:
         if self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
+
+    def _cancel_timers(self) -> None:
+        self._cancel_probe_timer()
+        self._cancel_timeout()
 
 
 class EdgeAgent:

@@ -6,12 +6,16 @@ guarded, as tier-1 tests that fail on a count and never on a stopwatch.
 * flow-group folding holds at k = 16 (the memory-relevant count);
 * the default lightweight telemetry plan cuts Figure-22 bytes >= 2x and
   stamped records >= 1.5x at <= 2 points of guarantee-compliance drift;
-* rate updates on calm fluid components skip the fixed point.
+* rate updates on calm fluid components skip the fixed point;
+* a fault-free cell declares (almost) no probe lost.
 
 Every pin below was recorded from the tree at ``b26c178``, the last one
 carrying the committed reports (the scale pins equal its scale
 report's), except the calm-resolve pins, recorded at ``1952152`` (the
-tree before calm resolves).  A ceiling is ``ceil(pin / 0.9)``: events
+tree before calm resolves), and the two uFAB scale pins and the
+probe-loss pin, recorded when each control probe got its own timeout
+(the orphaned timeouts before it fired spurious losses and
+retransmits: 164 854 and 145 243 events, 141 losses).  A ceiling is ``ceil(pin / 0.9)``: events
 may be deleted freely, never inflated by more than 11 %.
 
 The rule: a PR that lowers one of these counts on purpose lowers the pin
@@ -25,15 +29,16 @@ import math
 import pytest
 
 from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
-from repro.experiments import fig11_guarantee, fig_telemetry, scale_sweep
+from repro.experiments import fig11_guarantee, fig14_ebs, fig_telemetry, scale_sweep
+from repro.obs import OBS
 from repro.sim.fluid import FluidSolver, _VectorKernel
 
 SCALE_DURATION = 0.015
 SCALE_EVENTS = {
     # (scheme, k, churn): events_processed at seed 1
-    ("ufab", 8, "low"): 164_854,
+    ("ufab", 8, "low"): 134_600,
     ("pwc", 8, "low"): 375_388,
-    ("ufab", 16, "high"): 145_243,
+    ("ufab", 16, "high"): 137_027,
 }
 # The k=16 high-churn cell: 332 raw pairs fold into 193 flow groups.
 K16_PEAK_GROUPS = 193
@@ -51,6 +56,11 @@ CALM_CELL = {"duration": 0.05, "seed": 1}
 CALM_EVENTS = 11_734
 CALM_INCREMENTAL_SOLVES = 107
 CALM_MAX_KERNEL_RUNS = 11
+
+# The fault-free 10 ms fig14 uFAB cell drops no probe: each timeout it
+# records is an echo that came back later than its timeout.
+STORAGE_CELL = {"duration": 0.01}
+STORAGE_MAX_PROBE_LOSSES = 10
 
 
 def ceiling(pin: int) -> int:
@@ -109,3 +119,10 @@ def test_calm_rate_updates_skip_the_fixed_point(monkeypatch):
     assert solver.stats.incremental_solves == CALM_INCREMENTAL_SOLVES
     assert runs[0] <= CALM_MAX_KERNEL_RUNS       # measured 5
     assert result.events_processed <= ceiling(CALM_EVENTS)
+
+
+def test_fault_free_storage_cell_declares_few_probes_lost():
+    with OBS.capture({"metrics": True}) as cap:
+        fig14_ebs.run_one("ufab", **STORAGE_CELL)
+    losses = cap.export()["metrics"]["edge.probe_losses"]["value"]
+    assert losses <= STORAGE_MAX_PROBE_LOSSES

@@ -253,6 +253,29 @@ def test_restart_drops_scout_rounds_in_flight(case):
     assert after[0][0] >= restart_at + base_rtt
 
 
+def test_poke_while_probe_in_flight_declares_no_loss():
+    # A poke on a lazy probe clock sends a fresh probe while the last one
+    # is still in flight.  The older probe's timeout goes with it, and
+    # its echo (no longer the newest) disarms nothing: no loss follows.
+    topo, net, fabric = dumbbell_fabric(1)
+    add(fabric, 0, 2000, demand=1e8)
+    controller = fabric.controller("p0")
+    net.run(0.005)
+    base_rtt = controller.base_rtt()
+    for _ in range(10_000):
+        if (controller._timeout_event is not None
+                and net.sim.now - controller._last_feedback_at > 2.0 * base_rtt):
+            break
+        net.run(net.sim.now + 0.1 * base_rtt)
+    else:
+        pytest.fail("no probe in flight on a lazy clock")
+    sent = controller.stats["probes_sent"]
+    fabric.set_demand("p0", 2e8)  # rising demand pokes the controller
+    assert controller.stats["probes_sent"] == sent + 1
+    net.run(net.sim.now + 0.002)
+    assert controller.stats["probe_losses"] == 0
+
+
 def test_echoed_header_is_not_rewritten_by_later_probes(monkeypatch):
     # A response consumer may keep the ProbeHeader it was handed: the
     # agent's later probes get headers of their own.
