@@ -50,28 +50,48 @@ the environment / ``FluidSolver(mode=)`` kernel selector; the size
 threshold is the only one, and the equivalence tests pin one kernel by
 overriding :attr:`FluidSolver.vector_min_flows` on a subclass.
 
-Calm components
----------------
+Quiet resolves
+--------------
 
-μFAB-C keeps links below capacity, so in the steady state the throttle
-is idle.  An incremental solve is *calm* when only rates moved (no
-dirty links, partition valid) and every dirty flow is *settled*: the
-last solve over its component converged in its first iteration, at
-unit scales, leaving delivered == send rates.  Solves cover whole
-components, so the flag is uniform per component.  A calm solve
-re-sums, in registration order, only the dirty flows' links; if each
-is up and ``total <= capacity`` it commits them at scale 1.0 with
-delivered == send.  That is the fixed point's own answer — iteration 1
-from unit scales re-derives every other link as last time and stops —
-so results are bit-identical, and :class:`SolverStats` records what
-the fixed point would have (the union's flows, one iteration, a vector
-solve past :attr:`FluidSolver.vector_min_flows`).  Otherwise the fixed
-point runs.  ``tests/test_fluid_calm.py`` holds both paths ``==`` via
-the test-only ``FluidSolver._calm_fast`` class attribute.
+μFAB-E is self-clocked, so every probe echo is a rate update and a
+resolve; most touch only links that stay under capacity, and those
+cannot move the throttle anywhere.  Each flow records its component's
+*converge count* ``K`` (:attr:`FlowEntry.converged`): the iterations
+of the last fixed point that covered that component on its own, or 1
+after any solve that converged in one iteration, else 0 (unknown).  A
+union of components converges when its slowest member does, and a
+member that converged early keeps moving by up to the tolerance, so a
+union's count describes no member but the K = 1 case.
+
+Iteration 1 runs at unit scales, where every hop rate is the send
+rate, so its inflows are registration-ordered send sums.  The solver
+caches them per link (``_unit``), together with the scales the last
+iteration ran under (``_pass``).  A rate-only incremental solve
+(partition valid, no dirty links) whose dirty flows all carry one
+known ``K`` re-sums ``_unit`` on the dirty flows' links ``S``.  It is
+*quiet* when each link of ``S`` is up and at or under capacity at unit
+scales after the update — and, when ``K > 1``, before it too.  Then
+every link of ``S`` holds scale 1.0 at every iteration of both the old
+and the new fixed point: a hop rate is send × scales ≤ 1 and float
+multiply and add are monotone, so no iteration's inflow exceeds the
+unit sum.  No other flow's hop rates move, so every other link's
+trajectory, the convergence test and ``K`` are unchanged, and only the
+links of ``S`` end differently: their inflow is the last pass's sum at
+``_pass`` scales (the unit sum when ``K = 1``), their scale 1.0, and
+the dirty flows deliver their send rate.  A quiet solve commits just
+that, and :class:`SolverStats` records what the fixed point would have
+(the union's flows, ``K`` iterations, a vector solve past
+:attr:`FluidSolver.vector_min_flows`).  Otherwise the fixed point runs
+from the cached unit sums, skipping iteration 1's accumulation; an
+unknown or mixed ``K`` skips all sum work and runs it from scratch.
+``tests/test_fluid_calm.py`` holds both paths ``==`` against the
+test-only ``FluidSolver._calm_fast = False``, which forces every solve
+from scratch.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -109,14 +129,18 @@ _M_VECTOR = OBS.metrics.counter(
 
 
 _BY_ORDER = operator.attrgetter("order")
+_INF = float("inf")
 
 
 def _send_rate(flow_id: str, rate: float) -> float:
     """A send rate as the solver stores it: negative clamps to 0.0, NaN
-    raises (it would poison every inflow it is summed into)."""
+    and ``+inf`` raise (NaN poisons every inflow it is summed into, and
+    ``inf`` turns into NaN at the first throttled hop: ``inf * 0.0``)."""
     rate = float(rate)
     if rate != rate:
         raise ValueError(f"flow {flow_id!r}: send rate is NaN")
+    if rate == _INF:
+        raise ValueError(f"flow {flow_id!r}: send rate is infinite")
     return rate if rate > 0.0 else 0.0
 
 
@@ -159,7 +183,7 @@ class FlowEntry:
     """Solver-side record of one fluid flow."""
 
     __slots__ = ("flow_id", "path", "send_rate", "delivered_rate",
-                 "index", "link_ids", "order", "settled")
+                 "index", "link_ids", "order", "converged")
 
     def __init__(self, flow_id: str, path: Sequence[Link], send_rate: float = 0.0):
         if not path:
@@ -171,7 +195,7 @@ class FlowEntry:
         self.index = -1
         self.link_ids: Tuple[int, ...] = ()
         self.order = 0
-        self.settled = False  # calm-solve eligibility ("Calm components")
+        self.converged = 0  # converge count K, 0 = unknown ("Quiet resolves")
 
 
 class _VectorKernel:
@@ -183,7 +207,8 @@ class _VectorKernel:
     ``set_rate`` and exogenous link flips need no cache maintenance.
     """
 
-    __slots__ = ("P", "link_idx", "pad", "n", "_rates", "_acc", "_scale")
+    __slots__ = ("P", "link_idx", "pad", "n", "_rates", "_acc", "_scale",
+                 "_unit", "_pass")
 
     def __init__(self, flows: List["FlowEntry"], link_ids: List[int],
                  n_links: int) -> None:
@@ -236,6 +261,8 @@ class _VectorKernel:
             _np.cumprod(rates, axis=1, out=rates)
             _np.add.at(acc, P, rates)
             inflow = acc[L]
+            if iterations == 1:
+                self._unit = inflow  # at unit scales: the send sums
             new_scale = _np.where(
                 up & (inflow <= caps),
                 1.0,
@@ -248,18 +275,24 @@ class _VectorKernel:
             scale[L] = new_scale
             if worst <= tolerance:
                 break
+        self._pass = old
         delivered = rates[:, -1] * s[:, -1]
         for i, entry in enumerate(flows):
             entry.delivered_rate = float(delivered[i])
         return iterations
 
-    def writeback(self, acc_list: List[float], scale_list: List[float]) -> None:
-        """Copy component inflows/scales into the solver's scalar arrays."""
-        acc = self._acc
-        scale = self._scale
-        for lid in self.link_idx:
-            acc_list[lid] = float(acc[lid])
-            scale_list[lid] = float(scale[lid])
+    def writeback(self, acc_list: List[float], scale_list: List[float],
+                  unit_list: List[float], pass_list: List[float]) -> None:
+        """Copy component inflows, scales, unit sums and last-pass scales
+        into the solver's scalar arrays."""
+        L = self.link_idx
+        for lid, acc, scale, unit, last in zip(
+                L.tolist(), self._acc[L].tolist(), self._scale[L].tolist(),
+                self._unit.tolist(), self._pass.tolist()):
+            acc_list[lid] = acc
+            scale_list[lid] = scale
+            unit_list[lid] = unit
+            pass_list[lid] = last
 
 
 class FluidSolver:
@@ -269,7 +302,8 @@ class FluidSolver:
     # kernel.  A class attribute so the equivalence tests can pin one
     # kernel on a subclass (1 = always vector, inf = always scalar).
     vector_min_flows: float = VECTOR_MIN_FLOWS if _np is not None else float("inf")
-    # Test-only seam: False forces every solve through the fixed point.
+    # Test-only seam: False forces every solve through the fixed point
+    # from scratch (no quiet exit, no cached unit sums).
     _calm_fast = True
 
     def __init__(self, tolerance: float = 1e-6, max_iterations: int = 50) -> None:
@@ -291,7 +325,10 @@ class FluidSolver:
         self._pushed: List[float] = []    # last inflow handed to Link.set_inflow
         self._scale: List[float] = []     # proportional-throttle scale
         self._acc: List[float] = []       # per-iteration accumulator (scratch)
-        self._link_flows: List[Set[int]] = []  # link id -> flow indices through it
+        self._unit: List[float] = []      # inflow at unit scales (send sums)
+        self._pass: List[float] = []      # scales the last iteration ran under
+        # link id -> its flows in registration order.
+        self._link_flows: List[List[FlowEntry]] = []
         # Flow interning: dense entries with index recycling.
         self._entries: List[Optional[FlowEntry]] = []
         self._free_slots: List[int] = []
@@ -308,8 +345,6 @@ class FluidSolver:
         self._link_comp: List[int] = []   # link id -> component id (-1: no flows)
         self._comp_flows: List[List[FlowEntry]] = []  # sorted by registration
         self._comp_links: List[List[int]] = []
-        # link id -> its flows in registration order (None: not built).
-        self._link_order: List[Optional[List[FlowEntry]]] = []
         # Results pending consumption by apply()/changed-rate listeners.
         self._changed_links: Set[int] = set()
         self._changed_flows: Set[int] = set()
@@ -328,7 +363,9 @@ class FluidSolver:
             self._pushed.append(0.0)
             self._scale.append(1.0)
             self._acc.append(0.0)
-            self._link_flows.append(set())
+            self._unit.append(0.0)
+            self._pass.append(1.0)
+            self._link_flows.append([])
         return lid
 
     def _intern_path(self, path: Sequence[Link]) -> Tuple[int, ...]:
@@ -352,7 +389,7 @@ class FluidSolver:
         entry.order = self._order_seq
         entry.link_ids = self._intern_path(entry.path)
         for lid in entry.link_ids:
-            self._link_flows[lid].add(index)
+            self._link_flows[lid].append(entry)  # the newest registration
         self.flows[flow_id] = entry
         self._dirty_flows.add(index)
         self._forced_notify.add(index)
@@ -363,7 +400,7 @@ class FluidSolver:
         entry = self.flows.pop(flow_id)
         index = entry.index
         for lid in entry.link_ids:
-            self._link_flows[lid].discard(index)
+            self._link_flows[lid].remove(entry)
             # Surviving flows on these links gain headroom: re-solve them.
             self._dirty_links.add(lid)
         self._entries[index] = None
@@ -377,7 +414,7 @@ class FluidSolver:
     def set_rate(self, flow_id: str, rate: float) -> None:
         entry = self.flows[flow_id]
         new = float(rate)
-        if not new > 0.0:  # the common positive rate skips the call
+        if not 0.0 < new < _INF:  # the common finite rate skips the call
             new = _send_rate(flow_id, new)
         if new != entry.send_rate:
             entry.send_rate = new
@@ -387,16 +424,22 @@ class FluidSolver:
         entry = self.flows[flow_id]
         if not path:
             raise ValueError(f"flow {flow_id!r} has an empty path")
-        index = entry.index
-        for lid in entry.link_ids:
-            self._link_flows[lid].discard(index)
+        old_ids = entry.link_ids
+        entry.path = tuple(path)
+        entry.link_ids = new_ids = self._intern_path(entry.path)
+        link_flows = self._link_flows
+        for lid in old_ids:
             # The vacated links' remaining flows get the freed share.
             self._dirty_links.add(lid)
-        entry.path = tuple(path)
-        entry.link_ids = self._intern_path(entry.path)
-        for lid in entry.link_ids:
-            self._link_flows[lid].add(index)
-        self._dirty_flows.add(index)
+            if lid not in new_ids:
+                link_flows[lid].remove(entry)
+        order = entry.order
+        for lid in new_ids:
+            if lid not in old_ids:
+                flows = link_flows[lid]
+                flows.insert(bisect.bisect_left([other.order for other in flows], order),
+                             entry)
+        self._dirty_flows.add(entry.index)
         self._partition_valid = False
         self._kernels.clear()
 
@@ -448,16 +491,15 @@ class FluidSolver:
                     if link_comp[lid] < 0:
                         link_comp[lid] = cid
                         links.append(lid)
-                        for fidx in link_flows[lid]:
-                            if flow_comp[fidx] < 0:
-                                flow_comp[fidx] = cid
-                                stack.append(fidx)
+                        for other in link_flows[lid]:
+                            if flow_comp[other.index] < 0:
+                                flow_comp[other.index] = cid
+                                stack.append(other.index)
             members.sort(key=_BY_ORDER)  # registration order = full-solve order
             comp_flows.append(members)
             comp_links.append(links)
         self._flow_comp = flow_comp
         self._link_comp = link_comp
-        self._link_order = [None] * len(self._links)
         self._comp_flows = comp_flows
         self._comp_links = comp_links
         self._partition_valid = True
@@ -507,62 +549,133 @@ class FluidSolver:
         flows.sort(key=_BY_ORDER)
         return flows, link_ids, None
 
-    def _calm_sums(self) -> Optional[Tuple[List[FlowEntry], List[int], int]]:
-        """The calm case of an incremental solve (see "Calm components"),
-        for a valid partition and no dirty links: ``None`` if not calm,
-        else the re-summed inflows are committed and the dirty flows, the
-        re-summed link ids and the fixed point's union size returned."""
+    def _quiet_exit(self) -> Tuple[int, Optional[Tuple[List[FlowEntry], List[int], int]]]:
+        """A rate-only incremental solve (valid partition, no dirty links),
+        up to the fixed point ("Quiet resolves").
+
+        Returns ``(K, quiet)``.  ``K`` is 0 if the dirty flows carry an
+        unknown or mixed converge count: nothing was summed, so the fixed
+        point must run from scratch.  Otherwise ``_unit`` is current on
+        the dirty flows' links, and ``quiet`` is ``None`` if one of them
+        may throttle, else the quiet solve is committed and ``quiet``
+        holds the dirty flows, their link ids and the union's size.
+        """
         entries = self._entries
         dirty = self._dirty_flows
-        for fidx in dirty:
-            if not entries[fidx].settled:
-                return None
         flows = [entries[fidx] for fidx in dirty]
-        comp_ids = {self._flow_comp[fidx] for fidx in dirty}
-        link_order = self._link_order
-        for cid in comp_ids:
-            # Built on a component's first calm attempt after a rebuild,
-            # so never-calm workloads that re-path often (PWC) skip it.
-            if link_order[self._comp_links[cid][0]] is None:
-                for lid in self._comp_links[cid]:
-                    link_order[lid] = []
-                for entry in self._comp_flows[cid]:
-                    for lid in entry.link_ids:
-                        link_order[lid].append(entry)
-        sums: Dict[int, float] = {}
+        k = flows[0].converged
+        if not k:
+            return 0, None
+        for entry in flows:
+            if entry.converged != k:
+                return 0, None
+        unit = self._unit
+        links = self._links
+        link_flows = self._link_flows
+        touched: Set[int] = set()
+        quiet = True
         for entry in flows:
             for lid in entry.link_ids:
-                if lid not in sums:
-                    total = 0.0
-                    for other in link_order[lid]:
-                        total += other.send_rate
-                    link = self._links[lid]
-                    # Not ``total > capacity``: a NaN total must fail too.
-                    if link.failed or not total <= link.capacity:
-                        return None
-                    sums[lid] = total
-        for lid, total in sums.items():
-            self._acc[lid] = total
-            self._scale[lid] = 1.0
-        size = sum(len(self._comp_flows[cid]) for cid in comp_ids)
-        return flows, list(sums), size
+                if lid in touched:
+                    continue
+                touched.add(lid)
+                total = 0.0
+                for other in link_flows[lid]:
+                    total += other.send_rate
+                if quiet:
+                    link = links[lid]
+                    quiet = (not link.failed and total <= link.capacity
+                             and (k == 1 or unit[lid] <= link.capacity))
+                unit[lid] = total
+        if not quiet:
+            return k, None
+        acc = self._acc
+        scale = self._scale
+        last = self._pass
+        link_ids = list(touched)
+        for lid in link_ids:
+            scale[lid] = last[lid] = 1.0
+        if k == 1:  # the last pass ran at unit scales
+            for lid in link_ids:
+                acc[lid] = unit[lid]
+        else:  # re-walk each flow up to the link at the last pass's scales
+            for lid in link_ids:
+                total = 0.0
+                for other in link_flows[lid]:
+                    rate = other.send_rate
+                    for hop in other.link_ids:
+                        if hop == lid:
+                            break
+                        rate *= last[hop]
+                    total += rate
+                acc[lid] = total
+        comp_ids = {self._flow_comp[fidx] for fidx in dirty}
+        size = 0
+        for cid in comp_ids:
+            members = self._comp_flows[cid]
+            size += len(members)
+            if k > 1 and len(comp_ids) > 1:
+                # A union's count describes none of its components.
+                for member in members:
+                    member.converged = 0
+        return k, (flows, link_ids, size)
 
-    def _fixed_point(self, flows: List[FlowEntry], link_ids: List[int]) -> int:
+    def _fixed_point(self, flows: List[FlowEntry], link_ids: List[int],
+                     from_unit: bool) -> int:
         """Run the proportional-throttle fixed point on one component.
 
         ``flows`` must be every flow that traverses any link in
         ``link_ids`` (the flood-filled closure guarantees this), so the
-        accumulated inflows are exact, not partial.  Returns iterations.
+        accumulated inflows are exact, not partial.  Iteration 1 runs at
+        unit scales, and its inflows are the unit sums: ``from_unit``
+        takes them from ``_unit`` (current on every link in
+        ``link_ids``), otherwise they are summed there.  Returns
+        iterations.
         """
         acc = self._acc
+        unit = self._unit
         scale = self._scale
+        last = self._pass
         links = self._links
         tolerance = self.tolerance
+        if from_unit:
+            for entry in flows:
+                entry.delivered_rate = entry.send_rate
+        else:
+            for lid in link_ids:
+                unit[lid] = 0.0
+            for entry in flows:
+                rate = entry.send_rate
+                for lid in entry.link_ids:
+                    unit[lid] += rate
+                entry.delivered_rate = rate
         for lid in link_ids:
             scale[lid] = 1.0
-        iterations = 0
-        for _ in range(self.max_iterations):
+        inflows = unit
+        iterations = 1
+        while True:
+            worst = 0.0
+            for lid in link_ids:
+                link = links[lid]
+                inflow = inflows[lid]
+                if link.failed:
+                    new_scale = 0.0
+                elif inflow <= link.capacity:
+                    new_scale = 1.0
+                else:
+                    new_scale = link.capacity / inflow
+                old = scale[lid]
+                last[lid] = old
+                delta = new_scale - old
+                if delta < 0.0:
+                    delta = -delta
+                if delta > worst:
+                    worst = delta
+                scale[lid] = new_scale
+            if worst <= tolerance or iterations >= self.max_iterations:
+                break
             iterations += 1
+            inflows = acc
             for lid in link_ids:
                 acc[lid] = 0.0
             for entry in flows:
@@ -571,24 +684,9 @@ class FluidSolver:
                     acc[lid] += rate
                     rate *= scale[lid]
                 entry.delivered_rate = rate
-            worst = 0.0
+        if iterations == 1:
             for lid in link_ids:
-                link = links[lid]
-                inflow = acc[lid]
-                if link.failed:
-                    new_scale = 0.0
-                elif inflow <= link.capacity:
-                    new_scale = 1.0
-                else:
-                    new_scale = link.capacity / inflow
-                delta = new_scale - scale[lid]
-                if delta < 0.0:
-                    delta = -delta
-                if delta > worst:
-                    worst = delta
-                scale[lid] = new_scale
-            if worst <= tolerance:
-                break
+                acc[lid] = unit[lid]
         return iterations
 
     def _kernel_for(self, token: Optional[int], flows: List[FlowEntry],
@@ -612,7 +710,7 @@ class FluidSolver:
     def _solve(self) -> None:
         """Advance the solver to a converged state for the current inputs."""
         stats = self.stats
-        calm = None
+        k, quiet = 0, None
         if self._full:
             flows = list(self.flows.values())
             link_ids = list(range(len(self._links)))
@@ -623,12 +721,12 @@ class FluidSolver:
                 _M_FULL.inc()
         elif self._dirty_flows or self._dirty_links:
             if self._calm_fast and self._partition_valid and not self._dirty_links:
-                calm = self._calm_sums()
-            if calm is None:
+                k, quiet = self._quiet_exit()
+            if quiet is None:
                 flows, link_ids, token = self._component()
                 size = len(flows)
             else:
-                flows, link_ids, size = calm
+                flows, link_ids, size = quiet
             stats.incremental_solves += 1
             stats.component_flows += size
             if OBS.enabled:
@@ -639,23 +737,29 @@ class FluidSolver:
             return
         old_rates = [entry.delivered_rate for entry in flows]
         vector = size > 0 and size >= self.vector_min_flows
-        if calm is not None:
-            iterations = 1  # at unit scales; the sums are in ``_acc``
+        if quiet is not None:
+            iterations = k  # the sums are in ``_acc``
+            converged = flows[0].converged  # K, or 0 for a union of K > 1
             for entry in flows:
                 entry.delivered_rate = entry.send_rate
-        elif vector:
-            kernel = self._kernel_for(token, flows, link_ids)
-            iterations = kernel.run(
-                flows, self._links, self.tolerance, self.max_iterations)
-            kernel.writeback(self._acc, self._scale)
         else:
-            iterations = self._fixed_point(flows, link_ids)
+            if vector:
+                kernel = self._kernel_for(token, flows, link_ids)
+                iterations = kernel.run(
+                    flows, self._links, self.tolerance, self.max_iterations)
+                kernel.writeback(self._acc, self._scale, self._unit, self._pass)
+            else:
+                iterations = self._fixed_point(flows, link_ids, k > 0)
+            # A union's count describes none of its components (K = 1 aside).
+            if iterations != 1 and (token is None or token < 0):
+                converged = 0
+            else:
+                converged = iterations
         stats.iterations += iterations
         if vector:
             stats.vector_solves += 1
             if OBS.enabled:
                 _M_VECTOR.inc()
-        settled = iterations == 1
         inflow = self._inflow
         acc = self._acc
         changed_links = self._changed_links
@@ -670,7 +774,7 @@ class FluidSolver:
         eps = self.notify_epsilon
         changed_flows = self._changed_flows
         for entry, old in zip(flows, old_rates):
-            entry.settled = settled
+            entry.converged = converged
             new = entry.delivered_rate
             delta = new - old
             if delta < 0.0:

@@ -138,6 +138,26 @@ def test_negative_rate_clamps_and_nan_raises_at_both_entry_points(entry_point):
     assert solver.solve()[core] == (4e9 if entry_point == "add_flow" else 5e9)
 
 
+@pytest.mark.parametrize("entry_point", ["add_flow", "set_rate"])
+def test_infinite_rate_raises_at_both_entry_points(entry_point):
+    # Accepted, ``inf`` is throttled to ``inf * 0.0 = nan`` at the shared
+    # link and starves its neighbour: {'a': nan, 'b': 0.0}.
+    topo = dumbbell(n_pairs=2)
+    solver = FluidSolver()
+    solver.add_flow("b", topo.shortest_paths("src1", "dst1")[0], 1e9)
+    path = topo.shortest_paths("src0", "dst0")[0]
+    with pytest.raises(ValueError, match="'a'.*infinite"):
+        if entry_point == "add_flow":
+            solver.add_flow("a", path, float("inf"))
+        else:
+            solver.add_flow("a", path, 2e9)
+            solver.set_rate("a", float("inf"))
+    solver.solve()
+    assert solver.delivered_rate("b") == 1e9
+    if entry_point == "set_rate":
+        assert solver.delivered_rate("a") == 2e9
+
+
 def test_remove_flow():
     links = chain(10e9)
     solver = FluidSolver()

@@ -1,43 +1,54 @@
-"""Calm resolves are the fixed point, exactly.
+"""Quiet resolves are the fixed point, exactly.
 
-An incremental solve after rate updates only, on components whose last
-solve converged at unit scales, re-sums just the updated flows' links
-instead of running the fixed point (module docstring of
-``repro/sim/fluid.py``, "Calm components").  These tests drive
-randomized mutation sequences through a default solver and through one
-forced onto the fixed point (``_calm_fast = False`` on a subclass, the
-test-only seam), each applying into its own copy of the topology, and
-after every step assert ``==`` on delivered rates, raw, accumulated and
-pushed inflows, scales, settled flags, the link state ``apply`` left
-behind, the flow ids it returned and the solver stats.  Both branches
-must run, and calm solves must cover components past the vector-kernel
-threshold.
+An incremental solve after rate updates only, on components with one
+recorded converge count K whose updated flows' links stay at or under
+capacity at unit scales, re-sums just those links instead of running
+the fixed point; the other rate-only solves start the fixed point from
+cached unit sums (module docstring of ``repro/sim/fluid.py``, "Quiet
+resolves").  These tests drive randomized mutation sequences through a
+default solver and through one forced onto the fixed point from
+scratch (``_calm_fast = False`` on a subclass, the test-only seam),
+each applying into its own copy of the topology, and after every step
+assert ``==`` on delivered rates, raw, accumulated and pushed inflows,
+scales, cached unit sums and last-pass scales, converge counts, the
+link state ``apply`` left behind, the flow ids it returned and the
+solver stats.  Both branches must run, quiet solves must reach K > 1
+and cover components past the vector-kernel threshold.
 """
 
 import random
 
 import pytest
 
-from repro.experiments import fig11_guarantee
+from repro.experiments import fig11_guarantee, fig14_ebs
 from repro.sim.fluid import VECTOR_MIN_FLOWS, FluidSolver
 from repro.sim.topology import dumbbell, leaf_spine, parking_lot
 
 
 class CalmSolver(FluidSolver):
-    """The default solver, counting how each calm attempt ended."""
+    """The default solver, counting how each quiet attempt ended: a quiet
+    exit (``hits``, ``deep_hits`` for K > 1), a fixed point from cached
+    unit sums (``misses``) or from scratch (``unknown``)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.calm = {"hits": 0, "misses": 0, "vector_hits": 0}
+        self.calm = {"hits": 0, "misses": 0, "unknown": 0,
+                     "vector_hits": 0, "deep_hits": 0}
+        self.fixed_points = 0
 
-    def _calm_sums(self):
-        out = super()._calm_sums()
-        if out is None:
-            self.calm["misses"] += 1
-        else:
+    def _quiet_exit(self):
+        k, quiet = super()._quiet_exit()
+        if quiet is not None:
             self.calm["hits"] += 1
-            self.calm["vector_hits"] += out[2] >= self.vector_min_flows
-        return out
+            self.calm["deep_hits"] += k > 1
+            self.calm["vector_hits"] += quiet[2] >= self.vector_min_flows
+        else:
+            self.calm["misses" if k else "unknown"] += 1
+        return k, quiet
+
+    def _fixed_point(self, *args):
+        self.fixed_points += 1
+        return super()._fixed_point(*args)
 
 
 class FixedPointSolver(FluidSolver):
@@ -76,8 +87,10 @@ def _assert_twins(a: FluidSolver, b: FluidSolver, topo_a, topo_b, moved, context
     assert a._acc == b._acc, context
     assert a._pushed == b._pushed, context
     assert a._scale == b._scale, context
-    assert ({f: e.settled for f, e in a.flows.items()}
-            == {f: e.settled for f, e in b.flows.items()}), context
+    assert a._unit == b._unit, context
+    assert a._pass == b._pass, context
+    assert ({f: e.converged for f, e in a.flows.items()}
+            == {f: e.converged for f, e in b.flows.items()}), context
     assert a.stats.as_dict() == b.stats.as_dict(), context
 
     def link_state(topo):
@@ -173,20 +186,21 @@ def _run_sequence(seq: int, big: bool) -> dict:
 @pytest.mark.parametrize("block", range(4))
 def test_calm_solves_equal_the_fixed_point(block):
     per_block = SMALL_SEQUENCES // 4
-    totals = {"hits": 0, "misses": 0}
+    totals = {"hits": 0, "misses": 0, "unknown": 0, "vector_hits": 0, "deep_hits": 0}
     for seq in range(block * per_block, (block + 1) * per_block):
-        calm = _run_sequence(seq, big=False)
-        totals["hits"] += calm["hits"]
-        totals["misses"] += calm["misses"]
-    assert totals["hits"] > 0 and totals["misses"] > 0, totals
+        for key, value in _run_sequence(seq, big=False).items():
+            totals[key] += value
+    assert totals["deep_hits"] > 0 and totals["misses"] > 0, totals
+    assert totals["unknown"] > 0, totals
 
 
 def test_calm_solves_equal_the_vector_fixed_point_on_a_big_component():
-    totals = {"hits": 0, "misses": 0, "vector_hits": 0}
+    totals = {"hits": 0, "misses": 0, "unknown": 0, "vector_hits": 0, "deep_hits": 0}
     for seq in range(BIG_SEQUENCES):
         for key, value in _run_sequence(seq, big=True).items():
             totals[key] += value
     assert totals["vector_hits"] > 0 and totals["misses"] > 0, totals
+    assert totals["deep_hits"] > 0, totals
 
 
 def test_calm_solve_beside_a_link_inside_the_tolerance():
@@ -215,8 +229,101 @@ def test_calm_solve_beside_a_link_inside_the_tolerance():
                  forced.apply(now * 1e-6, topos[1].links.values()))
         _assert_twins(solver, forced, *topos, moved, f"after {step}")
         scales.append(solver._scale[near_cap])
-    assert solver.calm == {"hits": 3, "misses": 0, "vector_hits": 0}
+    assert solver.calm == {"hits": 3, "misses": 0, "unknown": 0,
+                           "vector_hits": 0, "deep_hits": 0}
     assert 1.0 - 1e-6 < scales[2] < 1.0 and scales[3] == 1.0
+
+
+class _Twins:
+    """A default and a forced solver on twin parking lots, stepped together."""
+
+    def __init__(self, n_hops: int, flows: dict) -> None:
+        self.solver, self.forced = CalmSolver(), FixedPointSolver()
+        self.topos = (parking_lot(n_hops=n_hops, capacity=10e9),
+                      parking_lot(n_hops=n_hops, capacity=10e9))
+        for twin, topo in zip((self.solver, self.forced), self.topos):
+            for flow_id, (src, dst, rate) in flows.items():
+                twin.add_flow(flow_id, topo.shortest_paths(src, dst)[0], rate)
+        self.now = 0
+        self.step()
+
+    def step(self, *updates) -> int:
+        """Apply rate updates to both twins; returns the default solver's
+        fixed-point runs during the resolve."""
+        runs = self.solver.fixed_points
+        for update in updates:
+            for twin in (self.solver, self.forced):
+                twin.set_rate(*update)
+        self.now += 1
+        moved = (self.solver.apply(self.now * 1e-6, self.topos[0].links.values()),
+                 self.forced.apply(self.now * 1e-6, self.topos[1].links.values()))
+        _assert_twins(self.solver, self.forced, *self.topos, moved, f"after {updates}")
+        return self.solver.fixed_points - runs
+
+    def converged(self, flow_id: str) -> int:
+        return self.solver.flows[flow_id].converged
+
+
+# P and R (8 Gb/s each) share h0->SW0 and SW0->SW1 at 16 Gb/s: those
+# throttle, and the component converges in K = 3.  Q's links carry at
+# most 9 Gb/s at unit scales.
+THROTTLED = {"P": ("h0", "h2", 8e9), "Q": ("h1", "h2", 1e9), "R": ("h0", "h1", 8e9)}
+
+
+def test_quiet_exit_beside_a_throttled_link_runs_no_fixed_point():
+    twins = _Twins(2, THROTTLED)
+    twins.step(("Q", 1.5e9))  # builds the partition, records K = 3
+    assert twins.converged("Q") == 3
+    assert twins.step(("Q", 2e9)) == 0
+    assert twins.solver.calm["deep_hits"] == 1
+    throttled = twins.solver._link_ids[twins.topos[0].link("h0", "SW0")]
+    assert twins.solver._scale[throttled] < 1.0
+    assert twins.solver.delivered_rate("Q") == 2e9
+    assert twins.solver.delivered_rate("P") < 8e9
+    assert twins.converged("P") == 3
+
+
+def test_old_unit_sum_over_capacity_blocks_a_deep_quiet_exit():
+    # Easing R to 1 Gb/s brings h0->SW0 and SW0->SW1 to 9 Gb/s at unit
+    # scales, but the last fixed point throttled them: not quiet.  The
+    # fixed point runs from the cached unit sums and converges in 1.
+    twins = _Twins(2, THROTTLED)
+    twins.step(("Q", 1.5e9))
+    assert twins.step(("R", 1e9)) == 1
+    assert twins.solver.calm == {"hits": 0, "misses": 1, "unknown": 0,
+                                 "vector_hits": 0, "deep_hits": 0}
+    assert twins.converged("R") == 1
+    assert twins.solver.delivered_rate("P") == 8e9
+
+
+def test_dirty_components_with_different_counts_run_the_fixed_point():
+    # B (h2->h3) shares no link with THROTTLED's component: its own
+    # component converges in 1 iteration, the throttled one in 3.
+    twins = _Twins(3, dict(THROTTLED, B=("h2", "h3", 1e9)))
+    twins.step(("Q", 1.5e9))
+    twins.step(("B", 2e9))  # the full solve left B's count unknown
+    assert (twins.converged("Q"), twins.converged("B")) == (3, 1)
+    # Each update alone is quiet; together they must run the fixed point.
+    assert twins.step(("Q", 2e9)) == twins.step(("B", 3e9)) == 0
+    assert twins.step(("Q", 2.5e9), ("B", 3.5e9)) == 1
+    assert twins.solver.calm == {"hits": 2, "misses": 0, "unknown": 2,
+                                 "vector_hits": 0, "deep_hits": 1}
+    assert twins.converged("Q") == twins.converged("B") == 0
+
+
+def test_quiet_union_of_equal_counts_runs_no_fixed_point_and_forgets_them():
+    # THROTTLED on SW0..SW2 and its mirror on SW3..SW5 share no link:
+    # two components, each converging in K = 3.  A union of them is
+    # quiet at K = 3 too, but a union's count is recorded as unknown.
+    mirror = {f"{flow_id}'": (f"h{int(src[1]) + 3}", f"h{int(dst[1]) + 3}", rate)
+              for flow_id, (src, dst, rate) in THROTTLED.items()}
+    twins = _Twins(5, dict(THROTTLED, **mirror))
+    twins.step(("Q", 1.5e9))
+    twins.step(("Q'", 1.5e9))
+    assert twins.converged("P") == twins.converged("P'") == 3
+    assert twins.step(("Q", 2e9), ("Q'", 2e9)) == 0
+    assert twins.solver.calm["deep_hits"] == 1
+    assert {twins.converged(flow_id) for flow_id in twins.solver.flows} == {0}
 
 
 def test_fig11_cell_is_identical_with_calm_solves_forced_off(monkeypatch):
@@ -227,3 +334,14 @@ def test_fig11_cell_is_identical_with_calm_solves_forced_off(monkeypatch):
     default = row(fig11_guarantee.run_one("ufab", duration=0.05, seed=1))
     monkeypatch.setattr(FluidSolver, "_calm_fast", False)
     assert row(fig11_guarantee.run_one("ufab", duration=0.05, seed=1)) == default
+
+
+def test_fig14_cell_is_identical_with_quiet_solves_forced_off(monkeypatch):
+    # On/off demand throttles host links here, so quiet exits with K > 1
+    # fire (fig11's steady cell is nearly all K = 1).
+    def row(r):
+        return (r.avg_tct, r.p99_tct, r.n_ops)
+
+    default = row(fig14_ebs.run_one("ufab", duration=0.01))
+    monkeypatch.setattr(FluidSolver, "_calm_fast", False)
+    assert row(fig14_ebs.run_one("ufab", duration=0.01)) == default
