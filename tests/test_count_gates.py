@@ -4,6 +4,7 @@ guarded, as tier-1 tests that fail on a count and never on a stopwatch.
 * simulated work per cell does not inflate (``events_processed``
   ceilings on three ``scale`` cells and one ``telemetry`` cell);
 * flow-group folding holds at k = 16 (the memory-relevant count);
+* the k = 16 cell's fluid solver records exactly its pinned counts;
 * the default lightweight telemetry plan cuts Figure-22 bytes >= 2x and
   stamped records >= 1.5x at <= 2 points of guarantee-compliance drift;
 * rate updates on calm fluid components skip the fixed point, and
@@ -15,7 +16,8 @@ carrying the committed reports (the scale pins equal its scale
 report's), except the calm-resolve pins, recorded at ``1952152`` (the
 tree before calm resolves), the quiet-resolve pins, recorded when
 quiet exits generalised calm resolves (2 449 kernel runs before them),
-and the two uFAB scale pins and the
+the k = 16 solver pins, recorded at ``6b1fa72`` (233 of its 279 solves
+ran a numpy copy of the fixed point there), and the two uFAB scale pins and the
 probe-loss pin, recorded when each control probe got its own timeout
 (the orphaned timeouts before it fired spurious losses and
 retransmits: 164 854 and 145 243 events, 141 losses).  A ceiling is ``ceil(pin / 0.9)``: events
@@ -27,6 +29,7 @@ regression until it argues otherwise and re-pins, in its own commit.
 Wall time and RSS are ``benchmarks/perf``'s business, not this file's.
 """
 
+import functools
 import math
 
 import pytest
@@ -46,6 +49,14 @@ SCALE_EVENTS = {
 # The k=16 high-churn cell: 332 raw pairs fold into 193 flow groups.
 K16_PEAK_GROUPS = 193
 K16_MIN_FOLDING = 1.5
+# Its fluid solver's counts, and the rates they deliver at the horizon:
+# any change to the fixed point, or to a shortcut past it, that records
+# other counts or moves a rate shows here.
+K16_SOLVER_STATS = {
+    "solves": 279, "full_solves": 1, "incremental_solves": 278,
+    "mean_component_flows": 151.392, "iterations": 1_166, "skipped_resolves": 14,
+}
+K16_DELIVERED_TOTAL_BPS = 101_567_930_683.403
 
 # The short telemetry cell, and its events_processed under the default
 # lightweight plan, by seed.
@@ -77,15 +88,28 @@ def ceiling(pin: int) -> int:
     return math.ceil(pin / 0.9)
 
 
+@functools.lru_cache(maxsize=None)
+def _scale_row(scheme, k, churn):
+    """One scale cell at seed 1, run once for every test that reads it."""
+    return scale_sweep.run_one(scheme, k=k, churn=churn,
+                               duration=SCALE_DURATION, seed=1)
+
+
 @pytest.mark.parametrize("scheme,k,churn", sorted(SCALE_EVENTS))
 def test_scale_cell_events_do_not_inflate(scheme, k, churn):
-    row = scale_sweep.run_one(scheme, k=k, churn=churn,
-                              duration=SCALE_DURATION, seed=1)
+    row = _scale_row(scheme, k, churn)
     if k == 16:
         report = row["churn_report"]
         assert report["peak_groups"] <= K16_PEAK_GROUPS
         assert report["peak_members"] / report["peak_groups"] >= K16_MIN_FOLDING
     assert row["events_processed"] <= ceiling(SCALE_EVENTS[scheme, k, churn])
+
+
+def test_k16_cell_solver_counts_are_pinned():
+    row = _scale_row("ufab", 16, "high")
+    stats = row["solver_stats"]
+    assert {key: stats[key] for key in K16_SOLVER_STATS} == K16_SOLVER_STATS
+    assert row["delivered_total_bps"] == K16_DELIVERED_TOTAL_BPS
 
 
 def test_default_sampled_plan_halves_telemetry_bytes_within_two_points():
