@@ -6,24 +6,18 @@ k-ary fat-tree (k=16 is 1024 hosts, the ROADMAP's order-of-magnitude
 target over the 512-host static workload) with a seed-reproducible
 :class:`~repro.schedule.Schedule` of VF churn, and
 measures the simulator's throughput (events/sec), the churn plane's
-footprint (flow groups vs raw pairs), and the solver's vectorization
-coverage.
+footprint (flow groups vs raw pairs), and the fluid solver's work.
 
-Tractability comes from two levers built for this sweep:
-
-* the :mod:`repro.sim.fluid` numpy kernel — large components run the
-  fixed point as array ops (chosen per component by size; cells report
-  ``vector_solves`` so coverage is auditable);
-* flow-group aggregation — same-endpoint same-class pairs share one
-  fabric pair, so controller/probe/solver state scales with distinct
-  (endpoints, class) combinations, not the raw pair population.
+Tractability comes from one lever built for this sweep: flow-group
+aggregation — same-endpoint same-class pairs share one fabric pair, so
+controller/probe/solver state scales with distinct (endpoints, class)
+combinations, not the raw pair population.
 
 ``repro scale`` prints :data:`SPEC`'s grid as a table;
 ``tests/test_count_gates.py`` caps three of its cells' event counts and
-the k=16 cell's flow-group count.  Retired: the ``run_one(solver=)``
-kernel pin and its environment variable — scalar == vector on a whole
-cell is asserted by ``tests/test_scale_sweep.py`` through a test-only
-seam.
+pins the k=16 cell's flow-group count and solver counts.  Retired: the
+``run_one(solver=)`` kernel pin and its environment variable, and then
+the numpy fixed point itself — every component runs the one scalar loop.
 """
 
 from __future__ import annotations

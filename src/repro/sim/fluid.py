@@ -29,27 +29,6 @@ flipped by failure injection, capacity changes — must be announced with
 :meth:`invalidate`, which forces the next solve to cover every flow.
 ``Network.fail_node`` / ``recover_node`` / ``fail_link`` do this.
 
-Vectorized fixed point
-----------------------
-
-Components past :data:`VECTOR_MIN_FLOWS` flows run the fixed point as
-numpy array operations instead of the per-flow Python loop: paths are
-packed into one dense ``(flows x max_hops)`` matrix of link ids (padded
-with a virtual link whose scale is pinned to 1.0), per-hop entry rates
-come from a row-wise ``cumprod`` over gathered scales, and per-link
-inflows accumulate via ``np.add.at``.  Both kernels perform the *same*
-float operations in the *same* order — ``cumprod`` multiplies left to
-right exactly like the scalar hop walk, ``np.add.at`` is unbuffered and
-applies addends in row-major (flow-then-hop) order, which is the scalar
-accumulation order — so vector and scalar solves are bit-identical.
-``tests/test_fluid_vector.py`` asserts exact equality over randomized
-incremental sequences.  Only large components are vectorized — the
-packed matrix is cached between solves, and small components are
-faster in pure Python than through numpy dispatch overhead.  Retired:
-the environment / ``FluidSolver(mode=)`` kernel selector; the size
-threshold is the only one, and the equivalence tests pin one kernel by
-overriding :attr:`FluidSolver.vector_min_flows` on a subclass.
-
 Quiet resolves
 --------------
 
@@ -80,8 +59,7 @@ links of ``S`` end differently: their inflow is the last pass's sum at
 ``_pass`` scales (the unit sum when ``K = 1``), their scale 1.0, and
 the dirty flows deliver their send rate.  A quiet solve commits just
 that, and :class:`SolverStats` records what the fixed point would have
-(the union's flows, ``K`` iterations, a vector solve past
-:attr:`FluidSolver.vector_min_flows`).  Otherwise the fixed point runs
+(the union's flows and ``K`` iterations).  Otherwise the fixed point runs
 from the cached unit sums, skipping iteration 1's accumulation; an
 unknown or mixed ``K`` skips all sum work and runs it from scratch.
 ``tests/test_fluid_calm.py`` holds both paths ``==`` against the
@@ -98,15 +76,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.obs import OBS
 from repro.sim.link import Link
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
-
-# Components with at least this many flows use the numpy kernel; below
-# it the scalar loop wins on dispatch overhead.
-VECTOR_MIN_FLOWS = 128
-
 _M_FULL = OBS.metrics.counter(
     "solver.full_solves", unit="solves", site="repro/sim/fluid.py:FluidSolver._solve",
     desc="Fixed-point solves covering every registered flow (first solve, "
@@ -121,11 +90,6 @@ _M_COMP = OBS.metrics.counter(
     site="repro/sim/fluid.py:FluidSolver._solve",
     desc="Total flows across incremental-solve components (divide by "
          "solver.incremental_solves for the mean component size).")
-_M_VECTOR = OBS.metrics.counter(
-    "solver.vector_solves", unit="solves",
-    site="repro/sim/fluid.py:FluidSolver._solve",
-    desc="Solves executed by the vectorized numpy fixed-point kernel "
-         "(bit-identical to the scalar loop; large components only).")
 
 
 _BY_ORDER = operator.attrgetter("order")
@@ -148,7 +112,11 @@ class SolverStats:
     """Always-on counters for one :class:`FluidSolver` (cheap, per solve)."""
 
     __slots__ = ("full_solves", "incremental_solves", "component_flows",
-                 "iterations", "skipped_resolves", "vector_solves")
+                 "iterations", "skipped_resolves")
+
+    # The numpy fixed point is gone, so no solve is a vector solve.  Kept
+    # only for benchmarks/perf/trace.py, which reads it by name.
+    vector_solves = 0
 
     def __init__(self) -> None:
         self.full_solves = 0
@@ -156,7 +124,6 @@ class SolverStats:
         self.component_flows = 0
         self.iterations = 0
         self.skipped_resolves = 0
-        self.vector_solves = 0
 
     @property
     def solves(self) -> int:
@@ -198,110 +165,9 @@ class FlowEntry:
         self.converged = 0  # converge count K, 0 = unknown ("Quiet resolves")
 
 
-class _VectorKernel:
-    """Packed numpy view of one component, reused across solves.
-
-    Structure (the path matrix) survives until membership changes —
-    add/remove/``set_path`` clear the solver's kernel cache.  Values
-    (send rates, capacities, failure flags) are re-read every solve, so
-    ``set_rate`` and exogenous link flips need no cache maintenance.
-    """
-
-    __slots__ = ("P", "link_idx", "pad", "n", "_rates", "_acc", "_scale",
-                 "_unit", "_pass")
-
-    def __init__(self, flows: List["FlowEntry"], link_ids: List[int],
-                 n_links: int) -> None:
-        n = len(flows)
-        m = max(len(entry.link_ids) for entry in flows)
-        self.pad = n_links  # virtual link: scale pinned to 1.0
-        P = _np.full((n, m), self.pad, dtype=_np.intp)
-        for i, entry in enumerate(flows):
-            P[i, : len(entry.link_ids)] = entry.link_ids
-        self.P = P
-        self.link_idx = _np.asarray(link_ids, dtype=_np.intp)
-        self.n = n
-        # Per-solve scratch (allocated once per kernel).
-        self._rates = _np.empty((n, m), dtype=_np.float64)
-        self._acc = _np.zeros(n_links + 1, dtype=_np.float64)
-        self._scale = _np.ones(n_links + 1, dtype=_np.float64)
-
-    def run(self, flows: List["FlowEntry"], links: List[Link],
-            tolerance: float, max_iterations: int) -> int:
-        """Fixed point over the packed component; returns iterations.
-
-        Performs the scalar kernel's float ops in the scalar kernel's
-        order: row-wise ``cumprod`` is the left-to-right hop walk, and
-        unbuffered ``np.add.at`` accumulates per-link inflow addends in
-        row-major order — flow registration order, then hop order —
-        exactly like the per-flow Python loop.
-        """
-        P = self.P
-        L = self.link_idx
-        rates = self._rates
-        acc = self._acc
-        scale = self._scale
-        send = _np.fromiter((entry.send_rate for entry in flows),
-                            dtype=_np.float64, count=self.n)
-        caps = _np.fromiter((links[lid].capacity for lid in L),
-                            dtype=_np.float64, count=len(L))
-        up = _np.fromiter((not links[lid].failed for lid in L),
-                          dtype=_np.bool_, count=len(L))
-        scale[L] = 1.0
-        scale[self.pad] = 1.0
-        iterations = 0
-        for _ in range(max_iterations):
-            iterations += 1
-            acc.fill(0.0)
-            # rates[:, j] = send * scale[hop 0] * ... * scale[hop j-1]:
-            # the rate at which the flow *enters* hop j.
-            rates[:, 0] = send
-            s = scale[P]
-            rates[:, 1:] = s[:, :-1]
-            _np.cumprod(rates, axis=1, out=rates)
-            _np.add.at(acc, P, rates)
-            inflow = acc[L]
-            if iterations == 1:
-                self._unit = inflow  # at unit scales: the send sums
-            new_scale = _np.where(
-                up & (inflow <= caps),
-                1.0,
-                _np.divide(caps, inflow,
-                           out=_np.zeros_like(caps),
-                           where=up & (inflow > caps)),
-            )
-            old = scale[L]
-            worst = float(_np.max(_np.abs(new_scale - old))) if len(L) else 0.0
-            scale[L] = new_scale
-            if worst <= tolerance:
-                break
-        self._pass = old
-        delivered = rates[:, -1] * s[:, -1]
-        for i, entry in enumerate(flows):
-            entry.delivered_rate = float(delivered[i])
-        return iterations
-
-    def writeback(self, acc_list: List[float], scale_list: List[float],
-                  unit_list: List[float], pass_list: List[float]) -> None:
-        """Copy component inflows, scales, unit sums and last-pass scales
-        into the solver's scalar arrays."""
-        L = self.link_idx
-        for lid, acc, scale, unit, last in zip(
-                L.tolist(), self._acc[L].tolist(), self._scale[L].tolist(),
-                self._unit.tolist(), self._pass.tolist()):
-            acc_list[lid] = acc
-            scale_list[lid] = scale
-            unit_list[lid] = unit
-            pass_list[lid] = last
-
-
 class FluidSolver:
     """Computes per-link inflows and per-flow delivered rates."""
 
-    # Kernel selector: components at least this large take the numpy
-    # kernel.  A class attribute so the equivalence tests can pin one
-    # kernel on a subclass (1 = always vector, inf = always scalar).
-    vector_min_flows: float = VECTOR_MIN_FLOWS if _np is not None else float("inf")
     # Test-only seam: False forces every solve through the fixed point
     # from scratch (no quiet exit, no cached unit sums).
     _calm_fast = True
@@ -310,9 +176,6 @@ class FluidSolver:
         self.flows: Dict[str, FlowEntry] = {}
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        # Packed numpy kernels keyed by component token; cleared on any
-        # membership change (the path matrix encodes structure only).
-        self._kernels: Dict[int, _VectorKernel] = {}
         # Relative change in a delivered rate below which the flow is not
         # reported as moved (listener notification gate).
         self.notify_epsilon = 1e-9
@@ -394,7 +257,6 @@ class FluidSolver:
         self._dirty_flows.add(index)
         self._forced_notify.add(index)
         self._partition_valid = False
-        self._kernels.clear()
 
     def remove_flow(self, flow_id: str) -> None:
         entry = self.flows.pop(flow_id)
@@ -409,7 +271,6 @@ class FluidSolver:
         self._changed_flows.discard(index)
         self._forced_notify.discard(index)
         self._partition_valid = False
-        self._kernels.clear()
 
     def set_rate(self, flow_id: str, rate: float) -> None:
         entry = self.flows[flow_id]
@@ -441,7 +302,6 @@ class FluidSolver:
                              entry)
         self._dirty_flows.add(entry.index)
         self._partition_valid = False
-        self._kernels.clear()
 
     def delivered_rate(self, flow_id: str) -> float:
         return self.flows[flow_id].delivered_rate
@@ -504,8 +364,8 @@ class FluidSolver:
         self._comp_links = comp_links
         self._partition_valid = True
 
-    def _component(self) -> Tuple[List[FlowEntry], List[int], Optional[int]]:
-        """Flows, links, and kernel token for the current dirty set.
+    def _component(self) -> Tuple[List[FlowEntry], List[int], bool]:
+        """Flows, links, and ``alone`` for the current dirty set.
 
         The union of the dirty flows' (and dirty links') cached
         components.  Link ids come back unordered: every per-link step of
@@ -514,9 +374,9 @@ class FluidSolver:
         bit-reproducibility — component flow lists are pre-sorted by
         registration order, matching a full solve's dict order.
 
-        The token identifies a stable component whose packed vector
-        kernel may be cached (``None`` for multi-component merges and
-        solves carrying orphan links, which are transient).
+        ``alone`` is true when the solve covers exactly one cached
+        component and no orphan link: only then does its iteration count
+        describe that component ("Quiet resolves").
         """
         if not self._partition_valid:
             self._build_partition()
@@ -539,15 +399,15 @@ class FluidSolver:
             flows = self._comp_flows[cid]
             link_ids = self._comp_links[cid]
             if orphan_links:
-                return flows, link_ids + orphan_links, None
-            return flows, link_ids, cid
+                return flows, link_ids + orphan_links, False
+            return flows, link_ids, True
         flows = []
         link_ids = list(orphan_links)
         for cid in comp_ids:
             flows.extend(self._comp_flows[cid])
             link_ids.extend(self._comp_links[cid])
         flows.sort(key=_BY_ORDER)
-        return flows, link_ids, None
+        return flows, link_ids, False
 
     def _quiet_exit(self) -> Tuple[int, Optional[Tuple[List[FlowEntry], List[int], int]]]:
         """A rate-only incremental solve (valid partition, no dirty links),
@@ -689,33 +549,13 @@ class FluidSolver:
                 acc[lid] = unit[lid]
         return iterations
 
-    def _kernel_for(self, token: Optional[int], flows: List[FlowEntry],
-                    link_ids: List[int]) -> _VectorKernel:
-        """Cached packed kernel for a stable component, fresh otherwise.
-
-        ``token`` is ``-1`` for full solves, the component id for clean
-        single-component solves, and ``None`` for transient shapes
-        (multi-component merges, orphan-link carriers) that are not worth
-        caching.  The cache is cleared on every membership change, so a
-        hit is guaranteed structurally current.
-        """
-        if token is None:
-            return _VectorKernel(flows, link_ids, len(self._links))
-        kernel = self._kernels.get(token)
-        if kernel is None:
-            kernel = _VectorKernel(flows, link_ids, len(self._links))
-            self._kernels[token] = kernel
-        return kernel
-
     def _solve(self) -> None:
         """Advance the solver to a converged state for the current inputs."""
         stats = self.stats
-        k, quiet = 0, None
+        k, quiet, alone = 0, None, False
         if self._full:
             flows = list(self.flows.values())
             link_ids = list(range(len(self._links)))
-            token: Optional[int] = -1
-            size = len(flows)
             stats.full_solves += 1
             if OBS.enabled:
                 _M_FULL.inc()
@@ -723,7 +563,7 @@ class FluidSolver:
             if self._calm_fast and self._partition_valid and not self._dirty_links:
                 k, quiet = self._quiet_exit()
             if quiet is None:
-                flows, link_ids, token = self._component()
+                flows, link_ids, alone = self._component()
                 size = len(flows)
             else:
                 flows, link_ids, size = quiet
@@ -736,30 +576,16 @@ class FluidSolver:
             stats.skipped_resolves += 1
             return
         old_rates = [entry.delivered_rate for entry in flows]
-        vector = size > 0 and size >= self.vector_min_flows
         if quiet is not None:
             iterations = k  # the sums are in ``_acc``
             converged = flows[0].converged  # K, or 0 for a union of K > 1
             for entry in flows:
                 entry.delivered_rate = entry.send_rate
         else:
-            if vector:
-                kernel = self._kernel_for(token, flows, link_ids)
-                iterations = kernel.run(
-                    flows, self._links, self.tolerance, self.max_iterations)
-                kernel.writeback(self._acc, self._scale, self._unit, self._pass)
-            else:
-                iterations = self._fixed_point(flows, link_ids, k > 0)
+            iterations = self._fixed_point(flows, link_ids, k > 0)
             # A union's count describes none of its components (K = 1 aside).
-            if iterations != 1 and (token is None or token < 0):
-                converged = 0
-            else:
-                converged = iterations
+            converged = iterations if alone or iterations == 1 else 0
         stats.iterations += iterations
-        if vector:
-            stats.vector_solves += 1
-            if OBS.enabled:
-                _M_VECTOR.inc()
         inflow = self._inflow
         acc = self._acc
         changed_links = self._changed_links

@@ -37,7 +37,7 @@ import pytest
 from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
 from repro.experiments import fig11_guarantee, fig14_ebs, fig_telemetry, scale_sweep
 from repro.obs import OBS
-from repro.sim.fluid import FluidSolver, _VectorKernel
+from repro.sim.fluid import FluidSolver
 
 SCALE_DURATION = 0.015
 SCALE_EVENTS = {
@@ -127,13 +127,12 @@ def test_default_sampled_plan_halves_telemetry_bytes_within_two_points():
 
 
 def _count_kernel_runs(monkeypatch):
-    """Collect every solver built, and count fixed-point plus vector
-    kernel runs across them; returns ``(solvers, runs)``."""
+    """Collect every solver built, and count fixed-point runs across
+    them; returns ``(solvers, runs)``."""
     solvers = []
     runs = [0]
     init = FluidSolver.__init__
     fixed_point = FluidSolver._fixed_point
-    vector_run = _VectorKernel.run
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -143,13 +142,8 @@ def _count_kernel_runs(monkeypatch):
         runs[0] += 1
         return fixed_point(self, *args)
 
-    def counting_vector_run(self, *args):
-        runs[0] += 1
-        return vector_run(self, *args)
-
     monkeypatch.setattr(FluidSolver, "__init__", counting_init)
     monkeypatch.setattr(FluidSolver, "_fixed_point", counting_fixed_point)
-    monkeypatch.setattr(_VectorKernel, "run", counting_vector_run)
     return solvers, runs
 
 

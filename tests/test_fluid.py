@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.fluid import FluidSolver
 from repro.sim.link import Link
-from repro.sim.topology import dumbbell
+from repro.sim.topology import dumbbell, fat_tree
 
 
 def chain(*capacities):
@@ -60,6 +60,22 @@ def test_cross_traffic_on_shared_middle_link():
     # They share l2 equally.
     assert solver.delivered_rate("long") == pytest.approx(5e9, rel=1e-2)
     assert solver.delivered_rate("cross") == pytest.approx(5e9, rel=1e-2)
+
+
+def test_fat_tree_incast_fills_the_receiver_downlink():
+    # 15 senders at 8 Gb/s into one host of a k=4 fat-tree: the 10 Gb/s
+    # downlink is the shared bottleneck, whatever the upstream throttles.
+    topo = fat_tree(k=4)
+    dst, *sources = topo.hosts()
+    assert dst == "h0_0_0" and len(sources) == 15
+    solver = FluidSolver()
+    for i, src in enumerate(sources):
+        solver.add_flow(f"in{i}", topo.shortest_paths(src, dst)[0], 8e9)
+    solver.solve()
+    delivered = [entry.delivered_rate for entry in solver.flows.values()]
+    downlink = topo.link(solver.flows["in0"].path[-1].src, dst)
+    assert sum(delivered) == pytest.approx(downlink.capacity)
+    assert all(rate <= 8e9 for rate in delivered)
 
 
 def test_failed_link_blackholes():

@@ -12,8 +12,8 @@ each applying into its own copy of the topology, and after every step
 assert ``==`` on delivered rates, raw, accumulated and pushed inflows,
 scales, cached unit sums and last-pass scales, converge counts, the
 link state ``apply`` left behind, the flow ids it returned and the
-solver stats.  Both branches must run, quiet solves must reach K > 1
-and cover components past the vector-kernel threshold.
+solver stats.  Both branches must run, and quiet solves must reach
+K > 1 and cover unions of 128 flows or more.
 """
 
 import random
@@ -21,19 +21,20 @@ import random
 import pytest
 
 from repro.experiments import fig11_guarantee, fig14_ebs
-from repro.sim.fluid import VECTOR_MIN_FLOWS, FluidSolver
+from repro.sim.fluid import FluidSolver
 from repro.sim.topology import dumbbell, leaf_spine, parking_lot
 
 
 class CalmSolver(FluidSolver):
     """The default solver, counting how each quiet attempt ended: a quiet
-    exit (``hits``, ``deep_hits`` for K > 1), a fixed point from cached
-    unit sums (``misses``) or from scratch (``unknown``)."""
+    exit (``hits``, ``deep_hits`` for K > 1, ``big_hits`` for a union of
+    128 flows or more), a fixed point from cached unit sums (``misses``)
+    or from scratch (``unknown``)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.calm = {"hits": 0, "misses": 0, "unknown": 0,
-                     "vector_hits": 0, "deep_hits": 0}
+                     "big_hits": 0, "deep_hits": 0}
         self.fixed_points = 0
 
     def _quiet_exit(self):
@@ -41,7 +42,7 @@ class CalmSolver(FluidSolver):
         if quiet is not None:
             self.calm["hits"] += 1
             self.calm["deep_hits"] += k > 1
-            self.calm["vector_hits"] += quiet[2] >= self.vector_min_flows
+            self.calm["big_hits"] += quiet[2] >= 128
         else:
             self.calm["misses" if k else "unknown"] += 1
         return k, quiet
@@ -58,7 +59,7 @@ class FixedPointSolver(FluidSolver):
 SMALL_SEQUENCES = 200
 BIG_SEQUENCES = 12
 STEPS = 30
-BIG_FLOWS = VECTOR_MIN_FLOWS + 12
+BIG_FLOWS = 140
 
 
 def _small_topology(rng: random.Random):
@@ -186,7 +187,7 @@ def _run_sequence(seq: int, big: bool) -> dict:
 @pytest.mark.parametrize("block", range(4))
 def test_calm_solves_equal_the_fixed_point(block):
     per_block = SMALL_SEQUENCES // 4
-    totals = {"hits": 0, "misses": 0, "unknown": 0, "vector_hits": 0, "deep_hits": 0}
+    totals = {"hits": 0, "misses": 0, "unknown": 0, "big_hits": 0, "deep_hits": 0}
     for seq in range(block * per_block, (block + 1) * per_block):
         for key, value in _run_sequence(seq, big=False).items():
             totals[key] += value
@@ -194,12 +195,12 @@ def test_calm_solves_equal_the_fixed_point(block):
     assert totals["unknown"] > 0, totals
 
 
-def test_calm_solves_equal_the_vector_fixed_point_on_a_big_component():
-    totals = {"hits": 0, "misses": 0, "unknown": 0, "vector_hits": 0, "deep_hits": 0}
+def test_calm_solves_equal_the_fixed_point_on_a_big_component():
+    totals = {"hits": 0, "misses": 0, "unknown": 0, "big_hits": 0, "deep_hits": 0}
     for seq in range(BIG_SEQUENCES):
         for key, value in _run_sequence(seq, big=True).items():
             totals[key] += value
-    assert totals["vector_hits"] > 0 and totals["misses"] > 0, totals
+    assert totals["big_hits"] > 0 and totals["misses"] > 0, totals
     assert totals["deep_hits"] > 0, totals
 
 
@@ -230,7 +231,7 @@ def test_calm_solve_beside_a_link_inside_the_tolerance():
         _assert_twins(solver, forced, *topos, moved, f"after {step}")
         scales.append(solver._scale[near_cap])
     assert solver.calm == {"hits": 3, "misses": 0, "unknown": 0,
-                           "vector_hits": 0, "deep_hits": 0}
+                           "big_hits": 0, "deep_hits": 0}
     assert 1.0 - 1e-6 < scales[2] < 1.0 and scales[3] == 1.0
 
 
@@ -291,7 +292,7 @@ def test_old_unit_sum_over_capacity_blocks_a_deep_quiet_exit():
     twins.step(("Q", 1.5e9))
     assert twins.step(("R", 1e9)) == 1
     assert twins.solver.calm == {"hits": 0, "misses": 1, "unknown": 0,
-                                 "vector_hits": 0, "deep_hits": 0}
+                                 "big_hits": 0, "deep_hits": 0}
     assert twins.converged("R") == 1
     assert twins.solver.delivered_rate("P") == 8e9
 
@@ -307,7 +308,7 @@ def test_dirty_components_with_different_counts_run_the_fixed_point():
     assert twins.step(("Q", 2e9)) == twins.step(("B", 3e9)) == 0
     assert twins.step(("Q", 2.5e9), ("B", 3.5e9)) == 1
     assert twins.solver.calm == {"hits": 2, "misses": 0, "unknown": 2,
-                                 "vector_hits": 0, "deep_hits": 1}
+                                 "big_hits": 0, "deep_hits": 1}
     assert twins.converged("Q") == twins.converged("B") == 0
 
 

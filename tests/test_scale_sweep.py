@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import scale_sweep
 from repro.experiments.common import build_grid
-from repro.sim.fluid import FluidSolver
 
 
 def test_grid_shape_and_entries():
@@ -53,23 +52,6 @@ def test_cell_faults_with_link_flaps_and_churn():
                            seed=5, faults=faults)
     assert row["fault_report"]["link_failures"] > 0
     assert row["churn_report"]["arrivals"] > 0
-
-
-def test_solver_equivalence_small_cell(monkeypatch):
-    """Scalar == vector on a whole cell.  The kernel is pinned through
-    ``FluidSolver.vector_min_flows`` (the test-only seam); everything
-    observable about the simulation must match — only the solver's own
-    dispatch counter may differ."""
-    def run(threshold):
-        monkeypatch.setattr(FluidSolver, "vector_min_flows", threshold)
-        row = scale_sweep.run_one("ufab", k=4, churn="low", duration=0.004,
-                                  seed=5)
-        return row, row["solver_stats"].pop("vector_solves")
-
-    scalar, scalar_solves = run(float("inf"))
-    vector, vector_solves = run(1)
-    assert scalar == vector
-    assert scalar_solves == 0 and vector_solves > 0  # both kernels really ran
 
 
 def test_row_reports_scale_counters():
