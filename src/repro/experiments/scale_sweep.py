@@ -142,11 +142,6 @@ def run_one(
         "churn": churn,
         "duration": duration,
         "seed": seed,
-        # Constants since flow-group folding and the solver's mode
-        # selector lost their switches; the keys stay because
-        # benchmarks/perf hashes rows key-for-key.
-        "aggregate": True,
-        "solver_mode": "auto",
         "events_processed": net.sim.events_processed,
         "schedule_events": len(churn_events),
         "active_pairs": len(net.pairs),
@@ -204,6 +199,5 @@ SPEC = ExperimentSpec(
         ("w-err", lambda r: (f"{r['weighted_alloc_error']:.3f}"
                              if r.get("weighted_alloc_error") is not None else "-")),
         ("events", lambda r: f"{r['events_processed']:,}"),
-        ("vec solves", lambda r: r["solver_stats"].get("vector_solves", 0)),
     ),
 )

@@ -142,7 +142,6 @@ class SolverStats:
             "mean_component_flows": round(self.mean_component_flows(), 3),
             "iterations": self.iterations,
             "skipped_resolves": self.skipped_resolves,
-            "vector_solves": self.vector_solves,
         }
 
 
