@@ -26,14 +26,6 @@ The lower-level pieces remain public for custom wiring
     net.run(until=0.05)
     print(net.delivered_rate(pair.pair_id))
 
-The core-switch controller behind uFAB has two backends
-(:mod:`repro.core.controller`): ``Scenario....backend("pipeline")`` or
-``--backend pipeline`` on any grid command runs the same agent
-(:mod:`repro.core.corenode`, the default and the fast one) under the
-Tofino hardware-rule checker of
-:mod:`repro.core.p4pipe` — one algorithm, so probe payloads and traces
-are bit-identical either way (see ``docs/API.md``).
-
 Packages:
 
 * :mod:`repro.core` — uFAB itself (edge agent, informative core, token
@@ -47,12 +39,7 @@ Packages:
 """
 
 from repro.api import Scenario, ScenarioResult
-from repro.core.controller import (
-    attach_core_agents,
-    backend_names,
-    resolve_backend,
-    use_backend,
-)
+from repro.core.controller import attach_core_agents
 from repro.core.edge import UFabFabric
 from repro.core.fabric import Fabric
 from repro.core.params import UFabParams
@@ -74,9 +61,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "attach_core_agents",
-    "backend_names",
-    "resolve_backend",
-    "use_backend",
     "Fabric",
     "UFabFabric",
     "UFabParams",

@@ -23,9 +23,10 @@ fault schedule (``--faults`` spec string, config mapping, or
 and hands back ``(network, fabric)`` for scenarios that drive custom
 workloads or failures mid-run (see ``examples/``).
 
-Arguments are validated at the call that takes them (an unknown scheme
-or backend, a non-positive guarantee, a duration that is not a positive
-finite number all raise ``ValueError`` naming the argument), and the
+Arguments are validated at the call that takes them (an unknown scheme,
+a non-positive guarantee, a duration that is not a positive finite
+number, a negative or non-finite resolve interval all raise
+``ValueError`` naming the argument), and the
 fabric is built by the one :func:`repro.baselines.registry.build` call
 every experiment cell uses.
 """
@@ -34,10 +35,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.baselines import registry
-from repro.core.controller import resolve_backend, use_backend
 from repro.core.params import UFabParams
 from repro.schedule import Injector, PairJoin, Schedule, install_schedule, parse_faults
 from repro.sim.host import VMPair
@@ -52,12 +52,15 @@ __all__ = [
 TenantSpec = Union[VMPair, Tuple[str, str, float], Mapping[str, Any]]
 
 
-def _positive(name: str, value: float, finite: bool = True) -> float:
-    """``value`` if it is a positive (and, by default, finite) number."""
-    if not value > 0 or (finite and not math.isfinite(value)):
+def _positive(name: str, value: float, finite: bool = True,
+              zero_ok: bool = False) -> float:
+    """``value`` if it is a positive (or, with ``zero_ok``, zero) and,
+    by default, finite number."""
+    if (not (value >= 0 if zero_ok else value > 0)
+            or (finite and not math.isfinite(value))):
         raise ValueError(
-            f"{name} must be a positive{' finite' if finite else ''} "
-            f"number, got {value!r}")
+            f"{name} must be a {'non-negative' if zero_ok else 'positive'}"
+            f"{' finite' if finite else ''} number, got {value!r}")
     return value
 
 
@@ -124,7 +127,6 @@ class Scenario:
     def __init__(self, topology_factory) -> None:
         self._topology_factory = topology_factory
         self._scheme = "ufab"
-        self._backend: Optional[str] = None
         self._params: Optional[UFabParams] = None
         self._seed = 1
         self._resolve_interval = 0.0
@@ -168,21 +170,6 @@ class Scenario:
             self._params = params
         return self
 
-    def backend(self, name: Optional[str]) -> "Scenario":
-        """Pick the core-switch controller backend by registry name.
-
-        Any name registered in :mod:`repro.core.controller` works —
-        ``"behavioral"`` (the reference event-driven agent) or
-        ``"pipeline"`` (register-accurate Tofino pipeline emulation);
-        ``repro.core.controller.backend_names()`` lists them all and
-        ``docs/API.md`` documents the seam.  ``None`` (the default)
-        keeps the ambient backend — ``"behavioral"`` unless the
-        scenario runs inside a ``--backend`` grid cell.  Only schemes
-        that attach core agents (the uFAB family) are affected.
-        """
-        self._backend = resolve_backend(name) if name else None  # validate eagerly
-        return self
-
     def params(self, params: UFabParams) -> "Scenario":
         self._params = params
         return self
@@ -192,7 +179,10 @@ class Scenario:
         return self
 
     def resolve_interval(self, interval_s: float) -> "Scenario":
-        self._resolve_interval = interval_s
+        """Minimum simulated time between fluid re-solves (``0``, the
+        default, re-solves at every change)."""
+        self._resolve_interval = _positive(
+            "resolve_interval", interval_s, zero_ok=True)
         return self
 
     # -- tenants --------------------------------------------------------
@@ -291,8 +281,7 @@ class Scenario:
         _positive("horizon", horizon, finite=False)
         net = Network(self._topology_factory())
         net.resolve_interval = self._resolve_interval
-        with use_backend(self._backend):
-            fabric = registry.build(self._scheme, net, self._params, self._seed)
+        fabric = registry.build(self._scheme, net, self._params, self._seed)
         pairs, joins = [], []
         for at, kwargs, candidates in self._tenants:
             pair = kwargs.get("_pair")

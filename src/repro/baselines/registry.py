@@ -110,11 +110,7 @@ def get(name: str) -> SchemeInfo:
 
 
 def build(name: str, network, params=None, seed: int = 1):
-    """Stand the named scheme up on ``network``; returns its fabric.
-
-    The uFAB family attaches its core agents with the ambient backend
-    (:func:`repro.core.controller.use_backend`), else ``behavioral``.
-    """
+    """Stand the named scheme up on ``network``; returns its fabric."""
     return get(name).builder(network, params, seed)
 
 

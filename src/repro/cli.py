@@ -79,7 +79,7 @@ def _figure(args) -> None:
                    seeds=getattr(args, "seeds", None),
                    **{axis.name: getattr(args, axis.name) for axis in spec.axes}),
         jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
-        obs=obs, faults=_faults_config(args), backend=args.backend)
+        obs=obs, faults=_faults_config(args))
     print(_table(spec, rows_raw))
     if obs is None:
         return
@@ -242,19 +242,6 @@ def _faults_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _backend_parent() -> argparse.ArgumentParser:
-    """Shared ``--backend NAME`` option (core-controller backends)."""
-    from repro.core.controller import backend_names
-
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--backend", choices=backend_names(), default=None,
-                   help="core-switch controller backend for every cell "
-                        "(default: 'behavioral'; "
-                        "'pipeline' = register-accurate Tofino emulation, "
-                        "distinct cache keys)")
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.common import experiment_names, get_spec
     from repro.obs.trace import DEFAULT_CAPACITY
@@ -264,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate uFAB (SIGCOMM'22) evaluation figures.",
     )
     runner_opts = _runner_parent()
-    grid_opts = [runner_opts, _obs_parent(), _faults_parent(),
-                 _backend_parent()]
+    grid_opts = [runner_opts, _obs_parent(), _faults_parent()]
     sub = parser.add_subparsers(dest="command")
     grids = experiment_names()
     catalog: List[Tuple[str, str]] = []

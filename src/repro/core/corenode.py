@@ -16,14 +16,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.bloom import CountingBloomFilter
-from repro.core.controller import attach_core_agents
 from repro.core.params import UFabParams
 from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
 from repro.core.telemetry import M_DELTAS_SUPPRESSED, M_SKETCH_FOLDS, get_plan
 from repro.obs import OBS
 from repro.sim.link import Link
 
-__all__ = ["CoreAgent", "attach_core_agents"]
+__all__ = ["CoreAgent"]
 
 _PROBE = ProbeKind.PROBE
 _FINISH = ProbeKind.FINISH
@@ -77,10 +76,10 @@ _M_STALE_STAMPS = OBS.metrics.counter(
 
 
 class CoreAgent:
-    """Per-egress-port switch agent — the ``behavioral`` backend.
+    """Per-egress-port switch agent.
 
     The one implementation of the section 3.6/4.2 algorithm.  The
-    ``pipeline`` backend (:class:`repro.core.p4pipe.PipelineCoreAgent`)
+    test-only hardware checker (:class:`repro.core.p4pipe.PipelineCoreAgent`)
     subclasses it and runs these same methods with the registers placed
     in an emulated Tofino pipeline, so every method below touches its
     state in stage order: pair table, Bloom filter, Phi_l, W_l, TX

@@ -21,6 +21,7 @@ import random
 from typing import Callable, Dict, List, Optional
 
 from repro.core.controller import attach_core_agents
+from repro.core.corenode import CoreAgent
 from repro.core.decision import (
     GO_IDLE, RERAMP, PairDecisionState, PairState, choose_join_path, choose_migration,
     enter_ramp, go_idle, on_feedback, on_probe_loss, path_dead, reramp, resume_due)
@@ -674,16 +675,18 @@ class EdgeAgent:
 
 
 class UFabFabric(Fabric):
-    """The installed uFAB deployment: all edge agents plus the core.
+    """The installed uFAB deployment: all edge agents plus the core."""
 
-    The core agents' backend is the ambient one
-    (:func:`repro.core.controller.use_backend`), else ``behavioral``.
-    """
+    # Test-only seam: the conformance suites monkeypatch this to
+    # ``repro.core.p4pipe.PipelineCoreAgent`` to run every core agent
+    # under the hardware-rule checker.  Not a setting.
+    _agent_class = CoreAgent
 
     def __init__(self, network: Network, params: Optional[UFabParams] = None,
                  seed: int = 1) -> None:
         super().__init__(network, params, seed)
-        self.core_agents = attach_core_agents(network.topology, self.params)
+        self.core_agents = attach_core_agents(
+            network.topology, self.params, agent_class=self._agent_class)
         self.edges: Dict[str, EdgeAgent] = {}
         for name, host in network.hosts.items():
             agent = EdgeAgent(name, network, self.params, random.Random(self.rng.random()))

@@ -1,4 +1,4 @@
-"""The ``pipeline`` backend: uFAB-C under a Tofino-like hardware checker.
+"""The pipeline checker: uFAB-C under Tofino-like hardware rules.
 
 The algorithm lives once, in :class:`repro.core.corenode.CoreAgent`.
 :class:`PipelineCoreAgent` subclasses it and contributes only
@@ -24,9 +24,12 @@ access the shared code makes* — not from a side table describing it:
 With no packet open the agent is on the control-plane port (``sweep``,
 ``reset``, freeze/thaw, direct ``on_finish`` / ``measured_tx``), where
 CPU register access is unconstrained.  Reordering or repeating a
-register operation in ``CoreAgent`` therefore fails under this backend
+register operation in ``CoreAgent`` therefore fails under this checker
 with a typed error, which is how "the algorithm fits the hardware the
-paper claims" stays a tested statement.
+paper claims" stays a tested statement.  The checker is test-only: the
+conformance suites attach it by monkeypatching
+``repro.core.edge.UFabFabric._agent_class`` and hold every result
+bit-identical to the plain ``CoreAgent``.
 
 The same program description feeds :mod:`repro.resources`, so the
 Tables 3-4 budgets are *derived* from the built pipeline's actual
@@ -569,7 +572,7 @@ class _InBloomBanks(object):
 
 
 class PipelineCoreAgent(CoreAgent):
-    """Per-egress-port switch agent — the ``pipeline`` backend.
+    """Per-egress-port switch agent under the hardware-rule checker.
 
     :class:`~repro.core.corenode.CoreAgent`'s algorithm, unmodified,
     with its state placed in a built :class:`UFabPipelineProgram` and

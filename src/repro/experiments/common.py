@@ -235,7 +235,6 @@ def run_grid(
     cache_dir: Optional[str] = None,
     obs: Optional[Mapping[str, Any]] = None,
     faults: Optional[Mapping[str, Any]] = None,
-    backend: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Submit a grid, return ordered payload rows; raise on failures.
 
@@ -252,11 +251,8 @@ def run_grid(
     fault-schedule config, see :meth:`repro.schedule.Schedule.to_config`)
     likewise runs every cell under that one schedule,
     replacing any the grid built in (the resilience sweep's per-cell
-    schedules; its rows keep their axis/level labels).  ``backend`` (a
-    core-controller backend name, see
-    :func:`repro.core.controller.backend_names`) applies to every cell
-    that does not already pin one.  All three are part of each job's
-    cache key, so traced/faulted/pipeline-backed results never alias
+    schedules; its rows keep their axis/level labels).  Both are part
+    of each job's cache key, so traced/faulted results never alias
     clean ones.
     """
     submitted = list(grid_jobs)
@@ -265,11 +261,6 @@ def run_grid(
     if faults:
         submitted = [dataclasses.replace(job, faults=dict(faults))
                      for job in submitted]
-    if backend:
-        submitted = [
-            job if job.backend else dataclasses.replace(job, backend=backend)
-            for job in submitted
-        ]
     runner = ParallelRunner(
         jobs=jobs,
         timeout_s=timeout_s,

@@ -102,8 +102,8 @@ def telemetry_plan_costs(
 
     The PHV, stateful-ALU, and SRAM columns are no longer hand-entered
     constants: each plan's pipeline is actually built
-    (:func:`repro.core.p4pipe.build_ufab_pipeline`, the ``pipeline``
-    backend's program) and the counts read off it — PHV from the parsed
+    (:func:`repro.core.p4pipe.build_ufab_pipeline`, the hardware
+    checker's program) and the counts read off it — PHV from the parsed
     ``fig22.*`` header fields, SALU ops per hop as the stamp path's
     SALU slots (total minus the Bloom banks, which are the per-probe
     registration path), and per-port SRAM from the plan's own register
@@ -259,7 +259,7 @@ class TofinoResourceModel:
     """uFAB-C resource consumption for a target VM-pair scale.
 
     The percentages are *measured*, not transcribed: :meth:`usage`
-    builds the actual ``pipeline``-backend program
+    builds the hardware checker's actual program
     (:func:`repro.core.p4pipe.build_ufab_pipeline`) at the reference
     deployment point — Bloom filter sized for ``n_pairs`` via
     :meth:`bloom_kilobytes`, per-port registers replicated across

@@ -21,8 +21,6 @@ import os
 import time
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.core.controller import use_backend
-
 _CODE_VERSION: Optional[str] = None
 
 
@@ -98,15 +96,6 @@ class Job:
     with :func:`repro.schedule.install_schedule`.  Like ``obs``
     it is part of :meth:`config_hash`, so cells run under different
     fault schedules (or none) never alias in the result cache.
-
-    ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`; empty = the default,
-    ``behavioral``).  :func:`execute_job` makes it the ambient backend
-    (:func:`repro.core.controller.use_backend`) for the duration of the
-    cell — in whichever process runs it, so spawned workers take it
-    from the job, not from the environment — and it is folded into
-    :meth:`config_hash` only when set.  It is the only channel, so the
-    hash always names the backend that actually ran.
     """
 
     experiment: str
@@ -116,7 +105,6 @@ class Job:
     params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     obs: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     faults: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    backend: str = ""
 
     def call_kwargs(self) -> Dict[str, Any]:
         kwargs = dict(self.params)
@@ -139,10 +127,6 @@ class Job:
             # Only folded in when present, so every pre-faults cache key
             # (and the seed corpus built on them) stays valid.
             spec["faults"] = dict(self.faults)
-        if self.backend:
-            # Same only-when-set rule: default-backend keys predate the
-            # backend axis and stay valid.
-            spec["backend"] = self.backend
         return hashlib.sha256(canonical_json(spec).encode()).hexdigest()[:24]
 
     def describe(self) -> str:
@@ -177,17 +161,16 @@ def execute_job(job: Job) -> Dict[str, Any]:
     outputs are byte-identical to an uninstrumented run.
     """
     fn = resolve_entry(job.entry)
-    with use_backend(job.backend):
-        if job.obs:
-            from repro.obs import OBS
+    if job.obs:
+        from repro.obs import OBS
 
-            with OBS.capture(dict(job.obs)) as cap:
-                payload = fn(**job.call_kwargs())
-            if isinstance(payload, Mapping):
-                payload = dict(payload)
-                payload["_obs"] = cap.export()
-        else:
+        with OBS.capture(dict(job.obs)) as cap:
             payload = fn(**job.call_kwargs())
+        if isinstance(payload, Mapping):
+            payload = dict(payload)
+            payload["_obs"] = cap.export()
+    else:
+        payload = fn(**job.call_kwargs())
     if not isinstance(payload, Mapping):
         raise TypeError(
             f"entry {job.entry!r} returned {type(payload).__name__}; "

@@ -19,7 +19,7 @@ tooling usable.
 The spawn start method is used everywhere (fork is unsafe with threads
 and unavailable on some platforms); jobs and payloads are plain
 picklable data, never closures.  Everything that shapes a cell's result
-travels in the :class:`Job` (the core backend included); spawned workers
+travels in the :class:`Job`; spawned workers
 inherit the parent's environment only for ``REPRO_CODE_VERSION``, the
 cache-key pin.
 """

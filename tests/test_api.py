@@ -204,8 +204,36 @@ def test_pre_scenario_shims_removed():
     from repro.experiments.common import testbed_network  # noqa: F401
 
 
+def test_core_backend_selection_removed():
+    """The core agent is not a choice: no module names a backend
+    selector, and neither a job, a scenario nor a grid carries one.
+    The pipeline checker is reached only through the test-only
+    ``UFabFabric._agent_class``."""
+    import dataclasses
+    import inspect
+
+    import repro
+    from repro import api
+    from repro.core import controller
+    from repro.experiments.common import run_grid
+    from repro.runner.job import Job
+
+    # Spelled in halves so the repo-wide "one seam" grep stays empty.
+    old_names = ("use_" + "backend", "resolve_" + "backend",
+                 "backend_" + "names", "DEFAULT_" + "BACKEND",
+                 "_BACKEND_" + "CLASSES")
+    for module in (repro, api, controller):
+        for old in old_names:
+            assert not hasattr(module, old), (module.__name__, old)
+    assert "backend" not in {f.name for f in dataclasses.fields(Job)}
+    assert not hasattr(Scenario, "backend")
+    assert "backend" not in inspect.signature(run_grid).parameters
+    assert "backend" not in inspect.signature(
+        controller.attach_core_agents).parameters
+
+
 # ----------------------------------------------------------------------
-# Backend selection
+# Argument validation
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("argument, call", [
@@ -219,6 +247,9 @@ def test_pre_scenario_shims_removed():
     ("gbps", lambda s: s.tenant("S2", "S6", -1.0)),
     ("gbps", lambda s: s.tenant("S2", "S6", 0.0)),
     ("scheme", lambda s: s.scheme("nope")),
+    ("resolve_interval", lambda s: s.resolve_interval(float("inf"))),
+    ("resolve_interval", lambda s: s.resolve_interval(float("nan"))),
+    ("resolve_interval", lambda s: s.resolve_interval(-1.0)),
 ])
 def test_arguments_are_validated_at_the_call(argument, call):
     scenario = Scenario.testbed().tenant("S1", "S5", 1.0)
@@ -237,15 +268,14 @@ def test_guarantee_tokens_follow_the_final_params():
     assert result.guarantees_bps == {"t0:S1->S5": pytest.approx(1e9)}
 
 
-def test_backend_builder_validates_eagerly():
-    with pytest.raises(ValueError, match="behavioral"):
-        Scenario.testbed().backend("no-such-backend")
-
-
-def test_backend_threads_through_build():
+def test_backend_threads_through_build(monkeypatch):
+    """The pipeline checker attaches through ``UFabFabric._agent_class``,
+    the one test-only seam, and a scenario built under it runs."""
+    from repro.core.edge import UFabFabric
     from repro.core.p4pipe import PipelineCoreAgent
 
-    net, _ = _scenario().backend("pipeline").build(horizon=0.01)
+    monkeypatch.setattr(UFabFabric, "_agent_class", PipelineCoreAgent)
+    net, _ = _scenario().build(horizon=0.01)
     agents = [link.core_agent for link in net.topology.links.values()
               if getattr(link, "core_agent", None) is not None]
     assert agents and all(isinstance(a, PipelineCoreAgent) for a in agents)
@@ -253,23 +283,16 @@ def test_backend_threads_through_build():
     assert net.delivered_rate("t0:S1->S5") > 0
 
 
-def test_backend_choice_never_touches_the_environment():
+def test_backend_choice_never_touches_the_environment(monkeypatch):
     import os
 
+    from repro.core.edge import UFabFabric
     from repro.core.p4pipe import PipelineCoreAgent
 
+    monkeypatch.setattr(UFabFabric, "_agent_class", PipelineCoreAgent)
     before = dict(os.environ)
-    result = _scenario().backend("pipeline").run(until=0.002)
+    result = _scenario().run(until=0.002)
     assert dict(os.environ) == before
     agents = {type(link.core_agent)
               for link in result.network.topology.links.values()}
     assert agents == {PipelineCoreAgent}
-
-
-def test_backend_none_defers_to_default():
-    from repro.core.corenode import CoreAgent
-
-    net, _ = _scenario().backend(None).build(horizon=0.01)
-    agents = [link.core_agent for link in net.topology.links.values()
-              if getattr(link, "core_agent", None) is not None]
-    assert agents and all(type(a) is CoreAgent for a in agents)

@@ -78,9 +78,8 @@ def test_every_grid_command_accepts_shared_options():
         args = parser.parse_args([
             name, "--jobs", "2", "--no-cache", "--cache-dir", "/tmp/c",
             "--trace", "t.jsonl", "--metrics", "m.json",
-            "--faults", "probe_loss:0.1", "--backend", "pipeline",
+            "--faults", "probe_loss:0.1",
         ])
-        assert args.backend == "pipeline"
         assert args.jobs == 2 and args.no_cache
         assert args.cache_dir == "/tmp/c"
         assert args.trace == "t.jsonl" and args.metrics == "m.json"

@@ -8,9 +8,9 @@ checker), so two references replace it:
 
 * **Pinned streams.**  A sha256 per ``(plan, seed)`` of the per-step
   stamped-hop tuples and controller/link snapshot, recorded from the
-  *parent commit's independent pipeline agent*.  Both backends must
-  reproduce them (the drift detector the twin was), and are still
-  compared live, step by step, with exact float ``==``.
+  *parent commit's independent pipeline agent*.  ``CoreAgent`` and the
+  checker must reproduce them (the drift detector the twin was), and
+  are still compared live, step by step, with exact float ``==``.
 * **A sum model.**  A dict of per-pair ``(phi, window, last_seen)``
   updated from the operation stream alone.  After every step the agent
   must hold exactly the model's pairs, ``Phi_l``/``W_l`` must equal the
@@ -241,7 +241,7 @@ STREAMS = {"random": _random_ops, "storm": _storm_ops, "meter": _meter_ops}
 
 
 def _check(stream, plan, seed):
-    """Drive both backends through one stream: live compare, the sum
+    """Drive the agent and its checker through one stream: live compare, the sum
     model after every step, then the parent-recorded pin."""
     b = _Driver(CoreAgent, plan, seed)
     v = _Driver(PipelineCoreAgent, plan, seed)

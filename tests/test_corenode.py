@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.corenode import CoreAgent, attach_core_agents
+from repro.core.controller import attach_core_agents
+from repro.core.corenode import CoreAgent
 from repro.core.params import UFabParams
 from repro.core.probe import ProbeHeader, ProbeKind
 from repro.sim.link import Link
@@ -120,7 +121,7 @@ def test_target_capacity_applies_headroom():
 
 def test_attach_core_agents_covers_all_links():
     topo = three_tier_testbed()
-    agents = attach_core_agents(topo)
+    agents = attach_core_agents(topo, agent_class=CoreAgent)
     assert set(agents) == set(topo.links)
     for name, link in topo.links.items():
         assert link.core_agent is agents[name]

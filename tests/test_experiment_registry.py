@@ -75,7 +75,7 @@ def test_spec_builds_resolves_and_reaches_the_cli(name, capsys):
 def test_figure_flags_are_exactly_the_spec_axes():
     commands = _subparsers(build_parser())
     shared = {"help", "jobs", "no_cache", "cache_dir", "trace", "chrome_trace",
-              "metrics", "faults", "backend", "duration"}
+              "metrics", "faults", "duration"}
     for name in experiment_names():
         spec = get_spec(name)
         if name not in commands:

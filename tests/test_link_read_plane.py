@@ -19,7 +19,9 @@ import pytest
 
 from repro.analysis.metrics import RttSampler
 from repro.baselines import registry
-from repro.core.controller import use_backend
+from repro.core.corenode import CoreAgent
+from repro.core.edge import UFabFabric
+from repro.core.p4pipe import PipelineCoreAgent
 from repro.experiments import common
 from repro.sim.host import VMPair
 from repro.sim.link import Link, path_max_utilization
@@ -50,21 +52,20 @@ class WalkingRttSampler(RttSampler):
             net.sim.schedule(self.period, self._tick, until)
 
 
-def _incast_fabric(backend=None):
+def _incast_fabric():
     """fig12_incast.run_one's cell (ufab, degree 14) up to the sampler."""
     net = common.testbed_network()
-    with use_backend(backend):
-        fabric = registry.build("ufab", net, seed=1)
+    fabric = registry.build("ufab", net, seed=1)
     pairs = incast_pairs([f"S{1 + (i % 7)}" for i in range(14)], "S8", tokens=500.0)
     for pair in pairs:
         fabric.add_pair(pair)
     return net, fabric, [p.pair_id for p in pairs]
 
 
-def _incast_cell(sampler_cls, duration, churn=False, backend=None):
+def _incast_cell(sampler_cls, duration, churn=False):
     """Run the cell with a chosen sampler; ``churn`` adds a forced
     migration and a pair removal mid-run."""
-    net, fabric, ids = _incast_fabric(backend)
+    net, fabric, ids = _incast_fabric()
     sampler = sampler_cls(net, ids, period=6e-6)
     sampler.start(duration)
     if churn:
@@ -91,13 +92,15 @@ def _incast_cell(sampler_cls, duration, churn=False, backend=None):
 
 
 @pytest.mark.parametrize("churn", [False, True], ids=["fig12", "migrate+unregister"])
-@pytest.mark.parametrize("backend", [None, "pipeline"], ids=["behavioral", "pipeline"])
+@pytest.mark.parametrize("agent", [CoreAgent, PipelineCoreAgent],
+                         ids=["behavioral", "pipeline"])
 @pytest.mark.parametrize("transit", ["fast", "slow"])
-def test_compiled_plan_matches_per_pair_walk(monkeypatch, transit, backend, churn):
+def test_compiled_plan_matches_per_pair_walk(monkeypatch, transit, agent, churn):
     monkeypatch.setattr(Network, "_transit_fast", transit == "fast")
+    monkeypatch.setattr(UFabFabric, "_agent_class", agent)
     duration = 0.004 if churn else 0.002
-    plan = _incast_cell(RttSampler, duration, churn, backend)
-    walk = _incast_cell(WalkingRttSampler, duration, churn, backend)
+    plan = _incast_cell(RttSampler, duration, churn)
+    walk = _incast_cell(WalkingRttSampler, duration, churn)
     assert len(plan[0]) > 14 * 300
     assert plan == walk
 

@@ -1,17 +1,12 @@
 """Unit tests for the pipeline model itself (repro.core.p4pipe): the
 hardware-constraint checks, their wiring to the operations
-``CoreAgent`` really runs, the resource accounting, and the backend
-table.  Bit-identity with the behavioral backend is covered by
+``CoreAgent`` really runs, and the resource accounting.  Bit-identity
+of the checker with the plain ``CoreAgent`` is covered by
 ``tests/test_backend_conformance.py``."""
 
 import pytest
 
-from repro.core.controller import (
-    backend_class,
-    backend_names,
-    resolve_backend,
-    use_backend,
-)
+from repro.core.controller import backend_class
 from repro.core.corenode import CoreAgent
 from repro.core.p4pipe import (
     MAX_RECORD_SLOTS,
@@ -19,7 +14,6 @@ from repro.core.p4pipe import (
     SALUS_PER_STAGE,
     TOFINO_STAGES,
     VLIW_SLOTS_PER_STAGE,
-    MatchActionTable,
     P4Pipeline,
     PhvCapacityError,
     PipelineCoreAgent,
@@ -348,35 +342,12 @@ def test_delta_plan_costs_an_extra_stage_and_register():
 
 
 # ----------------------------------------------------------------------
-# Backend registry
+# The tracer shim
 # ----------------------------------------------------------------------
 
-def test_backend_names_default_first():
-    names = backend_names()
-    assert names[0] == "behavioral"
-    assert "pipeline" in names
-
-
-def test_resolve_backend_env_and_default():
-    """Explicit -> ambient -> ``behavioral``.  (That the environment is
-    no channel any more is ``tests/test_backend_conformance.py``'s.)"""
-    assert resolve_backend(None) == "behavioral"
-    with use_backend("pipeline"):
-        assert resolve_backend(None) == "pipeline"
-        assert resolve_backend("behavioral") == "behavioral"  # explicit wins
-        with use_backend(""):  # empty keeps the ambient choice
-            assert resolve_backend(None) == "pipeline"
-    assert resolve_backend(None) == "behavioral"
-    with pytest.raises(ValueError, match="registered"):
-        with use_backend("bmv2"):
-            pytest.fail("an unknown backend must not enter the block")
-
-
-def test_resolve_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="registered"):
-        resolve_backend("bmv2")
-
-
 def test_backend_class_roundtrip():
-    assert backend_class("behavioral") is CoreAgent
-    assert backend_class("pipeline") is PipelineCoreAgent
+    """``backend_class()`` (kept for the perf tracer) names the class
+    every fabric attaches."""
+    from repro.core.edge import UFabFabric
+
+    assert backend_class() is CoreAgent is UFabFabric._agent_class
