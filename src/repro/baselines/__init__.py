@@ -1,10 +1,9 @@
-"""Baseline schemes the paper compares against, plus rivals from the
-related work (section 2.2, 5.1; see ``docs/SCHEMES.md``).
+"""Baseline schemes the paper compares against (sections 2.2, 5.1;
+see ``docs/SCHEMES.md``).
 
 * :mod:`~repro.baselines.registry` — the scheme registry: every fabric
-  the grids can build, with capability flags (``uses_probes``,
-  ``work_conserving``, ``bounded_latency``); ``registry.build`` is the
-  one call that stands a named scheme up on a network.
+  the grids can build, the paper's six schemes; ``registry.build`` is
+  the one call that stands a named scheme up on a network.
 * :mod:`~repro.baselines.wcc` — Seawall-style weighted congestion
   control on a Swift-like delay signal (the "WCC" in PicNIC'+WCC+Clove).
 * :mod:`~repro.baselines.picnic` — PicNIC': edge-only bandwidth
@@ -16,12 +15,6 @@ related work (section 2.2, 5.1; see ``docs/SCHEMES.md``).
   selection (guarantee-agnostic, the Case-2 failure mode).
 * :mod:`~repro.baselines.ecmp` — static hash path selection with an
   optional hash-polarization mode (Figure 3).
-* :mod:`~repro.baselines.soze` — Söze: one end-to-end telemetry scalar
-  driving weighted AIMD allocation.
-* :mod:`~repro.baselines.queuebind` — QShare: dynamic tenant-queue
-  binding at sender edges, work-conserving guarantees without probes.
-* :mod:`~repro.baselines.utas` — μTAS: time-aware gate-schedule shaping
-  for the bounded-latency axis.
 """
 
 from repro.baselines.base import BaselineFabric, BaselinePair

@@ -184,10 +184,6 @@ class BaselineFabric(Fabric):
     """A deployed baseline scheme: probe-clocked per-pair control loops
     built from a rate controller and a path selector."""
 
-    #: Per-pair control-loop class; schemes that change the probe wire
-    #: format (e.g. Söze's folded scalar) override with a subclass.
-    pair_cls = BaselinePair
-
     def __init__(
         self,
         network: Network,
@@ -210,7 +206,7 @@ class BaselineFabric(Fabric):
     ) -> BaselinePair:
         if candidates is None:
             candidates = self.draw_candidates(pair, self.rng, n_candidates)
-        controller = self.pair_cls(
+        controller = BaselinePair(
             self,
             pair,
             candidates,

@@ -17,8 +17,7 @@ from repro.baselines.base import BaselinePair, PathSelector
 
 
 def hash_index(key: str, n: int, seed: int = 0) -> int:
-    """Deterministic flow hash of ``key`` onto ``range(n)``; every
-    hashed path choice (ECMP, Söze, QShare, μTAS) goes through it."""
+    """Deterministic flow hash of ``key`` onto ``range(n)``."""
     if n <= 1:
         return 0
     digest = hashlib.blake2b(

@@ -65,10 +65,6 @@ class Fabric:
         self.pairs[pair_id].pair.demand_bps = demand_bps
         self.network.refresh_pair(pair_id)
 
-    def probes_sent(self) -> int:
-        """Probes launched by the live pairs' control loops."""
-        return sum(c.stats["probes_sent"] for c in self.pairs.values())
-
     # -- fault plane (repro.schedule) -----------------------------------
     def restart_host(self, host: str) -> None:
         """EdgeRestart fault: ``host``'s edge loses its learned state."""
