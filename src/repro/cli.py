@@ -12,8 +12,7 @@ Examples::
 Every figure subcommand is generated from an experiment's declarative
 spec (:class:`repro.experiments.common.ExperimentSpec`: axes -> flags,
 columns -> table), as are the ``trace`` choices and ``repro list`` —
-this module names no experiment except for ``telemetry``'s
-``--resources`` mode.  Every figure command accepts
+this module names no experiment.  Every figure command accepts
 ``--jobs N`` (default: ``REPRO_JOBS`` env var, else 1) to fan the sweep
 grid out over processes via :mod:`repro.runner`; results are memoized
 under ``.repro_cache/`` unless ``--no-cache`` is given.
@@ -57,8 +56,6 @@ def _table(spec, rows) -> str:
     """A spec's result table (or free-text rendering) for payload rows."""
     if spec.render is not None:
         return spec.render(rows)
-    if spec.summarise is not None:
-        rows = spec.summarise(rows)
     return format_table(
         spec.title,
         [header for header, _ in spec.columns],
@@ -132,31 +129,6 @@ def _overhead(args) -> None:
     rows = [[n, f"{pct:.2f}%"] for n, pct in
             probing_overhead_curve([1, 10, 100, 1000, 8192])]
     print(format_table("Figure 15b: probing overhead", ["pairs", "overhead"], rows))
-
-
-def _telemetry(args) -> None:
-    """``repro telemetry``: the frontier grid, or its non-grid
-    ``--resources`` cost table."""
-    if args.resources:
-        from repro.resources import telemetry_plan_table
-
-        rows = [
-            [c["plan"], f"{c['expected_records']:.2f}",
-             f"{c['worst_case_records']:.0f}",
-             f"{c['telemetry_bytes']:.1f}",
-             f"x{c['telemetry_byte_reduction']:.2f}",
-             f"{c['phv_bits']:.0f}", f"{c['salu_ops_per_hop']:.0f}",
-             f"{c['sram_bits_per_port']:.0f}"]
-            for c in telemetry_plan_table(plans=tuple(args.plans),
-                                          n_hops=args.hops)
-        ]
-        print(format_table(
-            f"Telemetry-plan hardware costs ({args.hops}-hop path)",
-            ["plan", "E[recs]", "worst", "bytes", "byte red",
-             "PHV bits", "SALU/hop", "SRAM b/port"], rows))
-        return
-
-    _figure(args)
 
 
 def _trace(args) -> None:
@@ -285,24 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{axis.help} (default: "
                                 f"{' '.join(map(str, axis.default))})")
         if spec.seed_flag:
-            # ``--seed N`` or ``--seeds N...``; both land in args.seeds.
-            p.add_argument(spec.seed_flag, dest="seeds", type=int,
-                           nargs=1 if spec.seed_flag == "--seed" else "*",
+            # ``--seed N`` lands in args.seeds as a one-seed list.
+            p.add_argument(spec.seed_flag, dest="seeds", type=int, nargs=1,
                            default=list(spec.seeds),
-                           help=f"cell seed(s) (default: "
+                           help=f"cell seed (default: "
                                 f"{' '.join(map(str, spec.seeds))})")
-
-    tp = sub.choices["telemetry"]
-    tp.set_defaults(fn=_telemetry)
-    tp.description = (
-        "Sweep the Fig-11 guarantee workload under each telemetry plan "
-        "(full / sampled / delta / sketch) and print the overhead-vs-"
-        "fidelity frontier.  --resources prints the analytic per-plan "
-        "hardware cost table instead.")
-    tp.add_argument("--resources", action="store_true",
-                    help="print the analytic wire/PHV/SALU/SRAM cost table")
-    tp.add_argument("--hops", type=int, default=5,
-                    help="path length for --resources (default: 5)")
 
     command("tables", _tables, "Tables 3-4 resource models",
             parents=[runner_opts])

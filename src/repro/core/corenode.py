@@ -18,7 +18,6 @@ from typing import Dict, Optional, Tuple
 from repro.core.bloom import CountingBloomFilter
 from repro.core.params import UFabParams
 from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
-from repro.core.telemetry import M_DELTAS_SUPPRESSED, M_SKETCH_FOLDS, get_plan
 from repro.obs import OBS
 from repro.sim.link import Link
 
@@ -83,19 +82,17 @@ class CoreAgent:
     subclasses it and runs these same methods with the registers placed
     in an emulated Tofino pipeline, so every method below touches its
     state in stage order: pair table, Bloom filter, Phi_l, W_l, TX
-    meter, delta view, each written at most once per probe.
+    meter, each written at most once per probe.
 
     One instance is attached to each directed link
     (``link.core_agent``).  Its public surface is the contract the edge
-    layer, :mod:`repro.schedule` and the telemetry accounting program
-    against: the probe path (``on_probe`` / ``stamp`` /
-    ``measured_tx``), deactivation (``on_finish`` / ``sweep`` /
-    ``active_pairs`` / ``target_capacity``), the fault hooks
+    layer and :mod:`repro.schedule` program against: the probe path
+    (``on_probe`` / ``stamp`` / ``measured_tx``), deactivation
+    (``on_finish`` / ``sweep`` / ``active_pairs`` /
+    ``target_capacity``), the fault hooks
     (``freeze_telemetry`` / ``unfreeze_telemetry`` /
     ``telemetry_frozen`` / ``reset``) and the attributes ``link``,
-    ``params``, ``plan``, ``phi_total``, ``window_total``,
-    ``false_positives``, ``records_stamped``, ``deltas_suppressed`` and
-    ``sketch_folds``.
+    ``params``, ``phi_total``, ``window_total`` and ``false_positives``.
     """
 
     def __init__(self, link: Link, params: Optional[UFabParams] = None,
@@ -130,23 +127,6 @@ class CoreAgent:
         self._frozen: Optional[Tuple[float, float, float, float]] = None
         self._frozen_at = 0.0
         self._stale_age: Optional[float] = None
-        # Telemetry plan (repro.core.telemetry).  ``full`` and
-        # ``sampled`` leave stamp() on its unmodified path (sampling is
-        # decided at the edge/network layer before the hop runs at
-        # all); ``delta``/``sketch`` reroute data-probe stamps through
-        # _stamp_planned.  Plain-int counters keep the figure
-        # accounting alive without an OBS capture.
-        self.plan = get_plan(self.params.telemetry_plan)
-        self._plan_mutates = self.plan.mutates_stamp
-        self.records_stamped = 0
-        self.deltas_suppressed = 0
-        self.sketch_folds = 0
-        # Last stamped (W_l, Phi_l, tx_l, q_l) for the delta plan's
-        # movement test.  Link-global (per-switch, not per-flow) state,
-        # like real lightweight-INT caches; updated only inside stamps,
-        # which the pending-emission ledger orders identically in fast
-        # and slow transit.
-        self._delta_last: Optional[Tuple[float, float, float, float]] = None
 
     # ------------------------------------------------------------------
     # Probe path
@@ -202,11 +182,6 @@ class CoreAgent:
         pending = link._pending
         if (pending and pending[0].t < now) or now > link._last_sync:
             link.sync(now)
-        return self._meter_update(now)
-
-    def _meter_update(self, now: float) -> float:
-        """One read-modify-write of the meter word (link synced to ``now``)."""
-        link = self.link
         t_last, d_last, tx = self._tx_meter
         dt = now - t_last
         if dt >= 5e-6:  # refresh when enough bytes/time accumulated
@@ -220,17 +195,8 @@ class CoreAgent:
         return tx
 
     def stamp(self, header: ProbeHeader, now: float) -> None:
-        """Insert this hop's INT record (Figure 9, step 2-3).
-
-        Under a ``delta``/``sketch`` telemetry plan, *data-probe* stamps
-        divert to :meth:`_stamp_planned`; scout and finish probes (and
-        every probe under ``full``/``sampled``) take the unmodified
-        path below, so ``plan=full`` stays bit-identical by
-        construction.
-        """
-        if self._plan_mutates and header.kind == ProbeKind.PROBE:
-            self._stamp_planned(header, now)
-            return
+        """Insert this hop's INT record (Figure 9, step 2-3): every
+        Figure-22 field, at every hop, for every probe kind."""
         link = self.link
         if self._frozen is not None:
             if self._stale_age is not None and now - self._frozen_at >= self._stale_age:
@@ -248,7 +214,6 @@ class CoreAgent:
                     link_name=link.name,
                 )
             )
-            self.records_stamped += 1
             if OBS.enabled:
                 _M_STALE_STAMPS.inc()
                 OBS.trace.record(now, _EV_QUEUE, {
@@ -287,86 +252,6 @@ class CoreAgent:
         rec.capacity = link.capacity
         rec.link_name = link.name
         header.hops.append(rec)
-        self.records_stamped += 1
-        if OBS.enabled:
-            name = link.name
-            OBS.trace.record(now, _EV_QUEUE, {
-                "link": name, "q_bits": queue, "tx_bps": tx,
-                "phi_total": phi_total, "window_total": window_total,
-            })
-            _S_QUEUE.sample(now, queue, key=name)
-            _S_TX.sample(now, tx, key=name)
-            _G_PHI.set(phi_total, key=name)
-            _G_WINDOW.set(window_total, key=name)
-
-    def _stamp_planned(self, header: ProbeHeader, now: float) -> None:
-        """Data-probe stamp under a ``delta`` or ``sketch`` plan.
-
-        Reads the same register/meter view as the full path (including
-        the StaleTelemetry frozen-snapshot branch), then either
-        suppresses the record (delta: nothing moved past threshold) or
-        folds it into the probe's single bottleneck record (sketch).
-        """
-        link = self.link
-        if self._frozen is not None:
-            if self._stale_age is not None and now - self._frozen_at >= self._stale_age:
-                self._frozen = self._snapshot(now)
-                self._frozen_at = now
-            window_total, phi_total, tx, queue = self._frozen
-            if OBS.enabled:
-                _M_STALE_STAMPS.inc()
-        else:
-            pending = link._pending
-            if (pending and pending[0].t < now) or now > link._last_sync:
-                link.sync(now)
-            phi_total = self.phi_total
-            window_total = self.window_total
-            tx = self._meter_update(now)
-            queue = link.queue
-        plan = self.plan
-        if plan.kind == "delta":
-            view = (window_total, phi_total, tx, queue)
-            last = self._delta_last
-            if last is not None and not plan.moved(view, last):
-                self.deltas_suppressed += 1
-                if OBS.enabled:
-                    M_DELTAS_SUPPRESSED.inc()
-                return
-            self._delta_last = view
-        else:  # sketch: one folded record per probe
-            hops = header.hops
-            if hops:
-                head = hops[0]
-                self.sketch_folds += 1
-                if OBS.enabled:
-                    M_SKETCH_FOLDS.inc()
-                # Keep the bottleneck hop: max token subscription
-                # Phi_l / C_l (eta and B_u are constants, so the
-                # cross-multiplied compare is exact), with the
-                # path-max queue folded in conservatively.
-                if phi_total * head.capacity > head.phi_total * link.capacity:
-                    if head.queue > queue:
-                        queue = head.queue
-                    head.window_total = window_total
-                    head.phi_total = phi_total
-                    head.tx_rate = tx
-                    head.queue = queue
-                    head.capacity = link.capacity
-                    head.link_name = link.name
-                elif queue > head.queue:
-                    head.queue = queue
-                return
-        header.hops.append(
-            HopRecord(
-                window_total=window_total,
-                phi_total=phi_total,
-                tx_rate=tx,
-                queue=queue,
-                capacity=link.capacity,
-                link_name=link.name,
-            )
-        )
-        self.records_stamped += 1
         if OBS.enabled:
             name = link.name
             OBS.trace.record(now, _EV_QUEUE, {
@@ -431,9 +316,6 @@ class CoreAgent:
         self.phi_total = 0.0
         self.window_total = 0.0
         self.bloom.clear()
-        # A rebooted line card has no last-stamped view either; the
-        # delta plan's first post-reset stamp always fires.
-        self._delta_last = None
         # Restart the TX meter from the port's current byte counter
         # (rebooted counters read from zero; diffing against the old
         # baseline would fabricate a rate spike).

@@ -135,15 +135,13 @@ def resume_due(s: PairDecisionState) -> bool:
 
 
 def on_feedback(s: PairDecisionState, params: UFabParams, *, rtt: float, now: float,
-                digest: Optional[tuple], hops: Optional[Sequence], base_rtt: float,
+                digest: tuple, hops: Sequence, base_rtt: float,
                 phi: float, has_demand: bool, send_rate: float, delivered: float,
                 demand: float, book: PathBook, idx: int) -> Optional[Step]:
     """One probe echo on path ``idx``.  ``digest`` is ``digest_hops``'
-    ``(quality, window, entitlement, increment)``, or None while no link
-    on the path has ever stamped (then the window stays)."""
+    ``(quality, window, entitlement, increment)`` over the echo's hop
+    records, one per link of the path."""
     s.rtt_est = 0.5 * s.rtt_est + 0.5 * rtt
-    if digest is None:
-        return None
     quality, w_eqn3, entitlement, increment = digest
     s.last_hops = hops
     # Scenario 2 needs demand "well below, persistently": a busy RPC pair

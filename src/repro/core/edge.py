@@ -27,9 +27,8 @@ from repro.core.decision import (
     enter_ramp, go_idle, on_feedback, on_probe_loss, path_dead, reramp, resume_due)
 from repro.core.fabric import Fabric
 from repro.core.params import UFabParams
-from repro.core.pathsel import PathBook, digest_hops, merge_hop_records, summarize_path
-from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
-from repro.core.telemetry import M_BYTES_SAVED, M_STAMPS_SKIPPED, get_plan
+from repro.core.pathsel import PathBook, digest_hops, summarize_path
+from repro.core.probe import ProbeHeader, ProbeKind
 from repro.obs import OBS
 from repro.sim.engine import Event
 from repro.sim.host import VMPair
@@ -184,10 +183,6 @@ class PairController:
         self.pair = pair
         self.params = agent.params
         self.network = agent.network
-        self.plan = agent.plan
-        # Last-known hop records per candidate path (link name -> record)
-        # for reconstructing partial telemetry-plan views (sampled/delta).
-        self._hop_baseline: Dict[int, Dict[str, HopRecord]] = {}
         self.book = PathBook(candidates)
         self.current_idx = 0
         self.decision = PairDecisionState(self.base_rtt(0))
@@ -199,8 +194,7 @@ class PairController:
         self._timeout_seq = 0  # header.seq of the probe the timeout guards
         self._registered_paths: set = set()
         # Instrumentation for figures.
-        self.stats = {"migrations": 0, "probes_sent": 0, "probe_losses": 0,
-                      "stamps_skipped": 0}
+        self.stats = {"migrations": 0, "probes_sent": 0, "probe_losses": 0}
         self._last_feedback_at = agent.network.sim.now
 
     # ------------------------------------------------------------------
@@ -299,7 +293,6 @@ class PairController:
         """
         self._cancel_timers()
         self._failure_migration_pending = False
-        self._hop_baseline.clear()
         self.book = PathBook(list(self.book.candidates))
         self.decision = PairDecisionState(self.base_rtt(0))
         self.phi_receiver = math.inf
@@ -381,7 +374,6 @@ class PairController:
                 timeout_ev[0] = None
             if self.book is not book:
                 return
-            self._note_hops(idx, hdr.hops)
             quality = summarize_path(hdr.hops, self.phi(), now - sent_at, now, self.params)
             book.record(idx, quality)
             done()
@@ -405,14 +397,6 @@ class PairController:
                 "pair": self.pair.pair_id, "kind": kind,
                 "seq": header.seq, "path": _path_label(path),
             })
-
-    def _note_hops(self, idx: int, hops) -> None:
-        """Seed path ``idx``'s hop baseline from a scout (always stamped
-        full), so partial data probes merge against fresh records."""
-        if self.plan.reconstructs and hops:
-            baseline = self._hop_baseline.setdefault(idx, {})
-            for record in hops:
-                baseline[record.link_name] = record
 
     def _send_data_probe(self) -> None:
         """The self-clocked control probe on the current path.
@@ -443,21 +427,8 @@ class PairController:
         self._timeout_seq = header.seq
         self._timeout_event = self.sim.schedule(timeout, self._on_probe_loss)
         path = self.path(idx)
-        hop_filter = self.agent.plan_filter
-        if hop_filter is not None:
-            # Launch-time accounting of elided stamps: the sampled-plan
-            # decision is a pure function of (pair, seq, link), so
-            # counting here — rather than in transit — keeps the books
-            # identical across transit modes and probe drops.
-            plan, pair_id, seq = self.plan, self.pair.pair_id, header.seq
-            skipped = sum(1 for link in path if not plan.stamps_hop(pair_id, seq, link.name))
-            if skipped:
-                self.stats["stamps_skipped"] += skipped
-                if OBS.enabled:
-                    M_STAMPS_SKIPPED.inc(skipped)
         self._note_send("probe", header, path)
-        self.agent.launch_probe(self.pair, path, header, _probe_on_hop, self._on_echo,
-                                hop_filter=hop_filter)
+        self.agent.launch_probe(self.pair, path, header, _probe_on_hop, self._on_echo)
 
     def _on_echo(self, header: ProbeHeader, now: float) -> None:
         """Echo of the control probe: one :func:`on_feedback` step.  (The
@@ -481,23 +452,10 @@ class PairController:
         if header.phi_receiver is not None:
             self.phi_receiver = header.phi_receiver
         hops = header.hops
-        plan = self.plan
-        if not plan.is_full:
-            if OBS.enabled:
-                # Figure-22 bytes this probe did not carry versus full,
-                # both directions (responses echo the stamped records).
-                saved = 8 * (len(self.path()) - len(hops)) + 4 - plan.base_bytes
-                if saved > 0:
-                    M_BYTES_SAVED.inc(2 * saved)
-            if plan.reconstructs:
-                hops = merge_hop_records(
-                    self.path(), hops, self._hop_baseline.setdefault(idx, {}))
         phi = self.phi()
         t = self.base_rtt()
-        digest = None
-        if hops:  # else no link on this path has ever stamped
-            digest = digest_hops(hops, phi, rtt, now, self.params, t)
-            self.book.record(idx, digest[0])
+        digest = digest_hops(hops, phi, rtt, now, self.params, t)
+        self.book.record(idx, digest[0])
         step = on_feedback(
             s, self.params, rtt=rtt, now=now, digest=digest, hops=hops, base_rtt=t,
             phi=phi, has_demand=pair.has_demand(), send_rate=pair.send_rate,
@@ -638,10 +596,6 @@ class EdgeAgent:
         self.network = network
         self.params = params
         self.rng = rng
-        self.plan = get_plan(params.telemetry_plan)
-        # Hop predicate handed to Network.send_probe for data probes;
-        # None for plans that stamp (or at least register) at every hop.
-        self.plan_filter = self.plan.hop_filter if self.plan.samples else None
         self.controllers: Dict[str, PairController] = {}
         self.freeze_until = 0.0
         # Receiver-side token admission hook: pair_id -> phi_receiver.
@@ -658,20 +612,14 @@ class EdgeAgent:
             controller.restart()
 
     def launch_probe(self, pair: VMPair, path: Path, header: ProbeHeader, on_hop,
-                     on_response: Optional[Callable[[ProbeHeader, float], None]],
-                     hop_filter=None) -> None:
-        """Send a probe; the destination edge answers over the reverse path.
-
-        ``hop_filter`` (a sampled telemetry plan's predicate) suppresses
-        ``on_hop`` on unsampled hops; scouts and finish probes never pass
-        one.
-        """
+                     on_response: Optional[Callable[[ProbeHeader, float], None]]) -> None:
+        """Send a probe; the destination edge answers over the reverse path."""
         network = self.network
         rt = _RoundTrip(network, pair.pair_id, network.hosts[pair.dst_host].edge_agent,
                         header, on_response, network.topology.reverse_path(path))
         network.send_probe(
             path, header, on_hop=on_hop, on_arrive=rt.at_destination,
-            pure_hop=True, hop_filter=hop_filter)
+            pure_hop=True)
 
 
 class UFabFabric(Fabric):

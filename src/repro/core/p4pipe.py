@@ -3,8 +3,8 @@
 The algorithm lives once, in :class:`repro.core.corenode.CoreAgent`.
 :class:`PipelineCoreAgent` subclasses it and contributes only
 *placement and checking*: the state ``CoreAgent`` names (``phi_total``,
-``window_total``, the TX-meter word, the delta plan's last view, the
-pair table, the Bloom filter) is stored, through class-level
+``window_total``, the TX-meter word, the pair table, the Bloom filter)
+is stored, through class-level
 descriptors, in the registers and tables of a built match-action
 program (:func:`build_ufab_pipeline`), and every probe is one packet
 (:class:`_PacketCtx`) whose accesses are checked *from the attribute
@@ -47,10 +47,9 @@ Modelling concessions
   of the filter passes every bank once; the membership test and the
   predicated insert or decrement (one SALU pass on hardware) resolve
   against the shared counters within that pass.
-* **Wide state.**  The TX meter's ``(t, bytes, ewma)`` word and the
-  delta plan's last-view tuple exceed one 64-bit SALU word; they are
-  modeled as paired-SALU registers (2 slots) rather than split across
-  stages.
+* **Wide state.**  The TX meter's ``(t, bytes, ewma)`` word exceeds
+  one 64-bit SALU word; it is modeled as a paired-SALU register (2
+  slots) rather than split across stages.
 * **The pair table** is simulation bookkeeping (``modeled_only``, no
   footprint): its first touch is the packet's one apply, and the later
   entry update is not a second one.
@@ -69,7 +68,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.core.corenode import CoreAgent
 from repro.core.params import UFabParams
 from repro.core.probe import ProbeHeader, ProbeKind
-from repro.core.telemetry import TelemetryPlan, get_plan
 from repro.sim.link import Link
 
 __all__ = [
@@ -114,8 +112,6 @@ SALUS_TOTAL = TOFINO_STAGES * SALUS_PER_STAGE
 RECORD_BITS = 64
 #: Fixed Figure-22 header fields: type 4, nHop 4, phi_{a->b} 24.
 HEADER_BITS = 32
-#: PR 8 hop-presence bitmap (sampled/delta wire variants).
-BITMAP_BITS = 16
 #: nHop is a 4-bit field: at most 15 record slots can be parsed.
 MAX_RECORD_SLOTS = 15
 
@@ -417,12 +413,10 @@ class UFabPipelineProgram(NamedTuple):
     r_portbytes: Register
     r_txmeter: Register
     r_queue: Register
-    r_delta: Register  # placed only under a ``delta`` plan
     record_slots: int
 
 
 def build_ufab_pipeline(
-    plan: Optional[TelemetryPlan] = None,
     *,
     record_slots: int = MAX_RECORD_SLOTS,
     bloom_counters: int = 20 * 1024 * 8,
@@ -438,21 +432,17 @@ def build_ufab_pipeline(
     Figure-22 record area of the PHV (at most :data:`MAX_RECORD_SLOTS`,
     the 4-bit nHop bound).
     """
-    if isinstance(plan, str) or plan is None:
-        plan = get_plan(plan)
     if record_slots > MAX_RECORD_SLOTS:
         raise PhvCapacityError(
             f"nHop is a 4-bit field: at most {MAX_RECORD_SLOTS} record "
             f"slots, requested {record_slots}")
-    pipe = P4Pipeline(f"ufab-c/{plan.spec}")
+    pipe = P4Pipeline("ufab-c")
 
     # PHV: Figure-22 fields plus forwarding metadata (RMW results
     # bridged to the stamp stage — see the module docstring).
     pipe.phv("fig22.kind", 4)
     pipe.phv("fig22.nhop", 4)
     pipe.phv("fig22.phi", 24)
-    if plan.base_bytes == 6:
-        pipe.phv("fig22.bitmap", BITMAP_BITS)
     pipe.phv("fig22.records", RECORD_BITS * record_slots)
     pipe.phv("md.phi_fwd", 32)
     pipe.phv("md.w_fwd", 32)
@@ -504,24 +494,12 @@ def build_ufab_pipeline(
     r_queue = pipe.stage("queue-latch").register(
         Register("r_queue", width_bits=32, entries=ports))
 
-    # Telemetry-plan stage (PR 8): delta keeps a last-stamped view,
-    # sketch folds in VLIW only, sampled/full need no core stage — there
-    # r_delta stays unplaced: no footprint, control-plane access only.
-    r_delta = Register("r_delta", width_bits=128, entries=ports, salu_slots=2)
-    if plan.kind == "delta":
-        st = pipe.stage("plan-delta")
-        st.register(r_delta)
-        st.action("delta-suppress", 2)
-    elif plan.kind == "sketch":
-        st = pipe.stage("plan-sketch")
-        st.action("sketch-fold", 4)
-
     # Final stage: stamp the Figure-22 record fields into the PHV.
     pipe.stage("stamp").action("stamp-record", 6)
 
     return UFabPipelineProgram(
         pipe, t_kind, t_pair, r_blooms, r_phi, r_w,
-        r_portbytes, r_txmeter, r_queue, r_delta, record_slots)
+        r_portbytes, r_txmeter, r_queue, record_slots)
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +561,6 @@ class PipelineCoreAgent(CoreAgent):
     phi_total = _InRegister("r_phi")
     window_total = _InRegister("r_w")
     _tx_meter = _InRegister("r_txmeter")
-    _delta_last = _InRegister("r_delta")
     _table = _InPairTable()
     bloom = _InBloomBanks()
 
@@ -591,7 +568,7 @@ class PipelineCoreAgent(CoreAgent):
                  bloom_seed: int = 0) -> None:
         params = params or UFabParams()
         self.prog = build_ufab_pipeline(
-            params.telemetry_plan, bloom_counters=max(64, params.bloom_bits),
+            bloom_counters=max(64, params.bloom_bits),
             n_hashes=params.bloom_hashes)
         # The open packet, or None: the control-plane port (sweep,
         # reset, freeze, direct on_finish / measured_tx) is unchecked.

@@ -107,14 +107,6 @@ class UFabParams:
     sweep_period_s: float = 10.0
     # A pair with no probe for this long is considered silent.
     silence_timeout_s: float = 10.0
-    # Telemetry plan: what each hop stamps into data probes (see
-    # repro.core.telemetry).  "full" is the paper's every-field-every-
-    # hop behaviour, bit-identical by construction; "sampled:k=4",
-    # "sampled:p=0.25", "delta:rel=0.1" and "sketch" trade stamped
-    # bytes (and, for sampled, register freshness) for overhead — the
-    # frontier fig_telemetry sweeps.  Scout and finish probes always
-    # stamp full.
-    telemetry_plan: str = "full"
 
     # --- token assignment (section 6 / Appendix E) ----------------------
     # "The default token update period is set as 32 us" (section 5.1).

@@ -240,36 +240,6 @@ def digest_hops(
     return quality, window, entitlement, increment
 
 
-def merge_hop_records(
-    path: Sequence,
-    fresh: Sequence[HopRecord],
-    baseline: dict,
-) -> List[HopRecord]:
-    """Fold a partial hop view into the last-good per-link picture.
-
-    Sampled and delta telemetry plans (:mod:`repro.core.telemetry`)
-    return probes whose ``hops`` cover only a subset of the path.  The
-    edge keeps ``baseline`` — link name -> last stamped
-    :class:`HopRecord` — per candidate path; this updates it with the
-    fresh records and rebuilds the full-path view in path order, so
-    :func:`digest_hops` folds over every link it has *ever* heard from
-    (freshest record per link; at most one plan period stale).  Links
-    never yet stamped are simply absent — both folds are min/max
-    reductions, so a partial list degrades gracefully rather than
-    fabricating records.  This is the same last-good posture the probe
-    -loss degradation path takes (PR 4): act on the best known view,
-    never on invented telemetry.
-    """
-    for record in fresh:
-        baseline[record.link_name] = record
-    merged: List[HopRecord] = []
-    for link in path:
-        record = baseline.get(link.name)
-        if record is not None:
-            merged.append(record)
-    return merged
-
-
 class PathBook:
     """Per-VM-pair record of candidate paths and their latest quality."""
 

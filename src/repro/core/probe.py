@@ -111,10 +111,6 @@ class ProbeHeader:
     # the header so the response callback needs no per-probe closure.
     sent_at: float = 0.0
     path_idx: int = -1
-    # Hop-presence bitmap decoded from a partial-stamping telemetry
-    # plan (bit i set = path hop i carried a record).  Only the codec
-    # sets this; the simulator carries hop identity on the records.
-    stamped_mask: Optional[int] = None
 
     @property
     def n_hops(self) -> int:
@@ -160,80 +156,41 @@ def _decode_record(data: bytes, offset: int) -> HopRecord:
     )
 
 
-def encode_probe(header: ProbeHeader, plan=None,
-                 stamped_mask: Optional[int] = None) -> bytes:
-    """Serialize to the Figure 22 layout (after the MAC/IP/SR headers).
-
-    ``plan`` (a :class:`repro.core.telemetry.TelemetryPlan`, or None for
-    today's ``full`` layout) selects the wire variant.  ``full`` and
-    ``sketch`` use the unmodified Figure-22 layout (``sketch`` simply
-    carries nHop <= 1); ``sampled``/``delta`` insert a 2-byte
-    hop-presence bitmap (``stamped_mask``: bit i set = path hop i
-    stamped) after ``phi`` so the edge can place the partial records.
-    """
+def encode_probe(header: ProbeHeader) -> bytes:
+    """Serialize to the Figure 22 layout (after the MAC/IP/SR headers)."""
     if header.n_hops > 15:
         raise ValueError("nHop is a 4-bit field; at most 15 hops")
-    partial = plan is not None and plan.kind in ("sampled", "delta")
     phi_q = _quantize(header.phi, 1.0, 24)
     out = bytearray()
     out.append((int(header.kind) & 0xF) << 4 | (header.n_hops & 0xF))
     out += phi_q.to_bytes(3, "big")
-    if partial:
-        mask = stamped_mask if stamped_mask is not None else (1 << header.n_hops) - 1
-        if mask >> 16:
-            raise ValueError("hop-presence bitmap is a 16-bit field")
-        if bin(mask).count("1") != header.n_hops:
-            raise ValueError(
-                f"stamped_mask has {bin(mask).count('1')} bits set "
-                f"for {header.n_hops} records")
-        out += mask.to_bytes(2, "big")
     for hop in header.hops:
         _encode_record(out, hop)
     return bytes(out)
 
 
-def decode_probe(data: bytes, pair_id: str = "", plan=None) -> ProbeHeader:
-    """Parse the Figure 22 layout back into a :class:`ProbeHeader`.
-
-    With a partial-stamping ``plan`` the decoded header carries the
-    hop-presence bitmap in :attr:`ProbeHeader.stamped_mask`.
-    """
+def decode_probe(data: bytes, pair_id: str = "") -> ProbeHeader:
+    """Parse the Figure 22 layout back into a :class:`ProbeHeader`."""
     if len(data) < 4:
         raise ValueError("truncated probe header")
-    partial = plan is not None and plan.kind in ("sampled", "delta")
     kind = ProbeKind(data[0] >> 4)
     n_hops = data[0] & 0xF
     phi = float(int.from_bytes(data[1:4], "big"))
-    offset = 4
-    mask: Optional[int] = None
-    if partial:
-        if len(data) < 6:
-            raise ValueError("truncated probe header (missing hop bitmap)")
-        mask = int.from_bytes(data[4:6], "big")
-        if bin(mask).count("1") != n_hops:
-            raise ValueError(
-                f"hop bitmap has {bin(mask).count('1')} bits set "
-                f"for nHop={n_hops}")
-        offset = 6
-    expected = offset + 8 * n_hops
+    expected = 4 + 8 * n_hops
     if len(data) < expected:
         raise ValueError(f"truncated probe: need {expected} bytes, got {len(data)}")
     hops: List[HopRecord] = []
+    offset = 4
     for _ in range(n_hops):
         hops.append(_decode_record(data, offset))
         offset += 8
-    return ProbeHeader(kind=kind, pair_id=pair_id, phi=phi, window=0.0,
-                       hops=hops, stamped_mask=mask)
+    return ProbeHeader(kind=kind, pair_id=pair_id, phi=phi, window=0.0, hops=hops)
 
 
-def probe_wire_size(n_hops: int, underlay_headers: int = 42, plan=None) -> int:
+def probe_wire_size(n_hops: int, underlay_headers: int = 42) -> int:
     """Total probe bytes on the wire: MAC+IP+SR headers plus Figure 22.
 
     A 5-hop DCN stays under the paper's "less than 100 bytes" telemetry
-    budget (section 4.2).  With a telemetry ``plan``, ``n_hops`` counts
-    *stamped* records and the plan's fixed header (bitmap, fold
-    registers) is charged instead of the full layout's.
+    budget (section 4.2).
     """
-    if plan is None:
-        return underlay_headers + 4 + 8 * n_hops
-    return underlay_headers + plan.telemetry_bytes(n_hops)
+    return underlay_headers + 4 + 8 * n_hops

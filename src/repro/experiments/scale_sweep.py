@@ -77,8 +77,8 @@ def weighted_allocation_error(net: Network,
     ``Phi_l`` the total tokens crossing link ``l`` — capped at the
     pair's demand.  Söze reports exactly this deviation for its in-band
     weighted max-min allocator; computing it here puts the churn sweep
-    on the same axis, so telemetry-plan and scheme ablations can show
-    what allocation fidelity an overhead reduction costs.  ``None`` when
+    on the same axis, so scheme ablations can show what allocation
+    fidelity an overhead reduction costs.  ``None`` when
     no pair carries tokens (e.g. the fabric drained at the horizon).
     """
     phi_load: Dict[str, float] = {}

@@ -5,8 +5,6 @@ from repro.resources.model import (
     TofinoResourceModel,
     probing_overhead,
     probing_overhead_curve,
-    telemetry_plan_costs,
-    telemetry_plan_table,
 )
 
 __all__ = [
@@ -14,6 +12,4 @@ __all__ = [
     "TofinoResourceModel",
     "probing_overhead",
     "probing_overhead_curve",
-    "telemetry_plan_costs",
-    "telemetry_plan_table",
 ]

@@ -68,86 +68,6 @@ def probing_overhead_bound(
 
 
 # ----------------------------------------------------------------------
-# Telemetry plans: wire / PHV / ALU / SRAM cost per plan
-# ----------------------------------------------------------------------
-
-def _plan_pipeline(plan, record_slots: int):
-    """The uFAB-C pipeline built for ``plan`` with ``record_slots``
-    provisioned Figure-22 slots (the measured-usage source)."""
-    from repro.core.p4pipe import build_ufab_pipeline
-
-    return build_ufab_pipeline(plan, record_slots=record_slots)
-
-
-def _fig22_phv_bits(prog) -> int:
-    """Probe-header PHV bits of a built program (``fig22.*`` fields
-    only — the forwarding scratch metadata is not wire format)."""
-    return sum(bits for name, bits in prog.pipe.phv_fields.items()
-               if name.startswith("fig22."))
-
-
-def telemetry_plan_costs(
-    plan_spec: str = "full",
-    n_hops: int = 5,
-    underlay_headers: int = 42,
-) -> Dict[str, float]:
-    """Measured per-probe cost of a telemetry plan on an ``n_hops`` path.
-
-    Wire bytes use the plan's *expected* stamped records (what the
-    fabric pays on average); the PHV record slots use the *worst case*
-    the parser must provision (every hop may stamp under ``sampled:p``
-    and ``delta``, so only ``sketch`` shrinks the header vector — the
-    Söze-style constant-size result).  Reductions are versus the
-    ``full`` plan on the same path.
-
-    The PHV, stateful-ALU, and SRAM columns are no longer hand-entered
-    constants: each plan's pipeline is actually built
-    (:func:`repro.core.p4pipe.build_ufab_pipeline`, the hardware
-    checker's program) and the counts read off it — PHV from the parsed
-    ``fig22.*`` header fields, SALU ops per hop as the stamp path's
-    SALU slots (total minus the Bloom banks, which are the per-probe
-    registration path), and per-port SRAM from the plan's own register
-    (``delta`` keeps a last-stamped view per egress port; the other
-    plans keep none).
-    """
-    from repro.core.telemetry import get_plan
-
-    plan = get_plan(plan_spec)
-    expected = plan.expected_records(n_hops)
-    worst_records = 1 if plan.kind == "sketch" else n_hops
-    telemetry_bytes = plan.base_bytes + 8.0 * expected
-    full_bytes = 4.0 + 8.0 * n_hops
-    prog = _plan_pipeline(plan, worst_records)
-    full_prog = _plan_pipeline("full", n_hops)
-    usage = prog.pipe.usage()
-    stamp_salus = usage["salus"] - sum(r.salu_slots for r in prog.r_blooms)
-    plan_sram_bits = (prog.r_delta.width_bits
-                      if prog.r_delta.stage is not None else 0)
-    return {
-        "plan": plan.spec,
-        "expected_records": expected,
-        "worst_case_records": float(worst_records),
-        "telemetry_bytes": telemetry_bytes,
-        "wire_bytes": underlay_headers + telemetry_bytes,
-        "telemetry_byte_reduction": full_bytes / telemetry_bytes,
-        "phv_bits": float(_fig22_phv_bits(prog)),
-        "phv_reduction": _fig22_phv_bits(full_prog) / _fig22_phv_bits(prog),
-        "salu_ops_per_hop": float(stamp_salus),
-        "sram_bits_per_port": float(plan_sram_bits),
-        "pipeline_stages": float(usage["stages"]),
-    }
-
-
-def telemetry_plan_table(
-    plans: Sequence[str] = ("full", "sampled:k=4", "sampled:p=0.25",
-                            "delta:rel=0.1", "sketch"),
-    n_hops: int = 5,
-) -> List[Dict[str, float]]:
-    """One :func:`telemetry_plan_costs` row per plan (CLI / docs table)."""
-    return [telemetry_plan_costs(p, n_hops=n_hops) for p in plans]
-
-
-# ----------------------------------------------------------------------
 # Table 3: uFAB-E on a Xilinx Alveo U200
 # ----------------------------------------------------------------------
 
@@ -273,14 +193,12 @@ class TofinoResourceModel:
     """
 
     n_pairs: int = 20_000
-    plan: str = "full"
 
     def pipeline_usage(self) -> Dict[str, float]:
         """Raw measured usage of the built program (device units)."""
         from repro.core.p4pipe import build_ufab_pipeline
 
         prog = build_ufab_pipeline(
-            self.plan,
             record_slots=_REF_RECORD_SLOTS,
             bloom_counters=self._bloom_counters(),
             pair_entries=max(self.n_pairs, 1),

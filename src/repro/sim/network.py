@@ -94,7 +94,7 @@ class _TransitEntry:
     ``flight`` enters hop ``hop``'s link at time ``t``.  Lives in the link's
     sorted ledger until applied (``fire``) or withdrawn by materialization."""
 
-    __slots__ = ("t", "seq", "flight", "hop", "index", "link", "applied", "stamp")
+    __slots__ = ("t", "seq", "flight", "hop", "index", "link", "applied")
 
     def __lt__(self, other: "_TransitEntry") -> bool:
         return (self.t, self.seq) < (other.t, other.seq)
@@ -103,26 +103,12 @@ class _TransitEntry:
         """Perform the stamp the per-hop event would have done at
         (t, seq): integrate the link to the emission instant, then stamp.
         Entries exist only for legs with an ``on_hop``.
-
-        A no-``stamp`` entry (a telemetry plan's hop filter elided this
-        hop's stamp) skips the hop callback but still (a) anchors this
-        flight in the link's pending ledger so ``Link.set_inflow`` finds
-        and materializes it when a queue starts building mid-leg, and
-        (b) integrates the link to the emission instant — per-hop
-        simulation syncs the link at every emission via ``Link.delay``,
-        and matching those float integration points bit-for-bit is what
-        keeps sampled-plan runs identical across transit modes.
         """
         self.applied = True
-        if not self.stamp:
-            link._integrate(self.t)
-            return
         flight = self.flight
         if self.index:
-            # An applied stamped predecessor applied every entry before it;
-            # a no-stamp marker applies none, so it proves nothing.
-            prev = flight.entries[self.index - 1]
-            if not (prev.applied and prev.stamp):
+            # An applied predecessor applied every entry before it.
+            if not flight.entries[self.index - 1].applied:
                 flight.ensure_prior(self.hop)
         t = self.t
         last = link._last_sync
@@ -147,17 +133,16 @@ class _Flight:
     cancel them.
     """
 
-    __slots__ = ("network", "probe", "hops", "on_hop", "hop_filter",
+    __slots__ = ("network", "probe", "hops", "on_hop",
                  "on_arrive", "on_drop", "seq", "pure", "entries", "times",
                  "t_arr", "ev_pre", "ev_arr", "fast", "done")
 
     def __init__(self, network: "Network", probe: Probe, hops: tuple, on_hop,
-                 hop_filter, on_arrive, on_drop, seq: int, pure: bool) -> None:
+                 on_arrive, on_drop, seq: int, pure: bool) -> None:
         self.network = network
         self.probe = probe
         self.hops = hops
         self.on_hop = on_hop
-        self.hop_filter = hop_filter
         self.on_arrive = on_arrive
         self.on_drop = on_drop
         self.seq = seq
@@ -226,8 +211,7 @@ class _Flight:
         entries = self.entries
         # The resume point is found over hop indices, never entry-list
         # indices, so the logic holds whether entries cover every hop
-        # (stamped legs — filtered hops ride along as no-stamp markers)
-        # or none (``on_hop``-less legs).  An entry a same-instant flush
+        # (stamped legs) or none (``on_hop``-less legs).  An entry a same-instant flush
         # already applied pins its hop in the past even when its
         # emission time equals ``now``.
         applied_hops = {e.hop for e in entries if e.applied}
@@ -478,7 +462,7 @@ class Network:
         on_drop: Optional[Callable[[Probe], None]] = None,
         host_delay: float = 0.0,
         pure_hop: bool = False,
-        hop_filter: Optional[Callable[[object, Link], bool]] = None,
+        _unused: None = None,
     ) -> Probe:
         """Launch a probe along ``path``; callbacks fire in simulated time.
 
@@ -492,32 +476,19 @@ class Network:
         ledger.  Legs with an impure ``on_hop`` (e.g. baselines sampling
         instantaneous utilization) always take the per-hop path.
 
-        ``hop_filter(payload, link)`` — a sampled telemetry plan's hop
-        predicate — suppresses ``on_hop`` on hops where it returns
-        False, turning them into pure-transit hops (no ledger entry, no
-        stamp) on both paths.  It must be a pure function of the payload
-        and link identity (launch-time decidable) so fast and per-hop
-        transit agree; :meth:`TelemetryPlan.hop_filter` qualifies.
+        ``_unused`` is always None.  It holds the ninth positional slot
+        that the frozen ``benchmarks/perf/trace.py`` wrapper passes on.
         """
         sim = self.sim
         now = sim.now
         probe = Probe(payload, now)
         hops = tuple(path)
         self._transit_seq += 1
-        flight = _Flight(self, probe, hops, on_hop,
-                         hop_filter if on_hop is not None else None,
-                         on_arrive, on_drop, self._transit_seq,
-                         on_hop is None or pure_hop)
+        flight = _Flight(self, probe, hops, on_hop, on_arrive, on_drop,
+                         self._transit_seq, on_hop is None or pure_hop)
         if (self._transit_fast and hops
                 and self._probe_interceptor is None
-                and (on_hop is None
-                     or (pure_hop and (now >= _METER_SAFE_T
-                         # A leg whose filter excludes every hop stamps
-                         # nothing, so virgin TX meters are never read:
-                         # it may go fast even before _METER_SAFE_T.
-                         or (hop_filter is not None
-                             and not any(hop_filter(payload, link)
-                                         for link in hops)))))):
+                and (on_hop is None or (pure_hop and now >= _METER_SAFE_T))):
             t = now + host_delay
             times = flight.times
             for link in hops:
@@ -546,8 +517,6 @@ class Network:
             # _add_entry per hop, inlined: a fresh flight has no entries
             # (index == hop) and the newest seq, so only t orders it.
             times = flight.times
-            hop_filter = flight.hop_filter
-            payload = flight.probe.payload
             entries = flight.entries
             for hop, link in enumerate(flight.hops):
                 entry = _TransitEntry()
@@ -557,7 +526,6 @@ class Network:
                 entry.hop = entry.index = hop
                 entry.link = link
                 entry.applied = False
-                entry.stamp = hop_filter is None or hop_filter(payload, link)
                 entries.append(entry)
                 pending = link._pending
                 if pending and t < pending[-1].t:
@@ -624,16 +592,14 @@ class Network:
             extra = verdict
         on_hop = flight.on_hop
         if on_hop is not None:
-            hop_filter = flight.hop_filter
-            if hop_filter is None or hop_filter(probe.payload, link):
-                if flight.pure:
-                    # Stamp through the link's ledger so same-instant
-                    # stamps from fast and slow legs apply in one global
-                    # (emission-time, launch-seq) order, independent of
-                    # how events interleaved within this instant.
-                    self._add_entry(flight, index, link, now)
-                else:
-                    on_hop(probe.payload, link, now)
+            if flight.pure:
+                # Stamp through the link's ledger so same-instant
+                # stamps from fast and slow legs apply in one global
+                # (emission-time, launch-seq) order, independent of
+                # how events interleaved within this instant.
+                self._add_entry(flight, index, link, now)
+            else:
+                on_hop(probe.payload, link, now)
         probe.hops_taken += 1
         sim.schedule(link.delay(now) + extra, self._transit_step, flight, index + 1)
 
@@ -649,7 +615,6 @@ class Network:
         entry.index = len(flight.entries)
         entry.link = link
         entry.applied = False
-        entry.stamp = True
         flight.entries.append(entry)
         pending = link._pending
         if pending and entry < pending[-1]:

@@ -232,6 +232,40 @@ def test_core_backend_selection_removed():
         controller.attach_core_agents).parameters
 
 
+def test_rival_schemes_and_telemetry_plans_removed():
+    """The registry holds the paper's six schemes and probes stamp one
+    layout: no rival module, no plan module, field, grid, subcommand or
+    probe-path parameter is left."""
+    import argparse
+    import dataclasses
+    import importlib.util
+    import inspect
+
+    from repro.baselines import registry
+    from repro.cli import build_parser
+    from repro.core import probe
+    from repro.core.edge import EdgeAgent
+    from repro.experiments.common import experiment_names
+    from repro.sim.network import Network
+
+    for module in ("repro.core.telemetry", "repro.baselines.soze",
+                   "repro.baselines.queuebind", "repro.baselines.utas",
+                   "repro.experiments.fig_rivals",
+                   "repro.experiments.fig_telemetry"):
+        assert importlib.util.find_spec(module) is None, module
+    assert "telemetry_plan" not in {f.name for f in dataclasses.fields(UFabParams)}
+    assert registry.scheme_names() == (
+        "ufab", "ufab-prime", "pwc", "es+clove", "wcc+ecmp", "wcc+ecmp-polarized")
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for grid in ("rivals", "telemetry"):
+        assert grid not in commands and grid not in experiment_names()
+    for fn in (EdgeAgent.launch_probe, Network.send_probe,
+               probe.encode_probe, probe.decode_probe):
+        params = inspect.signature(fn).parameters
+        assert not {"hop_filter", "plan", "stamped_mask"} & set(params), fn
+
+
 # ----------------------------------------------------------------------
 # Argument validation
 # ----------------------------------------------------------------------
@@ -250,11 +284,35 @@ def test_core_backend_selection_removed():
     ("resolve_interval", lambda s: s.resolve_interval(float("inf"))),
     ("resolve_interval", lambda s: s.resolve_interval(float("nan"))),
     ("resolve_interval", lambda s: s.resolve_interval(-1.0)),
+    ("demand_gbps", lambda s: s.tenant("S1", "S8", 2.0, demand_gbps=float("nan"))),
+    ("demand_gbps", lambda s: s.tenant("S1", "S8", 2.0, demand_gbps=-1.0)),
+    ("at", lambda s: s.tenant("S1", "S8", 2.0, at=-0.001)),
+    ("at", lambda s: s.tenant("S1", "S8", 2.0, at=float("nan"))),
 ])
 def test_arguments_are_validated_at_the_call(argument, call):
     scenario = Scenario.testbed().tenant("S1", "S5", 1.0)
     with pytest.raises(ValueError, match=argument):
         call(scenario)
+
+
+def test_zero_and_unlimited_demand_and_late_joins_stay_legal():
+    scenario = (Scenario.testbed()
+                .tenant("S1", "S5", 1.0, demand_gbps=0.0)
+                .tenant("S2", "S6", 1.0, demand_gbps=float("inf"), at=0.001))
+    net, _ = scenario.build()
+    assert "t0:S1->S5" in net.pairs and "t1:S2->S6" not in net.pairs
+    net.run(0.002)
+    assert "t1:S2->S6" in net.pairs
+
+
+@pytest.mark.parametrize("at", (0.0, 0.001))
+def test_unknown_host_is_named_before_any_pair_joins(at):
+    scenario = (Scenario.testbed().tenant("S1", "S5", 1.0)
+                .tenant("h1", "S5", 1.0, at=at))
+    with pytest.raises(ValueError, match=r"'t1:h1->S5'.*unknown host 'h1'"):
+        scenario.build()
+    with pytest.raises(ValueError, match="unknown host 'S9'"):
+        Scenario.testbed().tenant("S1", "S9", 1.0).run(until=0.002)
 
 
 def test_guarantee_tokens_follow_the_final_params():

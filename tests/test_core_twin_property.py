@@ -6,7 +6,7 @@ equal to :class:`repro.core.corenode.CoreAgent`.  The mirror is gone
 (``pipeline`` now runs ``CoreAgent``'s own code under a hardware-rule
 checker), so two references replace it:
 
-* **Pinned streams.**  A sha256 per ``(plan, seed)`` of the per-step
+* **Pinned streams.**  A sha256 per ``(stream, seed)`` of the per-step
   stamped-hop tuples and controller/link snapshot, recorded from the
   *parent commit's independent pipeline agent*.  ``CoreAgent`` and the
   checker must reproduce them (the drift detector the twin was), and
@@ -41,13 +41,14 @@ from repro.core.params import UFabParams
 from repro.core.probe import ProbeHeader, ProbeKind
 from repro.sim.link import Link
 
-PLANS = ("full", "delta:rel=0.1", "sketch")
 N_STEPS = 160
 PAIRS = [f"vm{i}->vm{j}" for i in range(6) for j in range(6) if i != j]
 SILENCE_S = 3e-5
 
 # Recorded at parent commit 1d3394a from its independent
-# PipelineCoreAgent (see the module docstring for the command).
+# PipelineCoreAgent (see the module docstring for the command).  The
+# middle key names the stamp layout the agents then chose between;
+# Figure-22 every-hop stamping (``full``) is the only one left.
 PINNED = {
     ('random', 'full', 1):
         "29c4ba5986637e8f53b64b2858ec902c2fd6987a21d9d9baab260b3f2547c7e0",
@@ -55,18 +56,6 @@ PINNED = {
         "40336ae3263e5eb1d5464368513dcb61eb29364d6f96564926ffecfa58d44242",
     ('random', 'full', 7):
         "e2448359c6ee367aac1f84f93c7b09769a7a2dd5a596703ceeb87c8811d771cd",
-    ('random', 'delta:rel=0.1', 1):
-        "1cbcba75833ea93d0c5ed93b968b0243c9388d70a25d201a6d159de295364afb",
-    ('random', 'delta:rel=0.1', 2):
-        "225ce7310f391d2c1099f81a049763c36fcc088369ded4387d92cc8a753dc9a6",
-    ('random', 'delta:rel=0.1', 7):
-        "49a23b458ad50eb73b0aa3547bab805dc7d8e1b012604f4be534da1900a80c55",
-    ('random', 'sketch', 1):
-        "bb6599317cb3216597a9fa367b15c44ce00fae420f5a2c939a51b925f36a89a8",
-    ('random', 'sketch', 2):
-        "f0b3f9f2d1ff8a76e26c3c8ada6e97eed884f4deb40a258a245ae4b66595273c",
-    ('random', 'sketch', 7):
-        "7fbece50780aa0e20359a37ecec1f3b4eade4d1ace0205b0fd2d6af1c377d949",
     ('storm', 'full', 3):
         "1fb82647f6831fa8c5ab360dd5c391bebe0bfe23f6f281b2c9f0acb6d52707a8",
     ('storm', 'full', 11):
@@ -76,24 +65,26 @@ PINNED = {
 }
 
 
-def _params(plan):
+def _params():
     # Tiny filter -> real false positives; short silence timeout ->
     # sweeps actually retire pairs at microsecond timescales.
-    return UFabParams(bloom_bits=64, silence_timeout_s=SILENCE_S,
-                      telemetry_plan=plan)
+    return UFabParams(bloom_bits=64, silence_timeout_s=SILENCE_S)
 
 
-def _snap(agent, now):
+def _snap(agent, now, stamped):
     """The CoreAgent public surface + link state, in exact-compare form.
 
     ``measured_tx(now)`` exposes the meter word (and refreshes it the
-    same way on every run); stamped hop tuples expose frozen/delta
-    state.
+    same way on every run); stamped hop tuples expose frozen state.
+    ``stamped`` and the two zeros after it stand where the pinned
+    snapshots held the agent's stamp counters (records stamped, and the
+    two counters of stamp layouts since deleted, always 0 under
+    ``full``): every stamp appends one record, so the driver counts
+    them.
     """
     link = agent.link
     return (agent.phi_total, agent.window_total, agent.active_pairs(),
-            agent.false_positives, agent.records_stamped,
-            agent.deltas_suppressed, agent.sketch_folds,
+            agent.false_positives, stamped, 0, 0,
             agent.telemetry_frozen, agent.measured_tx(now),
             link.queue, link.delivered_bits, link._last_sync, link.inflow)
 
@@ -101,12 +92,12 @@ def _snap(agent, now):
 class _Driver:
     """One agent on its own link, driven by ``(t, op, args)`` tuples."""
 
-    def __init__(self, cls, plan, seed):
+    def __init__(self, cls, seed):
         link = Link("L", "A", "B", capacity=1e9, prop_delay=1e-6)
-        self.agent = cls(link, _params(plan), bloom_seed=seed)
-        # A persistent multi-hop header: reusing it deepens header.hops
-        # so the sketch fold and delta suppression both fire.
+        self.agent = cls(link, _params(), bloom_seed=seed)
+        # A persistent multi-hop header: reusing it deepens header.hops.
         self.saved = None
+        self.stamped = 0
         self.digest = hashlib.sha256()
 
     def apply(self, t, op, args):
@@ -145,10 +136,12 @@ class _Driver:
             result = agent.measured_tx(t)
         else:
             raise AssertionError(op)
+        if header is not None:
+            self.stamped += 1
         hops = header and [
             (r.window_total, r.phi_total, r.tx_rate, r.queue, r.capacity,
              r.link_name) for r in header.hops]
-        entry = (op, result, hops, _snap(agent, t))
+        entry = (op, result, hops, _snap(agent, t, self.stamped))
         self.digest.update(repr(entry).encode())
         return entry
 
@@ -240,54 +233,51 @@ def _meter_ops(seed):
 STREAMS = {"random": _random_ops, "storm": _storm_ops, "meter": _meter_ops}
 
 
-def _check(stream, plan, seed):
+def _check(stream, seed):
     """Drive the agent and its checker through one stream: live compare, the sum
     model after every step, then the parent-recorded pin."""
-    b = _Driver(CoreAgent, plan, seed)
-    v = _Driver(PipelineCoreAgent, plan, seed)
+    b = _Driver(CoreAgent, seed)
+    v = _Driver(PipelineCoreAgent, seed)
     model = _SumModel()
     for step, (t, op, args) in enumerate(STREAMS[stream](seed)):
         fp_before = b.agent.false_positives
         entry = b.apply(t, op, args)
         assert entry == v.apply(t, op, args), f"step {step} (t={t})"
         model.step(t, op, args, entry[1], fp_before, v.agent)
-    assert b.digest.hexdigest() == PINNED[stream, plan, seed]
+    assert b.digest.hexdigest() == PINNED[stream, "full", seed]
 
 
-@pytest.mark.parametrize("seed", (1, 2, 7))
-@pytest.mark.parametrize("plan", PLANS)
-def test_randomized_sequences_keep_twins_identical(plan, seed):
-    _check("random", plan, seed)
+# Ids keep the layout label of the pins (``full-1`` ...).
+@pytest.mark.parametrize("seed", (1, 2, 7), ids=lambda seed: f"full-{seed}")
+def test_randomized_sequences_keep_twins_identical(seed):
+    _check("random", seed)
 
 
 @pytest.mark.parametrize("seed", (3, 11))
 def test_probe_storm_matches_under_full_plan(seed):
-    _check("storm", "full", seed)
+    _check("storm", seed)
 
 
 def test_measured_tx_is_exactly_equal_along_a_trajectory():
-    _check("meter", "full", 5)
+    _check("meter", 5)
 
 
 def test_streams_exercise_every_branch_the_model_reasons_about():
     # The pins and the model only mean something if the sequences reach
-    # false positives, sweeps that retire pairs, suppression and folds.
-    seen = {"fp": 0, "swept": 0, "suppressed": 0, "folds": 0}
-    for plan in PLANS:
-        d = _Driver(CoreAgent, plan, 1)
-        for t, op, args in _random_ops(1):
-            _, result, _, _ = d.apply(t, op, args)
-            if op == "sweep":
-                seen["swept"] += result
-        seen["fp"] += d.agent.false_positives
-        seen["suppressed"] += d.agent.deltas_suppressed
-        seen["folds"] += d.agent.sketch_folds
+    # false positives and sweeps that retire pairs.
+    seen = {"fp": 0, "swept": 0}
+    d = _Driver(CoreAgent, 1)
+    for t, op, args in _random_ops(1):
+        _, result, _, _ = d.apply(t, op, args)
+        if op == "sweep":
+            seen["swept"] += result
+    seen["fp"] += d.agent.false_positives
     assert all(seen.values()), seen
 
 
 if __name__ == "__main__":  # print PINNED from the imported tree's pipeline
     for case in PINNED:
-        d = _Driver(PipelineCoreAgent, case[1], case[2])
+        d = _Driver(PipelineCoreAgent, case[2])
         for t, op, args in STREAMS[case[0]](case[2]):
             d.apply(t, op, args)
         print(f"    {case!r}:\n        \"{d.digest.hexdigest()}\",")

@@ -2,11 +2,9 @@
 guarded, as tier-1 tests that fail on a count and never on a stopwatch.
 
 * simulated work per cell does not inflate (``events_processed``
-  ceilings on three ``scale`` cells and one ``telemetry`` cell);
+  ceilings on three ``scale`` cells);
 * flow-group folding holds at k = 16 (the memory-relevant count);
 * the k = 16 cell's fluid solver records exactly its pinned counts;
-* the default lightweight telemetry plan cuts Figure-22 bytes >= 2x and
-  stamped records >= 1.5x at <= 2 points of guarantee-compliance drift;
 * rate updates on calm fluid components skip the fixed point, and
   quiet ones beside throttled links do too;
 * a fault-free cell declares (almost) no probe lost.
@@ -34,8 +32,7 @@ import math
 
 import pytest
 
-from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
-from repro.experiments import fig11_guarantee, fig14_ebs, fig_telemetry, scale_sweep
+from repro.experiments import fig11_guarantee, fig14_ebs, scale_sweep
 from repro.obs import OBS
 from repro.sim.fluid import FluidSolver
 
@@ -57,11 +54,6 @@ K16_SOLVER_STATS = {
     "mean_component_flows": 151.392, "iterations": 1_166, "skipped_resolves": 14,
 }
 K16_DELIVERED_TOTAL_BPS = 101_567_930_683.403
-
-# The short telemetry cell, and its events_processed under the default
-# lightweight plan, by seed.
-TELEMETRY_CELL = {"duration": 0.02, "join_interval": 0.001}
-SAMPLED_EVENTS = {1: 23_054, 2: 22_918}
 
 # The 50 ms fig11 uFAB cell at seed 1: 107 incremental fluid solves over
 # 11 734 events.  Before calm resolves each solve was one fixed-point
@@ -110,20 +102,6 @@ def test_k16_cell_solver_counts_are_pinned():
     stats = row["solver_stats"]
     assert {key: stats[key] for key in K16_SOLVER_STATS} == K16_SOLVER_STATS
     assert row["delivered_total_bps"] == K16_DELIVERED_TOTAL_BPS
-
-
-def test_default_sampled_plan_halves_telemetry_bytes_within_two_points():
-    rows = [fig_telemetry.cell(plan, seed=seed, **TELEMETRY_CELL)
-            for seed in SAMPLED_EVENTS
-            for plan in ("full", DEFAULT_SAMPLED_PLAN)]
-    for row in rows:
-        if row["plan"] == DEFAULT_SAMPLED_PLAN:
-            assert row["events_processed"] <= ceiling(SAMPLED_EVENTS[row["seed"]])
-    sampled = next(entry for entry in fig_telemetry.frontier(rows)
-                   if entry["plan"] == DEFAULT_SAMPLED_PLAN)
-    assert sampled["byte_reduction"] >= 2.0      # measured x2.72
-    assert sampled["stamp_reduction"] >= 1.5     # measured x3.64
-    assert sampled["compliance_drift"] <= 0.02   # measured 0.0017
 
 
 def _count_kernel_runs(monkeypatch):

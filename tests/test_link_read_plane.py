@@ -25,7 +25,7 @@ from repro.core.p4pipe import PipelineCoreAgent
 from repro.experiments import common
 from repro.sim.host import VMPair
 from repro.sim.link import Link, path_max_utilization
-from repro.sim.network import Network, _TransitEntry
+from repro.sim.network import Network
 from repro.sim.topology import dumbbell
 from repro.workloads.synthetic import incast_pairs
 
@@ -170,13 +170,25 @@ class _Withdraw:
         self.link._pending.remove(self.entry)
 
 
+class _Integrate:
+    """A ledger entry that integrates the link at ``t`` when flushed,
+    as a stamp does before it reads the registers."""
+
+    def __init__(self, link, t, seq):
+        self.t, self.seq, self.applied = t, seq, False
+        self.flight = _Withdraw(link, self)
+
+    def __lt__(self, other):
+        return (self.t, self.seq) < (other.t, other.seq)
+
+    def fire(self, link):
+        self.applied = True
+        link._integrate(self.t)
+
+
 def _pend(link, t, seq):
-    """A no-stamp ledger entry (integrates the link at ``t`` when
-    flushed), inserted in (t, seq) order like Network does."""
-    entry = _TransitEntry()
-    entry.t, entry.seq, entry.stamp, entry.applied = t, seq, False, False
-    entry.flight, entry.link, entry.hop = _Withdraw(link, entry), link, 0
-    link._pending.append(entry)
+    """Ledger an integrating entry in (t, seq) order like Network does."""
+    link._pending.append(_Integrate(link, t, seq))
     link._pending.sort()
 
 

@@ -74,7 +74,7 @@ def test_phv_capacity():
 
 def test_record_slots_bounded_by_nhop_field():
     with pytest.raises(PhvCapacityError, match="4-bit"):
-        build_ufab_pipeline("full", record_slots=MAX_RECORD_SLOTS + 1)
+        build_ufab_pipeline(record_slots=MAX_RECORD_SLOTS + 1)
 
 
 def test_all_pipeline_errors_share_a_base():
@@ -88,7 +88,7 @@ def test_all_pipeline_errors_share_a_base():
 # ----------------------------------------------------------------------
 
 def test_one_rmw_per_register_per_packet():
-    prog = build_ufab_pipeline("full")
+    prog = build_ufab_pipeline()
     with prog.pipe.packet() as ctx:
         prog.r_phi.rmw(ctx, lambda v: (v or 0.0) + 1.0)
         with pytest.raises(RegisterAccessError, match="accessed twice"):
@@ -96,7 +96,7 @@ def test_one_rmw_per_register_per_packet():
 
 
 def test_accesses_must_follow_stage_order():
-    prog = build_ufab_pipeline("full")
+    prog = build_ufab_pipeline()
     with prog.pipe.packet() as ctx:
         prog.r_queue.latch(ctx, 0.0)  # late stage first...
         with pytest.raises(RegisterAccessError, match="flow forward"):
@@ -110,7 +110,7 @@ def test_unplaced_register_rejected():
 
 
 def test_one_table_apply_per_packet():
-    prog = build_ufab_pipeline("full")
+    prog = build_ufab_pipeline()
     with prog.pipe.packet() as ctx:
         prog.t_kind.apply(ctx, 1)
         with pytest.raises(RegisterAccessError, match="applied twice"):
@@ -118,7 +118,7 @@ def test_one_table_apply_per_packet():
 
 
 def test_read_then_write_is_the_one_rmw_and_later_reads_are_forwarded():
-    prog = build_ufab_pipeline("full")
+    prog = build_ufab_pipeline()
     with prog.pipe.packet() as ctx:
         prog.r_phi.read(ctx)
         prog.r_phi.write(ctx, 1.0)  # same stage: completes the RMW
@@ -132,7 +132,7 @@ def test_read_then_write_is_the_one_rmw_and_later_reads_are_forwarded():
 
 
 def test_control_plane_port_is_unconstrained():
-    prog = build_ufab_pipeline("full")
+    prog = build_ufab_pipeline()
     prog.r_phi.value = 0.0
     prog.r_phi.rmw(None, lambda v: v + 1.0)
     prog.r_phi.rmw(None, lambda v: v + 1.0)  # no ctx, no rules
@@ -142,7 +142,7 @@ def test_control_plane_port_is_unconstrained():
 def test_packet_contexts_are_independent():
     # A nested packet (a deferred fast-path probe fired mid-stamp) must
     # get a fresh access tracker, not the outer packet's cursor.
-    prog = build_ufab_pipeline("full")
+    prog = build_ufab_pipeline()
     with prog.pipe.packet() as outer:
         prog.r_queue.latch(outer, 0.0)
         with prog.pipe.packet() as inner:
@@ -153,9 +153,9 @@ def test_packet_contexts_are_independent():
 # The checker is wired to the operations CoreAgent really runs
 # ----------------------------------------------------------------------
 
-def _agent(cls=PipelineCoreAgent, plan="full"):
+def _agent(cls=PipelineCoreAgent):
     link = Link("L", "A", "B", capacity=1e9, prop_delay=1e-6)
-    return cls(link, UFabParams(telemetry_plan=plan))
+    return cls(link, UFabParams())
 
 
 def _probe(kind=ProbeKind.PROBE, pid="a->b", n_hops=0):
@@ -168,8 +168,8 @@ def _probe(kind=ProbeKind.PROBE, pid="a->b", n_hops=0):
 def test_pipeline_agent_adds_placement_only():
     assert issubclass(PipelineCoreAgent, CoreAgent)
     algorithm = {
-        "_register", "_finish", "on_finish", "_meter_update", "measured_tx",
-        "_stamp_planned", "_append_record", "_snapshot", "freeze_telemetry",
+        "_register", "_finish", "on_finish", "measured_tx",
+        "_append_record", "_snapshot", "freeze_telemetry",
         "unfreeze_telemetry", "reset", "sweep", "active_pairs",
         "target_capacity"}
     assert not algorithm & set(vars(PipelineCoreAgent))
@@ -211,7 +211,7 @@ def test_second_write_of_a_register_is_caught_on_a_real_probe():
 
 
 def test_control_plane_entry_points_open_no_packet():
-    agent = _agent(plan="delta:rel=0.1")
+    agent = _agent()
     agent.on_probe(_probe(), 1e-6)
     agent.measured_tx(2e-6)
     agent.measured_tx(2e-6)
@@ -261,28 +261,6 @@ def test_sixteenth_record_overflows_the_nhop_field():
         agent.stamp(header, 20e-6)
 
 
-def test_stamps_that_append_nothing_fit_a_full_header():
-    sketch = _agent(plan="sketch")
-    sketch.on_probe(_probe(n_hops=MAX_RECORD_SLOTS), 1e-6)
-    assert sketch.sketch_folds == 1
-    delta = _agent(plan="delta:rel=0.1")
-    delta.on_probe(_probe(), 1e-6)  # stamps, and records the last view
-    delta.on_probe(_probe(n_hops=MAX_RECORD_SLOTS), 1e-6)  # nothing moved
-    assert delta.deltas_suppressed == 1
-    with pytest.raises(PhvCapacityError):
-        delta.on_probe(_probe(ProbeKind.FINISH, n_hops=MAX_RECORD_SLOTS), 1e-6)
-
-
-def test_delta_state_is_unreachable_from_a_packet_without_its_stage():
-    # r_delta is placed only under a delta plan; elsewhere it is
-    # control-plane scratch that no packet may touch.
-    agent = _agent(plan="full")
-    agent._delta_last = None  # what reset() does
-    with agent.prog.pipe.packet() as ctx:
-        with pytest.raises(RegisterAccessError, match="not placed"):
-            agent.prog.r_delta.read(ctx)
-
-
 # ----------------------------------------------------------------------
 # The built uFAB-C program and its resource accounting
 # ----------------------------------------------------------------------
@@ -292,19 +270,12 @@ def test_delta_state_is_unreachable_from_a_packet_without_its_stage():
 _BASE_USAGE = {"stages": 9, "salus": 9, "vliw": 7, "xbar_bytes": 25,
                "tcam_blocks": 1, "sram_kbits": 640.21875, "hash_bits": 34,
                "phv_bits": 1096}
-PINNED_USAGE = {
-    "full": _BASE_USAGE,
-    "sampled:k=4": dict(_BASE_USAGE, phv_bits=1112),
-    "sampled:p=0.5,seed=11": dict(_BASE_USAGE, phv_bits=1112),
-    "delta:rel=0.1": dict(_BASE_USAGE, stages=10, salus=11, vliw=9,
-                          sram_kbits=640.34375, phv_bits=1112),
-    "sketch": dict(_BASE_USAGE, stages=10, vliw=11),
-}
 
 
-@pytest.mark.parametrize("plan", sorted(PINNED_USAGE))
-def test_program_usage_is_pinned(plan):
-    assert build_ufab_pipeline(plan).pipe.usage() == PINNED_USAGE[plan]
+# The id names the Figure-22 every-hop layout the pin was recorded for.
+@pytest.mark.parametrize("usage", [pytest.param(_BASE_USAGE, id="full")])
+def test_program_usage_is_pinned(usage):
+    assert build_ufab_pipeline().pipe.usage() == usage
 
 
 def test_reference_deployment_usage_is_pinned():
@@ -314,31 +285,23 @@ def test_reference_deployment_usage_is_pinned():
 
 
 def test_ufab_program_fits_the_device():
-    for plan in ("full", "sampled:k=4", "delta:rel=0.1", "sketch"):
-        usage = build_ufab_pipeline(plan).pipe.usage()
-        assert usage["stages"] <= TOFINO_STAGES
-        assert usage["phv_bits"] <= PHV_BITS_TOTAL
+    usage = build_ufab_pipeline().pipe.usage()
+    assert usage["stages"] <= TOFINO_STAGES
+    assert usage["phv_bits"] <= PHV_BITS_TOTAL
 
 
 def test_modeled_only_table_has_no_footprint():
-    small = build_ufab_pipeline("full", pair_entries=10)
-    large = build_ufab_pipeline("full", pair_entries=1_000_000)
+    small = build_ufab_pipeline(pair_entries=10)
+    large = build_ufab_pipeline(pair_entries=1_000_000)
     assert small.pipe.usage() == large.pipe.usage()
 
 
 def test_bloom_banks_partition_the_filter():
     # k banks of m/k counters: total Bloom SRAM is the m 4-bit counters
     # of the sized filter regardless of k.
-    prog = build_ufab_pipeline("full", bloom_counters=8192, n_hashes=2)
+    prog = build_ufab_pipeline(bloom_counters=8192, n_hashes=2)
     assert sum(r.entries for r in prog.r_blooms) == 8192
     assert all(r.width_bits == 4 for r in prog.r_blooms)
-
-
-def test_delta_plan_costs_an_extra_stage_and_register():
-    full = build_ufab_pipeline("full").pipe.usage()
-    delta = build_ufab_pipeline("delta:rel=0.1").pipe.usage()
-    assert delta["stages"] == full["stages"] + 1
-    assert delta["salus"] == full["salus"] + 2  # paired-SALU last view
 
 
 # ----------------------------------------------------------------------

@@ -93,16 +93,26 @@ def test_tofino_20k_matches_table4():
     assert usage["Hash Bits"] == pytest.approx(17.03, abs=0.25)
 
 
-def test_tofino_usage_is_derived_from_pipeline():
+def test_tofino_usage_is_derived_from_pipeline(monkeypatch):
     """usage() reads the built program, not transcribed constants: a
-    plan that adds a register/stage moves the derived percentages."""
-    full = TofinoResourceModel(20_000, plan="full")
-    delta = TofinoResourceModel(20_000, plan="delta:rel=0.1")
-    assert delta.pipeline_usage()["salus"] > full.pipeline_usage()["salus"]
-    assert delta.usage()["Stateful ALUs"] > full.usage()["Stateful ALUs"]
+    program with one more register moves the derived percentages."""
+    from repro.core import p4pipe
+
+    model = TofinoResourceModel(20_000)
+    raw, usage = model.pipeline_usage(), model.usage()
     # Raw counts respect the device envelope the pipeline enforces.
-    raw = full.pipeline_usage()
     assert raw["stages"] <= 12 and raw["phv_bits"] <= 4096
+    build = p4pipe.build_ufab_pipeline
+
+    def with_extra_register(**kwargs):
+        prog = build(**kwargs)
+        prog.pipe.stage("extra").register(
+            p4pipe.Register("r_extra", width_bits=32, entries=1))
+        return prog
+
+    monkeypatch.setattr(p4pipe, "build_ufab_pipeline", with_extra_register)
+    assert model.pipeline_usage()["salus"] == raw["salus"] + 1
+    assert model.usage()["Stateful ALUs"] > usage["Stateful ALUs"]
 
 
 def test_tofino_scaling_matches_table4_trend():
