@@ -102,7 +102,7 @@ class BaselinePair:
         # their callbacks no-ops instead of acting on a removed pair.
         self._stopped = True
         if self._probe_event is not None:
-            self._probe_event.cancel()
+            self.sim.cancel(self._probe_event)
             self._probe_event = None
 
     # ------------------------------------------------------------------
@@ -134,7 +134,7 @@ class BaselinePair:
         if self._stopped:
             return
         if self._probe_event is not None:
-            self._probe_event.cancel()
+            self.sim.cancel(self._probe_event)
             self._probe_event = None
         rtt = now - sent_at
         delivered = self.network.delivered_rate(self.pair.pair_id)

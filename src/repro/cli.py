@@ -142,6 +142,12 @@ def _trace(args) -> None:
     spec = get_spec(args.experiment)
     pick = {}
     if args.scheme and any(axis.name == "schemes" for axis in spec.axes):
+        from repro.baselines import registry
+
+        try:
+            registry.get(args.scheme)  # fail here, not inside the cell
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         pick["schemes"] = (args.scheme,)
     grid_jobs = build_grid(spec.name, duration=args.duration,
                            seeds=(args.seed,), **pick)

@@ -25,7 +25,7 @@ __all__ = ["CoreAgent"]
 
 _PROBE = ProbeKind.PROBE
 _FINISH = ProbeKind.FINISH
-_NEW_HOP = HopRecord.__new__
+_NEW_RECORD = tuple.__new__
 
 # ---------------------------------------------------------------------
 # Observability declarations (recorded only when OBS.enabled)
@@ -180,7 +180,7 @@ class CoreAgent:
         """EWMA'd windowed TX rate from the port's byte counter."""
         link = self.link
         pending = link._pending
-        if (pending and pending[0].t < now) or now > link._last_sync:
+        if (pending and pending[0][0] < now) or now > link._last_sync:
             link.sync(now)
         t_last, d_last, tx = self._tx_meter
         dt = now - t_last
@@ -224,7 +224,7 @@ class CoreAgent:
         # measured_tx(now) inlined — one stamp per hop per probe makes
         # this the hottest code in the core; same guard, same float ops.
         pending = link._pending
-        if (pending and pending[0].t < now) or now > link._last_sync:
+        if (pending and pending[0][0] < now) or now > link._last_sync:
             link.sync(now)
         # Registers are read after the sync (its deferred emissions may
         # have updated them) and in stage order, ahead of the meter.
@@ -243,15 +243,9 @@ class CoreAgent:
         # The link is synced to ``now``, so the raw queue register is
         # current — same value queue_bits(now) would return.
         queue = link.queue
-        # Slot stores on a bare instance skip the __init__ frame.
-        rec = _NEW_HOP(HopRecord)
-        rec.window_total = window_total
-        rec.phi_total = phi_total
-        rec.tx_rate = tx
-        rec.queue = queue
-        rec.capacity = link.capacity
-        rec.link_name = link.name
-        header.hops.append(rec)
+        # One C-level tuple build, HopRecord field order: no __new__ frame.
+        header.hops.append(_NEW_RECORD(HopRecord, (
+            window_total, phi_total, tx, queue, link.capacity, link.name)))
         if OBS.enabled:
             name = link.name
             OBS.trace.record(now, _EV_QUEUE, {

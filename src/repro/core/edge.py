@@ -145,8 +145,8 @@ def _stamp_on_hop(payload: ProbeHeader, link, now: float) -> None:
 
 class _RoundTrip:
     """Per-round-trip state for :meth:`EdgeAgent.launch_probe`: the
-    destination turnaround, the echo, and the reverse path resolved once
-    at launch.  One per probe, alive while the probe is in flight; the
+    destination turnaround, the echo, and the reverse path the response
+    takes.  One per probe, alive while the probe is in flight; the
     header it delivers belongs to the response consumer from then on."""
 
     __slots__ = ("network", "pair_id", "dst_agent", "header", "on_response", "reverse")
@@ -183,7 +183,15 @@ class PairController:
         self.pair = pair
         self.params = agent.params
         self.network = agent.network
+        self.sim = agent.network.sim
         self.book = PathBook(candidates)
+        # Route constants, resolved once: the candidate list never
+        # changes (a restart keeps it), and each feedback would
+        # otherwise hash a whole path in Topology.base_rtt and
+        # Topology.reverse_path.
+        topology = self.network.topology
+        self._base_rtts = [topology.base_rtt(p) for p in self.book.candidates]
+        self._reverses = [topology.reverse_path(p) for p in self.book.candidates]
         self.current_idx = 0
         self.decision = PairDecisionState(self.base_rtt(0))
         self.phi_receiver = math.inf
@@ -201,10 +209,6 @@ class PairController:
     # Helpers
     # ------------------------------------------------------------------
     @property
-    def sim(self):
-        return self.network.sim
-
-    @property
     def state(self) -> PairState:
         return self.decision.state
 
@@ -216,7 +220,7 @@ class PairController:
         return self.book.candidates[self.current_idx if idx is None else idx]
 
     def base_rtt(self, idx: Optional[int] = None) -> float:
-        return self.network.topology.base_rtt(self.path(idx))
+        return self._base_rtts[self.current_idx if idx is None else idx]
 
     def phi(self) -> float:
         """Effective token: sender assignment bounded by receiver admission."""
@@ -370,7 +374,7 @@ class PairController:
 
         def on_response(hdr: ProbeHeader, now: float) -> None:
             if timeout_ev[0] is not None:
-                timeout_ev[0].cancel()
+                self.sim.cancel(timeout_ev[0])
                 timeout_ev[0] = None
             if self.book is not book:
                 return
@@ -387,7 +391,8 @@ class PairController:
         timeout_ev[0] = self.sim.schedule(self.params.probe_timeout_rtts * max(
             self.base_rtt(idx), self.decision.rtt_est), on_timeout)
         self._note_send("scout", header, path)
-        self.agent.launch_probe(self.pair, path, header, _stamp_on_hop, on_response)
+        self.agent.launch_probe(self.pair, path, header, _stamp_on_hop, on_response,
+                                self._reverses[idx])
 
     def _note_send(self, kind: str, header: ProbeHeader, path: Path) -> None:
         self.stats["probes_sent"] += 1
@@ -408,8 +413,9 @@ class PairController:
         this probe's echo (``header.seq``) disarms it.  A fresh header
         per probe; its echo's consumer may keep it.
         """
-        # If the probe timer fired to get here, its event is spent: drop
-        # the reference so no later cancel counts it twice.
+        # Forget the probe timer without cancelling it.  Reached from the
+        # timer itself, it is spent; a loss retransmit leaves a timer
+        # that a late echo armed to fire as scheduled.
         self._probe_event = None
         if self.decision.state is PairState.IDLE:
             return
@@ -428,7 +434,8 @@ class PairController:
         self._timeout_event = self.sim.schedule(timeout, self._on_probe_loss)
         path = self.path(idx)
         self._note_send("probe", header, path)
-        self.agent.launch_probe(self.pair, path, header, _probe_on_hop, self._on_echo)
+        self.agent.launch_probe(self.pair, path, header, _probe_on_hop, self._on_echo,
+                                self._reverses[idx])
 
     def _on_echo(self, header: ProbeHeader, now: float) -> None:
         """Echo of the control probe: one :func:`on_feedback` step.  (The
@@ -491,7 +498,8 @@ class PairController:
         """Finish probe: retire this pair's registers along active paths."""
         for idx in list(self._registered_paths):
             header = self._make_header(ProbeKind.FINISH)
-            self.agent.launch_probe(self.pair, self.path(idx), header, _probe_on_hop, None)
+            self.agent.launch_probe(self.pair, self.path(idx), header, _probe_on_hop, None,
+                                    self._reverses[idx])
         self._registered_paths.clear()
 
     # ------------------------------------------------------------------
@@ -574,12 +582,12 @@ class PairController:
 
     def _cancel_probe_timer(self) -> None:
         if self._probe_event is not None:
-            self._probe_event.cancel()
+            self.sim.cancel(self._probe_event)
             self._probe_event = None
 
     def _cancel_timeout(self) -> None:
         if self._timeout_event is not None:
-            self._timeout_event.cancel()
+            self.sim.cancel(self._timeout_event)
             self._timeout_event = None
 
     def _cancel_timers(self) -> None:
@@ -612,11 +620,13 @@ class EdgeAgent:
             controller.restart()
 
     def launch_probe(self, pair: VMPair, path: Path, header: ProbeHeader, on_hop,
-                     on_response: Optional[Callable[[ProbeHeader, float], None]]) -> None:
-        """Send a probe; the destination edge answers over the reverse path."""
+                     on_response: Optional[Callable[[ProbeHeader, float], None]],
+                     reverse: Path) -> None:
+        """Send a probe down ``path``; the destination edge answers over
+        ``reverse``, the path's hop-by-hop reverse."""
         network = self.network
         rt = _RoundTrip(network, pair.pair_id, network.hosts[pair.dst_host].edge_agent,
-                        header, on_response, network.topology.reverse_path(path))
+                        header, on_response, reverse)
         network.send_probe(
             path, header, on_hop=on_hop, on_arrive=rt.at_destination,
             pure_hop=True)

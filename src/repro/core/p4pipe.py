@@ -110,7 +110,11 @@ SALUS_TOTAL = TOFINO_STAGES * SALUS_PER_STAGE
 
 #: Figure-22 record field widths: W 16, Phi_l 16, tx_l 16, q_l 12, C_l 4.
 RECORD_BITS = 64
-#: Fixed Figure-22 header fields: type 4, nHop 4, phi_{a->b} 24.
+#: Fixed Figure-22 header fields: type, nHop and phi_{a->b}.
+KIND_BITS = 4
+NHOP_BITS = 4
+PHI_BITS = 24
+#: Their total, the fixed part of the Figure-22 header.
 HEADER_BITS = 32
 #: nHop is a 4-bit field: at most 15 record slots can be parsed.
 MAX_RECORD_SLOTS = 15
@@ -440,9 +444,9 @@ def build_ufab_pipeline(
 
     # PHV: Figure-22 fields plus forwarding metadata (RMW results
     # bridged to the stamp stage — see the module docstring).
-    pipe.phv("fig22.kind", 4)
-    pipe.phv("fig22.nhop", 4)
-    pipe.phv("fig22.phi", 24)
+    pipe.phv("fig22.kind", KIND_BITS)
+    pipe.phv("fig22.nhop", NHOP_BITS)
+    pipe.phv("fig22.phi", PHI_BITS)
     pipe.phv("fig22.records", RECORD_BITS * record_slots)
     pipe.phv("md.phi_fwd", 32)
     pipe.phv("md.w_fwd", 32)

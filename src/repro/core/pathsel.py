@@ -174,9 +174,8 @@ def digest_hops(
     max_queue = 0.0
     headroom = share = wc = math.inf
     window = entitlement = increment = floor = math.inf
-    for hop in hops:
-        c_target = eta * hop.capacity
-        phi_total = hop.phi_total
+    for window_total, phi_total, tx, queue, capacity, _ in hops:
+        c_target = eta * capacity
         pt = phi_total if phi_total > phi else phi
         frac = phi / pt
         sub = phi_total * bu / c_target
@@ -188,7 +187,6 @@ def digest_hops(
         prop = frac * c_target
         if prop < share:
             share = prop
-        tx = hop.tx_rate
         if tx <= 0:
             wc_h = c_target
         else:
@@ -197,11 +195,9 @@ def digest_hops(
                 wc_h = c_target
         if wc_h < wc:
             wc = wc_h
-        queue = hop.queue
         if queue > max_queue:
             max_queue = queue
         bdp = c_target * t
-        window_total = hop.window_total
         denom = tx * t + queue
         if window_total <= 0 or denom <= 0:
             ent = bdp

@@ -15,10 +15,9 @@ enough precision for the control laws.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import struct
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 
 class ProbeKind(enum.IntEnum):
@@ -54,67 +53,59 @@ SPEED_CODES = {
 _SPEED_TO_CODE = {v: k for k, v in SPEED_CODES.items()}
 
 
-class HopRecord:
+class HopRecord(NamedTuple):
     """One hop's INT record: what uFAB-C stamps at a link.
 
-    Hand-written ``__slots__`` class rather than a dataclass: one is
-    allocated per hop per stamped probe — the single hottest allocation
-    in big sweeps — and slots keep it compact on every supported Python
-    (``dataclass(slots=True)`` needs 3.10+).
+    A tuple: one is built per hop per stamped probe — the single
+    hottest allocation in big sweeps — so :meth:`CoreAgent.stamp
+    <repro.core.corenode.CoreAgent.stamp>` makes it with one C-level
+    ``tuple.__new__`` and :func:`repro.core.pathsel.digest_hops` unpacks
+    it by position.  The first five fields are Figure 22's record, in
+    codec order.
     """
 
-    __slots__ = ("window_total", "phi_total", "tx_rate", "queue",
-                 "capacity", "link_name")
-
-    def __init__(self, window_total: float, phi_total: float, tx_rate: float,
-                 queue: float, capacity: float, link_name: str = "") -> None:
-        self.window_total = window_total  # W_l: total sending window (bits)
-        self.phi_total = phi_total  # Phi_l: total active tokens on the link
-        self.tx_rate = tx_rate  # tx_l: actual output rate (bits/s)
-        self.queue = queue  # q_l: real-time queue size (bits)
-        self.capacity = capacity  # C_l: physical port speed (bits/s)
-        self.link_name = link_name  # simulator-side debugging aid; not on wire
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HopRecord):
-            return NotImplemented
-        return (self.window_total == other.window_total
-                and self.phi_total == other.phi_total
-                and self.tx_rate == other.tx_rate
-                and self.queue == other.queue
-                and self.capacity == other.capacity
-                and self.link_name == other.link_name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"HopRecord(window_total={self.window_total!r}, "
-                f"phi_total={self.phi_total!r}, tx_rate={self.tx_rate!r}, "
-                f"queue={self.queue!r}, capacity={self.capacity!r}, "
-                f"link_name={self.link_name!r})")
+    window_total: float  # W_l: total sending window (bits)
+    phi_total: float  # Phi_l: total active tokens on the link
+    tx_rate: float  # tx_l: actual output rate (bits/s)
+    queue: float  # q_l: real-time queue size (bits)
+    capacity: float  # C_l: physical port speed (bits/s)
+    link_name: str = ""  # simulator-side debugging aid; not on wire
 
 
-@dataclasses.dataclass
 class ProbeHeader:
     """The probe payload carried end to end."""
 
-    kind: ProbeKind
-    pair_id: str
-    phi: float  # phi_{a->b}: the sender-side (or receiver-side) token
-    window: float  # w^l_{a->b}: the pair's sending window (bits)
-    hops: List[HopRecord] = dataclasses.field(default_factory=list)
-    # Receiver-side token, filled into the response (section 3.2: the
-    # destination "returns ... its local minimum bandwidth").
-    phi_receiver: Optional[float] = None
-    # Sequence number for RTT measurement / loss detection at the edge.
-    seq: int = 0
-    # Edge-side round-trip bookkeeping (not on the wire): launch time
-    # and the candidate-path index this probe was sent down.  Carried on
-    # the header so the response callback needs no per-probe closure.
-    sent_at: float = 0.0
-    path_idx: int = -1
+    __slots__ = ("kind", "pair_id", "phi", "window", "hops", "phi_receiver",
+                 "seq", "sent_at", "path_idx")
+
+    def __init__(self, kind: ProbeKind, pair_id: str, phi: float, window: float,
+                 hops: Optional[List[HopRecord]] = None,
+                 phi_receiver: Optional[float] = None, seq: int = 0,
+                 sent_at: float = 0.0, path_idx: int = -1) -> None:
+        self.kind = kind
+        self.pair_id = pair_id
+        self.phi = phi  # phi_{a->b}: the sender-side (or receiver-side) token
+        self.window = window  # w^l_{a->b}: the pair's sending window (bits)
+        self.hops: List[HopRecord] = [] if hops is None else hops
+        # Receiver-side token, filled into the response (section 3.2: the
+        # destination "returns ... its local minimum bandwidth").
+        self.phi_receiver = phi_receiver
+        # Sequence number for RTT measurement / loss detection at the edge.
+        self.seq = seq
+        # Edge-side round-trip bookkeeping (not on the wire): launch time
+        # and the candidate-path index this probe was sent down.  Carried
+        # on the header so the response callback needs no per-probe
+        # closure.
+        self.sent_at = sent_at
+        self.path_idx = path_idx
 
     @property
     def n_hops(self) -> int:
         return len(self.hops)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"ProbeHeader(kind={self.kind!r}, pair_id={self.pair_id!r}, "
+                f"seq={self.seq}, n_hops={len(self.hops)})")
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Discrete-event simulation engine.
 
-A minimal, fast event loop: the heap holds ``(time, seq, Event)``
-triples so ordering comparisons run as C tuple compares rather than
-Python ``__lt__`` calls.  The sequence number makes ordering total and
-deterministic for simultaneous events, which matters for reproducible
-convergence traces.  (The engine is simulation substrate, not a paper
-mechanism — the hardware→simulation mapping lives in ``DESIGN.md``; the
-event cadence it drives is the per-RTT control loop of sections
-3.3-3.5.)
+A minimal, fast event loop.  An event *is* its heap entry, the list
+``[time, seq, fn, args]``: one C-level list display per event, and
+ordering comparisons run as C list compares rather than Python
+``__lt__`` calls.  The sequence number is unique, so a comparison never
+looks past ``(time, seq)``; it makes ordering total and deterministic
+for simultaneous events, which matters for reproducible convergence
+traces.  :meth:`Simulator.schedule` / :meth:`Simulator.at` return the
+entry, a handle for :meth:`Simulator.cancel`; the loop clears ``fn``
+on the entry it fires and cancellation clears it too, so cancelling an
+event that already fired or was already cancelled is a no-op.  (The
+engine is simulation substrate, not a paper mechanism — the
+hardware→simulation mapping lives in ``DESIGN.md``; the event cadence
+it drives is the per-RTT control loop of sections 3.3-3.5.)
 
 Heap compaction: cancelled events stay heaped until popped, which lets
-:meth:`Event.cancel` run in O(1) — but a workload that schedules and
+:meth:`Simulator.cancel` run in O(1) — but a workload that schedules and
 cancels aggressively (probe timeouts are cancelled on every echo) can
 leave the heap dominated by corpses.  When cancelled entries outnumber
 live ones beyond ``COMPACT_RATIO``, the heap is rebuilt in place without
@@ -31,8 +36,9 @@ way.
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.obs import OBS
 
@@ -46,47 +52,11 @@ _M_COMPACTIONS = OBS.metrics.counter(
 COMPACT_RATIO = 2
 COMPACT_MIN_CANCELLED = 64
 
+_heappush = heapq.heappush
 
-class Event:
-    """A scheduled callback.  Cancel with :meth:`cancel`.
-
-    Every event is a fresh object; the garbage collector reclaims it
-    once nothing refers to it.  Cancel only an event that has not fired:
-    a fired event is no longer counted live, so cancelling it would
-    miscount :meth:`Simulator.pending`.  Holders of a timer therefore
-    drop their reference when it fires.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: "Optional[Simulator]" = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Mark the event dead; the engine skips it when popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.9f}, fn={getattr(self.fn, '__name__', self.fn)}, {state})"
+#: A scheduled event: its heap entry ``[time, seq, fn, args]``; ``fn``
+#: is None once the event fired or was cancelled.
+Event = List[Any]
 
 
 class Simulator:
@@ -94,12 +64,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Event] = []
         self._seq = 0
-        self._live = 0
+        # Cancelled entries still heaped; the live count is the rest.
         self._cancelled = 0
         self._running = False
         self._stopped = False  # stop() was called (outlives _running)
+        # Updated when a run() (or a profiler slice of one) returns,
+        # not per event.
         self.events_processed = 0
         self.compactions = 0
         self.compacted_events = 0
@@ -114,27 +86,26 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
-        Body duplicates :meth:`at` rather than delegating — this is the
-        per-event hot path, and the extra frame is measurable.
+        Returns the event's heap entry (the handle :meth:`cancel`
+        takes).  Body duplicates :meth:`at` rather than delegating —
+        this is the per-event hot path, and the extra frame is
+        measurable.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        time = self.now + delay
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, (time, self._seq, ev))
-        self._live += 1
-        return ev
+        self._seq = seq = self._seq + 1
+        entry = [self.now + delay, seq, fn, args]
+        _heappush(self._heap, entry)
+        return entry
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, (time, self._seq, ev))
-        self._live += 1
-        return ev
+        self._seq = seq = self._seq + 1
+        entry = [time, seq, fn, args]
+        _heappush(self._heap, entry)
+        return entry
 
     # Only the frozen benchmarks/perf/trace.py uses these names: it wraps
     # them alongside schedule / at.  Nothing in src/ calls them.
@@ -142,13 +113,20 @@ class Simulator:
     at_transient = at
 
     # ------------------------------------------------------------------
-    # Cancellation bookkeeping and heap compaction
+    # Cancellation and heap compaction
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        self._cancelled += 1
-        if (self._cancelled > COMPACT_RATIO * self._live
-                and self._cancelled > COMPACT_MIN_CANCELLED):
+    def cancel(self, event: Event) -> None:
+        """Drop a scheduled event; the loop skips it when popped.
+
+        A no-op for an event that already fired or was cancelled, so
+        :meth:`pending` stays exact whoever holds the handle.
+        """
+        if event[2] is None:
+            return
+        event[2] = None
+        self._cancelled = cancelled = self._cancelled + 1
+        if (cancelled > COMPACT_RATIO * (len(self._heap) - cancelled)
+                and cancelled > COMPACT_MIN_CANCELLED):
             self._compact()
 
     def _compact(self) -> None:
@@ -158,7 +136,7 @@ class Simulator:
         reference to ``self._heap`` keeps seeing the compacted heap.
         """
         before = len(self._heap)
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(self._heap)
         self.compactions += 1
         self.compacted_events += before - len(self._heap)
@@ -171,13 +149,16 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so lazily-integrated state
-        (link queues) can be synced at the horizon.
+        (link queues) can be synced at the horizon.  A ``max_events``
+        budget of 0 runs nothing; a negative one is an error.
 
         There is one loop, :meth:`_run_plain`, free of profiling work.
         With a :class:`~repro.obs.profile.SimProfiler` attached it runs
         in ``sample_every``-event slices and the profiler samples
         between them.
         """
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"negative event budget: {max_events}")
         profiler = self.profiler
         start = time.perf_counter()
         if profiler is None:
@@ -195,9 +176,9 @@ class Simulator:
                     profiler.tick(self, len(self._heap))
                 if left is not None:
                     left -= ran
-                # A short slice hit the horizon or an empty heap; a
-                # stop() on a slice's last event leaves a full slice,
-                # hence the flag.
+                # A short slice hit the horizon, an empty heap or the
+                # budget; a stop() on a slice's last event leaves a
+                # full slice, hence the flag.
                 if ran < every or self._stopped or (left is not None and left <= 0):
                     break
         if until is not None and self.now < until:
@@ -207,28 +188,34 @@ class Simulator:
             profiler.end(self)
 
     def _run_plain(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The run() loop without instrumentation (disabled-mode hot path)."""
+        """The run() loop without instrumentation (disabled-mode hot path).
+
+        Counts fired events in a local and adds them to
+        ``events_processed`` on the way out.
+        """
         self._running = True
         processed = 0
+        budget = -1 if max_events is None else max_events
+        horizon = math.inf if until is None else until
         heap = self._heap
         pop = heapq.heappop
-        while heap and self._running:
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                break
-            pop(heap)
-            ev = entry[2]
-            if ev.cancelled:
-                self._cancelled -= 1
-                continue
-            self._live -= 1
-            self.now = entry[0]
-            ev.fn(*ev.args)
-            self.events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        self._running = False
+        try:
+            while heap and self._running and processed != budget:
+                entry = heap[0]
+                if entry[0] > horizon:
+                    break
+                pop(heap)
+                fn = entry[2]
+                if fn is None:
+                    self._cancelled -= 1
+                    continue
+                entry[2] = None
+                self.now = entry[0]
+                fn(*entry[3])
+                processed += 1
+        finally:
+            self.events_processed += processed
+            self._running = False
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
@@ -238,8 +225,7 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.
 
-        O(1): a counter maintained on schedule/cancel/pop rather than a
-        scan of the heap (cancelled entries stay heaped until popped or
-        compacted away).
+        O(1): the heap size less the cancelled entries still in it
+        (they stay heaped until popped or compacted away), not a scan.
         """
-        return self._live
+        return len(self._heap) - self._cancelled

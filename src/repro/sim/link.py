@@ -95,7 +95,7 @@ class Link:
         fluid queue to ``now``.
         """
         pending = self._pending
-        if pending and pending[0].t < now:
+        if pending and pending[0][0] < now:
             # Head check inlined: entries are (t, seq)-sorted and seq is
             # always positive, so the strict pre-``now`` flush has work
             # to do only when the head's emission time is in the past.
@@ -106,7 +106,7 @@ class Link:
             if self.queue == 0.0 and inflow <= self.capacity:
                 # Calm link (nine syncs in ten): _integrate's
                 # unsaturated, empty-queue branch without the call.
-                # The only other copy is _TransitEntry.fire in
+                # The only other copy is _Flight.fire in
                 # repro.sim.network; keep the two in step.
                 self.delivered_bits += inflow * (now - last)
                 self._last_sync = now
@@ -160,10 +160,11 @@ class Link:
         pending = self._pending
         while pending:
             entry = pending[0]
-            if entry.t > t or (entry.t == t and entry.seq > seq):
+            entry_t = entry[0]
+            if entry_t > t or (entry_t == t and entry[1] > seq):
                 break
             pending.pop(0)
-            entry.fire(self)
+            entry[2].fire(entry, self)
 
     def flush_pending(self, now: float) -> None:
         """Strictly flush pending emissions before ``now`` WITHOUT
@@ -187,7 +188,7 @@ class Link:
             # propagation) are no longer valid.  Kick every affected
             # flight back to per-hop simulation from its next hop.
             for entry in list(self._pending):
-                entry.flight.materialize(now)
+                entry[2].materialize(now)
 
     # ------------------------------------------------------------------
     # Observables (what uFAB-C reads and stamps into probes)

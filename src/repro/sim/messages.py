@@ -127,7 +127,7 @@ class MessageQueue:
 
     def _reschedule(self) -> None:
         if self._completion_event is not None:
-            self._completion_event.cancel()
+            self._sim.cancel(self._completion_event)
             self._completion_event = None
         if not self._queue or self._rate <= 0:
             return

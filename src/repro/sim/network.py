@@ -89,41 +89,14 @@ class Probe:
         self.dropped = False
 
 
-class _TransitEntry:
-    """One pending fast-path emission (``flight.entries[index]``): probe
-    ``flight`` enters hop ``hop``'s link at time ``t``.  Lives in the link's
-    sorted ledger until applied (``fire``) or withdrawn by materialization."""
-
-    __slots__ = ("t", "seq", "flight", "hop", "index", "link", "applied")
-
-    def __lt__(self, other: "_TransitEntry") -> bool:
-        return (self.t, self.seq) < (other.t, other.seq)
-
-    def fire(self, link: Link) -> None:
-        """Perform the stamp the per-hop event would have done at
-        (t, seq): integrate the link to the emission instant, then stamp.
-        Entries exist only for legs with an ``on_hop``.
-        """
-        self.applied = True
-        flight = self.flight
-        if self.index:
-            # An applied predecessor applied every entry before it.
-            if not flight.entries[self.index - 1].applied:
-                flight.ensure_prior(self.hop)
-        t = self.t
-        last = link._last_sync
-        if t > last:
-            inflow = link.inflow
-            if link.queue == 0.0 and inflow <= link.capacity:
-                # Calm link — the fast path's own launch condition, so
-                # nearly every fire: Link._integrate's unsaturated,
-                # empty-queue branch without the call.  The only other
-                # copy is Link.sync; keep the two in step.
-                link.delivered_bits += inflow * (t - last)
-                link._last_sync = t
-            else:
-                link._integrate(t)
-        flight.on_hop(flight.probe.payload, link, t)
+# A pending stamp (one ledger entry): the list
+# ``[t, seq, flight, hop, index, link, applied]`` — probe ``flight``
+# (``flight.entries[index]``) enters hop ``hop``'s ``link`` at time
+# ``t``.  It lives in the link's (t, seq)-sorted ledger until applied
+# (``_Flight.fire``) or withdrawn by materialization.  A flight crosses a
+# link at most once, so (t, seq) is unique within a ledger and neither
+# ``insort`` nor ``list.remove`` ever compares past it.  Fields are read
+# by position: t 0, seq 1, flight 2, hop 3, index 4, link 5, applied 6.
 
 
 class _Flight:
@@ -162,6 +135,33 @@ class _Flight:
         del self.entries[:]
         self.ev_pre = self.ev_arr = None
 
+    def fire(self, entry: list, link: Link) -> None:
+        """Apply ledger ``entry`` (one of this flight's): perform the
+        stamp the per-hop event would have done at (t, seq) — integrate
+        the link to the emission instant, then stamp.  Entries exist
+        only for legs with an ``on_hop``.
+        """
+        entry[6] = True
+        index = entry[4]
+        if index:
+            # An applied predecessor applied every entry before it.
+            if not self.entries[index - 1][6]:
+                self.ensure_prior(entry[3])
+        t = entry[0]
+        last = link._last_sync
+        if t > last:
+            inflow = link.inflow
+            if link.queue == 0.0 and inflow <= link.capacity:
+                # Calm link — the fast path's own launch condition, so
+                # nearly every fire: Link._integrate's unsaturated,
+                # empty-queue branch without the call.  The only other
+                # copy is Link.sync; keep the two in step.
+                link.delivered_bits += inflow * (t - last)
+                link._last_sync = t
+            else:
+                link._integrate(t)
+        self.on_hop(self.probe.payload, link, t)
+
     def ensure_prior(self, hop: int) -> None:
         """Apply this flight's earlier-hop entries before a later one.
 
@@ -171,10 +171,10 @@ class _Flight:
         earlier entries carry strictly earlier times.
         """
         for entry in self.entries:
-            if entry.hop >= hop:
+            if entry[3] >= hop:
                 break
-            if not entry.applied:
-                entry.link._flush_upto(entry.t, entry.seq)
+            if not entry[6]:
+                entry[5]._flush_upto(entry[0], entry[1])
 
     def flush_own(self) -> None:
         """Apply every still-pending entry of this flight, in hop order.
@@ -183,8 +183,8 @@ class _Flight:
         the past) so ``header.hops`` is complete before the callback.
         """
         for entry in self.entries:
-            if not entry.applied:
-                entry.link._flush_upto(entry.t, entry.seq)
+            if not entry[6]:
+                entry[5]._flush_upto(entry[0], entry[1])
 
     def materialize(self, now: float) -> None:
         """Fall back to per-hop simulation after a turbulence event.
@@ -202,10 +202,10 @@ class _Flight:
         net._fast_flights.pop(self.seq, None)
         net.fastpath_materialized += 1
         if self.ev_pre is not None:
-            self.ev_pre.cancel()
+            net.sim.cancel(self.ev_pre)
             self.ev_pre = None
         if self.ev_arr is not None:
-            self.ev_arr.cancel()
+            net.sim.cancel(self.ev_arr)
             self.ev_arr = None
         times = self.times
         entries = self.entries
@@ -214,7 +214,7 @@ class _Flight:
         # (stamped legs) or none (``on_hop``-less legs).  An entry a same-instant flush
         # already applied pins its hop in the past even when its
         # emission time equals ``now``.
-        applied_hops = {e.hop for e in entries if e.applied}
+        applied_hops = {e[3] for e in entries if e[6]}
         resume = -1
         for idx, t in enumerate(times):
             if t >= now and idx not in applied_hops:
@@ -223,20 +223,20 @@ class _Flight:
         if entries:
             cut = len(entries)
             for idx, entry in enumerate(entries):
-                if resume >= 0 and entry.hop >= resume:
+                if resume >= 0 and entry[3] >= resume:
                     cut = idx
                     break
-                if not entry.applied:
+                if not entry[6]:
                     # Was due strictly before the turbulence instant:
                     # apply with calm-path semantics (valid up to now).
-                    entry.link._flush_upto(entry.t, entry.seq)
+                    entry[5]._flush_upto(entry[0], entry[1])
             if cut < len(entries):
                 # Withdraw the not-yet-due entries; the slow path will
                 # re-insert each stamp at its actual emission instant
                 # (same (t, seq) when calm, later under queueing).
                 for entry in entries[cut:]:
                     try:
-                        entry.link._pending.remove(entry)
+                        entry[5]._pending.remove(entry)
                     except ValueError:  # pragma: no cover - defensive
                         pass
                 del entries[cut:]
@@ -482,7 +482,7 @@ class Network:
         sim = self.sim
         now = sim.now
         probe = Probe(payload, now)
-        hops = tuple(path)
+        hops = path if type(path) is tuple else tuple(path)
         self._transit_seq += 1
         flight = _Flight(self, probe, hops, on_hop, on_arrive, on_drop,
                          self._transit_seq, on_hop is None or pure_hop)
@@ -518,17 +518,13 @@ class Network:
             # (index == hop) and the newest seq, so only t orders it.
             times = flight.times
             entries = flight.entries
+            seq = flight.seq
             for hop, link in enumerate(flight.hops):
-                entry = _TransitEntry()
-                entry.t = t = times[hop]
-                entry.seq = flight.seq
-                entry.flight = flight
-                entry.hop = entry.index = hop
-                entry.link = link
-                entry.applied = False
+                t = times[hop]
+                entry = [t, seq, flight, hop, hop, link, False]
                 entries.append(entry)
                 pending = link._pending
-                if pending and t < pending[-1].t:
+                if pending and t < pending[-1][0]:
                     insort(pending, entry)
                 else:
                     pending.append(entry)
@@ -607,14 +603,7 @@ class Network:
         """Ledger a per-hop leg's stamp (``_launch_fast`` inlines this).
         The ledger is (t, seq)-sorted and a new entry usually sorts last,
         so it is appended unless it sorts below the tail."""
-        entry = _TransitEntry()
-        entry.t = t
-        entry.seq = flight.seq
-        entry.flight = flight
-        entry.hop = hop
-        entry.index = len(flight.entries)
-        entry.link = link
-        entry.applied = False
+        entry = [t, flight.seq, flight, hop, len(flight.entries), link, False]
         flight.entries.append(entry)
         pending = link._pending
         if pending and entry < pending[-1]:

@@ -203,6 +203,17 @@ def test_trace_unknown_scheme_exits_2_listing_cells(
     assert not list(tmp_path.iterdir())  # nothing ran, nothing written
 
 
+def test_trace_unregistered_scheme_is_a_one_line_error(capsys, tmp_path, monkeypatch):
+    """On a grid with a schemes axis the name goes to the registry:
+    an unknown one is a usage error, not a traceback from the cell."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "fig11", "--scheme", "qq", "--duration", "0.004"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scheme 'qq' (registered: ufab, ")
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
 def test_trace_picks_cell_by_label_on_irregular_grids(capsys, tmp_path,
                                                       monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.controller import attach_core_agents
 from repro.core.corenode import CoreAgent
 from repro.core.params import UFabParams
-from repro.core.probe import ProbeHeader, ProbeKind
+from repro.core.probe import HopRecord, ProbeHeader, ProbeKind
 from repro.sim.link import Link
 from repro.sim.topology import three_tier_testbed
 
@@ -66,16 +66,29 @@ def test_finish_is_idempotent():
 
 
 def test_probe_gets_stamped_with_link_state():
+    """Every Figure-22 field gets a distinct value, so a positional
+    swap in the record ``stamp`` builds cannot pass."""
     agent, link = make_agent()
-    link.set_inflow(0.0, 6e9)
+    link.set_inflow(0.0, 12e9)  # 2 Gb/s over capacity: a queue builds
     header = probe("a", 100, 1e3)
     agent.on_probe(header, 1e-3)
     assert header.n_hops == 1
     hop = header.hops[0]
-    assert hop.capacity == 10e9
-    assert hop.phi_total == pytest.approx(100)
-    assert hop.queue == 0.0
+    assert type(hop) is HopRecord
+    assert hop.window_total == pytest.approx(1e3)  # W_l: the one pair's window
+    assert hop.phi_total == pytest.approx(100)  # Phi_l
+    # tx_l: the meter's first EWMA step toward the 10 Gb/s served rate.
+    assert hop.tx_rate == pytest.approx(1e-3 / (1e-3 + CoreAgent.TX_METER_TAU) * 10e9)
+    assert hop.queue == pytest.approx(2e9 * 1e-3)  # q_l
+    assert hop.capacity == 10e9  # C_l
     assert hop.link_name == "sw->h"
+
+
+def test_hop_record_fields_are_in_codec_order():
+    """Figure 22's record order (W, Phi_l, tx_l, q_l, C_l), then the
+    simulator-only link name: ``stamp`` and ``digest_hops`` rely on it."""
+    assert HopRecord._fields == (
+        "window_total", "phi_total", "tx_rate", "queue", "capacity", "link_name")
 
 
 def test_sweep_removes_silent_pairs():

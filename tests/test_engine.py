@@ -55,7 +55,7 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     seen = []
     ev = sim.schedule(1e-3, seen.append, "x")
-    ev.cancel()
+    sim.cancel(ev)
     sim.run()
     assert seen == []
     assert sim.events_processed == 0
@@ -113,7 +113,7 @@ def test_pending_counts_live_events():
     ev1 = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     assert sim.pending() == 2
-    ev1.cancel()
+    sim.cancel(ev1)
     assert sim.pending() == 1
 
 
@@ -121,16 +121,47 @@ def test_pending_is_stable_under_double_cancel():
     sim = Simulator()
     ev = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    ev.cancel()
-    ev.cancel()  # idempotent: must not decrement twice
+    sim.cancel(ev)
+    sim.cancel(ev)  # idempotent: must not decrement twice
     assert sim.pending() == 1
+
+
+def test_cancelling_a_fired_event_is_a_no_op():
+    """A handle outlives its event: cancelling it after it fired (or
+    from inside its own callback) must not touch the live count."""
+    sim = Simulator()
+    seen = []
+    fired = sim.schedule(1e-3, seen.append, "fired")
+    sim.schedule(2e-3, seen.append, "queued")
+    sim.run(until=1.5e-3)
+    sim.cancel(fired)
+    assert sim.pending() == 1
+    me = []
+    me.append(sim.schedule(0.0, lambda: sim.cancel(me[0])))
+    sim.run()
+    assert seen == ["fired", "queued"]
+    assert sim.pending() == 0
+    assert sim.events_processed == 3
+
+
+def test_zero_event_budget_runs_nothing():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1e-3, seen.append, "x")
+    sim.run(max_events=0)
+    assert seen == [] and sim.events_processed == 0 and sim.pending() == 1
+    with pytest.raises(ValueError, match="negative event budget"):
+        sim.run(max_events=-1)
+    assert seen == [] and sim.pending() == 1
+    sim.run(max_events=1)
+    assert seen == ["x"]
 
 
 def test_pending_drains_to_zero_after_run():
     sim = Simulator()
     evs = [sim.schedule(i * 1e-3, lambda: None) for i in range(8)]
-    evs[3].cancel()
-    evs[5].cancel()
+    sim.cancel(evs[3])
+    sim.cancel(evs[5])
     assert sim.pending() == 6
     sim.run()
     assert sim.pending() == 0
@@ -174,7 +205,7 @@ def test_heap_compaction_preserves_order_and_pending():
     fired = []
     for i, (t, ev) in enumerate(events):
         if i % 10:
-            ev.cancel()
+            sim.cancel(ev)
         else:
             survivors.append(t)
     # 450 of 500 cancelled: well past the 2x-live ratio.
@@ -197,7 +228,7 @@ def test_compaction_during_run_keeps_loop_heap_reference():
     def cancel_most():
         for i, ev in enumerate(evs):
             if i % 50:
-                ev.cancel()
+                sim.cancel(ev)
 
     sim.at(1e-4, cancel_most)
     sim.run()
@@ -210,7 +241,7 @@ def test_no_compaction_below_threshold():
     sim = Simulator()
     evs = [sim.schedule((i + 1) * 1e-3, lambda: None) for i in range(50)]
     for ev in evs[:30]:
-        ev.cancel()
+        sim.cancel(ev)
     assert sim.compactions == 0  # under the 64-cancelled floor
     sim.run()
     assert sim.pending() == 0
@@ -234,7 +265,9 @@ def _scripted_run(profiled, stop_at=None, **run_kwargs):
 
     def note(tag):
         log.append((tag, sim.now))
-        if sim.events_processed + 1 == stop_at:  # this is event #stop_at
+        # Every fired event notes once; events_processed is only
+        # updated when a run (or profiler slice) returns.
+        if len(log) == stop_at:  # this is event #stop_at
             sim.stop()
 
     def fire(k):
@@ -242,7 +275,7 @@ def _scripted_run(profiled, stop_at=None, **run_kwargs):
         if k < 40:
             sim.schedule(1e-3, fire, k + 1)
             sim.schedule(1e-3, note, ("echo", k))
-            sim.schedule(0.5e-3, note, ("never", k)).cancel()
+            sim.cancel(sim.schedule(0.5e-3, note, ("never", k)))
 
     sim.schedule(1e-3, fire, 1)
     sim.run(**run_kwargs)

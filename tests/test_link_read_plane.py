@@ -139,7 +139,7 @@ class AlwaysIntegrateLink(Link):
 
     def sync(self, now):
         pending = self._pending
-        if pending and pending[0].t < now:
+        if pending and pending[0][0] < now:
             self._flush_upto(now, 0)
         if now > self._last_sync:
             self._integrate(now)
@@ -158,37 +158,31 @@ def _state(link):
             link.delivered_bits, link.peak_queue, len(link._pending))
 
 
-class _Withdraw:
-    """Stands in for a flight: ``Link.set_inflow`` materializes every
+class _IntegratingFlight:
+    """Stands in for the flight that owns one ledger entry.  Its stamp
+    integrates the link at the entry's time, as a real stamp does before
+    it reads the registers; ``Link.set_inflow`` materializes every
     pending flight when a queue starts to build, which withdraws its
-    not-yet-due entries from the ledger."""
+    not-yet-due entry from the ledger."""
 
-    def __init__(self, link, entry):
-        self.link, self.entry = link, entry
+    def __init__(self, link):
+        self.link = link
+        self.entry = None
+
+    def fire(self, entry, link):
+        entry[6] = True
+        link._integrate(entry[0])
 
     def materialize(self, now):
         self.link._pending.remove(self.entry)
 
 
-class _Integrate:
-    """A ledger entry that integrates the link at ``t`` when flushed,
-    as a stamp does before it reads the registers."""
-
-    def __init__(self, link, t, seq):
-        self.t, self.seq, self.applied = t, seq, False
-        self.flight = _Withdraw(link, self)
-
-    def __lt__(self, other):
-        return (self.t, self.seq) < (other.t, other.seq)
-
-    def fire(self, link):
-        self.applied = True
-        link._integrate(self.t)
-
-
 def _pend(link, t, seq):
-    """Ledger an integrating entry in (t, seq) order like Network does."""
-    link._pending.append(_Integrate(link, t, seq))
+    """Ledger an integrating entry in (t, seq) order like Network does:
+    the list ``[t, seq, flight, hop, index, link, applied]``."""
+    flight = _IntegratingFlight(link)
+    flight.entry = [t, seq, flight, 0, 0, link, False]
+    link._pending.append(flight.entry)
     link._pending.sort()
 
 
@@ -216,8 +210,9 @@ def _apply(link, now, step, seq):
         link.set_inflow(now, arg)
     elif op == "pend":
         if link.inflow <= link.capacity:  # the ledger's launch condition
-            _pend(link, now + 2 * TICK, seq)
-            _pend(link, now + 5 * TICK, seq + 1)
+            # A real ledger never holds two entries with one (t, seq).
+            _pend(link, now + 2 * TICK, 2 * seq)
+            _pend(link, now + 5 * TICK, 2 * seq + 1)
     elif op == "sync":
         link.sync(now)
     else:

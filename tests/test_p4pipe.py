@@ -9,7 +9,11 @@ import pytest
 from repro.core.controller import backend_class
 from repro.core.corenode import CoreAgent
 from repro.core.p4pipe import (
+    HEADER_BITS,
+    KIND_BITS,
     MAX_RECORD_SLOTS,
+    NHOP_BITS,
+    PHI_BITS,
     PHV_BITS_TOTAL,
     SALUS_PER_STAGE,
     TOFINO_STAGES,
@@ -75,6 +79,14 @@ def test_phv_capacity():
 def test_record_slots_bounded_by_nhop_field():
     with pytest.raises(PhvCapacityError, match="4-bit"):
         build_ufab_pipeline(record_slots=MAX_RECORD_SLOTS + 1)
+
+
+def test_figure22_header_is_built_from_its_named_widths():
+    assert KIND_BITS + NHOP_BITS + PHI_BITS == HEADER_BITS
+    assert MAX_RECORD_SLOTS == (1 << NHOP_BITS) - 1
+    fields = build_ufab_pipeline().pipe.phv_fields
+    assert (fields["fig22.kind"], fields["fig22.nhop"], fields["fig22.phi"]) \
+        == (KIND_BITS, NHOP_BITS, PHI_BITS)
 
 
 def test_all_pipeline_errors_share_a_base():
@@ -168,10 +180,11 @@ def _probe(kind=ProbeKind.PROBE, pid="a->b", n_hops=0):
 def test_pipeline_agent_adds_placement_only():
     assert issubclass(PipelineCoreAgent, CoreAgent)
     algorithm = {
-        "_register", "_finish", "on_finish", "measured_tx",
-        "_append_record", "_snapshot", "freeze_telemetry",
-        "unfreeze_telemetry", "reset", "sweep", "active_pairs",
-        "target_capacity"}
+        "_register", "on_finish", "measured_tx", "_snapshot",
+        "freeze_telemetry", "unfreeze_telemetry", "telemetry_frozen",
+        "reset", "sweep", "active_pairs", "target_capacity"}
+    # Every name is CoreAgent's own, so the set cannot go stale.
+    assert algorithm <= set(vars(CoreAgent))
     assert not algorithm & set(vars(PipelineCoreAgent))
 
 
@@ -230,15 +243,13 @@ def test_reentrant_probe_gets_a_fresh_context_and_restores_the_outer():
     outer, inner = _probe(), _probe(pid="c->d")
     seen = []
 
-    class Emission:  # a deferred fast-path emission due before the stamp
-        t, seq = 1e-6, 1
-
-        def fire(self, link):
+    class Emission:  # the flight of a fast-path stamp due before this one
+        def fire(self, entry, link):
             before = agent._ctx
-            agent.on_probe(inner, self.t)  # touches stage 1 again
+            agent.on_probe(inner, entry[0])  # touches stage 1 again
             seen.append((before, agent._ctx))
 
-    agent.link._pending.append(Emission())
+    agent.link._pending.append([1e-6, 1, Emission(), 0, 0, agent.link, False])
     # Registration takes the outer packet to the W_l stage; its stamp
     # then syncs the link, which fires the emission mid-packet.
     agent.on_probe(outer, 2e-6)
