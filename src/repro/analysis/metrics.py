@@ -13,8 +13,6 @@ import math
 from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy
-
 from repro.sim.network import Network
 
 
@@ -28,6 +26,10 @@ def percentiles(values: Sequence[float], ps: Sequence[float]) -> List[float]:
         raise ValueError("percentile of empty sequence")
     if isinstance(values, array):
         # Same ascending values as sorted(), without boxing every sample.
+        # Imported here, so a cell that never sorts a sample buffer
+        # never loads numpy.
+        import numpy
+
         data = numpy.sort(numpy.frombuffer(values, dtype=values.typecode))
     else:
         data = sorted(values)

@@ -1,16 +1,12 @@
 """Bandwidth allocation and traffic admission math (sections 3.3-3.4).
 
-Pure functions implementing Eqns (1)-(3) and the two-stage admission
-window rules, plus the Appendix C theory helpers (weighted alpha-fair
-allocation and the primal/dual convergence recursions) used by the
-theory benchmark.
+Pure scalar functions implementing Eqns (1)-(3) and the two-stage
+admission window rules, called by the data plane.  The Appendix C
+theory (weighted alpha-fair allocation, the dual recursion and exact
+weighted max-min) lives in ``repro.experiments.appc_theory``.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
-
-import numpy as np
 
 
 # ----------------------------------------------------------------------
@@ -155,76 +151,3 @@ def additive_increment(phi: float, phi_total: float, c_target: float, base_rtt: 
 def inflight_bound(c_target: float, max_base_rtt: float) -> float:
     """Worst-case inflight bytes on a link: 3 * C_l * T_max (section 3.4)."""
     return 3.0 * c_target * max_base_rtt
-
-
-# ----------------------------------------------------------------------
-# Appendix C: weighted alpha-fairness and the dual recursion
-# ----------------------------------------------------------------------
-
-def alpha_fair_rates(R: np.ndarray, A: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    """x_j = w_j (sum_i A_ij R_i^alpha)^{-1/alpha}  (Eqn 5)."""
-    load = A.T @ np.power(R, alpha)
-    return w * np.power(load, -1.0 / alpha)
-
-
-def dual_recursion(
-    A: np.ndarray,
-    C: np.ndarray,
-    w: np.ndarray,
-    alpha: float = 8.0,
-    steps: int = 200,
-    r0: float = 1.0,
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Iterate the discrete recursion (6)-(7): R_i <- R_i * C_i / y_i.
-
-    Returns the final rate vector and the trajectory of per-path rates.
-    The fixed point is the weighted alpha-fair allocation; with large
-    alpha it approaches the weighted max-min sharing uFAB uses.
-    """
-    n_links, n_paths = A.shape
-    if C.shape != (n_links,) or w.shape != (n_paths,):
-        raise ValueError("shape mismatch between A, C, w")
-    R = np.full(n_links, r0, dtype=float)
-    history: List[np.ndarray] = []
-    for _ in range(steps):
-        x = alpha_fair_rates(R, A, w, alpha)
-        history.append(x)
-        y = A @ x
-        with np.errstate(divide="ignore"):
-            ratio = np.where(y > 0, C / y, 2.0)
-        # Damped update: the undamped recursion oscillates, exactly the
-        # RTT-sensitivity Appendix C discusses; kappa < pi/2 stabilizes.
-        kappa = 0.5
-        R = R * np.power(ratio, -kappa)
-    return history[-1], history
-
-
-def weighted_max_min(A: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact weighted max-min allocation by progressive filling.
-
-    Used as the ground truth that the dual recursion and the uFAB
-    control loop are checked against.
-    """
-    n_links, n_paths = A.shape
-    rates = np.zeros(n_paths)
-    frozen = np.zeros(n_paths, dtype=bool)
-    remaining = C.astype(float).copy()
-    for _ in range(n_paths):
-        active = ~frozen
-        if not active.any():
-            break
-        # For each link, the weighted fill level it can still support.
-        link_active_weight = A @ (w * active)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fill = np.where(link_active_weight > 0, remaining / link_active_weight, np.inf)
-        bottleneck = int(np.argmin(fill))
-        level = fill[bottleneck]
-        if not np.isfinite(level):
-            break
-        # Freeze every active path crossing the bottleneck at w_j * level.
-        crossing = active & (A[bottleneck] > 0)
-        rates[crossing] = w[crossing] * level
-        remaining = remaining - A @ (w * crossing * level)
-        remaining = np.maximum(remaining, 0.0)
-        frozen |= crossing
-    return rates

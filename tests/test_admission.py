@@ -8,14 +8,13 @@ from repro.core.admission import (
     ENTITLEMENT_SATURATION_BDP,
     additive_increment,
     bootstrap_window,
-    dual_recursion,
     inflight_bound,
     proportional_share,
     resume_window,
-    weighted_max_min,
     window_entitlement,
     window_for_link,
 )
+from repro.experiments.appc_theory import dual_recursion, weighted_max_min
 
 C = 9.5e9  # target capacity
 T = 24e-6  # baseRTT

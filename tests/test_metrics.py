@@ -81,12 +81,13 @@ def test_cdf_keeps_unboxed_doubles_and_pickles():
 
 
 def test_fig12_cell_sorts_its_samples_once_and_pickles(monkeypatch):
-    from repro.analysis import metrics
+    import numpy
+
     from repro.experiments import fig12_incast
 
     sorts = []
-    real_sort = metrics.numpy.sort
-    monkeypatch.setattr(metrics.numpy, "sort",
+    real_sort = numpy.sort
+    monkeypatch.setattr(numpy, "sort",
                         lambda a, *args, **kw: sorts.append(len(a)) or real_sort(a, *args, **kw))
     r = fig12_incast.run_one("ufab", degree=4, duration=0.001, seed=1)
     assert sorts == [len(r.rtts)]  # p50 and p99 off one sort
