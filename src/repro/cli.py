@@ -185,10 +185,19 @@ def _trace(args) -> None:
         print(f"  wrote {path}")
 
 
+def positive_int(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1 (argparse names a
+    malformed one by this function's name)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _runner_parent() -> argparse.ArgumentParser:
     """Shared ``--jobs/--no-cache/--cache-dir`` options (argparse parent)."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--jobs", type=int, default=default_jobs(),
+    p.add_argument("--jobs", type=positive_int, default=default_jobs(),
                    help="parallel worker processes (default: $REPRO_JOBS or 1; "
                         "1 = in-process)")
     p.add_argument("--no-cache", action="store_true",

@@ -106,8 +106,9 @@ class ExperimentSpec:
     assemble their own jobs.  ``duration`` is the default simulated
     seconds per cell.  An empty ``seeds`` means the cells take no seed;
     ``seed_flag`` (``"--seed"``) exposes it on the figure subcommand;
-    ``first_seed_only`` keeps one seed of those requested.  ``experiment`` / ``scheme`` override the :class:`Job`
-    labels (default: ``name`` / the cell's ``scheme`` param).
+    ``first_seed_only`` keeps one seed of those requested.  Each
+    :class:`Job` is labelled with ``name`` and the cell's ``scheme``
+    param.
 
     The result table is ``title`` + ``columns`` (header, callable on
     the row); ``render(rows)`` replaces the table with free text.  A spec with neither is a
@@ -122,8 +123,6 @@ class ExperimentSpec:
     seeds: Tuple[int, ...] = ()
     seed_flag: str = ""
     first_seed_only: bool = False
-    experiment: str = ""
-    scheme: str = ""
     fixed: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     build: Optional[Callable[..., List[Job]]] = None
     title: str = ""
@@ -198,9 +197,9 @@ def build_grid(
             cell = dict(zip(keys, values), **spec.fixed, duration=duration)
             for seed in seeds if spec.seeds else (None,):
                 grid_jobs.append(Job(
-                    experiment=spec.experiment or name,
+                    experiment=name,
                     entry=spec.entry,
-                    scheme=cell.get("scheme", spec.scheme),
+                    scheme=cell.get("scheme", ""),
                     seed=seed or 0,
                     params=cell if seed is None else dict(cell, seed=seed),
                 ))
@@ -224,7 +223,6 @@ class GridError(RuntimeError):
 def run_grid(
     grid_jobs: Sequence[Job],
     jobs: int = 1,
-    timeout_s: Optional[float] = None,
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     obs: Optional[Mapping[str, Any]] = None,
@@ -257,7 +255,6 @@ def run_grid(
                      for job in submitted]
     runner = ParallelRunner(
         jobs=jobs,
-        timeout_s=timeout_s,
         cache=ResultCache(cache_dir) if use_cache else None,
     )
     results = runner.run(submitted)

@@ -2,14 +2,14 @@
 
 The sweep grids behind the paper figures — (scheme x parameter x seed)
 cells — are embarrassingly parallel across simulator instances.  This
-package fans them out over ``multiprocessing`` and memoizes results on
-disk keyed by configuration hash + source fingerprint:
+package fans them out over a spawn ``ProcessPoolExecutor`` and memoizes
+results on disk keyed by configuration hash + source fingerprint:
 
 * :mod:`repro.runner.job` — :class:`Job` (one grid cell, stable
   config hash) and :class:`JobResult`.
 * :mod:`repro.runner.parallel` — :class:`ParallelRunner`: spawn-safe
-  fan-out, deterministic result ordering, per-job timeout and crash
-  isolation, in-process ``jobs=1`` fallback.
+  fan-out, deterministic result ordering, crash isolation, in-process
+  ``jobs=1`` fallback.
 * :mod:`repro.runner.cache` — :class:`ResultCache` under
   ``.repro_cache/``.
 

@@ -73,25 +73,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns the number removed."""
-        removed = 0
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return 0
-        for name in names:
-            if name.endswith(".json"):
-                try:
-                    os.unlink(os.path.join(self.cache_dir, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for n in os.listdir(self.cache_dir) if n.endswith(".json"))
-        except OSError:
-            return 0

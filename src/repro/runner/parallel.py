@@ -1,36 +1,33 @@
 """Spawn-safe parallel execution of experiment job grids.
 
 ``ParallelRunner`` fans :class:`~repro.runner.job.Job` cells out over a
-pool of **persistent** ``multiprocessing`` workers (at most ``jobs`` of
-them) and returns results in **submission order** regardless of
+standard-library ``ProcessPoolExecutor`` of at most ``jobs`` spawn
+workers and returns results in **submission order** regardless of
 completion order, so a parallel sweep is byte-identical to a serial
-one.  Each worker is spawned once and then fed jobs over a duplex pipe
-— interpreter start-up and ``repro`` import costs are paid per worker,
-not per cell, which matters for grids of hundreds of sub-second cells.
+one.  Workers serve many cells each, so interpreter start-up and the
+``repro`` import are paid per worker, not per cell.
 
-Isolation still holds: a cell that raises reports a failed
-:class:`JobResult` and the worker lives on; a worker that *dies*
-(segfault, ``os._exit``, OOM kill) fails only the cell it was running
-and is respawned before the next dispatch; a per-job timeout terminates
-the runaway's worker and respawns it.  ``jobs=1`` executes in-process —
-no subprocesses at all — which keeps debuggers, profilers, and coverage
-tooling usable.
+Isolation: a cell that raises reports a failed :class:`JobResult` and
+its siblings carry on.  A worker that *dies* (segfault, ``os._exit``,
+OOM kill) breaks the whole pool, so every cell the pool left unfinished
+is rerun alone in a fresh one-worker pool; the cell that breaks that
+pool too is the culprit and fails with ``"worker crashed"``.  ``jobs=1``
+executes in-process — no subprocesses at all — which keeps debuggers,
+profilers, and coverage tooling usable.
 
 The spawn start method is used everywhere (fork is unsafe with threads
 and unavailable on some platforms); jobs and payloads are plain
 picklable data, never closures.  Everything that shapes a cell's result
-travels in the :class:`Job`; spawned workers
-inherit the parent's environment only for ``REPRO_CODE_VERSION``, the
-cache-key pin.
+travels in the :class:`Job`; spawned workers inherit the parent's
+environment only for ``REPRO_CODE_VERSION``, the cache-key pin.
+``concurrent.futures`` and ``multiprocessing`` are imported only on the
+parallel path, so a serial cell never loads them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
 import traceback
-from multiprocessing.connection import wait as connection_wait
 from typing import List, Optional, Sequence
 
 from repro.runner.cache import ResultCache
@@ -46,103 +43,37 @@ def default_jobs() -> int:
         return 1
 
 
-def _worker_main(conn) -> None:
-    """Persistent worker body: serve jobs until the ``None`` sentinel.
-
-    Messages in: ``(index, job)`` tuples.  Messages out:
-    ``(index, "ok", payload, wall_s)`` or
-    ``(index, "error", tb)``.  A raising cell is an answered request,
-    not a dead worker.
-    """
+def _attempt(index: int, job: Job) -> JobResult:
+    """Run one cell; a raising cell is a failed result, not an error."""
     try:
-        while True:
-            request = conn.recv()
-            if request is None:
-                break
-            index, job = request
-            try:
-                payload, wall = timed_execute(job)
-                conn.send((index, "ok", payload, wall))
-            except BaseException:
-                conn.send((index, "error", traceback.format_exc()))
-    except (EOFError, OSError):  # parent went away - nothing to report to
-        pass
-    finally:
-        conn.close()
-
-
-class _Worker:
-    """One live worker process plus its pipe and current assignment."""
-
-    __slots__ = ("proc", "conn", "index", "started")
-
-    def __init__(self, ctx) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
-        self.proc.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.index: Optional[int] = None  # job index in flight, if any
-        self.started = 0.0
-
-    def dispatch(self, index: int, job: Job) -> None:
-        self.index = index
-        self.started = time.perf_counter()
-        self.conn.send((index, job))
-
-    def stop(self, graceful: bool = True) -> None:
-        if graceful and not self.proc.is_alive():
-            graceful = False
-        if graceful:
-            try:
-                self.conn.send(None)
-            except (BrokenPipeError, OSError):
-                graceful = False
-        self.conn.close()
-        if graceful:
-            self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=5)
-        if self.proc.is_alive():  # pragma: no cover - defensive
-            self.proc.kill()
-            self.proc.join()
+        payload, wall = timed_execute(job)
+    except Exception:
+        return JobResult(index=index, job=job, ok=False,
+                         error=traceback.format_exc())
+    return JobResult(index=index, job=job, ok=True, payload=payload, wall_s=wall)
 
 
 class ParallelRunner:
-    """Run job grids with caching, crash isolation, and timeouts."""
+    """Run job grids with caching and crash isolation."""
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        timeout_s: Optional[float] = None,
-        cache: Optional[ResultCache] = None,
-        poll_interval_s: float = 0.02,
-    ):
+    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None):
         self.jobs = max(1, int(jobs))
-        self.timeout_s = timeout_s
         self.cache = cache
-        self.poll_interval_s = poll_interval_s
-        # Workers respawned after a crash or timeout, for tests/reporting.
-        self.respawns = 0
 
-    # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:
         """Execute every job; results come back in submission order."""
         results: List[Optional[JobResult]] = [None] * len(jobs)
         todo: List[int] = []
         for index, job in enumerate(jobs):
-            cached = self._lookup(index, job)
-            if cached is not None:
-                results[index] = cached
-            else:
+            results[index] = self._lookup(index, job)
+            if results[index] is None:
                 todo.append(index)
 
-        if todo:
-            if self.jobs == 1:
-                self._run_serial(jobs, todo, results)
-            else:
-                self._run_parallel(jobs, todo, results)
+        if self.jobs == 1:
+            for index in todo:
+                self._finish(_attempt(index, jobs[index]), results)
+        elif todo:
+            self._run_pooled(jobs, todo, results)
 
         out = []
         for index, result in enumerate(results):
@@ -150,7 +81,6 @@ class ParallelRunner:
             out.append(result)
         return out
 
-    # ------------------------------------------------------------------
     def _lookup(self, index: int, job: Job) -> Optional[JobResult]:
         if self.cache is None:
             return None
@@ -166,112 +96,45 @@ class ParallelRunner:
             cached=True,
         )
 
-    def _store(self, result: JobResult) -> None:
+    def _finish(self, result: JobResult, results: List[Optional[JobResult]]) -> None:
         if self.cache is not None and result.ok and result.payload is not None:
             self.cache.put(result.job, result.payload, result.wall_s)
+        results[result.index] = result
 
-    # ------------------------------------------------------------------
-    def _run_serial(
+    def _run_pooled(
         self,
         jobs: Sequence[Job],
         todo: Sequence[int],
         results: List[Optional[JobResult]],
     ) -> None:
-        """In-process path: debugging/coverage friendly, no timeout."""
-        for index in todo:
-            job = jobs[index]
-            try:
-                payload, wall = timed_execute(job)
-                result = JobResult(index=index, job=job, ok=True,
-                                   payload=payload, wall_s=wall)
-            except Exception:
-                result = JobResult(index=index, job=job, ok=False,
-                                   error=traceback.format_exc())
-            self._store(result)
-            results[index] = result
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        jobs: Sequence[Job],
-        todo: Sequence[int],
-        results: List[Optional[JobResult]],
-    ) -> None:
         ctx = multiprocessing.get_context("spawn")
-        queue = list(todo)
-        pool: List[_Worker] = [
-            _Worker(ctx) for _ in range(min(self.jobs, len(queue)))
-        ]
 
-        def finish(worker: _Worker, result: JobResult) -> None:
-            worker.index = None
-            self._store(result)
-            results[result.index] = result
-
-        def replace(worker: _Worker) -> None:
-            """Swap a dead/terminated worker for a fresh one in place."""
-            worker.conn.close()
-            worker.proc.join(timeout=5)
-            if worker.proc.is_alive():  # pragma: no cover - defensive
-                worker.proc.kill()
-                worker.proc.join()
-            self.respawns += 1
-            pool[pool.index(worker)] = _Worker(ctx)
-
-        try:
-            while queue or any(w.index is not None for w in pool):
-                # Dispatch to every idle worker first.
-                for worker in pool:
-                    if worker.index is None and queue:
-                        index = queue.pop(0)
-                        worker.dispatch(index, jobs[index])
-
-                busy = {w.conn: w for w in pool if w.index is not None}
-                if not busy:
-                    continue
-                ready = connection_wait(list(busy), timeout=self.poll_interval_s)
-                for conn in ready:
-                    worker = busy[conn]
-                    index = worker.index
-                    job = jobs[index]
+        def pool_run(indices: Sequence[int], workers: int) -> List[int]:
+            """Run ``indices`` in one pool; return those it left unfinished."""
+            broken: List[int] = []
+            pool = ProcessPoolExecutor(workers, mp_context=ctx)
+            try:
+                futures = []
+                for index in indices:
                     try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        # Worker died mid-job (segfault, os._exit, OOM
-                        # kill): fail this cell only and respawn.
-                        exitcode = worker.proc.exitcode
-                        finish(worker, JobResult(
-                            index=index, job=job, ok=False,
-                            error=f"worker crashed (exit code {exitcode})",
-                            wall_s=time.perf_counter() - worker.started,
-                        ))
-                        replace(worker)
-                        continue
-                    if message[1] == "ok":
-                        _, _, payload, wall = message
-                        finish(worker, JobResult(index=index, job=job, ok=True,
-                                                 payload=payload, wall_s=wall))
-                    else:
-                        finish(worker, JobResult(index=index, job=job, ok=False,
-                                                 error=message[2]))
+                        futures.append((index, pool.submit(_attempt, index, jobs[index])))
+                    except BrokenProcessPool:
+                        broken.append(index)
+                for index, future in futures:
+                    try:
+                        self._finish(future.result(), results)
+                    except BrokenProcessPool:
+                        broken.append(index)
+            finally:
+                # An interrupted sweep drops its queue instead of running it out.
+                pool.shutdown(cancel_futures=True)
+            return sorted(broken)
 
-                if self.timeout_s is not None:
-                    now = time.perf_counter()
-                    for worker in pool:
-                        if worker.index is None:
-                            continue
-                        elapsed = now - worker.started
-                        if elapsed <= self.timeout_s:
-                            continue
-                        index = worker.index
-                        worker.proc.terminate()
-                        finish(worker, JobResult(
-                            index=index, job=jobs[index], ok=False,
-                            error=f"timeout after {elapsed:.2f}s "
-                                  f"(limit {self.timeout_s}s)",
-                            wall_s=elapsed,
-                        ))
-                        replace(worker)
-        finally:
-            for worker in pool:
-                worker.stop()
+        for index in pool_run(todo, min(self.jobs, len(todo))):
+            if pool_run([index], 1):
+                self._finish(JobResult(index=index, job=jobs[index], ok=False,
+                                       error="worker crashed"), results)

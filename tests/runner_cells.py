@@ -1,8 +1,9 @@
 """Diagnostic grid cells for runner tests.
 
 These are module-level entry points (spawn workers import them by
-name) with no simulator dependency, so runner mechanics — ordering,
-caching, crash isolation, timeouts — can be exercised in milliseconds.
+name, which works because spawn hands the parent's ``sys.path`` on)
+with no simulator dependency, so runner mechanics — ordering, caching,
+crash isolation — can be exercised in milliseconds.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ def failing_cell(message: str = "boom", seed: int = 0) -> Dict[str, Any]:
     raise RuntimeError(message)
 
 
-def hanging_cell(sleep_s: float = 3600.0, seed: int = 0) -> Dict[str, Any]:
-    """Sleeps (nominally) forever — exercises the per-job timeout."""
-    time.sleep(sleep_s)
-    return {"slept": sleep_s}
-
-
 def pid_cell(seed: int = 0) -> Dict[str, Any]:
     """Report the executing PID — proves workers persist across jobs."""
     return {"pid": os.getpid(), "seed": seed}
@@ -39,7 +34,7 @@ def dying_cell(exit_code: int = 7, seed: int = 0) -> Dict[str, Any]:
     """Kill the worker process outright (no exception, no cleanup).
 
     ``os._exit`` bypasses the worker's try/except, simulating a
-    segfault or OOM kill — exercises respawn-on-crash.
+    segfault or OOM kill — exercises crash isolation.
     """
     os._exit(exit_code)
     return {}  # pragma: no cover - unreachable

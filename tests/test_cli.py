@@ -58,6 +58,22 @@ def test_every_figure_command_accepts_jobs():
         assert args.jobs == 3 and args.no_cache
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2_before_any_cell_runs(jobs, capsys, tmp_path,
+                                                     monkeypatch):
+    """``--jobs -3`` used to run the grid serially and exit 0."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fig11", "--duration", "0.004", "--schemes", "ufab",
+              "--jobs", jobs, "--no-cache"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --jobs: must be at least 1, got {jobs}")
+    assert not list(tmp_path.iterdir())
+
+
 def test_fig4_parallel_matches_serial(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["fig4", "--duration", "0.004", "--degrees", "2",

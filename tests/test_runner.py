@@ -17,11 +17,10 @@ from repro.runner import (
     execute_job,
 )
 
-ECHO = "repro.runner.cells:echo_cell"
-FAIL = "repro.runner.cells:failing_cell"
-HANG = "repro.runner.cells:hanging_cell"
-PID = "repro.runner.cells:pid_cell"
-DIE = "repro.runner.cells:dying_cell"
+ECHO = "tests.runner_cells:echo_cell"
+FAIL = "tests.runner_cells:failing_cell"
+PID = "tests.runner_cells:pid_cell"
+DIE = "tests.runner_cells:dying_cell"
 
 
 def _echo_jobs(n=4, sleep_s=0.0):
@@ -81,7 +80,7 @@ def test_bad_entry_rejected():
     with pytest.raises(ValueError):
         execute_job(Job("smoke", "no-colon-here", params={}))
     with pytest.raises(ValueError):
-        execute_job(Job("smoke", "repro.runner.cells:nope", params={}))
+        execute_job(Job("smoke", "tests.runner_cells:nope", params={}))
 
 
 # ----------------------------------------------------------------------
@@ -123,16 +122,6 @@ def test_failing_job_reported_in_serial_mode_too():
     assert results[1].ok
 
 
-def test_timeout_kills_runaway_without_aborting_siblings():
-    jobs = [
-        Job("smoke", HANG, scheme="hang", params={"sleep_s": 60}),
-        _echo_jobs(1)[0],
-    ]
-    results = ParallelRunner(jobs=2, timeout_s=1.0).run(jobs)
-    assert not results[0].ok and "timeout" in results[0].error
-    assert results[1].ok
-
-
 def test_workers_persist_across_jobs():
     # 8 jobs over 2 workers: each worker serves several jobs without
     # being torn down, so distinct PIDs number at most the pool size.
@@ -143,34 +132,18 @@ def test_workers_persist_across_jobs():
     assert all(r.ok for r in results)
     pids = {r.payload["pid"] for r in results}
     assert 1 <= len(pids) <= 2
-    assert runner.respawns == 0
 
 
 def test_worker_crash_fails_only_its_job_and_respawns():
     # Job 1 hard-kills its worker (os._exit, no exception); the pool
-    # must report that one cell failed, respawn, and finish the rest.
+    # must report that one cell failed and finish the rest in fresh
+    # workers.
     jobs = _echo_jobs(4)
     jobs.insert(1, Job("smoke", DIE, scheme="dead", params={"exit_code": 3}))
     runner = ParallelRunner(jobs=2)
     results = runner.run(jobs)
     assert [r.ok for r in results] == [True, False, True, True, True]
     assert "worker crashed" in results[1].error
-    assert runner.respawns >= 1
-
-
-def test_timeout_respawns_worker_for_remaining_jobs():
-    # One hang among many short jobs, pool of 2: after the hang is
-    # terminated its replacement must pick up the remaining queue.
-    # The limit must beat the hang but leave slack for a fresh worker's
-    # spawn + import on a loaded machine — 0.5s flakes under parallel
-    # test runs.
-    jobs = [Job("smoke", HANG, scheme="hang", params={"sleep_s": 60})]
-    jobs += _echo_jobs(5)
-    runner = ParallelRunner(jobs=2, timeout_s=3.0)
-    results = runner.run(jobs)
-    assert not results[0].ok and "timeout" in results[0].error
-    assert all(r.ok for r in results[1:])
-    assert runner.respawns >= 1
 
 
 # ----------------------------------------------------------------------
@@ -201,19 +174,11 @@ def test_cache_is_keyed_by_config(tmp_path):
     assert cache2.misses == 1  # different seed -> different key
 
 
-def test_cache_clear(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    ParallelRunner(jobs=1, cache=cache).run(_echo_jobs(3))
-    assert len(cache) == 3
-    assert cache.clear() == 3
-    assert len(cache) == 0
-
-
 def test_failed_jobs_are_not_cached(tmp_path):
     cache = ResultCache(str(tmp_path))
     ParallelRunner(jobs=1, cache=cache).run(
         [Job("smoke", FAIL, params={"message": "x"})])
-    assert len(cache) == 0
+    assert not list(tmp_path.glob("*.json"))
 
 
 # ----------------------------------------------------------------------
@@ -237,11 +202,14 @@ def test_fig11_grid_cache_round_trip(tmp_path):
     assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
 
 
-def test_grid_error_lists_failures():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_error_lists_failures(workers):
     jobs = [_echo_jobs(1)[0],
             Job("smoke", FAIL, scheme="bad", params={"message": "exploded"})]
-    with pytest.raises(GridError, match="exploded"):
-        run_grid(jobs, jobs=1, use_cache=False)
+    with pytest.raises(GridError, match="exploded") as exc:
+        run_grid(jobs, jobs=workers, use_cache=False)
+    # The reason is the traceback's last line, in a worker as in-process.
+    assert str(exc.value).endswith("RuntimeError: exploded")
 
 
 def test_build_grid_unknown_name_rejected():

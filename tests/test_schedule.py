@@ -564,7 +564,7 @@ def test_resilience_grid_cache_roundtrip(tmp_path):
 def test_grid_error_names_failing_cell():
     from repro.experiments.common import GridError, run_grid
 
-    job = Job(experiment="boom", entry="repro.runner.cells:no_such_fn",
+    job = Job(experiment="boom", entry="tests.runner_cells:no_such_fn",
               scheme="s", seed=7, params={"k": "v"})
     with pytest.raises(GridError) as exc:
         run_grid([job], use_cache=False)
