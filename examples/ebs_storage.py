@@ -17,7 +17,7 @@ DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION", "0.1"))
 
 
 def run_ebs(scheme: str):
-    net, fabric = (
+    net, fabric, _ = (
         Scenario.testbed()
         .scheme(scheme, params=UFabParams(n_candidate_paths=8))
         .build(horizon=DURATION)

@@ -19,7 +19,7 @@ WARMUP = DURATION / 4
 
 
 def run_scenario(scheme: str, with_background: bool = True):
-    net, fabric = (
+    net, fabric, _ = (
         Scenario.testbed()
         .scheme(scheme, params=UFabParams(n_candidate_paths=8))
         .build(horizon=DURATION)

@@ -27,7 +27,7 @@ def main() -> None:
             for i, g in enumerate(guarantees)
         )
     )
-    net, fabric = scenario.build(horizon=DURATION)
+    net, fabric, _ = scenario.build(horizon=DURATION)
     names = [f"VF-{i + 1}" for i in range(len(guarantees))]
 
     failed_core = {}

@@ -23,7 +23,7 @@ def run_incast(scheme: str, degree: int, duration: float = DURATION):
          "name": f"flow-{i}", "vf": f"vf-{i}"}
         for i in range(degree)
     )
-    net, _fabric = scenario.build(horizon=duration)
+    net, _, _ = scenario.build(horizon=duration)
     sampler = RttSampler(net, [f"flow-{i}" for i in range(degree)], period=6e-6)
     sampler.start(duration)
     net.run(duration)

@@ -17,11 +17,12 @@ observability::
 Every method returns the builder, so scenarios read top to bottom:
 pick a topology (:meth:`Scenario.testbed` or :meth:`Scenario.topology`),
 pick a scheme (default ``"ufab"``), add tenants, optionally attach a
-fault schedule (``--faults`` spec string, config mapping, or
+schedule (``--faults`` spec string, config mapping, or any
 :class:`~repro.schedule.Schedule`) and observability capture, then
 :meth:`~Scenario.run`.  :meth:`~Scenario.build` stops short of running
-and hands back ``(network, fabric)`` for scenarios that drive custom
-workloads or failures mid-run (see ``examples/``).
+and hands back ``(network, fabric, injector)``; every experiment cell
+and example starts there, then attaches its samplers or apps and
+drives ``network.run`` itself.
 
 Arguments are validated at the call that takes them (an unknown scheme,
 a non-positive guarantee, a negative or NaN demand, a join time or
@@ -29,8 +30,8 @@ resolve interval that is negative or not finite, a duration that is
 not a positive finite number all raise ``ValueError`` naming the
 argument); a tenant on a host the topology lacks is a ``ValueError``
 naming the pair and the host when the scenario is built, before any
-pair joins.  The fabric is built by the one
-:func:`repro.baselines.registry.build` call every experiment cell uses.
+pair joins.  The only cell built by hand is ``case2_migration``'s
+scripted Clove panel, whose fabric the registry cannot name.
 """
 
 from __future__ import annotations
@@ -94,8 +95,12 @@ class ScenarioResult:
         return self.delivered_bps[pair_id] / 1e9
 
     def satisfied(self, pair_id: str, tol: float = 0.05) -> bool:
-        """Did the pair end up within ``tol`` of its entitled rate?"""
-        pair = next(p for p in self.pairs if p.pair_id == pair_id)
+        """Did the pair end up within ``tol`` of its entitled rate?
+
+        An unknown ``pair_id`` is a ``KeyError`` naming it."""
+        pair = next((p for p in self.pairs if p.pair_id == pair_id), None)
+        if pair is None:
+            raise KeyError(f"no pair {pair_id!r} in this scenario")
         entitled = min(self.guarantees_bps.get(pair_id, 0.0), pair.demand_bps)
         if not math.isfinite(entitled):
             entitled = self.guarantees_bps.get(pair_id, 0.0)
@@ -118,12 +123,12 @@ class ScenarioResult:
 
 
 class Scenario:
-    """Fluent builder for one simulated deployment.
+    """Fluent builder for one simulated deployment (one experiment cell).
 
-    Instances are single-use: :meth:`build`/:meth:`run` realize the
-    scenario onto a fresh :class:`Network` each call, so the same
-    builder can be run repeatedly (identical seeds give identical
-    results).
+    :meth:`build`/:meth:`run` realize the scenario onto a fresh
+    :class:`Network` each call, so a builder on :meth:`testbed` or a
+    topology factory can be run repeatedly (identical seeds give
+    identical results); one on a :class:`Topology` instance builds once.
     """
 
     def __init__(self, topology_factory) -> None:
@@ -146,12 +151,24 @@ class Scenario:
 
     @classmethod
     def topology(cls, topo) -> "Scenario":
-        """Start from a :class:`Topology` or a zero-arg factory for one."""
-        if isinstance(topo, Topology):
-            # Re-wrap in a factory; the instance is reused across runs,
-            # which is fine because Topology state lives on the Network.
-            return cls(lambda: topo)
-        return cls(topo)
+        """Start from a :class:`Topology` or a zero-arg factory for one.
+
+        The links of an instance keep their queues and core agents, so
+        it builds once; a second build raises ``ValueError``.
+        """
+        if not isinstance(topo, Topology):
+            return cls(topo)
+        unused = [topo]
+
+        def once() -> Topology:
+            if not unused:
+                raise ValueError(
+                    "a Topology instance builds once (its links keep the last "
+                    "run's queues and core agents); pass a factory, e.g. "
+                    "Scenario.topology(three_tier_testbed), to build again")
+            return unused.pop()
+
+        return cls(once)
 
     # -- configuration --------------------------------------------------
 
@@ -252,9 +269,12 @@ class Scenario:
     # -- faults & observability ----------------------------------------
 
     def faults(self, faults) -> "Scenario":
-        """Attach a fault schedule: a ``--faults`` spec string
+        """Attach the cell's schedule: a ``--faults`` spec string
         (``"probe_loss:0.2; link_down:Agg1-Core1@0.01"``), a config
-        mapping, or a :class:`~repro.schedule.Schedule`."""
+        mapping, or any :class:`~repro.schedule.Schedule` (pair joins,
+        tenant churn, demand on/off, faults).  ``at = 0`` tenants join
+        before it is armed; a join that must fire from the event heap
+        at t = 0 goes in here as a :class:`~repro.schedule.PairJoin`."""
         self._faults = faults
         return self
 
@@ -271,14 +291,16 @@ class Scenario:
     # -- realization ----------------------------------------------------
 
     def build(self, horizon: float = math.inf):
-        """Realize the scenario without running: ``(network, fabric)``.
+        """Realize the scenario without running:
+        ``(network, fabric, injector)``.
 
-        Tenant joins are scheduled, faults installed against
-        ``horizon`` (positive; the default leaves it open-ended).  Use
-        this to attach custom workloads or samplers, then drive
-        ``network.run`` yourself.
+        ``at = 0`` tenants are admitted, then the schedule is armed
+        against ``horizon`` (positive; the default leaves it
+        open-ended).  Attach custom workloads or samplers, drive
+        ``network.run`` yourself, and read ``injector.report()``.
         """
-        return self._realize(horizon)[:2]
+        net, fabric, _, injector = self._realize(horizon)
+        return net, fabric, injector
 
     def _realize(
         self, horizon: float,

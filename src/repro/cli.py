@@ -35,11 +35,11 @@ resilience`` sweeps the built-in probe-loss / link-MTBF fault axes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.runner.parallel import default_jobs
 
 
 def _faults_config(args) -> Optional[dict]:
@@ -197,7 +197,10 @@ def positive_int(text: str) -> int:
 def _runner_parent() -> argparse.ArgumentParser:
     """Shared ``--jobs/--no-cache/--cache-dir`` options (argparse parent)."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--jobs", type=positive_int, default=default_jobs(),
+    # A string default goes through ``type`` too, so a malformed
+    # $REPRO_JOBS is the same usage error (exit 2) as a malformed flag.
+    p.add_argument("--jobs", type=positive_int,
+                   default=os.environ.get("REPRO_JOBS", "1"),
                    help="parallel worker processes (default: $REPRO_JOBS or 1; "
                         "1 = in-process)")
     p.add_argument("--no-cache", action="store_true",

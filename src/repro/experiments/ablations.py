@@ -22,20 +22,15 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor, QueueSampler
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.multipath import PathDemand, multipath_assignment
 from repro.core.params import UFabParams
-from repro.experiments.common import (
-    Axis,
-    ExperimentSpec,
-    guarantee_workload,
-    testbed_network,
-)
+from repro.experiments.common import Axis, ExperimentSpec, guarantee_workload
 from repro.runner import Job
-from repro.schedule import PairJoin, Schedule, install_schedule
+from repro.schedule import PairJoin, Schedule
 from repro.sim.host import VMPair
 from repro.sim.network import Network
-from repro.sim.topology import Topology
+from repro.sim.topology import Topology, dumbbell
 
 
 # ----------------------------------------------------------------------
@@ -73,13 +68,13 @@ def run_partial_deployment_one(
     unit_bandwidth: float = 1e6,
 ) -> PartialDeploymentResult:
     """One coverage point of the partial-deployment ablation."""
-    net = testbed_network()
-    params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = registry.build("ufab", net, params, seed)
-    _strip_core_agents(net, fraction, random.Random(seed))
     pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
-    install_schedule(net, fabric, Schedule.of(
-        *(PairJoin(i * 5e-3, pair) for i, pair in enumerate(pairs))))
+    # Every join, the first at t = 0 included, fires from the schedule,
+    # so the core agents are stripped before any pair joins.
+    params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
+    joins = Schedule.of(*(PairJoin(i * 5e-3, pair) for i, pair in enumerate(pairs)))
+    net, _, _ = Scenario.testbed().scheme("ufab", params).seed(seed).faults(joins).build(duration)
+    _strip_core_agents(net, fraction, random.Random(seed))
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)
     core = [
@@ -149,18 +144,15 @@ def run_explicit_rate_ablation(
     pair on a dumbbell: full uFAB lets the light pair take the slack;
     Eqn-1-only keeps it at its proportional share.
     """
-    from repro.sim.topology import dumbbell
-
     out = []
     for mode, explicit in (("ufab", False), ("eqn1-only", True)):
         topo = dumbbell(n_pairs=2)
-        net = Network(topo)
         params = UFabParams(unit_bandwidth=unit_bandwidth,
                             explicit_rate_only=explicit)
-        fabric = registry.build("ufab", net, params)
-        fabric.add_pair(VMPair("limited", "a", "src0", "dst0", phi=5000,
-                               demand_bps=1e9))
-        fabric.add_pair(VMPair("backlogged", "b", "src1", "dst1", phi=1000))
+        net, _, _ = Scenario.topology(topo).scheme("ufab", params).tenants([
+            VMPair("limited", "a", "src0", "dst0", phi=5000, demand_bps=1e9),
+            VMPair("backlogged", "b", "src1", "dst1", phi=1000),
+        ]).build(duration)
         net.run(duration)
         bottleneck = topo.link("SW1", "SW2")
         out.append(
@@ -196,18 +188,15 @@ def run_bloom_sensitivity(
     """Shrink the switch Bloom filter until FPs distort Phi_l."""
     results = []
     for bits in bloom_bits:
-        net = testbed_network()
-        params = UFabParams(unit_bandwidth=unit_bandwidth, bloom_bits=bits,
-                            n_candidate_paths=8)
-        fabric = registry.build("ufab", net, params, seed)
         # Incast concentrates every pair onto the receiver's downlink, so
         # the shared Bloom filter there sees all of them (worst case for
         # false positives).
-        pairs = []
-        for i in range(n_pairs):
-            pair = VMPair(f"p{i}", f"vf{i}", f"S{1 + i % 7}", "S8", phi=300.0)
-            pairs.append(pair)
-            fabric.add_pair(pair)
+        pairs = [VMPair(f"p{i}", f"vf{i}", f"S{1 + i % 7}", "S8", phi=300.0)
+                 for i in range(n_pairs)]
+        params = UFabParams(unit_bandwidth=unit_bandwidth, bloom_bits=bits,
+                            n_candidate_paths=8)
+        net, fabric, _ = (Scenario.testbed().scheme("ufab", params).seed(seed)
+                          .tenants(pairs).build(duration))
         guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
         auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
         auditor.start(duration)
@@ -246,16 +235,11 @@ def run_headroom_one(
     unit_bandwidth: float = 1e6,
 ) -> HeadroomResult:
     """One eta point of the headroom sweep."""
-    from repro.sim.topology import dumbbell
-
     topo = dumbbell(n_pairs=4)
-    net = Network(topo)
-    params = UFabParams(unit_bandwidth=unit_bandwidth,
-                        target_utilization=eta)
-    fabric = registry.build("ufab", net, params)
-    for i in range(4):
-        fabric.add_pair(VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}",
-                               phi=2000))
+    params = UFabParams(unit_bandwidth=unit_bandwidth, target_utilization=eta)
+    net, _, _ = Scenario.topology(topo).scheme("ufab", params).tenants(
+        VMPair(f"p{i}", f"vf{i}", f"src{i}", f"dst{i}", phi=2000) for i in range(4)
+    ).build(duration)
     queues = QueueSampler(net, ["SW1->SW2"], period=0.2e-3)
     queues.start(duration)
     net.run(duration)
@@ -368,27 +352,25 @@ def run_multipath_split(
     from Algorithm 2, fed by per-path TX meters — the same structure
     uFAB-E's path table maintains.
     """
-    # Single path: capped by the narrow link.
-    topo = _bottlenecked_two_path_topo()
-    net = Network(topo)
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = registry.build("ufab", net, params)
-    paths = sorted(topo.shortest_paths("src", "dst"), key=lambda p: p[1].name)
-    single = VMPair("single", "vf", "src", "dst", phi=8000)
-    fabric.add_pair(single, candidates=[paths[0]])
+
+    def one_pair_per_path(pairs: Sequence[VMPair]) -> Scenario:
+        topo = _bottlenecked_two_path_topo()
+        scenario = Scenario.topology(topo).scheme("ufab", params)
+        paths = sorted(topo.shortest_paths("src", "dst"), key=lambda p: p[1].name)
+        for pair, path in zip(pairs, paths):
+            scenario.pair(pair, candidates=[path])
+        return scenario
+
+    # Single path: capped by the narrow link.
+    net, _, _ = one_pair_per_path(
+        [VMPair("single", "vf", "src", "dst", phi=8000)]).build(duration)
     net.run(duration)
     single_rate = net.delivered_rate("single")
 
     # Multipath: two sub-pairs, tokens re-split by Algorithm 2 every ms.
-    topo2 = _bottlenecked_two_path_topo()
-    net2 = Network(topo2)
-    fabric2 = registry.build("ufab", net2, params)
-    paths2 = sorted(topo2.shortest_paths("src", "dst"), key=lambda p: p[1].name)
-    subs = []
-    for i, path in enumerate(paths2):
-        sub = VMPair(f"sub{i}", "vf", "src", "dst", phi=4000)
-        fabric2.add_pair(sub, candidates=[path])
-        subs.append(sub)
+    subs = [VMPair(f"sub{i}", "vf", "src", "dst", phi=4000) for i in range(2)]
+    net2, _, _ = one_pair_per_path(subs).build(duration)
     demands = [PathDemand(path_id=f"sub{i}") for i in range(2)]
 
     def resplit() -> None:

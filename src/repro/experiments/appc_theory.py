@@ -15,10 +15,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
-from repro.sim.network import Network
 from repro.sim.topology import dumbbell
 
 
@@ -133,13 +132,11 @@ class ReactionResult:
 def run_primal_reaction(unit_bandwidth: float = 1e6) -> ReactionResult:
     """Empirical check of the 2-RTT reaction / 3-BDP inflight bound."""
     topo = dumbbell(n_pairs=4)
-    net = Network(topo)
-    params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = registry.build("ufab", net, params)
-    base_rtt = topo.base_rtt(topo.shortest_paths("src0", "dst0")[0])
     # One pair occupies the link, then three burst in simultaneously.
-    first = VMPair("p0", "vf0", "src0", "dst0", phi=2000)
-    fabric.add_pair(first)
+    params = UFabParams(unit_bandwidth=unit_bandwidth)
+    net, fabric, _ = (Scenario.topology(topo).scheme("ufab", params)
+                      .pair(VMPair("p0", "vf0", "src0", "dst0", phi=2000)).build())
+    base_rtt = topo.base_rtt(topo.shortest_paths("src0", "dst0")[0])
     net.run(0.01)
     t_burst = net.sim.now
     for i in range(1, 4):

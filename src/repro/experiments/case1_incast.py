@@ -11,13 +11,8 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RttSampler, percentile
-from repro.baselines import registry
-from repro.experiments.common import (
-    Axis,
-    ExperimentSpec,
-    testbed_network,
-)
-from repro.schedule import Schedule, install_schedule
+from repro.api import Scenario
+from repro.experiments.common import Axis, ExperimentSpec
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -43,15 +38,12 @@ def run_one(
     faults: Optional[Dict[str, object]] = None,
 ) -> IncastResult:
     """One incast run: ``degree`` senders to S8 on the 10G testbed."""
-    net = testbed_network()
-    fabric = registry.build(scheme, net, seed=seed)
     # Sources cycle over the other 7 servers; multiple VFs per host for
     # higher degrees (exactly the paper's testbed usage).
     sources = [f"S{1 + (i % 7)}" for i in range(degree)]
     pairs = incast_pairs(sources, "S8", tokens=guarantee_tokens)
-    for pair in pairs:
-        fabric.add_pair(pair)
-    install_schedule(net, fabric, Schedule.from_config(faults))
+    net, _, _ = (Scenario.testbed().scheme(scheme).seed(seed)
+                 .tenants(pairs).faults(faults).build(duration))
     sampler = RttSampler(net, [p.pair_id for p in pairs], period=6e-6)
     sampler.start(duration)
     net.run(duration)

@@ -14,14 +14,14 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.baselines.base import BaselineFabric
 from repro.baselines.clove import CloveSelector
 from repro.baselines.picnic import ReceiverGrants
 from repro.baselines.wcc import SwiftWCC
 from repro.core.params import UFabParams
 from repro.experiments.common import ExperimentSpec
-from repro.schedule import Schedule, install_schedule
+from repro.schedule import PairJoin, Schedule, install_schedule
 from repro.runner import Job
 from repro.sim.host import VMPair
 from repro.sim.network import Network
@@ -83,6 +83,45 @@ def _satisfied(series, t_from: float, entitled: float, tol: float = 0.1) -> bool
     return ok >= 0.9 * len(settled)
 
 
+def _pair(name: str, src: str, dst: str, tokens: float, demand: float) -> VMPair:
+    return VMPair(name, vf=name, src_host=src, dst_host=dst, phi=tokens,
+                  demand_bps=demand)
+
+
+def _scripted_clove(topo: Topology, params: UFabParams, scheme: str,
+                    flowlet_gap_s: float, join_time: float,
+                    faults: Schedule) -> Tuple[Network, BaselineFabric]:
+    """Clove (with PicNIC grants for ``"pwc"``) on the Figure 5 fabric,
+    F1-F3 starting on their scripted paths.
+
+    The one fabric not built by name: the registry has no Clove variant
+    with a scripted initial path and a swept flowlet gap.
+    """
+    net = Network(topo)
+    grants = ReceiverGrants(net, params) if scheme == "pwc" else None
+    pin_holder: List[Optional[int]] = [None]
+    fabric = BaselineFabric(
+        net,
+        rate_controller_factory=SwiftWCC,
+        path_selector_factory=lambda: CloveSelector(
+            flowlet_gap_s=flowlet_gap_s, initial_index=pin_holder[0]
+        ),
+        params=params,
+        grants=grants,
+    )
+
+    def add(name, src, dst, tokens, demand, pinned: Optional[int]) -> None:
+        pin_holder[0] = pinned
+        fabric.add_pair(_pair(name, src, dst, tokens, demand),
+                        candidates=_paths_via_all_aggs(topo, src, dst))
+
+    for flow in FLOWS:
+        add(*flow)
+    net.sim.at(join_time, add, *F4, None)
+    install_schedule(net, fabric, faults)
+    return net, fabric
+
+
 def run_one(
     scheme: str,
     flowlet_gap_s: float = 200e-6,
@@ -92,46 +131,21 @@ def run_one(
     faults: Optional[Dict[str, object]] = None,
 ) -> MigrationResult:
     topo = two_tier_three_path()
-    net = Network(topo)
     params = UFabParams(unit_bandwidth=unit_bandwidth)
-
+    schedule = Schedule.from_config(faults)
     if scheme == "ufab":
-        fabric = registry.build("ufab", net, params)
-
-        def add(name, src, dst, tokens, demand, pinned: Optional[int]) -> None:
-            pair = VMPair(name, vf=name, src_host=src, dst_host=dst, phi=tokens,
-                          demand_bps=demand)
-            candidates = _paths_via_all_aggs(topo, src, dst)
-            if pinned is not None:
-                candidates = [candidates[pinned]]
-            fabric.add_pair(pair, candidates=candidates)
+        # F1-F3 pinned to their scripted paths; F4, free over all three,
+        # joins from the schedule (at ``join_time``, t = 0 included).
+        scenario = Scenario.topology(topo).scheme("ufab", params)
+        for name, src, dst, tokens, demand, pinned in FLOWS:
+            path = _paths_via_all_aggs(topo, src, dst)[pinned]
+            scenario.pair(_pair(name, src, dst, tokens, demand), candidates=[path])
+        net, fabric, _ = scenario.faults(schedule.extended([PairJoin(
+            join_time, _pair(*F4), candidates=_paths_via_all_aggs(topo, *F4[1:3]))])
+        ).build(duration)
     else:
-        grants = ReceiverGrants(net, params) if scheme == "pwc" else None
-        pin_holder: List[Optional[int]] = [None]
-
-        # The one fabric not built by name: the registry has no Clove
-        # variant with a scripted initial path and a swept flowlet gap.
-        fabric = BaselineFabric(
-            net,
-            rate_controller_factory=SwiftWCC,
-            path_selector_factory=lambda: CloveSelector(
-                flowlet_gap_s=flowlet_gap_s, initial_index=pin_holder[0]
-            ),
-            params=params,
-            grants=grants,
-        )
-
-        def add(name, src, dst, tokens, demand, pinned: Optional[int]) -> None:
-            pin_holder[0] = pinned
-            pair = VMPair(name, vf=name, src_host=src, dst_host=dst, phi=tokens,
-                          demand_bps=demand)
-            fabric.add_pair(pair, candidates=_paths_via_all_aggs(topo, src, dst))
-
-    for name, src, dst, tokens, demand, pinned in FLOWS:
-        add(name, src, dst, tokens, demand, pinned)
-    net.sim.at(join_time, add, *F4, None)
-
-    install_schedule(net, fabric, Schedule.from_config(faults))
+        net, fabric = _scripted_clove(topo, params, scheme, flowlet_gap_s,
+                                      join_time, schedule)
 
     names = [f[0] for f in FLOWS] + [F4[0]]
     net.sample_rates(names, period=1e-3, until=duration)

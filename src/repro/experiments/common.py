@@ -1,9 +1,10 @@
 """Shared experiment scaffolding and the experiment registry.
 
-Besides the testbed and Figure-11 workload helpers (cells build their
-fabric with :func:`repro.baselines.registry.build`), this module is the
-experiments'
-doorway into :mod:`repro.runner`.  Each grid experiment declares one
+Every cell assembles its network, fabric, pairs and schedule with one
+:class:`repro.api.Scenario` chain and attaches its own samplers or
+apps to what ``build`` returns.  Besides the Figure-11 workload
+helper, this module is the experiments' doorway into
+:mod:`repro.runner`.  Each grid experiment declares one
 :class:`ExperimentSpec` (``SPEC``) next to its ``cell``: its
 (scheme x parameter x seed) axes, default durations and result table.
 :func:`build_grid` expands a registered spec into :class:`Job` cells and
@@ -27,8 +28,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner import Job, ParallelRunner, ResultCache
 from repro.sim.host import VMPair
-from repro.sim.network import Network
-from repro.sim.topology import three_tier_testbed
 from repro.workloads.synthetic import permutation_pairs
 
 SCHEMES_WITH_PRIME = ("pwc", "es+clove", "ufab-prime", "ufab")
@@ -38,16 +37,6 @@ SCHEMES_WITH_PRIME = ("pwc", "es+clove", "ufab-prime", "ufab")
 GUARANTEE_CLASSES_GBPS = (1.0, 2.0, 5.0)
 SOURCES = ("S1", "S2", "S3", "S4")
 DESTINATIONS = ("S5", "S6", "S7", "S8")
-
-
-def testbed_network(
-    link_capacity: float = 10e9,
-    resolve_interval: float = 0.0,
-) -> Network:
-    """A fresh Figure-10 testbed network."""
-    net = Network(three_tier_testbed(link_capacity=link_capacity))
-    net.resolve_interval = resolve_interval
-    return net
 
 
 def guarantee_workload(

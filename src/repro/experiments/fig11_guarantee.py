@@ -13,15 +13,10 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, QueueSampler
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import (
-    Axis,
-    ExperimentSpec,
-    guarantee_workload,
-    testbed_network,
-)
-from repro.schedule import PairJoin, Schedule, install_schedule
+from repro.experiments.common import Axis, ExperimentSpec, guarantee_workload
+from repro.schedule import PairJoin, Schedule
 
 
 @dataclasses.dataclass
@@ -44,15 +39,15 @@ def run_one(
     unit_bandwidth: float = 1e6,
     faults: Optional[Dict[str, object]] = None,
 ) -> GuaranteeResult:
-    net = testbed_network()
-    # The testbed has 8 equal-cost paths between pods; let pairs see all
-    # of them so subscription-aware packing has room to work.
-    params = UFabParams(n_candidate_paths=8)
-    fabric = registry.build(scheme, net, params, seed)
     pairs, guarantees = guarantee_workload(unit_bandwidth, shuffle_seed=seed)
-
-    injector = install_schedule(net, fabric, Schedule.from_config(faults).extended(
-        PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs)))
+    # The testbed has 8 equal-cost paths between pods; let pairs see all
+    # of them so subscription-aware packing has room to work.  Every
+    # join, the first at t = 0 included, fires from the schedule.
+    net, _, injector = (
+        Scenario.testbed().scheme(scheme, UFabParams(n_candidate_paths=8)).seed(seed)
+        .faults(Schedule.from_config(faults).extended(
+            PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs)))
+        .build(duration))
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)

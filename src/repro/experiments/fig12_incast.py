@@ -11,14 +11,8 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentiles
-from repro.baselines import registry
-from repro.experiments.common import (
-    SCHEMES_WITH_PRIME,
-    Axis,
-    ExperimentSpec,
-    testbed_network,
-)
-from repro.schedule import Schedule, install_schedule
+from repro.api import Scenario
+from repro.experiments.common import SCHEMES_WITH_PRIME, Axis, ExperimentSpec
 from repro.workloads.synthetic import incast_pairs
 
 
@@ -42,13 +36,10 @@ def run_one(
     seed: int = 1,
     faults: Optional[Dict[str, object]] = None,
 ) -> Fig12Result:
-    net = testbed_network()
-    fabric = registry.build(scheme, net, seed=seed)
     sources = [f"S{1 + (i % 7)}" for i in range(degree)]
     pairs = incast_pairs(sources, "S8", tokens=guarantee_tokens)
-    for pair in pairs:
-        fabric.add_pair(pair)
-    install_schedule(net, fabric, Schedule.from_config(faults))
+    net, _, _ = (Scenario.testbed().scheme(scheme).seed(seed)
+                 .tenants(pairs).faults(faults).build(duration))
     ids = [p.pair_id for p in pairs]
     sampler = RttSampler(net, ids, period=6e-6)
     sampler.start(duration)

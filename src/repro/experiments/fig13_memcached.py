@@ -14,9 +14,8 @@ import random
 from typing import List, Sequence
 
 from repro.analysis.metrics import percentile
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network
 from repro.workloads.apps import BulkFetchApp, RequestResponseApp
 from repro.workloads.flowsize import KEY_VALUE_CDF, EmpiricalSize
 
@@ -40,9 +39,9 @@ def run_one(
     seed: int = 5,
     unit_bandwidth: float = 1e6,
 ) -> MemcachedResult:
-    net = testbed_network()
     params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = registry.build(scheme, net, params, seed)
+    net, fabric, _ = (Scenario.testbed().scheme(scheme, params).seed(seed)
+                      .build(duration))
 
     # Memcached: 2 Gbps-class guarantee split over server->client pairs.
     memcached_servers = ["S7", "S8"]

@@ -13,9 +13,8 @@ import random
 from typing import Dict, List, Sequence
 
 from repro.analysis.metrics import percentile
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network
 from repro.workloads.apps import EbsCluster
 
 LATENCY_BOUND_AVG = 2e-3
@@ -37,9 +36,9 @@ def run_one(
     seed: int = 9,
     unit_bandwidth: float = 1e6,
 ) -> EbsResult:
-    net = testbed_network()
     params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = registry.build(scheme, net, params, seed)
+    net, fabric, _ = (Scenario.testbed().scheme(scheme, params).seed(seed)
+                      .build(duration))
     cluster = EbsCluster(
         net,
         fabric,

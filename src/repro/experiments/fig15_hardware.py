@@ -13,11 +13,10 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.analysis.metrics import QueueSampler
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network
 from repro.resources.model import probing_overhead_bound, probing_overhead_curve
-from repro.schedule import NodeDown, PairJoin, Schedule, install_schedule
+from repro.schedule import NodeDown, PairJoin, Schedule
 from repro.sim.host import VMPair
 
 VF_GUARANTEES_GBPS = (5.0, 5.0, 5.0, 10.0, 10.0, 10.0, 15.0)
@@ -41,10 +40,6 @@ def run(
     unit_bandwidth: float = 1e6,
     seed: int = 2,
 ) -> HardwareResult:
-    net = testbed_network(link_capacity=100e9)
-    params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
-    fabric = registry.build("ufab", net, params, seed)
-
     pairs: List[VMPair] = []
     sources = ["S1", "S2", "S3", "S4", "S5", "S6", "S7"]
     for i, gbps in enumerate(VF_GUARANTEES_GBPS):
@@ -58,9 +53,11 @@ def run(
         pairs.append(pair)
     guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
 
-    install_schedule(net, fabric, Schedule.of(
-        *(PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs)),
-        NodeDown(failure_time, "Core1")))
+    params = UFabParams(unit_bandwidth=unit_bandwidth, n_candidate_paths=8)
+    joins = (PairJoin(i * join_interval, pair) for i, pair in enumerate(pairs))
+    net, _, _ = (Scenario.testbed(link_capacity=100e9).scheme("ufab", params).seed(seed)
+                 .faults(Schedule.of(*joins, NodeDown(failure_time, "Core1")))
+                 .build(duration))
     ids = [p.pair_id for p in pairs]
     net.sample_rates(ids, period=0.25e-3, until=duration)
     dst_links = [

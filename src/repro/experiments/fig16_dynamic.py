@@ -13,15 +13,14 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentile
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
 from repro.experiments.common import (
     SCHEMES_WITH_PRIME,
     Axis,
     ExperimentSpec,
 )
-from repro.schedule import DemandOnOff, Schedule, install_schedule
-from repro.sim.network import Network
+from repro.schedule import DemandOnOff, Schedule
 from repro.sim.topology import leaf_spine
 from repro.workloads.synthetic import incast_pairs
 
@@ -56,22 +55,20 @@ def run_one(
         fabric_capacity=400e9,
         prop_delay=2e-6,
     )
-    net = Network(topo)
-    net.resolve_interval = 2e-6
-    params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = registry.build(scheme, net, params, seed)
-
     hosts = topo.hosts()
     receiver = "h0_0"
     senders = [h for h in hosts if h != receiver][:n_senders]
     pairs = incast_pairs(senders, receiver, tokens=1e9 / unit_bandwidth)
     for pair in pairs:
         pair.demand_bps = 0.5e9  # start in underload
-        fabric.add_pair(pair)
     # First switch to overload at t = period.
-    install_schedule(net, fabric, Schedule.from_config(faults).extended(
-        DemandOnOff(period_s, pair.pair_id, low_bps=0.5e9, period_s=period_s)
-        for pair in pairs))
+    net, _, _ = (
+        Scenario.topology(topo).scheme(scheme, UFabParams(unit_bandwidth=unit_bandwidth))
+        .seed(seed).resolve_interval(2e-6).tenants(pairs)
+        .faults(Schedule.from_config(faults).extended(
+            DemandOnOff(period_s, pair.pair_id, low_bps=0.5e9, period_s=period_s)
+            for pair in pairs))
+        .build(duration))
 
     ids = [p.pair_id for p in pairs]
     sampler = RttSampler(net, ids[:16], period=20e-6)

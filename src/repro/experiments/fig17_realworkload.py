@@ -18,9 +18,8 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import RttSampler, fct_slowdown, percentile
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
 from repro.workloads.flowsize import WEB_SEARCH_CDF, EmpiricalSize, PoissonFlowGenerator
 from repro.workloads.tenants import synthesize_tenants
@@ -70,10 +69,9 @@ def run_one(
     unit_bandwidth: float = 1e6,
 ) -> RealWorkloadResult:
     topo = _fabric_topology(oversubscription, host_capacity)
-    net = Network(topo)
-    net.resolve_interval = 4e-6
-    params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = registry.build(scheme, net, params, seed)
+    net, fabric, _ = (
+        Scenario.topology(topo).scheme(scheme, UFabParams(unit_bandwidth=unit_bandwidth))
+        .seed(seed).resolve_interval(4e-6).build(duration))
     rng = random.Random(seed)
 
     tenants = synthesize_tenants(
@@ -86,6 +84,8 @@ def run_one(
     )
     all_pairs = [p for t in tenants for p in t.pairs]
     guarantee_of = {p.pair_id: p.phi * unit_bandwidth for p in all_pairs}
+    # Joined after build: each pair's message queue attaches before
+    # the fabric admits it.
     for pair in all_pairs:
         net.attach_message_queue(pair)
         fabric.add_pair(pair)

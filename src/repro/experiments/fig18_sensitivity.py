@@ -13,10 +13,9 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network
-from repro.schedule import PairJoin, Schedule, install_schedule
+from repro.schedule import PairJoin, Schedule
 from repro.sim.host import VMPair
 from repro.workloads.synthetic import incast_pairs
 
@@ -37,7 +36,7 @@ class ProbingFrequencyResult:
     rate_series: List[Tuple[float, float]]  # one representative sender
 
 
-def _random_workload(net, fabric, rng, load: float, unit_bandwidth: float) -> List[VMPair]:
+def _random_workload(rng, load: float, unit_bandwidth: float) -> List[VMPair]:
     """Pairwise traffic across pods at roughly the target average load.
 
     Destination choice respects the receivers' capacity so every
@@ -70,8 +69,6 @@ def _random_workload(net, fabric, rng, load: float, unit_bandwidth: float) -> Li
             pairs.append(pair)
             budget -= share
             i += 1
-    for pair in pairs:
-        fabric.add_pair(pair)
     return pairs
 
 
@@ -105,15 +102,14 @@ def run_freeze_window(
     results: List[FreezeWindowResult] = []
     for load in loads:
         for window in windows:
-            net = testbed_network()
             params = UFabParams(
                 unit_bandwidth=unit_bandwidth,
                 freeze_window_rtts=window,
                 n_candidate_paths=8,
             )
-            fabric = registry.build("ufab", net, params, seed)
-            rng = random.Random(seed)
-            pairs = _random_workload(net, fabric, rng, load, unit_bandwidth)
+            pairs = _random_workload(random.Random(seed), load, unit_bandwidth)
+            net, fabric, _ = (Scenario.testbed().scheme("ufab", params)
+                              .seed(seed).tenants(pairs).build(duration))
             guarantees = {p.pair_id: p.phi * unit_bandwidth for p in pairs}
             timeline = _convergence_time(net, pairs, guarantees, 0.0, 0.1e-3, duration)
             net.run(duration)
@@ -150,21 +146,19 @@ def run_probing_frequency(
     """16-to-1 incast over ~50% background load (Figure 18c)."""
     results: List[ProbingFrequencyResult] = []
     for period in periods_rtts:
-        net = testbed_network()
         params = UFabParams(
             unit_bandwidth=unit_bandwidth,
             probe_period_rtts=period,
             n_candidate_paths=8,
         )
-        fabric = registry.build("ufab", net, params, seed)
-        rng = random.Random(seed)
         # Background: random cross-pod pairs at ~50% average load.
-        _background = _random_workload(net, fabric, rng, 0.5, unit_bandwidth)
+        background = _random_workload(random.Random(seed), 0.5, unit_bandwidth)
         sources = [f"S{1 + (i % 7)}" for i in range(16)]
         incast = incast_pairs(sources, "S8", tokens=500.0, vf_prefix="inc")
         t_join = 2e-3
-        install_schedule(net, fabric, Schedule.of(
-            *(PairJoin(t_join, pair) for pair in incast)))
+        net, _, _ = (Scenario.testbed().scheme("ufab", params).seed(seed).tenants(background)
+                     .faults(Schedule.of(*(PairJoin(t_join, pair) for pair in incast)))
+                     .build(duration))
         ids = [p.pair_id for p in incast]
         net.sample_rates(ids[:1], period=0.05e-3, until=duration)
         net.run(duration)

@@ -14,11 +14,10 @@ import random
 import statistics
 from typing import Dict, List, Tuple
 
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.schedule import PairJoin, Schedule, install_schedule
+from repro.schedule import PairJoin, Schedule
 from repro.sim.host import VMPair
-from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
 from repro.workloads.synthetic import incast_pairs
 
@@ -46,27 +45,26 @@ def run(
         fabric_capacity=400e9,
         prop_delay=2e-6,
     )
-    net = Network(topo)
-    net.resolve_interval = 2e-6
-    params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = registry.build("ufab", net, params, seed)
     rng = random.Random(seed)
-
     hosts = topo.hosts()
     receiver = hosts[0]
     senders = [h for h in hosts if h != receiver][:n_senders]
     # Background pairs on other receivers at moderate load.
     others = [h for h in hosts if h != receiver]
+    background = []
     for i in range(32):
         src, dst = rng.sample(others, 2)
-        bg = VMPair(f"bg-{i}", vf=f"bg-{i}", src_host=src, dst_host=dst,
-                    phi=1e9 / unit_bandwidth, demand_bps=1e9)
-        fabric.add_pair(bg)
+        background.append(VMPair(f"bg-{i}", vf=f"bg-{i}", src_host=src,
+                                 dst_host=dst, phi=1e9 / unit_bandwidth,
+                                 demand_bps=1e9))
 
     pairs = incast_pairs(senders, receiver, tokens=0.5e9 / unit_bandwidth)
     t_join = 2e-3
-    install_schedule(net, fabric, Schedule.of(
-        *(PairJoin(t_join, pair) for pair in pairs)))
+    net, fabric, _ = (
+        Scenario.topology(topo).scheme("ufab", UFabParams(unit_bandwidth=unit_bandwidth))
+        .seed(seed).resolve_interval(2e-6).tenants(background)
+        .faults(Schedule.of(*(PairJoin(t_join, pair) for pair in pairs)))
+        .build(duration))
     probe_id = pairs[0].pair_id
     net.sample_rates([probe_id], period=0.05e-3, until=duration)
 

@@ -21,15 +21,10 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import GuaranteeAuditor, RttSampler, percentile
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import (
-    Axis,
-    ExperimentSpec,
-    guarantee_workload,
-    testbed_network,
-)
-from repro.schedule import Schedule, install_schedule, parse_faults
+from repro.experiments.common import Axis, ExperimentSpec, guarantee_workload
+from repro.schedule import parse_faults
 from repro.runner import Job
 
 SCHEMES = ("ufab", "pwc", "es+clove")
@@ -69,14 +64,10 @@ def run_one(
     unit_bandwidth: float = 1e6,
     faults: Optional[Dict[str, object]] = None,
 ) -> ResilienceResult:
-    net = testbed_network()
-    params = UFabParams(n_candidate_paths=8)
-    fabric = registry.build(scheme, net, params, seed)
     pairs, guarantees = guarantee_workload(unit_bandwidth)
-    for pair in pairs:
-        fabric.add_pair(pair)
-
-    injector = install_schedule(net, fabric, Schedule.from_config(faults))
+    net, _, injector = (
+        Scenario.testbed().scheme(scheme, UFabParams(n_candidate_paths=8)).seed(seed)
+        .tenants(pairs).faults(faults).build(duration))
 
     auditor = GuaranteeAuditor(net, guarantees, period=0.5e-3)
     auditor.start(duration)

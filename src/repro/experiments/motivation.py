@@ -18,12 +18,10 @@ import random
 from typing import Dict, List
 
 from repro.analysis.metrics import RttSampler, percentile
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network
-from repro.schedule import DemandOnOff, Schedule, install_schedule
+from repro.schedule import DemandOnOff, Schedule
 from repro.sim.host import VMPair
-from repro.sim.network import Network
 from repro.sim.topology import leaf_spine
 
 
@@ -42,20 +40,18 @@ def run_burst_interference(
 ) -> BurstInterferenceResult:
     """Victim tenant at low constant rate; aggressor bursts periodically
     to line rate under best-effort WCC+ECMP (no guarantees)."""
-    net = testbed_network()
-    params = UFabParams(unit_bandwidth=unit_bandwidth)
-    fabric = registry.build("wcc+ecmp", net, params, seed)
-    victim = VMPair("victim", "tenant-a", "S1", "S5", phi=1000, demand_bps=0.5e9)
-    fabric.add_pair(victim)
+    pairs = [VMPair("victim", "tenant-a", "S1", "S5", phi=1000, demand_bps=0.5e9)]
     # The aggressor: routine data analytics bursting into the victim's
     # destination rack (synchronized on/off, the Fig-1 interference).
     bursts = []
     for i, src in enumerate(("S2", "S3", "S4", "S6", "S7", "S8")):
         pair = VMPair(f"agg-{i}", "tenant-b", src, "S5", phi=1000, demand_bps=0.0)
-        fabric.add_pair(pair)
+        pairs.append(pair)
         bursts.append(DemandOnOff(2e-3, pair.pair_id, low_bps=0.0, period_s=8e-3,
                                   high_duration_s=0.4e-3))
-    install_schedule(net, fabric, Schedule.of(*bursts))
+    net, _, _ = (
+        Scenario.testbed().scheme("wcc+ecmp", UFabParams(unit_bandwidth=unit_bandwidth))
+        .seed(seed).tenants(pairs).faults(Schedule.of(*bursts)).build(duration))
 
     sampler = RttSampler(net, ["victim"], period=10e-6)
     sampler.start(duration)
@@ -99,17 +95,17 @@ def run_polarization(
     for polarized in (True, False):
         topo = leaf_spine(n_leaves=2, n_spines=8, hosts_per_leaf=12,
                           host_capacity=10e9, fabric_capacity=10e9, prop_delay=2e-6)
-        net = Network(topo)
-        net.resolve_interval = 2e-6
         scheme = "wcc+ecmp-polarized" if polarized else "wcc+ecmp"
-        fabric = registry.build(scheme, net, seed=seed)
+        net, fabric, _ = (Scenario.topology(topo).scheme(scheme).seed(seed)
+                          .resolve_interval(2e-6).build(duration))
         rng = random.Random(seed)
         lhs = [h for h in topo.hosts() if h.startswith("h0_")]
         rhs = [h for h in topo.hosts() if h.startswith("h1_")]
         for i in range(n_flows):
             src, dst = rng.choice(lhs), rng.choice(rhs)
             # All 8 equivalent uplinks in a consistent order, so the hash
-            # outcome (not candidate sampling) decides the path.
+            # outcome (not candidate sampling) decides the path.  Joined
+            # after build: Scenario pins candidates, not their count.
             fabric.add_pair(
                 VMPair(f"f{i}", f"vf{i}", src, dst, phi=500.0), n_candidates=8
             )

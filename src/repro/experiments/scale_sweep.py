@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.params import UFabParams
 from repro.experiments.common import Axis, ExperimentSpec
-from repro.schedule import Schedule, install_schedule
+from repro.schedule import Schedule
 from repro.sim.network import Network
 from repro.sim.topology import fat_tree
 from repro.workloads.tenants import TenantChurnConfig, generate_churn
@@ -54,19 +54,6 @@ CHURN_LEVELS: Dict[str, TenantChurnConfig] = {
 }
 
 
-def scale_network(k: int, link_capacity: float = 10e9,
-                  resolve_interval: float = 50e-6) -> Network:
-    """A fresh k-ary fat-tree network tuned for population scale.
-
-    ``resolve_interval`` batches solver work: churn arrivals land
-    between resolve ticks instead of each forcing a synchronous fixed
-    point, which is what makes 1024-host cells tractable.
-    """
-    net = Network(fat_tree(k=k, capacity=link_capacity))
-    net.resolve_interval = resolve_interval
-    return net
-
-
 def weighted_allocation_error(net: Network,
                               params: UFabParams) -> Optional[float]:
     """Söze-style fairness axis: phi-weighted mean relative deviation of
@@ -76,10 +63,9 @@ def weighted_allocation_error(net: Network,
     link on its path — ``min_l (phi_i / Phi_l) * eta * C_l`` with
     ``Phi_l`` the total tokens crossing link ``l`` — capped at the
     pair's demand.  Söze reports exactly this deviation for its in-band
-    weighted max-min allocator; computing it here puts the churn sweep
-    on the same axis, so scheme ablations can show what allocation
-    fidelity an overhead reduction costs.  ``None`` when
-    no pair carries tokens (e.g. the fabric drained at the horizon).
+    weighted max-min allocator; computing it here puts each scheme's
+    churn row on the same axis.  ``None`` when no pair carries tokens
+    (e.g. the fabric drained at the horizon).
     """
     phi_load: Dict[str, float] = {}
     for pair_id, path in net.pair_paths.items():
@@ -121,14 +107,16 @@ def run_one(
     if churn not in CHURN_LEVELS:
         raise ValueError(
             f"unknown churn level {churn!r}; choose from {sorted(CHURN_LEVELS)}")
-    net = scale_network(k)
+    topo = fat_tree(k=k, capacity=10e9)
     params = UFabParams(n_candidate_paths=4)
-    fabric = registry.build(scheme, net, params, seed)
-    config = CHURN_LEVELS[churn]
     churn_events = generate_churn(
-        net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
-    schedule = Schedule.from_config(faults).extended(churn_events)
-    injector = install_schedule(net, fabric, schedule)
+        topo.hosts(), horizon_s=duration, seed=seed, config=CHURN_LEVELS[churn])
+    # A 50 us resolve interval batches solver work: churn arrivals land
+    # between resolve ticks instead of each forcing a synchronous fixed
+    # point, which is what makes 1024-host cells tractable.
+    net, _, injector = (
+        Scenario.topology(topo).scheme(scheme, params).seed(seed).resolve_interval(50e-6)
+        .faults(Schedule.from_config(faults).extended(churn_events)).build(duration))
     net.run(duration)
 
     report = injector.report()

@@ -19,7 +19,7 @@ Grids are built and submitted through
 
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.job import Job, JobResult, code_version, execute_job
-from repro.runner.parallel import ParallelRunner, default_jobs
+from repro.runner.parallel import ParallelRunner
 
 __all__ = [
     "Job",
@@ -29,5 +29,4 @@ __all__ = [
     "code_version",
     "execute_job",
     "default_cache_dir",
-    "default_jobs",
 ]

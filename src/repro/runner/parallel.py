@@ -26,21 +26,11 @@ parallel path, so a serial cell never loads them.
 
 from __future__ import annotations
 
-import os
 import traceback
 from typing import List, Optional, Sequence
 
 from repro.runner.cache import ResultCache
 from repro.runner.job import Job, JobResult, timed_execute
-
-
-def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` env var, else 1 (in-process)."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _attempt(index: int, job: Job) -> JobResult:
@@ -57,7 +47,9 @@ class ParallelRunner:
     """Run job grids with caching and crash isolation."""
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None):
-        self.jobs = max(1, int(jobs))
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+        self.jobs = jobs
         self.cache = cache
 
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:

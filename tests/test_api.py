@@ -122,6 +122,32 @@ def test_topology_classmethod_accepts_instance_and_factory():
         assert result.delivered_bps["t0:S1->S5"] > 0
 
 
+def test_topology_instance_builds_once_and_factory_repeats():
+    """An instance's links keep one run's queues and core agents, so a
+    second build of it would start from that state: it raises and
+    points at the factory form, which repeats bit-identically."""
+    def runs(scenario):
+        return [scenario.run(until=0.005) for _ in range(2)]
+
+    scenario = Scenario.topology(three_tier_testbed()).tenants(TENANTS)
+    first = scenario.run(until=0.005)
+    assert first.delivered_bps["t0:S1->S5"] > 0
+    with pytest.raises(ValueError, match="factory"):
+        scenario.run(until=0.005)
+    with pytest.raises(ValueError, match="builds once"):
+        scenario.build()
+
+    a, b = runs(Scenario.topology(three_tier_testbed).tenants(TENANTS))
+    assert a.delivered_bps == b.delivered_bps == first.delivered_bps
+    assert a.events_processed == b.events_processed == first.events_processed
+
+
+def test_satisfied_names_an_unknown_pair():
+    result = _scenario().run(until=0.002)
+    with pytest.raises(KeyError, match="no-such-pair"):
+        result.satisfied("no-such-pair")
+
+
 # ----------------------------------------------------------------------
 # Faults & observability
 # ----------------------------------------------------------------------
@@ -167,18 +193,21 @@ def test_observe_noop_when_all_false():
 # ----------------------------------------------------------------------
 
 def test_build_returns_live_network_and_fabric():
-    net, fabric = _scenario().build(horizon=0.01)
+    net, fabric, injector = _scenario().build(horizon=0.01)
     assert set(net.pairs) == {"t0:S1->S5", "t1:S2->S6", "t2:S3->S7"}
+    assert set(fabric.pairs) == set(net.pairs)
+    assert injector.network is net and injector.fabric is fabric
     net.run(0.005)
     assert net.delivered_rate("t0:S1->S5") > 0
+    assert injector.report() == {}  # no fault plane, no churn
 
 
 def test_build_installs_faults_against_horizon():
-    net, _ = _scenario(faults="probe_loss:0.5").build(horizon=0.01)
+    net, _, injector = _scenario(faults="probe_loss:0.5").build(horizon=0.01)
     net.run(0.005)
     # The loss window spans the whole horizon, so its interceptor (a
     # bound method of the injector) is still on the network here.
-    injector = net.probe_interceptor.__self__
+    assert net.probe_interceptor.__self__ is injector
     assert injector.report()["faults"]["probe_drops"] > 0
 
 
@@ -201,7 +230,12 @@ def test_pre_scenario_shims_removed():
         for old in old_names:
             assert not hasattr(module, old), (module.__name__, old)
     assert not hasattr(api, "testbed_network")
-    from repro.experiments.common import testbed_network  # noqa: F401
+    # Every experiment cell starts from Scenario: the hand-built
+    # network helpers are gone too.
+    from repro.experiments import scale_sweep
+
+    assert not hasattr(common, "testbed_network")
+    assert not hasattr(scale_sweep, "scale_network")
 
 
 def test_core_backend_selection_removed():
@@ -299,7 +333,7 @@ def test_zero_and_unlimited_demand_and_late_joins_stay_legal():
     scenario = (Scenario.testbed()
                 .tenant("S1", "S5", 1.0, demand_gbps=0.0)
                 .tenant("S2", "S6", 1.0, demand_gbps=float("inf"), at=0.001))
-    net, _ = scenario.build()
+    net, _, _ = scenario.build()
     assert "t0:S1->S5" in net.pairs and "t1:S2->S6" not in net.pairs
     net.run(0.002)
     assert "t1:S2->S6" in net.pairs
@@ -320,7 +354,7 @@ def test_guarantee_tokens_follow_the_final_params():
     early = Scenario.testbed().params(coarse).tenant("S1", "S5", 1.0)
     late = Scenario.testbed().tenant("S1", "S5", 1.0).params(coarse)
     for scenario in (early, late):
-        net, _ = scenario.build()  # open-ended horizon is legal
+        net, _, _ = scenario.build()  # open-ended horizon is legal
         assert net.pairs["t0:S1->S5"].phi == pytest.approx(1e4)
     result = late.run(until=0.002)
     assert result.guarantees_bps == {"t0:S1->S5": pytest.approx(1e9)}
@@ -333,7 +367,7 @@ def test_backend_threads_through_build(monkeypatch):
     from repro.core.p4pipe import PipelineCoreAgent
 
     monkeypatch.setattr(UFabFabric, "_agent_class", PipelineCoreAgent)
-    net, _ = _scenario().build(horizon=0.01)
+    net, _, _ = _scenario().build(horizon=0.01)
     agents = [link.core_agent for link in net.topology.links.values()
               if getattr(link, "core_agent", None) is not None]
     assert agents and all(isinstance(a, PipelineCoreAgent) for a in agents)

@@ -148,12 +148,10 @@ def test_execute_job_restores_environment():
 
 
 def test_stray_environment_variable_changes_nothing(monkeypatch):
-    from repro.baselines import registry
-    from repro.experiments.common import testbed_network
+    from repro.api import Scenario
 
     monkeypatch.setenv(RETIRED_ENV, "pipeline")
-    net = testbed_network()
-    registry.build("ufab", net)
+    net, _, _ = Scenario.testbed().build()
     assert {type(link.core_agent) for link in net.topology.links.values()} == {CoreAgent}
 
 

@@ -74,6 +74,26 @@ def test_jobs_below_one_exits_2_before_any_cell_runs(jobs, capsys, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("env", ["abc", "0", "-2"])
+def test_malformed_repro_jobs_is_a_usage_error(env, capsys, tmp_path,
+                                               monkeypatch):
+    """``REPRO_JOBS=abc`` used to run the grid serially and exit 0; it is
+    ``--jobs``' default, so it is checked like the flag (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["fig11", "--duration", "0.004", "--schemes", "ufab", "--no-cache"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument --jobs:" in err.splitlines()[-1]
+    assert not list(tmp_path.iterdir())
+    # A valid value is the default; the flag still overrides it.
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    assert build_parser().parse_args(["fig11"]).jobs == 2
+    assert build_parser().parse_args(["fig11", "--jobs", "3"]).jobs == 3
+
+
 def test_fig4_parallel_matches_serial(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["fig4", "--duration", "0.004", "--degrees", "2",

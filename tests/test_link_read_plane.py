@@ -18,11 +18,10 @@ import random
 import pytest
 
 from repro.analysis.metrics import RttSampler
-from repro.baselines import registry
+from repro.api import Scenario
 from repro.core.corenode import CoreAgent
 from repro.core.edge import UFabFabric
 from repro.core.p4pipe import PipelineCoreAgent
-from repro.experiments import common
 from repro.sim.host import VMPair
 from repro.sim.link import Link, path_max_utilization
 from repro.sim.network import Network
@@ -54,11 +53,8 @@ class WalkingRttSampler(RttSampler):
 
 def _incast_fabric():
     """fig12_incast.run_one's cell (ufab, degree 14) up to the sampler."""
-    net = common.testbed_network()
-    fabric = registry.build("ufab", net, seed=1)
     pairs = incast_pairs([f"S{1 + (i % 7)}" for i in range(14)], "S8", tokens=500.0)
-    for pair in pairs:
-        fabric.add_pair(pair)
+    net, fabric, _ = Scenario.testbed().scheme("ufab").seed(1).tenants(pairs).build()
     return net, fabric, [p.pair_id for p in pairs]
 
 

@@ -6,10 +6,9 @@ from repro.baselines import registry
 from repro.baselines.fabrics import SCHEME_NAMES
 from repro.core.fabric import Fabric
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network as make_testbed
 from repro.sim.host import VMPair
 from repro.sim.network import Network
-from repro.sim.topology import dumbbell
+from repro.sim.topology import dumbbell, three_tier_testbed
 
 ALL_SCHEMES = (
     "ufab", "ufab-prime", "pwc", "es+clove",
@@ -51,7 +50,7 @@ def test_duplicate_registration_rejected():
 
 @pytest.mark.parametrize("scheme", registry.scheme_names())
 def test_fabric_protocol_contract(scheme):
-    net = make_testbed()
+    net = Network(three_tier_testbed())
     fabric = registry.build(scheme, net, seed=2)
     assert isinstance(fabric, Fabric)
     assert fabric.network is net and fabric.seed == 2

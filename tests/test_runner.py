@@ -122,6 +122,13 @@ def test_failing_job_reported_in_serial_mode_too():
     assert results[1].ok
 
 
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_runner_rejects_fewer_than_one_worker(jobs):
+    """``ParallelRunner(jobs=-5)`` used to clamp to 1 without a word."""
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        ParallelRunner(jobs=jobs)
+
+
 def test_workers_persist_across_jobs():
     # 8 jobs over 2 workers: each worker serves several jobs without
     # being torn down, so distinct PIDs number at most the pool size.

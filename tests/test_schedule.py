@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+from repro.api import Scenario
 from repro.baselines import registry
 from repro.core.params import UFabParams
-from repro.experiments.common import testbed_network as make_testbed
 from repro.runner import Job
 from repro.schedule import (
     KINDS,
@@ -38,7 +38,7 @@ from repro.schedule import (
 from repro.sim.engine import Simulator
 from repro.sim.host import VMPair
 from repro.sim.network import Network
-from repro.sim.topology import dumbbell
+from repro.sim.topology import dumbbell, three_tier_testbed
 from repro.workloads import TenantChurnConfig, generate_churn
 
 HOSTS = [f"h{i}" for i in range(32)]
@@ -51,11 +51,9 @@ def _pair(pid="p0", src="S1", dst="S5", tokens=2000.0):
 
 
 def _run(scheme="ufab", faults=None, duration=0.01, tokens=2000.0):
-    net = make_testbed()
-    fabric = registry.build(scheme, net, seed=1)
-    fabric.add_pair(_pair(tokens=tokens))
-    schedule = parse_faults(faults, horizon=duration) if faults else Schedule()
-    injector = install_schedule(net, fabric, schedule)
+    net, fabric, injector = (Scenario.testbed().scheme(scheme).seed(1)
+                             .pair(_pair(tokens=tokens)).faults(faults)
+                             .build(duration))
     net.run(duration)
     return net, fabric, injector
 
@@ -299,7 +297,7 @@ def _count_pushes(monkeypatch):
 
 def test_heap_pushes_per_event(monkeypatch):
     pushes = _count_pushes(monkeypatch)
-    net, fabric = make_testbed(), _Log()
+    net, fabric = Network(three_tier_testbed()), _Log()
     install_schedule(net, fabric, Schedule.of(
         LinkDown(1e-3, src="Agg1", dst="Core1"),          # 1
         NodeDown(2e-3, node="Core2"),                     # 1
@@ -316,7 +314,7 @@ def test_heap_pushes_per_event(monkeypatch):
     assert len(pushes) == 11
     # A toggle pushes its successor: arm + one per toggle.
     pushes.clear()
-    net, fabric = make_testbed(), _Log()
+    net, fabric = Network(three_tier_testbed()), _Log()
     install_schedule(net, fabric, Schedule.of(
         DemandOnOff(1e-3, "p0", low_bps=0.0, period_s=1e-3)))
     net.run(3.5e-3)
@@ -330,7 +328,7 @@ def test_heap_pushes_per_event(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_install_empty_schedule_is_noop():
-    net = make_testbed()
+    net = Network(three_tier_testbed())
     fabric = registry.build("ufab", net)
     pending = net.sim.pending()
     injector = install_schedule(net, fabric, Schedule.from_config({}))
@@ -351,7 +349,7 @@ def test_install_empty_schedule_is_noop():
     "core_reset:S1@1ms",  # a host, not a switch
 ])
 def test_unknown_target_raises_before_anything_fires(spec):
-    net, fabric = make_testbed(), _Log()
+    net, fabric = Network(three_tier_testbed()), _Log()
     schedule = parse_faults(f"probe_loss:0.2@0-1ms; {spec}", horizon=0.01)
     with pytest.raises(ScheduleError) as exc:
         install_schedule(net, fabric, schedule)
@@ -360,7 +358,7 @@ def test_unknown_target_raises_before_anything_fires(spec):
 
 
 def test_unknown_candidate_link_raises():
-    net, fabric = make_testbed(), _Log()
+    net, fabric = Network(three_tier_testbed()), _Log()
     join = PairJoin(0.0, _pair(), candidates=(("S1->ToR9",),))
     with pytest.raises(ScheduleError, match="pair_join"):
         install_schedule(net, fabric, Schedule.of(join))
@@ -448,7 +446,7 @@ def test_stale_telemetry_freeze_window_counts():
 
 
 def test_double_install_raises():
-    net = make_testbed()
+    net = Network(three_tier_testbed())
     fabric = registry.build("ufab", net)
     injector = install_schedule(net, fabric, parse_faults("probe_loss:0.1", horizon=0.01))
     with pytest.raises(RuntimeError):
