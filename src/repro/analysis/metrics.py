@@ -8,9 +8,9 @@ bandwidth dissatisfaction ratio (Fig 11d, 17a), RTT distributions
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
+from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.network import Network
@@ -18,33 +18,53 @@ from repro.sim.network import Network
 
 def percentiles(values: Sequence[float], ps: Sequence[float]) -> List[float]:
     """The p-th percentile (p in [0, 100], linear interpolation) for
-    every p in ``ps``, off one sort of ``values``."""
+    every p in ``ps``, off one count of ``values``.
+
+    A list and an ``array('d')`` take the same path.  The samples are
+    counted, not sorted: only the distinct values are sorted, and the
+    ranks of every p are read off a walk of their cumulative counts.
+    An RTT buffer repeats most of its values (a Figure 12 cell keeps
+    700 000 samples of about 55 000 values), so this never boxes or
+    copies the whole buffer.
+    """
     for p in ps:
         if not 0.0 <= p <= 100.0:  # also catches NaN
             raise ValueError(f"percentile p={p!r} is outside [0, 100]")
     if not values:
         raise ValueError("percentile of empty sequence")
-    if isinstance(values, array):
-        # Same ascending values as sorted(), without boxing every sample.
-        # Imported here, so a cell that never sorts a sample buffer
-        # never loads numpy.
-        import numpy
-
-        data = numpy.sort(numpy.frombuffer(values, dtype=values.typecode))
-    else:
-        data = sorted(values)
-    if len(data) == 1:
-        return [float(data[0])] * len(ps)
-    out = []
+    counts = Counter(values)
+    if any(map(math.isnan, counts)):
+        i = next(i for i, v in enumerate(values) if math.isnan(v))
+        raise ValueError(f"percentile sample values[{i}]={values[i]!r} is NaN")
+    n = len(values)
+    if n == 1:
+        return [float(values[0])] * len(ps)
+    spans = []  # per p: (frac, low, high), low/high indexing the sorted samples
     for p in ps:
-        rank = (p / 100.0) * (len(data) - 1)
+        rank = (p / 100.0) * (n - 1)
         low = int(math.floor(rank))
-        high = min(low + 1, len(data) - 1)
-        frac = rank - low
+        spans.append((rank - low, low, min(low + 1, n - 1)))
+    # The value at every index a span reads: index i holds the distinct
+    # value whose cumulative count first exceeds i.  The walk looks each
+    # count up: a list of (value, count) items would sit on top of
+    # the Counter and set the memory peak.
+    value_at: Dict[int, float] = {}
+    targets = iter(sorted({i for _, low, high in spans for i in (low, high)}))
+    want = next(targets)
+    seen = 0
+    for value in sorted(counts):
+        seen += counts[value]
+        while want < seen:
+            value_at[want] = float(value)
+            want = next(targets, n)
+        if want == n:
+            break
+    out = []
+    for frac, low, high in spans:
         # a + f*(b - a), clamped: exact when a == b and never outside
         # [a, b], so percentiles stay monotone in p (the two-product form
         # a*(1-f) + b*f can overshoot b by one ulp).
-        lo_v, hi_v = float(data[low]), float(data[high])
+        lo_v, hi_v = value_at[low], value_at[high]
         out.append(min(max(lo_v + frac * (hi_v - lo_v), lo_v), hi_v))
     return out
 
@@ -55,7 +75,7 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 
 class Cdf:
-    """Collect samples; query percentiles and CDF points."""
+    """Collect samples; query percentiles."""
 
     def __init__(self) -> None:
         # Unboxed doubles: an RTT sampler keeps one per pair per few
@@ -70,22 +90,6 @@ class Cdf:
 
     def p(self, q: float) -> float:
         return percentile(self.samples, q)
-
-    def points(self, n: int = 100) -> List[Tuple[float, float]]:
-        """(value, cumulative fraction) pairs for plotting."""
-        if not self.samples:
-            return []
-        data = sorted(self.samples)
-        out = []
-        for i in range(n + 1):
-            idx = min(len(data) - 1, int(i / n * (len(data) - 1)))
-            out.append((data[idx], (idx + 1) / len(data)))
-        return out
-
-    def fraction_above(self, threshold: float) -> float:
-        data = sorted(self.samples)
-        idx = bisect.bisect_right(data, threshold)
-        return 1.0 - idx / len(data) if data else 0.0
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -107,7 +111,6 @@ class RttSampler:
         self.pair_ids = list(pair_ids)
         self.period = period
         self.rtts = Cdf()
-        self.series: List[Tuple[float, float]] = []  # (t, max rtt this tick)
         # The plan: the ``pair_paths`` tuple it saw per pair id (None =
         # absent), the distinct links in the order a pair-by-pair
         # forward-then-reverse walk first meets them, and per present
@@ -152,7 +155,6 @@ class RttSampler:
                 link.sync(now)
             delays.append(link.prop_delay + link.queue / link.capacity)
         add = self.rtts.samples.append
-        worst = 0.0
         for forward, reverse in self._legs:
             fwd = 0.0
             for i in forward:
@@ -160,11 +162,7 @@ class RttSampler:
             rev = 0.0
             for i in reverse:
                 rev += delays[i]
-            rtt = fwd + rev
-            add(rtt)
-            if rtt > worst:
-                worst = rtt
-        self.series.append((now, worst))
+            add(fwd + rev)
         if now + self.period <= until:
             net.sim.schedule(self.period, self._tick, until)
 

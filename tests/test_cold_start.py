@@ -1,9 +1,9 @@
 """numpy and the process pool stay off the import graph of the cells.
 
-Only the Appendix-C theory (``repro.experiments.appc_theory``) and the
-sort of a sample buffer in ``percentiles`` compute with numpy, and both
-import it themselves.  Every other cell starts without it, which saves
-its import time and footprint on every CLI call and parallel worker.
+Only the Appendix-C theory (``repro.experiments.appc_theory``) computes
+with numpy.  Every other cell runs without it, percentiles of a sample
+buffer included, which saves its import time and footprint on every
+CLI call and parallel worker.
 Likewise ``multiprocessing`` and ``concurrent.futures`` are imported
 only by ``ParallelRunner``'s pooled path, never by a cell.
 """
@@ -29,6 +29,7 @@ import repro
 from repro.experiments import fig11_guarantee, fig12_incast, fig14_ebs, scale_sweep
 fig11_guarantee.run_one("ufab", duration=0.004)
 fig11_guarantee.run_one("pwc", duration=0.004)
+fig12_incast.run_one("ufab", degree=4, duration=0.002)
 print(sorted({"numpy", "multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """
 

@@ -5,7 +5,7 @@ import pickle
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.metrics import (
     Cdf,
@@ -56,15 +56,54 @@ def test_percentile_exact_endpoints():
         assert percentile(values, 100.0) == 3.0
 
 
+def _sorted_list_percentiles(values, ps):
+    """The formula over ``sorted(values)`` that ``percentiles`` must
+    reproduce exactly."""
+    data = sorted(values)
+    if len(data) == 1:
+        return [float(data[0])] * len(ps)
+    out = []
+    for p in ps:
+        rank = (p / 100.0) * (len(data) - 1)
+        low = int(math.floor(rank))
+        high = min(low + 1, len(data) - 1)
+        frac = rank - low
+        lo_v, hi_v = float(data[low]), float(data[high])
+        out.append(min(max(lo_v + frac * (hi_v - lo_v), lo_v), hi_v))
+    return out
+
+
+_SAMPLES = st.one_of(st.floats(min_value=-1e9, max_value=1e9),
+                     st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]))
+
+
 @settings(max_examples=60)
-@given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=300),
+@example([-0.0], [50])  # one sample: returned as given
+@example([-0.0, 0.0, -0.0, 1.0], [0, 50, 100])  # any mix of zeros: +0.0
+@example([1.0, math.inf], [0, 100])  # 1 + 0 * inf is nan
+@given(st.lists(_SAMPLES, min_size=1, max_size=300).flatmap(
+           lambda xs: st.lists(st.sampled_from(xs), min_size=len(xs),
+                               max_size=2 * len(xs))),
        st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=5))
 def test_array_percentiles_are_the_list_percentiles_bit_for_bit(values, ps):
-    want = [percentile(values, p) for p in ps]
-    got = percentiles(array("d", values), ps)
-    assert got == want
-    assert all(type(v) is float for v in got)
-    assert percentiles(values, ps) == want  # one sort, same answers
+    # Drawn from a pool of its own values, so duplicates are the rule.
+    want = [repr(v) for v in _sorted_list_percentiles(values, ps)]
+    for container in (list, lambda xs: array("d", xs)):
+        got = percentiles(container(values), ps)
+        assert [repr(v) for v in got] == want  # -0.0, inf and nan included
+        assert all(type(v) is float for v in got)
+    assert [repr(percentile(values, p)) for p in ps] == want
+
+
+@pytest.mark.parametrize("container", [list, lambda xs: array("d", xs)],
+                         ids=["list", "array"])
+def test_percentile_rejects_nan_samples(container):
+    # A NaN used to give [nan, nan, 3.0] from a list and [1.0, 2.5, nan]
+    # from an array, silently.
+    with pytest.raises(ValueError, match=r"values\[1\]=nan is NaN"):
+        percentiles(container([1.0, math.nan, 3.0, 2.0]), (0, 50, 100))
+    with pytest.raises(ValueError, match=r"values\[0\]=nan"):
+        percentile(container([math.nan]), 50)
 
 
 def test_cdf_keeps_unboxed_doubles_and_pickles():
@@ -76,21 +115,21 @@ def test_cdf_keeps_unboxed_doubles_and_pickles():
     assert cdf.p(50) == percentile(list(cdf.samples), 50)
     clone = pickle.loads(pickle.dumps(cdf))
     assert clone.samples == cdf.samples and clone.p(99) == cdf.p(99)
-    cdf.add(1.0)  # sorting must not leave the buffer exported (BufferError)
+    assert len(cdf) == 6
+    cdf.add(1.0)  # a percentile must not leave the buffer exported (BufferError)
     assert len(cdf) == 7 and max(cdf.samples) == 3.0 and min(cdf.samples) == 0.0
 
 
 def test_fig12_cell_sorts_its_samples_once_and_pickles(monkeypatch):
-    import numpy
-
+    from repro.analysis import metrics
     from repro.experiments import fig12_incast
 
-    sorts = []
-    real_sort = numpy.sort
-    monkeypatch.setattr(numpy, "sort",
-                        lambda a, *args, **kw: sorts.append(len(a)) or real_sort(a, *args, **kw))
+    counts = []
+    real_counter = metrics.Counter
+    monkeypatch.setattr(metrics, "Counter",
+                        lambda values: counts.append(len(values)) or real_counter(values))
     r = fig12_incast.run_one("ufab", degree=4, duration=0.001, seed=1)
-    assert sorts == [len(r.rtts)]  # p50 and p99 off one sort
+    assert counts == [len(r.rtts)]  # p50 and p99 off one count
     assert r.p50 == percentile(list(r.rtts.samples), 50)
     assert r.p99 == percentile(list(r.rtts.samples), 99)
     assert r.max_rtt == max(r.rtts.samples)
@@ -98,20 +137,11 @@ def test_fig12_cell_sorts_its_samples_once_and_pickles(monkeypatch):
     assert back.rtts.samples == r.rtts.samples and back.p99 == r.p99
 
 
-def test_cdf_points_and_fraction():
-    cdf = Cdf()
-    cdf.extend([1, 2, 3, 4, 5])
-    points = cdf.points(n=4)
-    assert points[0][0] == 1 and points[-1][0] == 5
-    assert cdf.fraction_above(3) == pytest.approx(0.4)
-    assert cdf.fraction_above(10) == 0.0
-    assert len(cdf) == 5
-
-
 def test_cdf_empty():
     cdf = Cdf()
-    assert cdf.points() == []
-    assert cdf.fraction_above(1.0) == 0.0
+    assert len(cdf) == 0
+    with pytest.raises(ValueError, match="empty"):
+        cdf.p(50)
 
 
 def test_fct_slowdown():
